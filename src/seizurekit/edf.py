@@ -11,6 +11,7 @@ that ship with CHB-MIT-style datasets.
 from __future__ import annotations
 
 import datetime
+import math
 import re
 from dataclasses import dataclass
 
@@ -210,9 +211,9 @@ def parse_edf(raw: bytes) -> Recording:
     maps to physical_min and digital_max to physical_max exactly. Header text
     fields come back with trailing spaces removed.
 
-    Raises EdfParseError (with byte offset) on truncation or malformed
-    fields, and EdfCalibrationError when a channel declares an unusable
-    digital range.
+    Raises EdfParseError (with byte offset) on truncation, malformed
+    fields or a record duration that is not a finite number > 0, and
+    EdfCalibrationError when a channel declares an unusable digital range.
     """
     if len(raw) < 256:
         raise EdfParseError(f"file too short for EDF header: {len(raw)} bytes", len(raw))
@@ -234,6 +235,12 @@ def parse_edf(raw: bytes) -> Recording:
     num_records = _decode_int(fields["num_records"], 236, "num_records")
     record_duration = _decode_float(fields["record_duration"], 244, "record_duration")
     num_signals = _decode_int(fields["num_signals"], 252, "num_signals")
+
+    if not 0 < record_duration < math.inf:
+        raise EdfParseError(
+            f"field 'record_duration' must be a finite number > 0, got {record_duration}",
+            244,
+        )
 
     if num_signals < 0:
         raise EdfParseError(f"negative signal count {num_signals}", 252)

@@ -728,6 +728,51 @@ def test_ingest_missing_referenced_file_warns_and_continues(tmp_path, capsys):
     assert all(line.endswith(",0") for line in meta[1:])
 
 
+def test_ingest_skips_edf_with_zero_record_duration(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.edf").write_bytes(make_edf_bytes("chb01", 10))
+    bad = bytearray(make_edf_bytes("chb01", 10, seed=1))
+    bad[244:252] = b"0".ljust(8)
+    (src / "b.edf").write_bytes(bytes(bad))
+    out = tmp_path / "store"
+    rc = main(
+        ["ingest", "--edf-dir", str(src), "--highpass", "0.5", "--out", str(out)]
+    )
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "b.edf" in err and "record_duration" in err
+    meta = (out / "meta.csv").read_text(encoding="utf-8").splitlines()
+    assert len(meta) == 6  # header + 5 epochs of a.edf
+    assert all(",a.edf," in line for line in meta[1:])
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert set(manifest["inputs"]) == {"a.edf"}
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--highpass", "nan"], None),
+        (["--highpass", "inf"], None),
+        (["--highpass", "0"], None),
+        ([], {"highpass_hz": "0.5"}),
+    ],
+)
+def test_ingest_bad_highpass_exits_1(tmp_path, capsys, flags, config):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.edf").write_bytes(make_edf_bytes("chb01", 10))
+    out = tmp_path / "store"
+    argv = ["ingest", "--edf-dir", str(src), "--out", str(out), *flags]
+    if config is not None:
+        cfg = tmp_path / "ingest.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    assert "highpass" in capsys.readouterr().err
+    assert not (out / "epochs.npy").exists()
+
+
 def test_ingest_empty_dir_exits_2(tmp_path, capsys):
     src = tmp_path / "empty"
     src.mkdir()

@@ -148,6 +148,16 @@ def test_header_bytes_mismatch_rejected():
         parse_edf(bytes(raw))
 
 
+@pytest.mark.parametrize("text", [b"0", b"-1", b"nan", b"inf"])
+def test_record_duration_not_finite_positive_rejected(text):
+    ch = make_channel(spr=2)
+    raw = bytearray(write_edf(make_recording([ch], [np.zeros(2)], 1)))
+    raw[244:252] = text.ljust(8)
+    with pytest.raises(EdfParseError) as err:
+        parse_edf(bytes(raw))
+    assert err.value.offset == 244
+
+
 def test_truncated_data_records_rejected():
     ch = make_channel(spr=4)
     raw = write_edf(make_recording([ch], [np.zeros(8)], 2))

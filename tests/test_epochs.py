@@ -1,9 +1,12 @@
 """Epoch slicing, detection/prediction labeling, and sequence windowing."""
 
 import datetime
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seizurekit import (
     ConfigError,
@@ -17,6 +20,7 @@ from seizurekit import (
     label_prediction,
     slice_epochs,
 )
+from seizurekit.epochs import _SCAN_BLOCK
 from tests.test_edf import make_channel
 
 
@@ -187,6 +191,88 @@ def test_denoise_highpass_removes_dc():
     assert out.signals[0][0] == rec.signals[0][0]
     with pytest.raises(ConfigError):
         denoise(rec, highpass_hz=-1.0)
+
+
+@pytest.mark.parametrize(
+    "cutoff", [0.0, -1.0, math.nan, math.inf, -math.inf, "0.5", True]
+)
+def test_denoise_rejects_cutoff_that_is_not_finite_positive(cutoff):
+    rec = make_recording(4, fill=1.0)
+    with pytest.raises(ConfigError, match="highpass"):
+        denoise(rec, highpass_hz=cutoff)
+
+
+def test_denoise_subnormal_cutoff_passes_signal_through():
+    rec = make_recording(4, fill=1.0)
+    rec.signals[0][:] = np.arange(16, dtype=float)
+    out = denoise(rec, highpass_hz=5e-324)
+    for x, y in zip(rec.signals, out.signals):
+        assert np.allclose(y, x, rtol=0, atol=1e-12)
+
+
+def _reference_denoise(r, highpass_hz):
+    """The sample-by-sample high-pass loop that ``denoise`` must match."""
+    filtered = []
+    for meta, x in zip(r.channels, r.signals):
+        fs = meta.samples_per_record / r.record_duration_s
+        rc = 1.0 / (2.0 * math.pi * highpass_hz)
+        alpha = rc / (rc + 1.0 / fs)
+        y = np.empty_like(x)
+        if len(x):
+            y[0] = x[0]
+            for n in range(1, len(x)):
+                y[n] = alpha * (y[n - 1] + x[n] - x[n - 1])
+        filtered.append(y)
+    return filtered
+
+
+# Per-channel samples per record: the block-boundary lengths, then many blocks.
+_SPR = st.sampled_from(
+    [1, 2, _SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1]
+) | st.integers(1, 20 * _SCAN_BLOCK)
+
+
+@st.composite
+def highpass_cases(draw):
+    """A recording whose channels may differ in rate, plus a cutoff in range."""
+    record_s = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    num_records = draw(st.sampled_from([0, 1]) | st.integers(2, 4))
+    sprs = draw(st.lists(_SPR, min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.floats(-1e3, 1e3))
+    scale = draw(st.floats(1e-3, 1e2))
+    signals = []
+    for spr in sprs:
+        walk = rng.standard_normal(spr * num_records).cumsum()
+        signals.append(offset + scale * (walk + rng.standard_normal(len(walk))))
+    # Log-uniform from 0.01 Hz to just under the slowest channel's Nyquist rate.
+    nyquist = min(sprs) / record_s / 2
+    cutoff = math.exp(draw(st.floats(math.log(0.01), math.log(0.99 * nyquist))))
+    rec = Recording(
+        patient_id="P01",
+        start_datetime=datetime.datetime(2020, 1, 1, 0, 0, 0),
+        record_duration_s=record_s,
+        num_records=num_records,
+        channels=tuple(make_channel(f"CH{i}", spr=spr) for i, spr in enumerate(sprs)),
+        signals=tuple(signals),
+    )
+    return rec, cutoff
+
+
+@settings(deadline=None)
+@given(highpass_cases())
+def test_denoise_matches_reference_loop(case):
+    rec, cutoff = case
+    before = [x.copy() for x in rec.signals]
+    out = denoise(rec, highpass_hz=cutoff)
+    expected = _reference_denoise(rec, cutoff)
+    for x, x0, y, ref in zip(rec.signals, before, out.signals, expected):
+        assert np.array_equal(x, x0)
+        assert y.dtype == np.float64
+        assert y.shape == x.shape
+        if len(x):
+            assert y[0] == x[0]
+            assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def fm(values, patients, files, starts):
