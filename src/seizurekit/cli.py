@@ -26,14 +26,14 @@ import numpy as np
 from .edf import parse_edf, parse_seizure_summary
 from .epochs import (
     Epoch,
-    build_sequences,
+    check_highpass,
     denoise,
     label_detection,
     label_prediction,
     slice_epochs,
 )
 from .errors import ConfigError, DataError, LeakageError
-from .evaluation import assert_patient_disjoint, compute_metrics, roc_auc, split_patients
+from .evaluation import assert_patient_disjoint
 from .features import (
     Scaler,
     apply_scaler,
@@ -42,10 +42,13 @@ from .features import (
     read_feature_csv,
     write_feature_csv,
 )
-from .models import LstmParams, load_model, lstm_predict, save_model
+from .models import MODELS, load_model, save_model, spec_for
+from .models.registry import DEFAULT_MODEL
 from .pipeline import (
     PipelineConfig,
-    evaluate_split,
+    metrics_report,
+    model_inputs,
+    patient_split,
     predict_and_score,
     run_cv,
     run_holdout,
@@ -255,6 +258,8 @@ def cmd_ingest(args) -> int:
         args.horizon if args.horizon is not None else file_cfg.get("horizon_s", 300.0)
     )
     highpass = args.highpass if args.highpass is not None else file_cfg.get("highpass_hz")
+    if highpass is not None:
+        check_highpass(highpass)
     demographics = args.demographics or file_cfg.get("demographics")
 
     d = Path(edf_dir)
@@ -434,7 +439,7 @@ _RUN_KEYS = {
 
 
 def _pipeline_config(args, file_cfg: dict) -> PipelineConfig:
-    model = args.model or file_cfg.get("model", "logreg")
+    model = args.model or file_cfg.get("model", DEFAULT_MODEL)
     if args.smote and args.no_smote:
         raise ConfigError("--smote and --no-smote are mutually exclusive")
     if args.smote:
@@ -484,35 +489,11 @@ def _config_echo(cfg: PipelineConfig, extra: dict | None = None) -> dict:
     return echo
 
 
-def _run_explicit(fm, labels, cfg: PipelineConfig, explicit):
-    train_p, val_p, test_p = explicit
-    present = set(map(str, fm.patients))
-    for name, group in (("train", train_p), ("val", val_p), ("test", test_p)):
-        missing = sorted(set(group) - present)
-        if missing:
-            raise DataError(f"{name}_patients not in dataset: {missing}")
-    train_idx = np.flatnonzero(np.isin(fm.patients, train_p))
-    val_idx = np.flatnonzero(np.isin(fm.patients, val_p))
-    test_idx = np.flatnonzero(np.isin(fm.patients, test_p))
-    result = evaluate_split(fm, labels, train_idx, test_idx, cfg, val_idx=val_idx)
-    result.report["split"] = {
-        "train_patients": list(train_p),
-        "val_patients": list(val_p),
-        "test_patients": list(test_p),
-        "explicit": True,
-    }
-    return result
-
-
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config, _RUN_KEYS)
     cfg = _pipeline_config(args, file_cfg)
     fm, labels = read_feature_csv(args.features)
-    explicit = _explicit_split(file_cfg)
-    if explicit is not None:
-        result = _run_explicit(fm, labels, cfg, explicit)
-    else:
-        result = run_holdout(fm, labels, cfg)
+    result = run_holdout(fm, labels, cfg, _explicit_split(file_cfg))
 
     out = _out_dir(args)
     save_model(result.model, out / "model.json")
@@ -541,47 +522,33 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     file_cfg = _load_config_file(args.config, _RUN_KEYS)
-    cfg = _pipeline_config(args, file_cfg)
-    fm, labels = read_feature_csv(args.features)
     model = load_model(args.model_file)
-
-    explicit = _explicit_split(file_cfg)
-    if explicit is not None:
-        train_p, _, test_p = explicit
-    else:
-        plan = split_patients(
-            sorted(set(fm.patients)), ratios=cfg.split_ratios, seed=cfg.seed
+    name = spec_for(model).name
+    if file_cfg.get("model", name) != name:
+        raise ConfigError(
+            f"config model {file_cfg['model']!r} does not match the {name} model "
+            f"in {args.model_file}"
         )
-        train_p, test_p = plan.train_patients, plan.test_patients
-    assert_patient_disjoint(train_p, test_p)
-    train_idx = np.flatnonzero(np.isin(fm.patients, train_p))
-    test_idx = np.flatnonzero(np.isin(fm.patients, test_p))
+    cfg = _pipeline_config(args, {**file_cfg, "model": name})
+    fm, labels = read_feature_csv(args.features)
+
+    rows, split = patient_split(fm, cfg, _explicit_split(file_cfg))
+    train_idx, test_idx = rows["train"], rows["test"]
     assert_patient_disjoint(fm.patients[train_idx], fm.patients[test_idx])
     if len(train_idx) == 0 or len(test_idx) == 0:
         raise DataError("evaluation split has an empty side")
 
     scaler = fit_scaler(fm.take(train_idx))
     test_fm = apply_scaler(scaler, fm.take(test_idx))
-    y_true = labels[test_idx]
+    inputs = model_inputs(cfg.spec, test_fm, labels[test_idx], cfg.sequence_length)
+    y_pred, scores = predict_and_score(model, inputs.X, cfg.threshold)
 
-    if isinstance(model, LstmParams):
-        ds = build_sequences(test_fm, y_true, cfg.sequence_length)
-        threshold = float(cfg.model_params.get("threshold", 0.5))
-        y_pred, scores = lstm_predict(model, ds.X, threshold)
-        y_true = ds.y
-    else:
-        threshold = float(cfg.model_params.get("threshold", 0.5))
-        y_pred, scores = predict_and_score(model, test_fm.values, threshold)
-
-    report = compute_metrics(y_true, y_pred).to_dict()
-    if len(np.unique(y_true)) == 2:
-        points, auc = roc_auc(y_true, scores)
-        report["auc"] = auc
-        _write_roc_csv(_out_dir(args) / "roc.csv", points)
-    report["n_test_rows"] = int(len(y_true))
-    report["test_patients"] = list(test_p)
-
+    report = metrics_report(inputs.y, y_pred, scores)
     out = _out_dir(args)
+    if "roc_points" in report:
+        _write_roc_csv(out / "roc.csv", report.pop("roc_points"))
+    report["n_test_rows"] = int(len(inputs))
+    report["test_patients"] = split["test_patients"]
     _write_json(out / "metrics.json", report)
     _write_manifest(
         out,
@@ -647,12 +614,16 @@ _PREDICT_KEYS = {"threshold", "sequence_length"}
 
 def cmd_predict(args) -> int:
     file_cfg = _load_config_file(args.config, _PREDICT_KEYS)
-    threshold = float(
-        args.threshold if args.threshold is not None else file_cfg.get("threshold", 0.5)
-    )
+    threshold = args.threshold if args.threshold is not None else file_cfg.get("threshold")
     seq_len = int(file_cfg.get("sequence_length", 10))
     fm, _ = read_feature_csv(args.features)
     model = load_model(args.model_file)
+    spec = spec_for(model)
+    if threshold is None:
+        threshold = spec.defaults.get("threshold", 0.5)
+    elif "threshold" not in spec.defaults:
+        raise ConfigError(f"{spec.name} models take no decision threshold")
+    threshold = float(threshold)
 
     if args.scaler_file:
         doc = json.loads(Path(args.scaler_file).read_text(encoding="utf-8"))
@@ -662,13 +633,9 @@ def cmd_predict(args) -> int:
         )
         fm = apply_scaler(scaler, fm)
 
-    if isinstance(model, LstmParams):
-        ds = build_sequences(fm, np.zeros(fm.n_rows, dtype=np.int64), seq_len)
-        classes, scores = lstm_predict(model, ds.X, threshold)
-        rows = zip(ds.patients, ds.files, ds.starts, scores, classes)
-    else:
-        classes, scores = predict_and_score(model, fm.values, threshold)
-        rows = zip(fm.patients, fm.files, fm.starts, scores, classes)
+    inputs = model_inputs(spec, fm, np.zeros(fm.n_rows, dtype=np.int64), seq_len)
+    classes, scores = predict_and_score(model, inputs.X, threshold)
+    rows = zip(inputs.patients, inputs.files, inputs.starts, scores, classes)
 
     out = _out_dir(args)
     with open(out / "predictions.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -744,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--model", required=True, dest="model_file", help="model JSON")
             p.set_defaults(model=None)
         else:
-            p.add_argument("--model", choices=("knn", "logreg", "rf", "svm", "lstm", "constant"))
+            p.add_argument("--model", choices=tuple(MODELS))
         p.add_argument("--smote", action="store_true")
         p.add_argument("--no-smote", action="store_true", dest="no_smote")
         p.add_argument(

@@ -123,6 +123,10 @@ class Recording:
     recording_id: str = ""
 
     def __post_init__(self):
+        if not 0 < self.record_duration_s < math.inf:
+            raise ValueError(
+                f"record_duration_s must be a finite number > 0, got {self.record_duration_s}"
+            )
         if len(self.channels) != len(self.signals):
             raise ValueError("channels and signals length mismatch")
         for meta, sig in zip(self.channels, self.signals):

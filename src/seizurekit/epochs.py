@@ -59,6 +59,18 @@ class LabeledEpochSet:
             raise DataError("labels must be 0 or 1")
 
 
+def check_highpass(highpass_hz) -> None:
+    """Raise ConfigError unless highpass_hz is a finite real number > 0."""
+    if (
+        isinstance(highpass_hz, bool)
+        or not isinstance(highpass_hz, numbers.Real)
+        or not 0 < highpass_hz < math.inf
+    ):
+        raise ConfigError(
+            f"highpass cutoff must be a finite number > 0 Hz, got {highpass_hz!r}"
+        )
+
+
 def denoise(r: Recording, highpass_hz: float | None = None) -> Recording:
     """Optional noise-reduction hook applied before epoching.
 
@@ -80,14 +92,7 @@ def denoise(r: Recording, highpass_hz: float | None = None) -> Recording:
     """
     if highpass_hz is None:
         return r
-    if (
-        isinstance(highpass_hz, bool)
-        or not isinstance(highpass_hz, numbers.Real)
-        or not 0 < highpass_hz < math.inf
-    ):
-        raise ConfigError(
-            f"highpass cutoff must be a finite number > 0 Hz, got {highpass_hz!r}"
-        )
+    check_highpass(highpass_hz)
     rc = 1.0 / (2.0 * math.pi * float(highpass_hz))
     filtered = []
     for meta, x in zip(r.channels, r.signals):

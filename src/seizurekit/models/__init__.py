@@ -3,8 +3,8 @@ RBF-kernel SVM, a single-layer LSTM, and trivial baselines."""
 
 from .baseline import ConstantModel, constant_predict, constant_scores
 from .forest import RFConfig, RFModel, best_split, gini, rf_fit, rf_predict, rf_scores
-from .io import KnnModel, load_model, model_from_dict, model_to_dict, save_model
-from .knn import knn_classify, knn_predict, knn_scores
+from .io import load_model, model_from_dict, model_to_dict, save_model
+from .knn import KnnModel, knn_classify, knn_predict, knn_scores, knn_vote
 from .logistic import (
     LogRegConfig,
     LogRegModel,
@@ -22,6 +22,7 @@ from .lstm import (
     lstm_predict,
     lstm_train,
 )
+from .registry import MODELS, ModelSpec, spec_for
 from .svm import SVMModel, rbf_kernel, svm_decision, svm_fit_smo, svm_predict
 
 __all__ = [
@@ -31,6 +32,8 @@ __all__ = [
     "LogRegModel",
     "LstmParams",
     "LstmTrainConfig",
+    "MODELS",
+    "ModelSpec",
     "RFConfig",
     "RFModel",
     "SVMModel",
@@ -42,6 +45,7 @@ __all__ = [
     "knn_classify",
     "knn_predict",
     "knn_scores",
+    "knn_vote",
     "load_model",
     "logreg_fit",
     "logreg_predict",
@@ -58,6 +62,7 @@ __all__ = [
     "rf_scores",
     "save_model",
     "sigmoid",
+    "spec_for",
     "svm_decision",
     "svm_fit_smo",
     "svm_predict",

@@ -171,22 +171,21 @@ def rf_fit(X, y, config: RFConfig = RFConfig()) -> RFModel:
 
 
 def rf_predict(model: RFModel, X) -> np.ndarray:
-    """Majority vote across trees; a tie predicts class 0."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise DataError(
-            f"feature count mismatch: model expects {model.n_features}"
-        )
-    votes = np.zeros(len(X), dtype=np.int64)
-    for tree in model.trees:
-        votes += np.array([_tree_predict_one(tree, row) for row in X], dtype=np.int64)
-    n_trees = len(model.trees)
-    return (votes * 2 > n_trees).astype(np.int64)
+    """Majority vote across trees; a tie predicts class 0.
+
+    A share above 0.5 is exactly a vote count above n_trees / 2: both are
+    exact in float64 for any n_trees < 2**52.
+    """
+    return (rf_scores(model, X) > 0.5).astype(np.int64)
 
 
 def rf_scores(model: RFModel, X) -> np.ndarray:
     """Fraction of trees voting class 1, usable as a ranking score."""
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.n_features:
+        raise DataError(
+            f"feature count mismatch: model expects {model.n_features}"
+        )
     votes = np.zeros(len(X), dtype=np.float64)
     for tree in model.trees:
         votes += np.array([_tree_predict_one(tree, row) for row in X], dtype=np.float64)

@@ -1,155 +1,25 @@
-"""Versioned JSON serialization for every trained model type.
+"""Versioned JSON serialization for every registered model type.
 
-Documents carry `model_type`, `params`, `config`, and `spec_version`
-fields; LSTM documents instead carry `dims` and `weights` alongside
-`model_type`. Floats are written with full round-trip precision, so
-save -> load reproduces parameters exactly.
+Documents carry `model_type` and `spec_version`; the other fields come
+from the model's registry entry (`params` and `config` for the tabular
+models, `dims`, `weights` and `config` for the LSTM). Floats are written
+with full round-trip precision, so save -> load reproduces parameters
+exactly.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import DataError
 from ..version import SPEC_VERSION
-from .baseline import ConstantModel
-from .forest import RFConfig, RFModel, TreeNode
-from .logistic import LogRegConfig, LogRegModel
-from .lstm import LstmParams
-from .svm import SVMModel
-
-
-@dataclass(frozen=True)
-class KnnModel:
-    """KNN is lazy, so its artifact is the training data plus k."""
-
-    train_X: np.ndarray
-    train_y: np.ndarray
-    k: int
-    class_weights: dict | None = None
-
-
-def _tree_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"counts": list(node.counts)}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _tree_to_dict(node.left),
-        "right": _tree_to_dict(node.right),
-    }
-
-
-def _tree_from_dict(doc: dict) -> TreeNode:
-    if "counts" in doc:
-        return TreeNode(counts=(int(doc["counts"][0]), int(doc["counts"][1])))
-    return TreeNode(
-        feature=int(doc["feature"]),
-        threshold=float(doc["threshold"]),
-        left=_tree_from_dict(doc["left"]),
-        right=_tree_from_dict(doc["right"]),
-    )
-
-
-def _weights_key_fix(cw) -> dict | None:
-    """JSON turns int dict keys into strings; undo that on load."""
-    if cw is None:
-        return None
-    return {int(k): float(v) for k, v in cw.items()}
+from .registry import MODELS, spec_for
 
 
 def model_to_dict(model) -> dict:
-    """Serialize any supported model to its JSON document."""
-    if isinstance(model, LstmParams):
-        return {
-            "model_type": "lstm",
-            "dims": {"input_dim": model.input_dim, "hidden_dim": model.hidden_dim},
-            "weights": {
-                "W_i": model.W_i.tolist(),
-                "W_f": model.W_f.tolist(),
-                "W_o": model.W_o.tolist(),
-                "W_g": model.W_g.tolist(),
-                "b_i": model.b_i.tolist(),
-                "b_f": model.b_f.tolist(),
-                "b_o": model.b_o.tolist(),
-                "b_g": model.b_g.tolist(),
-                "w_out": model.w_out.tolist(),
-                "b_out": model.b_out,
-            },
-            "config": {},
-            "spec_version": SPEC_VERSION,
-        }
-    if isinstance(model, LogRegModel):
-        c = model.config
-        return {
-            "model_type": "logreg",
-            "params": {
-                "weights": model.weights.tolist(),
-                "bias": model.bias,
-                "n_iters": model.n_iters,
-                "converged": model.converged,
-            },
-            "config": {
-                "learning_rate": c.learning_rate,
-                "l2_lambda": c.l2_lambda,
-                "max_iters": c.max_iters,
-                "tolerance": c.tolerance,
-                "class_weights": c.class_weights,
-                "seed": c.seed,
-            },
-            "spec_version": SPEC_VERSION,
-        }
-    if isinstance(model, RFModel):
-        c = model.config
-        return {
-            "model_type": "rf",
-            "params": {
-                "trees": [_tree_to_dict(t) for t in model.trees],
-                "n_features": model.n_features,
-            },
-            "config": {
-                "n_trees": c.n_trees,
-                "max_depth": c.max_depth,
-                "min_samples_split": c.min_samples_split,
-                "max_features": c.max_features,
-                "seed": c.seed,
-            },
-            "spec_version": SPEC_VERSION,
-        }
-    if isinstance(model, SVMModel):
-        return {
-            "model_type": "svm",
-            "params": {
-                "support_vectors": model.support_vectors.tolist(),
-                "alphas": model.alphas.tolist(),
-                "labels": model.labels.tolist(),
-                "bias": model.bias,
-                "converged": model.converged,
-            },
-            "config": {"C": model.C, "gamma": model.gamma},
-            "spec_version": SPEC_VERSION,
-        }
-    if isinstance(model, KnnModel):
-        return {
-            "model_type": "knn",
-            "params": {
-                "train_X": model.train_X.tolist(),
-                "train_y": model.train_y.tolist(),
-            },
-            "config": {"k": model.k, "class_weights": model.class_weights},
-            "spec_version": SPEC_VERSION,
-        }
-    if isinstance(model, ConstantModel):
-        return {
-            "model_type": "constant",
-            "params": {"class": model.constant_class},
-            "config": {},
-            "spec_version": SPEC_VERSION,
-        }
-    raise DataError(f"cannot serialize model of type {type(model).__name__}")
+    """Serialize any registered model to its JSON document."""
+    spec = spec_for(model)
+    return {"model_type": spec.name, **spec.to_doc(model), "spec_version": SPEC_VERSION}
 
 
 def model_from_dict(doc: dict):
@@ -157,71 +27,13 @@ def model_from_dict(doc: dict):
     if not isinstance(doc, dict) or "model_type" not in doc:
         raise DataError("model document missing model_type")
     mtype = doc["model_type"]
-    if mtype == "lstm":
-        w = doc["weights"]
-        return LstmParams(
-            W_i=np.array(w["W_i"], dtype=np.float64),
-            W_f=np.array(w["W_f"], dtype=np.float64),
-            W_o=np.array(w["W_o"], dtype=np.float64),
-            W_g=np.array(w["W_g"], dtype=np.float64),
-            b_i=np.array(w["b_i"], dtype=np.float64),
-            b_f=np.array(w["b_f"], dtype=np.float64),
-            b_o=np.array(w["b_o"], dtype=np.float64),
-            b_g=np.array(w["b_g"], dtype=np.float64),
-            w_out=np.array(w["w_out"], dtype=np.float64),
-            b_out=float(w["b_out"]),
-        )
-    params = doc.get("params", {})
-    config = doc.get("config", {})
-    if mtype == "logreg":
-        return LogRegModel(
-            weights=np.array(params["weights"], dtype=np.float64),
-            bias=float(params["bias"]),
-            config=LogRegConfig(
-                learning_rate=config["learning_rate"],
-                l2_lambda=config["l2_lambda"],
-                max_iters=config["max_iters"],
-                tolerance=config["tolerance"],
-                class_weights=_weights_key_fix(config["class_weights"]),
-                seed=config["seed"],
-            ),
-            n_iters=int(params.get("n_iters", 0)),
-            converged=bool(params.get("converged", False)),
-        )
-    if mtype == "rf":
-        return RFModel(
-            trees=tuple(_tree_from_dict(t) for t in params["trees"]),
-            config=RFConfig(
-                n_trees=config["n_trees"],
-                max_depth=config["max_depth"],
-                min_samples_split=config["min_samples_split"],
-                max_features=config["max_features"],
-                seed=config["seed"],
-            ),
-            n_features=int(params["n_features"]),
-        )
-    if mtype == "svm":
-        return SVMModel(
-            support_vectors=np.array(params["support_vectors"], dtype=np.float64).reshape(
-                len(params["support_vectors"]), -1
-            ),
-            alphas=np.array(params["alphas"], dtype=np.float64),
-            labels=np.array(params["labels"], dtype=np.float64),
-            bias=float(params["bias"]),
-            gamma=float(config["gamma"]),
-            C=float(config["C"]),
-            converged=bool(params.get("converged", True)),
-        )
-    if mtype == "knn":
-        return KnnModel(
-            train_X=np.array(params["train_X"], dtype=np.float64),
-            train_y=np.array(params["train_y"], dtype=np.int64),
-            k=int(config["k"]),
-            class_weights=_weights_key_fix(config.get("class_weights")),
-        )
-    if mtype == "constant":
-        return ConstantModel(constant_class=int(params["class"]))
-    raise DataError(f"unknown model_type {mtype!r}")
+    spec = MODELS.get(mtype) if isinstance(mtype, str) else None
+    if spec is None:
+        raise DataError(f"unknown model_type {mtype!r}")
+    try:
+        return spec.from_doc(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed {mtype} model document: {exc!r}") from None
 
 
 def save_model(model, path) -> None:

@@ -8,9 +8,21 @@ imbalanced data.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..errors import ConfigError, DataError
+
+
+@dataclass(frozen=True)
+class KnnModel:
+    """KNN is lazy, so its artifact is the training data plus k."""
+
+    train_X: np.ndarray
+    train_y: np.ndarray
+    k: int
+    class_weights: dict | None = None
 
 
 def _vote(classes: np.ndarray, weights: dict | None, nearest_class: int) -> int:
@@ -49,14 +61,19 @@ def knn_classify(
     return _vote(train_y[chosen], class_weights, train_y[order[0]])
 
 
-def knn_predict(
+def knn_vote(
     train_X,
     train_y,
     X,
     k: int,
     class_weights: dict | None = None,
-) -> np.ndarray:
-    """knn_classify applied row-wise; distances computed in one pass."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, positive-class vote shares) of each query row, from one
+    neighbour search per row.
+
+    The class follows knn_classify's rules; the vote share is the weighted
+    fraction of the k neighbours in class 1, usable as a ranking score.
+    """
     train_X = np.asarray(train_X, dtype=np.float64)
     train_y = np.asarray(train_y)
     X = np.asarray(X, dtype=np.float64)
@@ -67,35 +84,13 @@ def knn_predict(
     if k > len(train_X):
         raise DataError(f"k={k} exceeds training size {len(train_X)}")
 
-    out = np.empty(len(X), dtype=np.int64)
-    for r in range(len(X)):
-        dist = np.sqrt(((train_X - X[r]) ** 2).sum(axis=1))
-        order = np.argsort(dist, kind="stable")
-        chosen = order[:k]
-        out[r] = _vote(train_y[chosen], class_weights, train_y[order[0]])
-    return out
-
-
-def knn_scores(
-    train_X,
-    train_y,
-    X,
-    k: int,
-    class_weights: dict | None = None,
-) -> np.ndarray:
-    """Positive-class vote share per query row, usable as a ranking score."""
-    train_X = np.asarray(train_X, dtype=np.float64)
-    train_y = np.asarray(train_y)
-    X = np.asarray(X, dtype=np.float64)
-    if len(train_X) == 0:
-        raise DataError("empty training set")
-    if k < 1 or k > len(train_X):
-        raise DataError(f"k={k} invalid for training size {len(train_X)}")
+    classes = np.empty(len(X), dtype=np.int64)
     scores = np.empty(len(X), dtype=np.float64)
     for r in range(len(X)):
         dist = np.sqrt(((train_X - X[r]) ** 2).sum(axis=1))
         order = np.argsort(dist, kind="stable")
         chosen = train_y[order[:k]]
+        classes[r] = _vote(chosen, class_weights, train_y[order[0]])
         if class_weights is None:
             w_pos = float((chosen == 1).sum())
             w_all = float(k)
@@ -104,4 +99,14 @@ def knn_scores(
             w_pos = float(w[chosen == 1].sum())
             w_all = float(w.sum())
         scores[r] = w_pos / w_all if w_all else 0.0
-    return scores
+    return classes, scores
+
+
+def knn_predict(train_X, train_y, X, k: int, class_weights: dict | None = None) -> np.ndarray:
+    """knn_classify applied row-wise."""
+    return knn_vote(train_X, train_y, X, k, class_weights)[0]
+
+
+def knn_scores(train_X, train_y, X, k: int, class_weights: dict | None = None) -> np.ndarray:
+    """Positive-class vote share per query row, usable as a ranking score."""
+    return knn_vote(train_X, train_y, X, k, class_weights)[1]

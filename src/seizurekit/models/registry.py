@@ -1,0 +1,352 @@
+"""The model registry: every model the toolkit trains, defined once.
+
+Each `ModelSpec` entry is the only definition of a model. The keys of its
+`defaults` are the model's allowed `model_params`; `fit` trains it on
+scaled inputs, `score` gives (classes, ranking scores) in one pass, and
+`to_doc`/`from_doc` convert it to and from its JSON document. Config
+validation, the pipeline, model persistence and the CLI's `--model`
+choices all read `MODELS`.
+
+Entries call model functions through their module at call time (for
+example `forest.rf_scores`), never through a reference captured at import,
+so a wrapper installed on a module attribute sees every call.
+"""
+
+from __future__ import annotations
+
+from dataclasses import asdict, dataclass
+from typing import Callable
+
+import numpy as np
+
+from ..errors import ConfigError, DataError
+from . import baseline, forest, knn, logistic, lstm, svm
+
+# SMO cost grows quadratically with rows, so SVM training is capped to a
+# seeded stratified subsample unless the caller sets an explicit limit.
+DEFAULT_SVM_TRAIN_CAP = 3000
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    name: str
+    cls: type  # type of the trained model object
+    defaults: dict  # allowed model_params and their default values
+    fit: Callable  # (X, y, params, seed, val) -> (model, extra report fields)
+    score: Callable  # (model, X, threshold) -> (classes, ranking scores)
+    to_doc: Callable  # model -> JSON document fields besides model_type/spec_version
+    from_doc: Callable  # JSON document -> model
+    sequential: bool = False  # inputs are build_sequences windows, not rows
+    train_cap: int | None = None  # max_train_rows when the config sets none
+
+
+def resolve_class_weights(spec, y) -> dict | None:
+    """None, an explicit {class: weight} dict, or 'balanced' (inverse frequency)."""
+    if spec is None:
+        return None
+    if spec == "balanced":
+        y = np.asarray(y)
+        n = len(y)
+        out = {}
+        for c in (0, 1):
+            n_c = int((y == c).sum())
+            out[c] = n / (2.0 * n_c) if n_c else 1.0
+        return out
+    if isinstance(spec, dict):
+        return {int(k): float(v) for k, v in spec.items()}
+    raise ConfigError(f"class_weights must be None, 'balanced', or a dict, got {spec!r}")
+
+
+# ---------------------------------------------------------------- knn
+
+
+def _fit_knn(X, y, p, seed, val):
+    model = knn.KnnModel(
+        train_X=np.asarray(X, dtype=np.float64),
+        train_y=np.asarray(y, dtype=np.int64),
+        k=int(p["k"]),
+        class_weights=resolve_class_weights(p["class_weights"], y),
+    )
+    return model, {}
+
+
+def _knn_from_doc(doc):
+    params, config = doc["params"], doc["config"]
+    return knn.KnnModel(
+        train_X=np.array(params["train_X"], dtype=np.float64),
+        train_y=np.array(params["train_y"], dtype=np.int64),
+        k=int(config["k"]),
+        # JSON turned the int class keys into strings.
+        class_weights=resolve_class_weights(config.get("class_weights"), None),
+    )
+
+
+_KNN = ModelSpec(
+    name="knn",
+    cls=knn.KnnModel,
+    defaults={"k": 2, "class_weights": None},
+    fit=_fit_knn,
+    score=lambda m, X, threshold: knn.knn_vote(m.train_X, m.train_y, X, m.k, m.class_weights),
+    to_doc=lambda m: {
+        "params": {"train_X": m.train_X.tolist(), "train_y": m.train_y.tolist()},
+        "config": {"k": m.k, "class_weights": m.class_weights},
+    },
+    from_doc=_knn_from_doc,
+)
+
+
+# ---------------------------------------------------------------- logreg
+
+
+def _fit_logreg(X, y, p, seed, val):
+    cfg = logistic.LogRegConfig(
+        learning_rate=float(p["learning_rate"]),
+        l2_lambda=float(p["l2_lambda"]),
+        max_iters=int(p["max_iters"]),
+        tolerance=float(p["tolerance"]),
+        class_weights=resolve_class_weights(p["class_weights"], y),
+        seed=seed,
+    )
+    return logistic.logreg_fit(X, y, cfg), {}
+
+
+def _score_logreg(m, X, threshold):
+    proba = logistic.logreg_predict_proba(m, X)
+    return (proba >= threshold).astype(np.int64), proba
+
+
+def _logreg_from_doc(doc):
+    params, config = doc["params"], doc["config"]
+    return logistic.LogRegModel(
+        weights=np.array(params["weights"], dtype=np.float64),
+        bias=float(params["bias"]),
+        # JSON turned the int class keys into strings.
+        config=logistic.LogRegConfig(
+            **{**config, "class_weights": resolve_class_weights(config["class_weights"], None)}
+        ),
+        n_iters=int(params.get("n_iters", 0)),
+        converged=bool(params.get("converged", False)),
+    )
+
+
+_LOGREG = ModelSpec(
+    name="logreg",
+    cls=logistic.LogRegModel,
+    defaults={
+        "learning_rate": 0.1,
+        "l2_lambda": 0.0,
+        "max_iters": 1000,
+        "tolerance": 1e-6,
+        "class_weights": None,
+        "threshold": 0.5,
+    },
+    fit=_fit_logreg,
+    score=_score_logreg,
+    to_doc=lambda m: {
+        "params": {
+            "weights": m.weights.tolist(),
+            "bias": m.bias,
+            "n_iters": m.n_iters,
+            "converged": m.converged,
+        },
+        "config": asdict(m.config),
+    },
+    from_doc=_logreg_from_doc,
+)
+
+
+# ---------------------------------------------------------------- rf
+
+
+def _fit_rf(X, y, p, seed, val):
+    cfg = forest.RFConfig(
+        n_trees=int(p["n_trees"]),
+        max_depth=p["max_depth"],
+        min_samples_split=int(p["min_samples_split"]),
+        max_features=p["max_features"],
+        seed=seed,
+    )
+    return forest.rf_fit(X, y, cfg), {}
+
+
+def _score_rf(m, X, threshold):
+    # A tied vote (share exactly 0.5) goes to class 0, as in rf_predict.
+    scores = forest.rf_scores(m, X)
+    return (scores > 0.5).astype(np.int64), scores
+
+
+def _tree_to_dict(node: forest.TreeNode) -> dict:
+    if node.is_leaf:
+        return {"counts": list(node.counts)}
+    return {
+        "feature": node.feature,
+        "threshold": node.threshold,
+        "left": _tree_to_dict(node.left),
+        "right": _tree_to_dict(node.right),
+    }
+
+
+def _tree_from_dict(doc: dict) -> forest.TreeNode:
+    if "counts" in doc:
+        return forest.TreeNode(counts=(int(doc["counts"][0]), int(doc["counts"][1])))
+    return forest.TreeNode(
+        feature=int(doc["feature"]),
+        threshold=float(doc["threshold"]),
+        left=_tree_from_dict(doc["left"]),
+        right=_tree_from_dict(doc["right"]),
+    )
+
+
+_RF = ModelSpec(
+    name="rf",
+    cls=forest.RFModel,
+    defaults={"n_trees": 100, "max_depth": None, "min_samples_split": 2, "max_features": None},
+    fit=_fit_rf,
+    score=_score_rf,
+    to_doc=lambda m: {
+        "params": {"trees": [_tree_to_dict(t) for t in m.trees], "n_features": m.n_features},
+        "config": asdict(m.config),
+    },
+    from_doc=lambda doc: forest.RFModel(
+        trees=tuple(_tree_from_dict(t) for t in doc["params"]["trees"]),
+        config=forest.RFConfig(**doc["config"]),
+        n_features=int(doc["params"]["n_features"]),
+    ),
+)
+
+
+# ---------------------------------------------------------------- svm
+
+
+def _fit_svm(X, y, p, seed, val):
+    gamma = p["gamma"]
+    if gamma is None:
+        gamma = 1.0 / X.shape[1]
+    model = svm.svm_fit_smo(
+        X,
+        y,
+        C=float(p["C"]),
+        gamma=float(gamma),
+        tol=float(p["tol"]),
+        max_passes=int(p["max_passes"]),
+        seed=seed,
+    )
+    return model, {}
+
+
+def _score_svm(m, X, threshold):
+    # Class 1 for a nonnegative margin, as in svm_predict.
+    margins = svm.svm_decision(m, X)
+    return (margins >= 0).astype(np.int64), margins
+
+
+def _svm_from_doc(doc):
+    params, config = doc["params"], doc["config"]
+    return svm.SVMModel(
+        support_vectors=np.array(params["support_vectors"], dtype=np.float64).reshape(
+            len(params["support_vectors"]), -1
+        ),
+        alphas=np.array(params["alphas"], dtype=np.float64),
+        labels=np.array(params["labels"], dtype=np.float64),
+        bias=float(params["bias"]),
+        gamma=float(config["gamma"]),
+        C=float(config["C"]),
+        converged=bool(params.get("converged", True)),
+    )
+
+
+_SVM = ModelSpec(
+    name="svm",
+    cls=svm.SVMModel,
+    defaults={"C": 1.0, "gamma": None, "tol": 1e-3, "max_passes": 50},
+    fit=_fit_svm,
+    score=_score_svm,
+    to_doc=lambda m: {
+        "params": {
+            "support_vectors": m.support_vectors.tolist(),
+            "alphas": m.alphas.tolist(),
+            "labels": m.labels.tolist(),
+            "bias": m.bias,
+            "converged": m.converged,
+        },
+        "config": {"C": m.C, "gamma": m.gamma},
+    },
+    from_doc=_svm_from_doc,
+    train_cap=DEFAULT_SVM_TRAIN_CAP,
+)
+
+
+# ---------------------------------------------------------------- lstm
+
+
+def _fit_lstm(X, y, p, seed, val):
+    params = lstm.init_params(X.shape[2], hidden_dim=int(p["hidden_dim"]), seed=seed)
+    train_cfg = lstm.LstmTrainConfig(
+        learning_rate=float(p["learning_rate"]),
+        epochs=int(p["epochs"]),
+        batch_size=int(p["batch_size"]),
+        grad_clip_norm=float(p["grad_clip_norm"]),
+        seed=seed,
+        patience=p["patience"],
+    )
+    best, history = lstm.lstm_train((X, y), val, train_cfg, params=params)
+    return best, {"epochs_run": len(history["train_loss"])}
+
+
+def _lstm_from_doc(doc):
+    w = doc["weights"]
+    weights = {name: np.array(w[name], dtype=np.float64) for name in lstm._FIELDS}
+    return lstm.LstmParams(**{**weights, "b_out": float(w["b_out"])})
+
+
+_LSTM = ModelSpec(
+    name="lstm",
+    cls=lstm.LstmParams,
+    defaults={
+        "hidden_dim": 64,
+        "learning_rate": 0.05,
+        "epochs": 30,
+        "batch_size": 32,
+        "grad_clip_norm": 5.0,
+        "patience": None,
+        "threshold": 0.5,
+    },
+    fit=_fit_lstm,
+    score=lambda m, X, threshold: lstm.lstm_predict(m, X, threshold),
+    to_doc=lambda m: {
+        "dims": {"input_dim": m.input_dim, "hidden_dim": m.hidden_dim},
+        "weights": {name: np.asarray(getattr(m, name)).tolist() for name in lstm._FIELDS},
+        "config": {},
+    },
+    from_doc=_lstm_from_doc,
+    sequential=True,
+)
+
+
+# ---------------------------------------------------------------- constant
+
+
+_CONSTANT = ModelSpec(
+    name="constant",
+    cls=baseline.ConstantModel,
+    defaults={"class": 0},
+    fit=lambda X, y, p, seed, val: (baseline.ConstantModel(constant_class=int(p["class"])), {}),
+    score=lambda m, X, threshold: (baseline.constant_predict(m, X), baseline.constant_scores(m, X)),
+    to_doc=lambda m: {"params": {"class": m.constant_class}, "config": {}},
+    from_doc=lambda doc: baseline.ConstantModel(constant_class=int(doc["params"]["class"])),
+)
+
+
+MODELS: dict[str, ModelSpec] = {
+    spec.name: spec for spec in (_KNN, _LOGREG, _RF, _SVM, _LSTM, _CONSTANT)
+}
+DEFAULT_MODEL = _LOGREG.name
+_BY_TYPE = {spec.cls: spec for spec in MODELS.values()}
+
+
+def spec_for(model) -> ModelSpec:
+    """The registry entry of a trained model object."""
+    spec = _BY_TYPE.get(type(model))
+    if spec is None:
+        raise DataError(f"{type(model).__name__} is not a registered model type")
+    return spec

@@ -2,9 +2,12 @@
 
 Every run follows the same sequence: split by patient, fit the scaler on
 training rows only, scale all splits, oversample the training split if
-asked, then fit the model. A patient-disjointness gate guards every
-evaluation; the only way around it is the explicit allow_leaky_split
-switch, which exists to demonstrate how optimistic row-level splits are.
+asked, then fit the model. Models come from the registry in
+models/registry.py, and every model is scored by the same code; a
+sequence model reads build_sequences windows where the others read rows.
+A patient-disjointness gate guards every evaluation; the only way around
+it is the explicit allow_leaky_split switch, which exists to demonstrate
+how optimistic row-level splits are.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .epochs import build_sequences
+from .epochs import SequenceDataset, build_sequences
 from .errors import ConfigError, DataError
 from .evaluation import (
     assert_patient_disjoint,
@@ -26,69 +29,21 @@ from .evaluation import (
     summarize_folds,
 )
 from .features import FeatureMatrix, apply_scaler, fit_scaler
-from .models import (
-    ConstantModel,
-    KnnModel,
-    LogRegConfig,
-    LstmParams,
-    LstmTrainConfig,
-    RFConfig,
-    SVMModel,
-    constant_predict,
-    constant_scores,
-    init_params,
-    knn_predict,
-    knn_scores,
-    logreg_fit,
-    logreg_predict,
-    logreg_predict_proba,
-    lstm_predict,
-    lstm_train,
-    rf_fit,
-    rf_predict,
-    rf_scores,
-    svm_decision,
-    svm_fit_smo,
-    svm_predict,
+# DEFAULT_SVM_TRAIN_CAP and resolve_class_weights are re-exported here.
+from .models.registry import (
+    DEFAULT_MODEL,
+    DEFAULT_SVM_TRAIN_CAP,
+    MODELS,
+    ModelSpec,
+    resolve_class_weights,
+    spec_for,
 )
-from .models.forest import RFModel
-from .models.logistic import LogRegModel
 from .smote import SmoteConfig, smote
-
-MODEL_NAMES = ("knn", "logreg", "rf", "svm", "lstm", "constant")
-
-# SMO cost grows quadratically with rows, so SVM training is capped to a
-# seeded stratified subsample unless the caller sets an explicit limit.
-DEFAULT_SVM_TRAIN_CAP = 3000
-
-_ALLOWED_PARAMS = {
-    "knn": {"k", "class_weights"},
-    "logreg": {
-        "learning_rate",
-        "l2_lambda",
-        "max_iters",
-        "tolerance",
-        "class_weights",
-        "threshold",
-    },
-    "rf": {"n_trees", "max_depth", "min_samples_split", "max_features"},
-    "svm": {"C", "gamma", "tol", "max_passes"},
-    "lstm": {
-        "hidden_dim",
-        "learning_rate",
-        "epochs",
-        "batch_size",
-        "grad_clip_norm",
-        "patience",
-        "threshold",
-    },
-    "constant": {"class"},
-}
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    model: str = "logreg"
+    model: str = DEFAULT_MODEL
     model_params: dict = field(default_factory=dict)
     use_smote: bool = False
     smote_k: int = 5
@@ -100,15 +55,22 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.model not in MODEL_NAMES:
-            raise ConfigError(
-                f"unknown model {self.model!r}; choose from {MODEL_NAMES}"
-            )
-        unknown = set(self.model_params) - _ALLOWED_PARAMS[self.model]
+        names = tuple(MODELS)
+        if self.model not in names:
+            raise ConfigError(f"unknown model {self.model!r}; choose from {names}")
+        unknown = set(self.model_params) - set(self.spec.defaults)
         if unknown:
             raise ConfigError(
                 f"unknown {self.model} parameter(s) {sorted(unknown)}; "
-                f"allowed: {sorted(_ALLOWED_PARAMS[self.model])}"
+                f"allowed: {sorted(self.spec.defaults)}"
+            )
+        # Sequence windows are balanced by duplication instead (see
+        # evaluate_split); neither row-level option applies to them.
+        if self.spec.sequential and self.use_smote:
+            raise ConfigError(f"{self.model} trains on sequence windows; smote is not supported")
+        if self.spec.sequential and self.max_train_rows is not None:
+            raise ConfigError(
+                f"{self.model} trains on sequence windows; max_train_rows is not supported"
             )
         if self.sequence_length < 1:
             raise ConfigError(
@@ -119,22 +81,19 @@ class PipelineConfig:
                 f"max_train_rows must be >= 2, got {self.max_train_rows}"
             )
 
+    @property
+    def spec(self) -> ModelSpec:
+        return MODELS[self.model]
 
-def resolve_class_weights(spec, y) -> dict | None:
-    """None, an explicit {class: weight} dict, or 'balanced' (inverse frequency)."""
-    if spec is None:
-        return None
-    if spec == "balanced":
-        y = np.asarray(y)
-        n = len(y)
-        out = {}
-        for c in (0, 1):
-            n_c = int((y == c).sum())
-            out[c] = n / (2.0 * n_c) if n_c else 1.0
-        return out
-    if isinstance(spec, dict):
-        return {int(k): float(v) for k, v in spec.items()}
-    raise ConfigError(f"class_weights must be None, 'balanced', or a dict, got {spec!r}")
+    @property
+    def params(self) -> dict:
+        """model_params over the model's registry defaults."""
+        return {**self.spec.defaults, **self.model_params}
+
+    @property
+    def threshold(self) -> float:
+        """Decision threshold for the models that take one; others ignore it."""
+        return float(self.params.get("threshold", 0.5))
 
 
 def stratified_cap(y, cap: int, seed: int) -> np.ndarray:
@@ -154,69 +113,29 @@ def stratified_cap(y, cap: int, seed: int) -> np.ndarray:
     return out
 
 
-def _fit(name: str, X: np.ndarray, y: np.ndarray, params: dict, seed: int):
-    """Train one model by registry name on already-scaled arrays."""
-    p = dict(params)
-    if name == "knn":
-        return KnnModel(
-            train_X=np.asarray(X, dtype=np.float64),
-            train_y=np.asarray(y, dtype=np.int64),
-            k=int(p.get("k", 2)),
-            class_weights=resolve_class_weights(p.get("class_weights"), y),
-        )
-    if name == "logreg":
-        cfg = LogRegConfig(
-            learning_rate=float(p.get("learning_rate", 0.1)),
-            l2_lambda=float(p.get("l2_lambda", 0.0)),
-            max_iters=int(p.get("max_iters", 1000)),
-            tolerance=float(p.get("tolerance", 1e-6)),
-            class_weights=resolve_class_weights(p.get("class_weights"), y),
-            seed=seed,
-        )
-        return logreg_fit(X, y, cfg)
-    if name == "rf":
-        cfg = RFConfig(
-            n_trees=int(p.get("n_trees", 100)),
-            max_depth=p.get("max_depth"),
-            min_samples_split=int(p.get("min_samples_split", 2)),
-            max_features=p.get("max_features"),
-            seed=seed,
-        )
-        return rf_fit(X, y, cfg)
-    if name == "svm":
-        gamma = p.get("gamma")
-        if gamma is None:
-            gamma = 1.0 / X.shape[1]
-        return svm_fit_smo(
-            X,
-            y,
-            C=float(p.get("C", 1.0)),
-            gamma=float(gamma),
-            tol=float(p.get("tol", 1e-3)),
-            max_passes=int(p.get("max_passes", 50)),
-            seed=seed,
-        )
-    if name == "constant":
-        return ConstantModel(constant_class=int(p.get("class", 0)))
-    raise ConfigError(f"unknown model {name!r}")
+def model_inputs(
+    spec: ModelSpec, fm: FeatureMatrix, labels, sequence_length: int
+) -> SequenceDataset:
+    """A model's inputs from scaled feature rows, each with the identity
+    (patient, file, start) of the row it is scored as.
+
+    A sequence model reads length-T windows labelled by their last epoch;
+    every other model reads the rows themselves.
+    """
+    if spec.sequential:
+        return build_sequences(fm, labels, sequence_length)
+    return SequenceDataset(
+        X=fm.values,
+        y=np.asarray(labels),
+        patients=fm.patients,
+        files=fm.files,
+        starts=fm.starts,
+    )
 
 
 def predict_and_score(model, X, threshold: float = 0.5):
-    """(predicted classes, ranking scores) for any supported model."""
-    if isinstance(model, KnnModel):
-        classes = knn_predict(model.train_X, model.train_y, X, model.k, model.class_weights)
-        scores = knn_scores(model.train_X, model.train_y, X, model.k, model.class_weights)
-        return classes, scores
-    if isinstance(model, LogRegModel):
-        proba = logreg_predict_proba(model, X)
-        return (proba >= threshold).astype(np.int64), proba
-    if isinstance(model, RFModel):
-        return rf_predict(model, X), rf_scores(model, X)
-    if isinstance(model, SVMModel):
-        return svm_predict(model, X), svm_decision(model, X)
-    if isinstance(model, ConstantModel):
-        return constant_predict(model, X), constant_scores(model, X)
-    raise DataError(f"cannot predict with {type(model).__name__}")
+    """(predicted classes, ranking scores) for any registered model."""
+    return spec_for(model).score(model, X, threshold)
 
 
 def _leaky_row_split(n: int, ratios, seed: int):
@@ -232,7 +151,8 @@ def _leaky_row_split(n: int, ratios, seed: int):
     )
 
 
-def _metrics_dict(y_true, y_pred, scores) -> dict:
+def metrics_report(y_true, y_pred, scores) -> dict:
+    """Confusion-matrix metrics, plus AUC and ROC points when both classes occur."""
     report = compute_metrics(y_true, y_pred)
     out = report.to_dict()
     if scores is not None and len(np.unique(np.asarray(y_true))) == 2:
@@ -261,43 +181,6 @@ def _balance_by_duplication(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, n
     need = int(counts.max() - counts.min())
     extra = np.tile(idx, math.ceil(need / len(idx)))[:need]
     return np.concatenate([X, X[extra]]), np.concatenate([y, y[extra]])
-
-
-def _run_lstm(
-    scaled: dict, labels: dict, cfg: PipelineConfig
-) -> tuple[dict, LstmParams]:
-    p = dict(cfg.model_params)
-    T = cfg.sequence_length
-    seq = {
-        split: build_sequences(scaled[split], labels[split], T)
-        for split in scaled
-    }
-    for split_name, ds in seq.items():
-        if split_name == "train" and len(ds) == 0:
-            raise DataError("no training sequences; files shorter than T?")
-    X_tr, y_tr = _balance_by_duplication(seq["train"].X, seq["train"].y)
-    params = init_params(
-        X_tr.shape[2], hidden_dim=int(p.get("hidden_dim", 64)), seed=cfg.seed
-    )
-    train_cfg = LstmTrainConfig(
-        learning_rate=float(p.get("learning_rate", 0.05)),
-        epochs=int(p.get("epochs", 30)),
-        batch_size=int(p.get("batch_size", 32)),
-        grad_clip_norm=float(p.get("grad_clip_norm", 5.0)),
-        seed=cfg.seed,
-        patience=p.get("patience"),
-    )
-    val = None
-    if "val" in seq and len(seq["val"]) > 0:
-        val = (seq["val"].X, seq["val"].y)
-    best, history = lstm_train((X_tr, y_tr), val, train_cfg, params=params)
-    threshold = float(p.get("threshold", 0.5))
-    y_pred, scores = lstm_predict(best, seq["test"].X, threshold)
-    report = _metrics_dict(seq["test"].y, y_pred, scores)
-    report["n_train_sequences"] = int(len(X_tr))
-    report["n_test_sequences"] = int(len(seq["test"]))
-    report["epochs_run"] = len(history["train_loss"])
-    return report, best
 
 
 def evaluate_split(
@@ -335,17 +218,14 @@ def evaluate_split(
         "n_test_rows": int(len(test_idx)),
     }
 
-    if cfg.model == "lstm":
-        report, model = _run_lstm(scaled, split_labels, cfg)
-        report.update(split_info)
-        return RunResult(report=report, model=model, scaler=scaler, split=split_info)
+    spec = cfg.spec
+    inputs = {
+        split: model_inputs(spec, scaled[split], split_labels[split], cfg.sequence_length)
+        for split in scaled
+    }
+    X_tr, y_tr = inputs["train"].X, inputs["train"].y
 
-    X_tr = scaled["train"].values
-    y_tr = split_labels["train"]
-
-    cap = cfg.max_train_rows
-    if cap is None and cfg.model == "svm":
-        cap = DEFAULT_SVM_TRAIN_CAP
+    cap = cfg.max_train_rows if cfg.max_train_rows is not None else spec.train_cap
     if cap is not None and len(X_tr) > cap:
         keep = stratified_cap(y_tr, cap, cfg.seed)
         X_tr, y_tr = X_tr[keep], y_tr[keep]
@@ -358,25 +238,71 @@ def evaluate_split(
         X_tr, y_tr, synth_mask = smote(X_tr, y_tr, smote_cfg)
         n_synth = int(synth_mask.sum())
 
-    threshold = float(cfg.model_params.get("threshold", 0.5))
+    if spec.sequential:
+        if len(X_tr) == 0:
+            raise DataError("no training sequences; files shorter than T?")
+        X_tr, y_tr = _balance_by_duplication(X_tr, y_tr)
+        counts = {
+            "n_train_sequences": int(len(X_tr)),
+            "n_test_sequences": int(len(inputs["test"])),
+        }
+    else:
+        counts = {"n_train_rows_used": int(len(X_tr)), "n_synthetic_train_rows": n_synth}
+    held_out = inputs.get("val")
+    val = (held_out.X, held_out.y) if held_out is not None and len(held_out) else None
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        model = _fit(cfg.model, X_tr, y_tr, cfg.model_params, cfg.seed)
-    y_pred, scores = predict_and_score(model, scaled["test"].values, threshold)
+        model, fit_report = spec.fit(X_tr, y_tr, cfg.params, cfg.seed, val)
+    y_pred, scores = predict_and_score(model, inputs["test"].X, cfg.threshold)
 
-    report = _metrics_dict(split_labels["test"], y_pred, scores)
+    report = metrics_report(inputs["test"].y, y_pred, scores)
     report.update(split_info)
-    report["n_train_rows_used"] = int(len(X_tr))
-    report["n_synthetic_train_rows"] = n_synth
+    report.update(counts)
+    report.update(fit_report)
     notes = [str(w.message) for w in caught]
     if notes:
         report["warnings"] = notes
     return RunResult(report=report, model=model, scaler=scaler, split=split_info)
 
 
-def run_holdout(fm: FeatureMatrix, labels: np.ndarray, cfg: PipelineConfig) -> RunResult:
-    """Patient-level holdout per split_ratios (or a leaky row split on request)."""
-    if cfg.allow_leaky_split:
+def patient_split(
+    fm: FeatureMatrix, cfg: PipelineConfig, explicit=None
+) -> tuple[dict, dict]:
+    """Row indices of each side of a patient-level split, and its report entry.
+
+    explicit is a (train, val, test) tuple of patient lists, each of which
+    must be in the data; without it, split_patients draws the groups from
+    split_ratios and the seed.
+    """
+    sides = ("train", "val", "test")
+    if explicit is None:
+        plan = split_patients(
+            sorted(set(fm.patients)), ratios=cfg.split_ratios, seed=cfg.seed
+        )
+        groups = (plan.train_patients, plan.val_patients, plan.test_patients)
+        entry = {"seed": plan.seed}
+    else:
+        groups = explicit
+        entry = {"explicit": True}
+        present = set(map(str, fm.patients))
+        for side, group in zip(sides, groups):
+            missing = sorted(set(group) - present)
+            if missing:
+                raise DataError(f"{side}_patients not in dataset: {missing}")
+    rows = {}
+    for side, group in zip(sides, groups):
+        rows[side] = np.flatnonzero(np.isin(fm.patients, group))
+        entry[f"{side}_patients"] = list(group)
+    return rows, entry
+
+
+def run_holdout(
+    fm: FeatureMatrix, labels: np.ndarray, cfg: PipelineConfig, explicit=None
+) -> RunResult:
+    """Patient-level holdout on the explicit patient lists if given, else
+    per split_ratios (or a leaky row split on request)."""
+    if cfg.allow_leaky_split and explicit is None:
         train_idx, val_idx, test_idx = _leaky_row_split(
             fm.n_rows, cfg.split_ratios, cfg.seed
         )
@@ -386,26 +312,9 @@ def run_holdout(fm: FeatureMatrix, labels: np.ndarray, cfg: PipelineConfig) -> R
         result.report["split"] = {"leaky_row_level": True, "seed": cfg.seed}
         return result
 
-    plan = split_patients(
-        sorted(set(fm.patients)), ratios=cfg.split_ratios, seed=cfg.seed
-    )
-    in_train = np.isin(fm.patients, plan.train_patients)
-    in_val = np.isin(fm.patients, plan.val_patients)
-    in_test = np.isin(fm.patients, plan.test_patients)
-    result = evaluate_split(
-        fm,
-        labels,
-        np.flatnonzero(in_train),
-        np.flatnonzero(in_test),
-        cfg,
-        val_idx=np.flatnonzero(in_val),
-    )
-    result.report["split"] = {
-        "train_patients": list(plan.train_patients),
-        "val_patients": list(plan.val_patients),
-        "test_patients": list(plan.test_patients),
-        "seed": plan.seed,
-    }
+    rows, entry = patient_split(fm, cfg, explicit)
+    result = evaluate_split(fm, labels, rows["train"], rows["test"], cfg, val_idx=rows["val"])
+    result.report["split"] = entry
     return result
 
 
