@@ -4,9 +4,10 @@ Subcommands cover the whole workflow: `synth` generates the validation
 dataset, `ingest` reads EDF recordings plus seizure summaries into an
 epoch store, `featurize` turns the store into a feature CSV, and
 `train` / `eval` / `cv` / `predict` run models over feature CSVs under the
-leakage-safe pipeline. Every run writes a manifest (config echo, seed,
-SHA-256 of each input) so results can be reproduced byte for byte; no
-output embeds a timestamp.
+leakage-safe pipeline. Every run writes a manifest (the options it ran
+with, seed, SHA-256 of each input) so results can be reproduced byte for
+byte; no output embeds a timestamp. Each command's options are defined
+once, in OPTIONS.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 leakage-gate abort.
@@ -19,6 +20,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -35,17 +37,19 @@ from .epochs import (
 from .errors import ConfigError, DataError, LeakageError
 from .evaluation import assert_patient_disjoint
 from .features import (
-    Scaler,
     apply_scaler,
     extract_features,
     fit_scaler,
+    load_scaler,
     read_feature_csv,
+    save_scaler,
     write_feature_csv,
 )
 from .models import MODELS, load_model, save_model, spec_for
 from .models.registry import DEFAULT_MODEL
 from .pipeline import (
     PipelineConfig,
+    has_type,
     metrics_report,
     model_inputs,
     patient_split,
@@ -111,6 +115,88 @@ def _load_config_file(path: str | None, allowed: set) -> dict:
     return doc
 
 
+# ---------------------------------------------------------------- options
+
+# An option that only its flag sets; no config-file key reaches it.
+FLAG_ONLY = "flag"
+
+_MODEL = {"model": (str, DEFAULT_MODEL), "model_params": (dict, {}), "sequence_length": (int, 10)}
+_TRAINING = {
+    "smote": (bool, False),
+    "smote_k": (int, 5),
+    "smote_ratio": (float, 1.0),
+    "max_train_rows": (int, None),
+}
+_SPLIT = {
+    "split_ratios": (list[float], [0.5, 0.25, 0.25]),
+    "train_patients": (list[str], None),
+    "val_patients": (list[str], None),
+    "test_patients": (list[str], None),
+}
+
+# Every option of every command: config key -> (type, default). A flag
+# whose argparse dest equals the key overrides the config file. A default
+# of None also admits null. Each command runs with the dict _options
+# resolves from this table, and its manifest records that dict as `config`.
+OPTIONS = {
+    "synth": {
+        "patients": (int, 23),
+        "epochs_per_patient": (int, 1800),
+        "prevalence": (float, 0.06),
+        "channels": (int, 23),
+        "separation": (float, 0.35),
+        "patient_effect": (float, 0.5),
+    },
+    "ingest": {
+        "edf_dir": (str, None),
+        "summaries": (list[str], []),
+        "task": (str, "detection"),
+        "epoch_len_s": (float, 2.0),
+        "horizon_s": (float, 300.0),
+        "highpass_hz": (float, None),
+        "demographics": (str, None),
+    },
+    "featurize": {"store": (str, None), "pool_channels": (bool, False)},
+    "train": {**_MODEL, **_TRAINING, **_SPLIT, "allow_leaky_split": (FLAG_ONLY, False)},
+    "cv": {**_MODEL, **_TRAINING, "k": (int, 5)},
+    # eval takes the model type from the model file.
+    "eval": {**_MODEL, "model": (str, None), **_SPLIT},
+    # None until the model file shows whether the model uses them.
+    "predict": {"threshold": (float, None), "sequence_length": (int, None)},
+}
+
+
+def _checked(key: str, value, kind, default):
+    """A copy of value in its option's type (an int for a float becomes a float), or ConfigError."""
+    if kind is FLAG_ONLY or (value is None and default is None):
+        return value
+    if typing.get_origin(kind) is list:
+        (item,) = typing.get_args(kind)
+        if isinstance(value, list) and all(has_type(v, item) for v in value):
+            return [item(v) for v in value]
+    elif has_type(value, kind):
+        return kind(value)
+    name = kind if typing.get_origin(kind) else kind.__name__
+    raise ConfigError(
+        f"{key} must be {name}{' or null' if default is None else ''}, got {value!r}"
+    )
+
+
+def _options(args) -> dict:
+    """The options args.command runs with: its OPTIONS defaults, then the
+    config file's keys, then the flags given, each checked for its type."""
+    table = OPTIONS[args.command]
+    settable = {key for key, (kind, _) in table.items() if kind is not FLAG_ONLY}
+    values = {key: default for key, (_, default) in table.items()}
+    values.update(_load_config_file(args.config, settable))
+    values.update((k, v) for k, v in vars(args).items() if k in table and v is not None)
+    if getattr(args, "no_smote", False):
+        if args.smote:
+            raise ConfigError("--smote and --no-smote are mutually exclusive")
+        values["smote"] = False
+    return {key: _checked(key, v, *table[key]) for key, v in values.items()}
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -131,45 +217,21 @@ def _report_without_curve(report: dict) -> dict:
 
 # ---------------------------------------------------------------- synth
 
-_SYNTH_KEYS = {
-    "patients",
-    "epochs_per_patient",
-    "prevalence",
-    "channels",
-    "separation",
-    "patient_effect",
-}
-
-
 def cmd_synth(args) -> int:
-    file_cfg = _load_config_file(args.config, _SYNTH_KEYS)
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
-
+    opts = _options(args)
     cfg = SynthConfig(
-        n_patients=int(pick(args.patients, "patients", 23)),
-        epochs_per_patient=int(pick(args.epochs_per_patient, "epochs_per_patient", 1800)),
-        seizure_prevalence=float(pick(args.prevalence, "prevalence", 0.06)),
-        n_channels=int(pick(args.channels, "channels", 23)),
-        class_separation=float(pick(args.separation, "separation", 0.35)),
-        patient_effect_scale=float(pick(args.patient_effect, "patient_effect", 0.5)),
+        n_patients=opts["patients"],
+        epochs_per_patient=opts["epochs_per_patient"],
+        seizure_prevalence=opts["prevalence"],
+        n_channels=opts["channels"],
+        class_separation=opts["separation"],
+        patient_effect_scale=opts["patient_effect"],
         seed=args.seed,
     )
     out = _out_dir(args)
     fm, labels = generate_synthetic(cfg)
     write_feature_csv(fm, labels, out / "features.csv")
-    config_echo = {
-        "patients": cfg.n_patients,
-        "epochs_per_patient": cfg.epochs_per_patient,
-        "prevalence": cfg.seizure_prevalence,
-        "channels": cfg.n_channels,
-        "separation": cfg.class_separation,
-        "patient_effect": cfg.patient_effect_scale,
-    }
-    _write_manifest(out, "synth", config_echo, cfg.seed, {})
+    _write_manifest(out, "synth", opts, cfg.seed, {})
     print(
         f"synth: wrote {fm.n_rows} rows ({int(labels.sum())} positive, "
         f"{fm.n_dims} feature dims) to {out / 'features.csv'}"
@@ -178,17 +240,6 @@ def cmd_synth(args) -> int:
 
 
 # ---------------------------------------------------------------- ingest
-
-_INGEST_KEYS = {
-    "edf_dir",
-    "summaries",
-    "task",
-    "epoch_len_s",
-    "horizon_s",
-    "highpass_hz",
-    "demographics",
-}
-
 
 def _patient_for(rec_patient: str, file_name: str) -> str:
     """Recordings with a blank patient header fall back to the file prefix."""
@@ -243,37 +294,26 @@ def _demographics_rows(info_path: Path) -> list[str]:
 
 
 def cmd_ingest(args) -> int:
-    file_cfg = _load_config_file(args.config, _INGEST_KEYS)
-    edf_dir = args.edf_dir or file_cfg.get("edf_dir")
-    if not edf_dir:
+    opts = _options(args)
+    if not opts["edf_dir"]:
         raise ConfigError("ingest needs --edf-dir (or edf_dir in the config file)")
-    summaries = list(args.summary or []) or list(file_cfg.get("summaries", []))
-    task = args.task or file_cfg.get("task", "detection")
-    if task not in ("detection", "prediction"):
-        raise ConfigError(f"task must be detection or prediction, got {task!r}")
-    epoch_len = float(
-        args.epoch_len if args.epoch_len is not None else file_cfg.get("epoch_len_s", 2.0)
-    )
-    horizon = float(
-        args.horizon if args.horizon is not None else file_cfg.get("horizon_s", 300.0)
-    )
-    highpass = args.highpass if args.highpass is not None else file_cfg.get("highpass_hz")
-    if highpass is not None:
-        check_highpass(highpass)
-    demographics = args.demographics or file_cfg.get("demographics")
+    if opts["task"] not in ("detection", "prediction"):
+        raise ConfigError(f"task must be detection or prediction, got {opts['task']!r}")
+    if opts["highpass_hz"] is not None:
+        check_highpass(opts["highpass_hz"])
 
-    d = Path(edf_dir)
+    d = Path(opts["edf_dir"])
     if not d.is_dir():
-        raise DataError(f"EDF directory not found: {edf_dir}")
+        raise DataError(f"EDF directory not found: {opts['edf_dir']}")
     edf_paths = sorted(p for p in d.iterdir() if p.suffix.lower() == ".edf")
     if not edf_paths:
-        raise DataError(f"no EDF files found in {edf_dir}")
+        raise DataError(f"no EDF files found in {opts['edf_dir']}")
 
     def warn(msg):
         print(f"warning: {msg}", file=sys.stderr)
 
     known = {p.name for p in edf_paths}
-    intervals = _load_intervals(summaries, known, warn)
+    intervals = _load_intervals(opts["summaries"], known, warn)
 
     out = _out_dir(args)
     all_epochs = []
@@ -282,13 +322,13 @@ def cmd_ingest(args) -> int:
     for path in edf_paths:
         try:
             rec = parse_edf(path.read_bytes())
-            rec = denoise(rec, highpass_hz=highpass)
-            epochs = slice_epochs(rec, epoch_len_s=epoch_len, file_name=path.name)
+            rec = denoise(rec, highpass_hz=opts["highpass_hz"])
+            epochs = slice_epochs(rec, epoch_len_s=opts["epoch_len_s"], file_name=path.name)
             ivs = intervals.get(path.name, [])
-            if task == "detection":
+            if opts["task"] == "detection":
                 labeled = label_detection(epochs, ivs)
             else:
-                labeled = label_prediction(epochs, ivs, horizon_s=horizon)
+                labeled = label_prediction(epochs, ivs, horizon_s=opts["horizon_s"])
         except DataError as exc:
             failures[path.name] = str(exc)
             warn(f"{path.name}: {exc}")
@@ -328,30 +368,22 @@ def cmd_ingest(args) -> int:
     _write_json(
         out / "store_info.json",
         {
-            "epoch_len_s": epoch_len,
-            "task": task,
-            "horizon_s": horizon,
+            "epoch_len_s": opts["epoch_len_s"],
+            "task": opts["task"],
+            "horizon_s": opts["horizon_s"],
             "n_channels": int(stack.shape[1]),
             "window": int(stack.shape[2]),
             "spec_version": SPEC_VERSION,
         },
     )
-    if demographics:
-        rows = _demographics_rows(Path(demographics))
+    if opts["demographics"]:
+        rows = _demographics_rows(Path(opts["demographics"]))
         with open(out / "demographics.csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(rows) + "\n")
 
     inputs = {p.name: p for p in edf_paths if p.name not in failures}
-    inputs.update({Path(s).name: s for s in summaries})
-    config_echo = {
-        "edf_dir": str(edf_dir),
-        "summaries": [str(s) for s in summaries],
-        "task": task,
-        "epoch_len_s": epoch_len,
-        "horizon_s": horizon,
-        "highpass_hz": highpass,
-    }
-    _write_manifest(out, "ingest", config_echo, args.seed, inputs)
+    inputs.update({Path(s).name: s for s in opts["summaries"]})
+    _write_manifest(out, "ingest", opts, args.seed, inputs)
     print(
         f"ingest: {len(all_epochs)} epochs from {len(edf_paths) - len(failures)} file(s), "
         f"{sum(all_labels)} positive; {len(failures)} failure(s)"
@@ -361,17 +393,12 @@ def cmd_ingest(args) -> int:
 
 # ---------------------------------------------------------------- featurize
 
-_FEATURIZE_KEYS = {"store", "pool_channels"}
-
-
 def cmd_featurize(args) -> int:
-    file_cfg = _load_config_file(args.config, _FEATURIZE_KEYS)
-    store = args.store or file_cfg.get("store")
-    if not store:
+    opts = _options(args)
+    if not opts["store"]:
         raise ConfigError("featurize needs --store (or store in the config file)")
-    pool = args.pool_channels or bool(file_cfg.get("pool_channels", False))
 
-    store_dir = Path(store)
+    store_dir = Path(opts["store"])
     epochs_path = store_dir / "epochs.npy"
     meta_path = store_dir / "meta.csv"
     info_path = store_dir / "store_info.json"
@@ -406,15 +433,11 @@ def cmd_featurize(args) -> int:
         )
         for i, (patient, fname, start) in enumerate(epochs)
     ]
-    fm = extract_features(epoch_objs, pool_channels=pool)
+    fm = extract_features(epoch_objs, pool_channels=opts["pool_channels"])
     out = _out_dir(args)
     write_feature_csv(fm, np.array(labels, dtype=np.int64), out / "features.csv")
     _write_manifest(
-        out,
-        "featurize",
-        {"store": str(store), "pool_channels": pool},
-        args.seed,
-        {"epochs.npy": epochs_path, "meta.csv": meta_path},
+        out, "featurize", opts, args.seed, {"epochs.npy": epochs_path, "meta.csv": meta_path}
     )
     print(f"featurize: {fm.n_rows} rows x {fm.n_dims} dims -> {out / 'features.csv'}")
     return 0
@@ -422,95 +445,38 @@ def cmd_featurize(args) -> int:
 
 # ---------------------------------------------------------------- train / eval / cv
 
-_RUN_KEYS = {
-    "model",
-    "model_params",
-    "smote",
-    "smote_k",
-    "smote_ratio",
-    "split_ratios",
-    "sequence_length",
-    "max_train_rows",
-    "train_patients",
-    "val_patients",
-    "test_patients",
-    "k",
-}
+def _pipeline_config(opts: dict, seed: int) -> PipelineConfig:
+    """The PipelineConfig a run's options describe; the fields a command
+    has no option for keep their defaults."""
+    names = {f.name for f in dataclasses.fields(PipelineConfig)}
+    fields = {k: v for k, v in opts.items() if k in names}
+    if "smote" in opts:
+        fields["use_smote"] = opts["smote"]
+    if "split_ratios" in opts:
+        fields["split_ratios"] = tuple(opts["split_ratios"])
+    return PipelineConfig(**fields, seed=seed)
 
 
-def _pipeline_config(args, file_cfg: dict) -> PipelineConfig:
-    model = args.model or file_cfg.get("model", DEFAULT_MODEL)
-    if args.smote and args.no_smote:
-        raise ConfigError("--smote and --no-smote are mutually exclusive")
-    if args.smote:
-        use_smote = True
-    elif args.no_smote:
-        use_smote = False
-    else:
-        use_smote = bool(file_cfg.get("smote", False))
-    ratios = file_cfg.get("split_ratios", [0.5, 0.25, 0.25])
-    if not (isinstance(ratios, (list, tuple)) and len(ratios) == 3):
-        raise ConfigError(f"split_ratios must be a list of 3 numbers, got {ratios!r}")
-    return PipelineConfig(
-        model=model,
-        model_params=dict(file_cfg.get("model_params", {})),
-        use_smote=use_smote,
-        smote_k=int(file_cfg.get("smote_k", 5)),
-        smote_ratio=float(file_cfg.get("smote_ratio", 1.0)),
-        split_ratios=tuple(float(r) for r in ratios),
-        sequence_length=int(file_cfg.get("sequence_length", 10)),
-        max_train_rows=file_cfg.get("max_train_rows"),
-        allow_leaky_split=bool(getattr(args, "allow_leaky_split", False)),
-        seed=args.seed,
-    )
-
-
-def _explicit_split(file_cfg: dict):
-    keys = ("train_patients", "val_patients", "test_patients")
-    if not any(k in file_cfg for k in keys):
+def _explicit_split(opts: dict):
+    lists = [opts[f"{side}_patients"] for side in ("train", "val", "test")]
+    if all(group is None for group in lists):
         return None
-    return tuple(tuple(map(str, file_cfg.get(k, ()))) for k in keys)
-
-
-def _config_echo(cfg: PipelineConfig, extra: dict | None = None) -> dict:
-    echo = {
-        "model": cfg.model,
-        "model_params": cfg.model_params,
-        "smote": cfg.use_smote,
-        "smote_k": cfg.smote_k,
-        "smote_ratio": cfg.smote_ratio,
-        "split_ratios": list(cfg.split_ratios),
-        "sequence_length": cfg.sequence_length,
-        "max_train_rows": cfg.max_train_rows,
-        "allow_leaky_split": cfg.allow_leaky_split,
-    }
-    if extra:
-        echo.update(extra)
-    return echo
+    return tuple(tuple(group or ()) for group in lists)
 
 
 def cmd_train(args) -> int:
-    file_cfg = _load_config_file(args.config, _RUN_KEYS)
-    cfg = _pipeline_config(args, file_cfg)
+    opts = _options(args)
+    cfg = _pipeline_config(opts, args.seed)
     fm, labels = read_feature_csv(args.features)
-    result = run_holdout(fm, labels, cfg, _explicit_split(file_cfg))
+    result = run_holdout(fm, labels, cfg, _explicit_split(opts))
 
     out = _out_dir(args)
     save_model(result.model, out / "model.json")
-    _write_json(
-        out / "scaler.json",
-        {
-            "mean": result.scaler.mean.tolist(),
-            "std": result.scaler.std.tolist(),
-            "spec_version": SPEC_VERSION,
-        },
-    )
+    save_scaler(result.scaler, out / "scaler.json")
     _write_json(out / "report.json", _report_without_curve(result.report))
     if "roc_points" in result.report:
         _write_roc_csv(out / "roc.csv", result.report["roc_points"])
-    _write_manifest(
-        out, "train", _config_echo(cfg), cfg.seed, {"features.csv": args.features}
-    )
+    _write_manifest(out, "train", opts, cfg.seed, {"features.csv": args.features})
     acc = result.report.get("accuracy")
     rec = result.report.get("recall")
     print(
@@ -521,18 +487,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    file_cfg = _load_config_file(args.config, _RUN_KEYS)
+    opts = _options(args)
     model = load_model(args.model_file)
     name = spec_for(model).name
-    if file_cfg.get("model", name) != name:
+    if opts["model"] not in (None, name):
         raise ConfigError(
-            f"config model {file_cfg['model']!r} does not match the {name} model "
+            f"config model {opts['model']!r} does not match the {name} model "
             f"in {args.model_file}"
         )
-    cfg = _pipeline_config(args, {**file_cfg, "model": name})
+    opts["model"] = name
+    cfg = _pipeline_config(opts, args.seed)
     fm, labels = read_feature_csv(args.features)
 
-    rows, split = patient_split(fm, cfg, _explicit_split(file_cfg))
+    rows, split = patient_split(fm, cfg, _explicit_split(opts))
     train_idx, test_idx = rows["train"], rows["test"]
     assert_patient_disjoint(fm.patients[train_idx], fm.patients[test_idx])
     if len(train_idx) == 0 or len(test_idx) == 0:
@@ -551,11 +518,7 @@ def cmd_eval(args) -> int:
     report["test_patients"] = split["test_patients"]
     _write_json(out / "metrics.json", report)
     _write_manifest(
-        out,
-        "eval",
-        _config_echo(cfg),
-        cfg.seed,
-        {"features.csv": args.features, "model.json": args.model_file},
+        out, "eval", opts, cfg.seed, {"features.csv": args.features, "model.json": args.model_file}
     )
     print(
         f"eval[{Path(args.model_file).name}]: accuracy {report['accuracy']:.4f}, "
@@ -565,17 +528,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    file_cfg = _load_config_file(args.config, _RUN_KEYS)
-    cfg = _pipeline_config(args, file_cfg)
-    k = int(args.k if args.k is not None else file_cfg.get("k", 5))
+    opts = _options(args)
+    cfg = _pipeline_config(opts, args.seed)
     fm, labels = read_feature_csv(args.features)
-    result = run_cv(fm, labels, cfg, k=k)
+    result = run_cv(fm, labels, cfg, k=opts["k"])
 
     out = _out_dir(args)
     for report in result["folds"]:
         _write_json(out / f"fold_{report['fold']}.json", _report_without_curve(report))
     summary = {
-        "k": k,
+        "k": opts["k"],
         "seed": cfg.seed,
         "metrics": result["summary"],
         "formatted": {
@@ -595,46 +557,38 @@ def cmd_cv(args) -> int:
             cells = [str(report["fold"])]
             cells += [repr(float(report[m])) if m in report else "" for m in metric_names]
             fh.write(",".join(cells) + "\n")
-    _write_manifest(
-        out,
-        "cv",
-        _config_echo(cfg, {"k": k}),
-        cfg.seed,
-        {"features.csv": args.features},
-    )
+    _write_manifest(out, "cv", opts, cfg.seed, {"features.csv": args.features})
     acc = summary["formatted"].get("accuracy", "n/a")
-    print(f"cv[{cfg.model}{'+smote' if cfg.use_smote else ''}, k={k}]: accuracy {acc} -> {out}")
+    print(
+        f"cv[{cfg.model}{'+smote' if cfg.use_smote else ''}, k={opts['k']}]: "
+        f"accuracy {acc} -> {out}"
+    )
     return 0
 
 
 # ---------------------------------------------------------------- predict
 
-_PREDICT_KEYS = {"threshold", "sequence_length"}
-
-
 def cmd_predict(args) -> int:
-    file_cfg = _load_config_file(args.config, _PREDICT_KEYS)
-    threshold = args.threshold if args.threshold is not None else file_cfg.get("threshold")
-    seq_len = int(file_cfg.get("sequence_length", 10))
-    fm, _ = read_feature_csv(args.features)
+    opts = _options(args)
     model = load_model(args.model_file)
     spec = spec_for(model)
-    if threshold is None:
-        threshold = spec.defaults.get("threshold", 0.5)
-    elif "threshold" not in spec.defaults:
-        raise ConfigError(f"{spec.name} models take no decision threshold")
-    threshold = float(threshold)
+    # A model uses an option when it has a default for it here.
+    used = {
+        "threshold": spec.defaults.get("threshold"),
+        "sequence_length": _MODEL["sequence_length"][1] if spec.sequential else None,
+    }
+    for key, default in used.items():
+        if opts[key] is None:
+            opts[key] = default
+        elif default is None:
+            raise ConfigError(f"{spec.name} models take no {key}")
 
+    fm, _ = read_feature_csv(args.features)
     if args.scaler_file:
-        doc = json.loads(Path(args.scaler_file).read_text(encoding="utf-8"))
-        scaler = Scaler(
-            mean=np.array(doc["mean"], dtype=np.float64),
-            std=np.array(doc["std"], dtype=np.float64),
-        )
-        fm = apply_scaler(scaler, fm)
+        fm = apply_scaler(load_scaler(args.scaler_file), fm)
 
-    inputs = model_inputs(spec, fm, np.zeros(fm.n_rows, dtype=np.int64), seq_len)
-    classes, scores = predict_and_score(model, inputs.X, threshold)
+    inputs = model_inputs(spec, fm, np.zeros(fm.n_rows, dtype=np.int64), opts["sequence_length"])
+    classes, scores = predict_and_score(model, inputs.X, opts["threshold"])
     rows = zip(inputs.patients, inputs.files, inputs.starts, scores, classes)
 
     out = _out_dir(args)
@@ -647,13 +601,7 @@ def cmd_predict(args) -> int:
     inputs = {"features.csv": args.features, "model.json": args.model_file}
     if args.scaler_file:
         inputs["scaler.json"] = args.scaler_file
-    _write_manifest(
-        out,
-        "predict",
-        {"threshold": threshold, "sequence_length": seq_len},
-        args.seed,
-        inputs,
-    )
+    _write_manifest(out, "predict", opts, args.seed, inputs)
     print(f"predict: {len(classes)} rows -> {out / 'predictions.csv'}")
     return 0
 
@@ -683,11 +631,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="read EDF files + seizure summaries into an epoch store")
     _add_common(p)
     p.add_argument("--edf-dir", dest="edf_dir")
-    p.add_argument("--summary", action="append", help="seizure summary file (repeatable)")
+    p.add_argument(
+        "--summary", action="append", dest="summaries", help="seizure summary file (repeatable)"
+    )
     p.add_argument("--task", choices=("detection", "prediction"))
-    p.add_argument("--epoch-len", type=float, dest="epoch_len")
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--highpass", type=float, help="optional high-pass cutoff in Hz")
+    p.add_argument("--epoch-len", type=float, dest="epoch_len_s")
+    p.add_argument("--horizon", type=float, dest="horizon_s")
+    p.add_argument(
+        "--highpass", type=float, dest="highpass_hz", help="optional high-pass cutoff in Hz"
+    )
     p.add_argument(
         "--demographics", help="patient,age,gender CSV; emits age/gender count summaries"
     )
@@ -696,30 +648,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("featurize", help="turn an epoch store into a feature CSV")
     _add_common(p)
     p.add_argument("--store", help="directory written by ingest")
-    p.add_argument("--pool-channels", action="store_true", dest="pool_channels")
+    p.add_argument("--pool-channels", action="store_true", dest="pool_channels", default=None)
     p.set_defaults(func=cmd_featurize)
 
-    for name, fn, needs_model in (
-        ("train", cmd_train, False),
-        ("eval", cmd_eval, True),
-        ("cv", cmd_cv, False),
-    ):
+    for name, fn in (("train", cmd_train), ("eval", cmd_eval), ("cv", cmd_cv)):
         p = sub.add_parser(name, help=f"{name} on a feature CSV")
         _add_common(p)
         p.add_argument("--features", required=True, help="feature CSV path")
-        if needs_model:
+        if name == "eval":
             p.add_argument("--model", required=True, dest="model_file", help="model JSON")
-            p.set_defaults(model=None)
         else:
             p.add_argument("--model", choices=tuple(MODELS))
-        p.add_argument("--smote", action="store_true")
-        p.add_argument("--no-smote", action="store_true", dest="no_smote")
-        p.add_argument(
-            "--allow-leaky-split",
-            action="store_true",
-            dest="allow_leaky_split",
-            help="row-level split that ignores patients (demo only)",
-        )
+            p.add_argument("--smote", action="store_true", default=None)
+            p.add_argument("--no-smote", action="store_true", dest="no_smote")
+        if name == "train":
+            p.add_argument(
+                "--allow-leaky-split",
+                action="store_true",
+                dest="allow_leaky_split",
+                help="row-level split that ignores patients (demo only)",
+            )
         if name == "cv":
             p.add_argument("--k", type=int)
         p.set_defaults(func=fn)

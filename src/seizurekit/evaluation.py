@@ -129,15 +129,13 @@ class MetricsReport:
     weighted_precision: float
     weighted_recall: float
     undefined: tuple[str, ...] = ()
-    roc_points: tuple[tuple[float, float], ...] | None = None
-    auc: float | None = None
 
     @property
     def n(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "tp": self.tp,
             "fp": self.fp,
             "tn": self.tn,
@@ -150,9 +148,6 @@ class MetricsReport:
             "weighted_recall": self.weighted_recall,
             "undefined": list(self.undefined),
         }
-        if self.auc is not None:
-            d["auc"] = self.auc
-        return d
 
 
 def _ratio(num: int, den: int, name: str, undefined: list[str]) -> float:
@@ -239,44 +234,17 @@ def roc_auc(y_true, scores) -> tuple[list[tuple[float, float]], float]:
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC undefined: need both classes present")
 
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_true = y_true[order]
+    # One group per distinct score, highest first, with its label counts.
+    distinct, groups = np.unique(-scores, return_inverse=True)
+    pos = np.bincount(groups[y_true == 1], minlength=len(distinct))
+    neg = np.bincount(groups[y_true == 0], minlength=len(distinct))
+    tp, fp = np.cumsum(pos), np.cumsum(neg)
+    points = [(0.0, 0.0)] + list(zip((fp / n_neg).tolist(), (tp / n_pos).tolist()))
 
-    points: list[tuple[float, float]] = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int((sorted_true[i:j] == 1).sum())
-        fp += int((sorted_true[i:j] == 0).sum())
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
-
-    # Exact pair statistic: group scores ascending, count positive-negative
-    # pairs the positive wins (strictly higher score) or ties.
-    asc = np.argsort(scores, kind="stable")
-    wins = 0
-    ties = 0
-    neg_below = 0
-    i = 0
-    while i < n:
-        j = i
-        group_pos = 0
-        group_neg = 0
-        while j < n and scores[asc[j]] == scores[asc[i]]:
-            if y_true[asc[j]] == 1:
-                group_pos += 1
-            else:
-                group_neg += 1
-            j += 1
-        wins += group_pos * neg_below
-        ties += group_pos * group_neg
-        neg_below += group_neg
-        i = j
+    # Exact pair statistic: a positive wins against every negative in a
+    # lower score group and ties with those in its own.
+    wins = int(pos @ (n_neg - fp))
+    ties = int(pos @ neg)
     auc = (wins + 0.5 * ties) / (n_pos * n_neg)
     return points, auc
 

@@ -9,12 +9,15 @@ with zero training variance scale to 0 rather than NaN.
 from __future__ import annotations
 
 import io
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .epochs import Epoch
 from .errors import DataError
+from .version import SPEC_VERSION
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,26 @@ class Scaler:
             raise DataError("scaler mean/std must be matching 1-D arrays")
         if (self.std < 0).any():
             raise DataError("scaler std must be nonnegative")
+
+
+def save_scaler(s: Scaler, path) -> None:
+    """Write the scaler as JSON: `mean`, `std` and `spec_version`."""
+    doc = {"mean": s.mean.tolist(), "std": s.std.tolist(), "spec_version": SPEC_VERSION}
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_scaler(path) -> Scaler:
+    """Read a scaler written by save_scaler; a malformed file raises DataError."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return Scaler(
+            mean=np.array(doc["mean"], dtype=np.float64),
+            std=np.array(doc["std"], dtype=np.float64),
+        )
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise DataError(f"{path}: not a scaler document: {exc!r}") from None
 
 
 def extract_features(epochs: list[Epoch], pool_channels: bool = False) -> FeatureMatrix:

@@ -41,6 +41,13 @@ from .models.registry import (
 from .smote import SmoteConfig, smote
 
 
+def has_type(value, kind) -> bool:
+    """isinstance, except that an int passes for a float and a bool is not a number."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     model: str = DEFAULT_MODEL
@@ -64,6 +71,19 @@ class PipelineConfig:
                 f"unknown {self.model} parameter(s) {sorted(unknown)}; "
                 f"allowed: {sorted(self.spec.defaults)}"
             )
+        # A value has its default's type; where the default is None, any
+        # number passes. resolve_class_weights checks class_weights.
+        for key, value in self.model_params.items():
+            default = self.spec.defaults[key]
+            if key == "class_weights" or (value is None and default is None):
+                continue
+            kind = float if default is None else type(default)
+            if not has_type(value, kind):
+                raise ConfigError(
+                    f"{self.model} parameter {key} must be {kind.__name__}, got {value!r}"
+                )
+        if len(self.split_ratios) != 3:
+            raise ConfigError(f"split_ratios must hold 3 numbers, got {self.split_ratios!r}")
         # Sequence windows are balanced by duplication instead (see
         # evaluate_split); neither row-level option applies to them.
         if self.spec.sequential and self.use_smote:

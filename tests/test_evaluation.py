@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seizurekit import (
     ConfigError,
@@ -189,6 +191,30 @@ def test_auc_matches_brute_force_pair_count():
         ties = sum(1 for p in pos for q in neg if p == q)
         expect = (wins + 0.5 * ties) / (len(pos) * len(neg))
         assert auc == expect  # bitwise: both sides are exact pair counts
+
+
+# Few score levels give heavy ties; -0.0 and 0.0 are one score.
+_tied_scores = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.25000000000000006, 3.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_tied_scores | st.floats(-5, 5), st.integers(0, 1)), min_size=2))
+def test_roc_auc_matches_brute_force_over_all_pairs(rows):
+    y = np.array([label for _, label in rows])
+    scores = np.array([score for score, _ in rows])
+    assume(0 < y.sum() < len(y))
+    points, auc = roc_auc(y, scores)
+
+    pos, neg = scores[y == 1], scores[y == 0]
+    wins = sum(1 for p in pos for q in neg if p > q)
+    ties = sum(1 for p in pos for q in neg if p == q)
+    assert auc == (wins + 0.5 * ties) / (len(pos) * len(neg))
+    # One point per distinct threshold, predicting positive iff score >= it.
+    thresholds = sorted(set(scores.tolist()), reverse=True)
+    expect = [(0.0, 0.0)] + [
+        (int((neg >= t).sum()) / len(neg), int((pos >= t).sum()) / len(pos)) for t in thresholds
+    ]
+    assert points == expect
 
 
 def test_auc_invariant_under_monotone_transform():
