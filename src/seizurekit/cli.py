@@ -182,19 +182,20 @@ def _checked(key: str, value, kind, default):
     )
 
 
-def _options(args) -> dict:
+def _options(args) -> tuple[dict, set]:
     """The options args.command runs with: its OPTIONS defaults, then the
-    config file's keys, then the flags given, each checked for its type."""
+    config file's keys, then the flags given, each checked for its type;
+    and the keys that the config file or a flag gave."""
     table = OPTIONS[args.command]
     settable = {key for key, (kind, _) in table.items() if kind is not FLAG_ONLY}
-    values = {key: default for key, (_, default) in table.items()}
-    values.update(_load_config_file(args.config, settable))
-    values.update((k, v) for k, v in vars(args).items() if k in table and v is not None)
+    given = _load_config_file(args.config, settable)
+    given.update((k, v) for k, v in vars(args).items() if k in table and v is not None)
     if getattr(args, "no_smote", False):
         if args.smote:
             raise ConfigError("--smote and --no-smote are mutually exclusive")
-        values["smote"] = False
-    return {key: _checked(key, v, *table[key]) for key, v in values.items()}
+        given["smote"] = False
+    values = {key: default for key, (_, default) in table.items()} | given
+    return {key: _checked(key, v, *table[key]) for key, v in values.items()}, set(given)
 
 
 def _out_dir(args) -> Path:
@@ -218,7 +219,7 @@ def _report_without_curve(report: dict) -> dict:
 # ---------------------------------------------------------------- synth
 
 def cmd_synth(args) -> int:
-    opts = _options(args)
+    opts, _ = _options(args)
     cfg = SynthConfig(
         n_patients=opts["patients"],
         epochs_per_patient=opts["epochs_per_patient"],
@@ -294,7 +295,7 @@ def _demographics_rows(info_path: Path) -> list[str]:
 
 
 def cmd_ingest(args) -> int:
-    opts = _options(args)
+    opts, _ = _options(args)
     if not opts["edf_dir"]:
         raise ConfigError("ingest needs --edf-dir (or edf_dir in the config file)")
     if opts["task"] not in ("detection", "prediction"):
@@ -394,7 +395,7 @@ def cmd_ingest(args) -> int:
 # ---------------------------------------------------------------- featurize
 
 def cmd_featurize(args) -> int:
-    opts = _options(args)
+    opts, _ = _options(args)
     if not opts["store"]:
         raise ConfigError("featurize needs --store (or store in the config file)")
 
@@ -445,16 +446,23 @@ def cmd_featurize(args) -> int:
 
 # ---------------------------------------------------------------- train / eval / cv
 
-def _pipeline_config(opts: dict, seed: int) -> PipelineConfig:
+def _pipeline_config(opts: dict, given: set, seed: int) -> PipelineConfig:
     """The PipelineConfig a run's options describe; the fields a command
-    has no option for keep their defaults."""
+    has no option for keep their defaults. An option given that the run
+    would not use is a ConfigError."""
     names = {f.name for f in dataclasses.fields(PipelineConfig)}
     fields = {k: v for k, v in opts.items() if k in names}
     if "smote" in opts:
         fields["use_smote"] = opts["smote"]
     if "split_ratios" in opts:
         fields["split_ratios"] = tuple(opts["split_ratios"])
-    return PipelineConfig(**fields, seed=seed)
+    cfg = PipelineConfig(**fields, seed=seed)
+    if "sequence_length" in given and not cfg.spec.sequential:
+        raise ConfigError(f"{cfg.model} models read rows and take no sequence_length")
+    unused = sorted(given & {"smote_k", "smote_ratio"})
+    if unused and not cfg.use_smote:
+        raise ConfigError(f"{' and '.join(unused)} given but smote is off")
+    return cfg
 
 
 def _explicit_split(opts: dict):
@@ -465,8 +473,8 @@ def _explicit_split(opts: dict):
 
 
 def cmd_train(args) -> int:
-    opts = _options(args)
-    cfg = _pipeline_config(opts, args.seed)
+    opts, given = _options(args)
+    cfg = _pipeline_config(opts, given, args.seed)
     fm, labels = read_feature_csv(args.features)
     result = run_holdout(fm, labels, cfg, _explicit_split(opts))
 
@@ -487,7 +495,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    opts = _options(args)
+    opts, given = _options(args)
     model = load_model(args.model_file)
     name = spec_for(model).name
     if opts["model"] not in (None, name):
@@ -496,7 +504,7 @@ def cmd_eval(args) -> int:
             f"in {args.model_file}"
         )
     opts["model"] = name
-    cfg = _pipeline_config(opts, args.seed)
+    cfg = _pipeline_config(opts, given, args.seed)
     fm, labels = read_feature_csv(args.features)
 
     rows, split = patient_split(fm, cfg, _explicit_split(opts))
@@ -528,8 +536,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    opts = _options(args)
-    cfg = _pipeline_config(opts, args.seed)
+    opts, given = _options(args)
+    cfg = _pipeline_config(opts, given, args.seed)
     fm, labels = read_feature_csv(args.features)
     result = run_cv(fm, labels, cfg, k=opts["k"])
 
@@ -569,7 +577,7 @@ def cmd_cv(args) -> int:
 # ---------------------------------------------------------------- predict
 
 def cmd_predict(args) -> int:
-    opts = _options(args)
+    opts, _ = _options(args)
     model = load_model(args.model_file)
     spec = spec_for(model)
     # A model uses an option when it has a default for it here.

@@ -3,8 +3,10 @@
 Each tree trains on a bootstrap resample with a per-tree sub-seed and
 considers floor(sqrt(d)) randomly chosen features at every node. Split
 thresholds are midpoints of consecutive distinct sorted values, scored by
-weighted Gini impurity. Prediction is a majority vote over trees; a tied
-vote goes to class 0.
+weighted Gini impurity. All boundaries of a feature are scored at once as
+arrays, with the same arithmetic and tie rules as a scan in order: the
+first feature, then the first boundary, of equal impurity wins. Prediction
+is a majority vote over trees; a tied vote goes to class 0.
 """
 
 from __future__ import annotations
@@ -70,6 +72,12 @@ def gini(counts) -> float:
     return float(1.0 - (p * p).sum())
 
 
+def _square(x: np.ndarray) -> np.ndarray:
+    """x ** 2 by libm pow, as Python's float ** computes it. numpy's ** 2
+    is x * x, which differs in the last bit and can flip a near-tie."""
+    return np.float_power(x, 2.0)
+
+
 def best_split(X, y, candidate_features):
     """Lowest weighted-Gini split over the candidate features, or None.
 
@@ -91,21 +99,24 @@ def best_split(X, y, candidate_features):
         f = int(f)
         order = np.argsort(X[:, f], kind="stable")
         xs = X[order, f]
-        ys = y[order]
-        # Prefix counts of class 1 let every boundary be scored in O(1).
-        ones = np.cumsum(ys)
+        # Prefix counts of class 1 score every boundary at once.
+        ones = np.cumsum(y[order])
         boundaries = np.flatnonzero(xs[1:] > xs[:-1]) + 1
-        for b in boundaries:
-            n_l = int(b)
-            n_r = n - n_l
-            ones_l = int(ones[b - 1])
-            ones_r = int(ones[-1]) - ones_l
-            g_l = 1.0 - ((ones_l / n_l) ** 2 + ((n_l - ones_l) / n_l) ** 2)
-            g_r = 1.0 - ((ones_r / n_r) ** 2 + ((n_r - ones_r) / n_r) ** 2)
-            weighted = (n_l * g_l + n_r * g_r) / n
-            threshold = (xs[b - 1] + xs[b]) / 2.0
-            if best is None or weighted < best[0]:
-                best = (weighted, f, threshold)
+        if len(boundaries) == 0:
+            continue
+        n_l = boundaries
+        n_r = n - n_l
+        ones_l = ones[boundaries - 1]
+        ones_r = ones[-1] - ones_l
+        g_l = 1.0 - (_square(ones_l / n_l) + _square((n_l - ones_l) / n_l))
+        g_r = 1.0 - (_square(ones_r / n_r) + _square((n_r - ones_r) / n_r))
+        weighted = (n_l * g_l + n_r * g_r) / n
+        # argmin keeps the first boundary of a tie and the strict < the
+        # first feature, as a scan over boundaries in order would.
+        i = int(np.argmin(weighted))
+        if best is None or weighted[i] < best[0]:
+            b = boundaries[i]
+            best = (float(weighted[i]), f, (xs[b - 1] + xs[b]) / 2.0)
     if best is None:
         return None
     gain = parent - best[0]
@@ -134,15 +145,6 @@ def _grow(X, y, rng, config: RFConfig, max_features: int, depth: int) -> TreeNod
     left = _grow(X[mask], y[mask], rng, config, max_features, depth + 1)
     right = _grow(X[~mask], y[~mask], rng, config, max_features, depth + 1)
     return TreeNode(feature=f, threshold=threshold, left=left, right=right)
-
-
-def _tree_predict_one(node: TreeNode, row: np.ndarray) -> int:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    c0, c1 = node.counts
-    if c1 > c0:
-        return 1
-    return 0  # majority class 0, ties included
 
 
 def rf_fit(X, y, config: RFConfig = RFConfig()) -> RFModel:
@@ -186,7 +188,18 @@ def rf_scores(model: RFModel, X) -> np.ndarray:
         raise DataError(
             f"feature count mismatch: model expects {model.n_features}"
         )
-    votes = np.zeros(len(X), dtype=np.float64)
+    votes = np.zeros(len(X), dtype=np.int64)
     for tree in model.trees:
-        votes += np.array([_tree_predict_one(tree, row) for row in X], dtype=np.float64)
+        # Route each node's row set down with one comparison per node; a
+        # leaf votes class 1 for its rows on a strict majority (ties: 0).
+        stack = [(tree, np.arange(len(X)))]
+        while stack:
+            node, idx = stack.pop()
+            if node.is_leaf:
+                c0, c1 = node.counts
+                if c1 > c0:
+                    votes[idx] += 1
+            elif len(idx):
+                left = X[idx, node.feature] <= node.threshold
+                stack += [(node.left, idx[left]), (node.right, idx[~left])]
     return votes / len(model.trees)

@@ -48,6 +48,17 @@ def has_type(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
+def _is_class_weights(value) -> bool:
+    """None, 'balanced', or a dict from class 0 or 1 (an int or its JSON
+    key string) to a finite number."""
+    if value is None or value == "balanced":
+        return True
+    return isinstance(value, dict) and all(
+        str(k) in ("0", "1") and has_type(w, float) and math.isfinite(w)
+        for k, w in value.items()
+    )
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     model: str = DEFAULT_MODEL
@@ -72,9 +83,14 @@ class PipelineConfig:
                 f"allowed: {sorted(self.spec.defaults)}"
             )
         # A value has its default's type; where the default is None, any
-        # number passes. resolve_class_weights checks class_weights.
+        # number passes. class_weights takes the forms resolve_class_weights reads.
         for key, value in self.model_params.items():
             default = self.spec.defaults[key]
+            if key == "class_weights" and not _is_class_weights(value):
+                raise ConfigError(
+                    f"{self.model} parameter class_weights must be null, 'balanced' or "
+                    f"a dict from class 0 or 1 to a finite number, got {value!r}"
+                )
             if key == "class_weights" or (value is None and default is None):
                 continue
             kind = float if default is None else type(default)

@@ -162,3 +162,37 @@ def test_no_smote_flag_wins_over_the_config_file(runs, tmp_path):
     out = tmp_path / "out"
     assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"]["smote"] is False
     assert json.loads((out / "report.json").read_text(encoding="utf-8"))["n_synthetic_train_rows"] == 0
+
+
+@pytest.mark.parametrize(
+    "command, config, named",
+    [
+        ("train", {"model": "rf", "sequence_length": 3}, "sequence_length"),
+        ("cv", {"model": "logreg", "sequence_length": 3}, "sequence_length"),
+        ("eval", {"sequence_length": 3}, "sequence_length"),
+        ("train", {"model": "logreg", "smote_k": 3}, "smote_k"),
+        ("cv", {"smote": False, "smote_ratio": 0.5}, "smote_ratio"),
+    ],
+)
+def test_an_option_the_run_would_not_use_is_rejected(runs, tmp_path, capsys, command, config, named):
+    assert _run(runs, tmp_path, command, config) == 1
+    assert named in _one_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_smote_options_given_with_smote_are_used(runs, tmp_path):
+    config = {"smote": True, "smote_k": 3, "smote_ratio": 0.5, "model_params": {"max_iters": 20}}
+    assert _run(runs, tmp_path, "train", config) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["smote_k"] == 3 and manifest["config"]["smote_ratio"] == 0.5
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [{"1": "x"}, {"1": True}, {"2": 1.0}, {"one": 1.0}, {"1": float("nan")}, "bananas", 3, ["a"]],
+)
+def test_malformed_class_weights_exit_1_before_any_data_is_read(tmp_path, capsys, weights):
+    config = {"model": "logreg", "model_params": {"class_weights": weights}}
+    # The features file does not exist: reading it would exit 2.
+    assert main(_argv(tmp_path, "train", config)) == 1
+    assert "class_weights" in _one_error_line(capsys.readouterr().err)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seizurekit import ConfigError, DataError
 from seizurekit.models import RFConfig, RFModel, best_split, gini, rf_fit, rf_predict, rf_scores
@@ -156,3 +158,142 @@ def test_bad_input_rejected():
     model = rf_fit(np.array([[0.0], [1.0]]), np.array([0, 1]), RFConfig(n_trees=1))
     with pytest.raises(DataError):
         rf_predict(model, np.zeros((2, 3)))
+
+
+def _reference_best_split(X, y, candidate_features):
+    """The per-boundary scan that ``best_split`` must match bit for bit."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n = len(y)
+    if n < 2:
+        return None
+    parent = gini(np.bincount(y, minlength=2))
+    if parent == 0.0:
+        return None
+    best = None  # (weighted_gini, feature, threshold)
+    for f in candidate_features:
+        f = int(f)
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        ones = np.cumsum(y[order])
+        boundaries = np.flatnonzero(xs[1:] > xs[:-1]) + 1
+        for b in boundaries:
+            n_l = int(b)
+            n_r = n - n_l
+            ones_l = int(ones[b - 1])
+            ones_r = int(ones[-1]) - ones_l
+            g_l = 1.0 - ((ones_l / n_l) ** 2 + ((n_l - ones_l) / n_l) ** 2)
+            g_r = 1.0 - ((ones_r / n_r) ** 2 + ((n_r - ones_r) / n_r) ** 2)
+            weighted = (n_l * g_l + n_r * g_r) / n
+            threshold = (xs[b - 1] + xs[b]) / 2.0
+            if best is None or weighted < best[0]:
+                best = (weighted, f, threshold)
+    if best is None:
+        return None
+    gain = parent - best[0]
+    if gain <= 0.0:
+        return None
+    return best[1], best[2], gain
+
+
+def _reference_tree_predict_one(node: TreeNode, row: np.ndarray) -> int:
+    """The per-row tree walk that ``rf_scores`` must match."""
+    while not node.is_leaf:
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    c0, c1 = node.counts
+    return 1 if c1 > c0 else 0  # majority class 0, ties included
+
+
+def _column(draw, rng, n, earlier):
+    kind = draw(st.sampled_from(["one_decimal", "few_values", "constant", "continuous", "copy"]))
+    if kind == "one_decimal":  # many duplicates
+        return np.round(rng.normal(size=n), 1)
+    if kind == "few_values":
+        return rng.choice(np.round(rng.normal(size=draw(st.integers(2, 3))), 2), size=n)
+    if kind == "constant":
+        return np.full(n, np.round(rng.normal(), 1))
+    if kind == "copy" and earlier:  # exact cross-feature ties
+        return earlier[draw(st.integers(0, len(earlier) - 1))].copy()
+    return rng.normal(size=n)
+
+
+def _labels(draw, rng, n):
+    kind = draw(st.sampled_from(["all_zero", "all_one", "one_minority", "skewed", "even"]))
+    if kind in ("all_zero", "all_one"):
+        return np.full(n, int(kind == "all_one"), dtype=np.int64)
+    if kind == "one_minority":
+        y = np.full(n, draw(st.integers(0, 1)), dtype=np.int64)
+        y[draw(st.integers(0, n - 1))] ^= 1
+        return y
+    p = 0.5 if kind == "even" else draw(st.sampled_from([0.03, 0.1, 0.9, 0.97]))
+    return (rng.random(n) < p).astype(np.int64)
+
+
+@st.composite
+def split_cases(draw):
+    """Rows, labels and candidate features (a random subset, in random order)."""
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(d):
+        columns.append(_column(draw, rng, n, columns))
+    X = np.column_stack(columns)
+    features = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
+    return X, _labels(draw, rng, n), features
+
+
+# 33 of 41 rows are class 1 on the left of the only boundary: (33/41) ** 2
+# by libm pow and 33/41 * 33/41 differ in the last bit.
+_POW_CASE = (
+    np.array([[0.0]] * 41 + [[1.0]] * 9),
+    np.array([1] * 33 + [0] * 8 + [0] * 9),
+    [0],
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(split_cases())
+@example(_POW_CASE)
+def test_best_split_matches_reference_scan(case):
+    X, y, features = case
+    got = best_split(X, y, features)
+    want = _reference_best_split(X, y, features)
+    assert got == want
+    if want is not None:
+        assert type(got[0]) is int
+        assert float(got[1]).hex() == float(want[1]).hex()
+        assert float(got[2]).hex() == float(want[2]).hex()
+
+
+def _thresholds(nodes):
+    for node in nodes:
+        if not node.is_leaf:
+            yield node.threshold
+            yield from _thresholds((node.left, node.right))
+
+
+@settings(deadline=None)
+@given(
+    split_cases(),
+    st.integers(1, 6),
+    st.none() | st.integers(1, 4),
+    st.integers(0, 2**16),
+)
+def test_rf_scores_match_reference_walk(case, n_trees, max_depth, seed):
+    X, y, _ = case
+    model = rf_fit(X, y, RFConfig(n_trees=n_trees, max_depth=max_depth, seed=seed))
+    # Query the training rows, fresh rows, and rows sitting on thresholds.
+    rng = np.random.default_rng(seed)
+    thresholds = list(_thresholds(model.trees)) or [0.0]
+    queries = np.vstack(
+        [X, rng.normal(size=X.shape), rng.choice(thresholds, size=X.shape)]
+    )
+    votes = np.zeros(len(queries), dtype=np.float64)
+    for tree in model.trees:
+        votes += np.array([_reference_tree_predict_one(tree, q) for q in queries], dtype=np.float64)
+    want = votes / len(model.trees)
+    got = rf_scores(model, queries)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(rf_predict(model, queries), (want > 0.5).astype(np.int64))

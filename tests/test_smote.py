@@ -1,7 +1,12 @@
 """Minority oversampling: counts, geometry, determinism, provenance."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seizurekit import ConfigError, DataError, FeatureMatrix, SmoteConfig, smote
 
@@ -155,3 +160,58 @@ def test_feature_matrix_metadata_copied_from_source():
     # synthetic rows carry the provenance of their interpolation source
     assert set(out.patients[mask]) <= {"P0", "P1", "P2"}
     assert len(out.values) == 14
+
+
+@st.composite
+def smote_cases(draw):
+    """Rows on a dyadic grid (so squared distances are exact and ties are
+    common, duplicate rows included), classes in random order, any k and
+    ratio."""
+    n0, n1 = draw(st.integers(2, 25)), draw(st.integers(2, 25))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 2.0 ** draw(st.integers(-4, 4))
+    X = rng.integers(-draw(st.integers(1, 4)), 5, size=(n0 + n1, d)) * scale
+    y = rng.permutation(np.array([0] * n0 + [1] * n1))
+    k = draw(st.integers(1, min(n0, n1) + 2))
+    ratio = draw(st.sampled_from([1.0, 0.5]) | st.floats(0.01, 1.0))
+    return X, y, k, ratio, draw(st.integers(0, 2**16))
+
+
+@settings(deadline=None)
+@given(smote_cases())
+def test_each_synthetic_row_lies_between_its_source_and_a_nearest_neighbour(case):
+    X, y, k, ratio, seed = case
+    n = len(y)
+    # Unique patient names mark each synthetic row's source row.
+    m = FeatureMatrix(
+        values=X,
+        patients=np.array([str(i) for i in range(n)], dtype=object),
+        files=np.array(["f"] * n, dtype=object),
+        starts=np.zeros(n),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out, yo, mask = smote(m, y, SmoteConfig(k_neighbors=k, target_ratio=ratio, seed=seed))
+
+    counts = np.bincount(y, minlength=2)
+    minority = int(np.argmin(counts))  # equal counts: class 0, as np.unique orders them
+    n_min, n_maj = counts[minority], counts[1 - minority]
+    assert mask.sum() == max(0, math.floor(ratio * n_maj) - n_min)
+    assert (yo[mask] == minority).all()
+
+    rows = np.flatnonzero(y == minority)
+    k = min(k, n_min - 1)
+    for s, source in zip(out.values[mask], out.patients[mask]):
+        i = int(source)
+        assert i in rows
+        # k nearest minority rows by exact squared distance, lower index first.
+        d2 = ((X[rows] - X[i]) ** 2).sum(axis=1)
+        nearest = [rows[j] for j in np.lexsort((rows, d2)) if rows[j] != i][:k]
+        on_segment = False
+        for j in nearest:
+            seg = X[j] - X[i]
+            denom = float(seg @ seg)
+            lam = 0.0 if denom == 0 else min(max(float((s - X[i]) @ seg) / denom, 0.0), 1.0)
+            on_segment |= np.abs(X[i] + lam * seg - s).max() <= 1e-12 * max(1.0, np.abs(X).max())
+        assert on_segment, f"synthetic row {s} from row {i} is off every segment to {nearest}"
