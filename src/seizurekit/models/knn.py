@@ -3,7 +3,7 @@
 Vote ties are broken by the class of the single nearest neighbor; exact
 distance ties rank the lower training-row index first. Optional class
 weights scale each neighbor's vote, which trades accuracy for recall on
-imbalanced data.
+imbalanced data. ``nearest`` is the one neighbour search, shared with SMOTE.
 """
 
 from __future__ import annotations
@@ -13,6 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, DataError
+
+# Bytes of (A row, B row, column) differences held at once by ``nearest``.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -25,7 +28,39 @@ class KnnModel:
     class_weights: dict | None = None
 
 
-def _vote(classes: np.ndarray, weights: dict | None, nearest_class: int) -> int:
+def nearest(A, B, k: int, exclude_self: bool = False) -> np.ndarray:
+    """(len(A), k) indices of each A row's k nearest B rows, nearest first.
+
+    Distances are the exact sqrt(sum((a - b)**2)) of each pair, never the
+    |a|^2 - 2ab + |b|^2 expansion, which moves exact ties; ties rank the
+    lower B index first. With exclude_self, A is B and row i's own index
+    is dropped before the k are taken, so a duplicate of row i can still
+    be its nearest neighbour. A rows are processed in blocks whose
+    differences fit in _BLOCK_BYTES, so memory does not grow with len(A).
+    """
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
+        raise DataError(f"feature count mismatch: rows of shape {A.shape} against {B.shape}")
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if k > len(B) - exclude_self:
+        raise DataError(f"k={k} exceeds the {len(B) - exclude_self} rows to search")
+
+    out = np.empty((len(A), k), dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // max(1, B.nbytes))
+    for start in range(0, len(A), step):
+        diff = A[start:start + step, None, :] - B[None, :, :]
+        order = np.argsort(np.sqrt((diff * diff).sum(axis=2)), axis=1, kind="stable")
+        if exclude_self:
+            own = np.arange(start, start + len(order))[:, None]
+            order = order[order != own].reshape(len(order), -1)
+        out[start:start + len(order)] = order[:, :k]
+    return out
+
+
+def _vote(classes: np.ndarray, weights: dict | None) -> int:
+    """Weighted majority of classes, nearest first; a tie goes to classes[0]."""
     tally: dict[int, float] = {}
     for c in classes:
         w = 1.0 if weights is None else float(weights.get(int(c), 1.0))
@@ -34,7 +69,7 @@ def _vote(classes: np.ndarray, weights: dict | None, nearest_class: int) -> int:
     winners = [c for c, v in tally.items() if v == best]
     if len(winners) == 1:
         return winners[0]
-    return int(nearest_class)
+    return int(classes[0])
 
 
 def knn_classify(
@@ -45,20 +80,7 @@ def knn_classify(
     class_weights: dict | None = None,
 ) -> int:
     """Majority class among the k nearest training rows to one query row."""
-    train_X = np.asarray(train_X, dtype=np.float64)
-    train_y = np.asarray(train_y)
-    query = np.asarray(query, dtype=np.float64)
-    if train_X.size == 0 or len(train_X) == 0:
-        raise DataError("empty training set")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if k > len(train_X):
-        raise DataError(f"k={k} exceeds training size {len(train_X)}")
-
-    dist = np.sqrt(((train_X - query) ** 2).sum(axis=1))
-    order = np.argsort(dist, kind="stable")
-    chosen = order[:k]
-    return _vote(train_y[chosen], class_weights, train_y[order[0]])
+    return int(knn_vote(train_X, train_y, [query], k, class_weights)[0][0])
 
 
 def knn_vote(
@@ -69,28 +91,17 @@ def knn_vote(
     class_weights: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(classes, positive-class vote shares) of each query row, from one
-    neighbour search per row.
+    nearest() search.
 
-    The class follows knn_classify's rules; the vote share is the weighted
+    The class is _vote's weighted majority; the vote share is the weighted
     fraction of the k neighbours in class 1, usable as a ranking score.
     """
-    train_X = np.asarray(train_X, dtype=np.float64)
     train_y = np.asarray(train_y)
-    X = np.asarray(X, dtype=np.float64)
-    if len(train_X) == 0:
-        raise DataError("empty training set")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if k > len(train_X):
-        raise DataError(f"k={k} exceeds training size {len(train_X)}")
-
-    classes = np.empty(len(X), dtype=np.int64)
-    scores = np.empty(len(X), dtype=np.float64)
-    for r in range(len(X)):
-        dist = np.sqrt(((train_X - X[r]) ** 2).sum(axis=1))
-        order = np.argsort(dist, kind="stable")
-        chosen = train_y[order[:k]]
-        classes[r] = _vote(chosen, class_weights, train_y[order[0]])
+    neighbours = train_y[nearest(X, train_X, k)]
+    classes = np.empty(len(neighbours), dtype=np.int64)
+    scores = np.empty(len(neighbours), dtype=np.float64)
+    for r, chosen in enumerate(neighbours):
+        classes[r] = _vote(chosen, class_weights)
         if class_weights is None:
             w_pos = float((chosen == 1).sum())
             w_all = float(k)

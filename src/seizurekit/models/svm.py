@@ -161,6 +161,10 @@ def svm_fit_smo(
 def svm_decision(model: SVMModel, X) -> np.ndarray:
     """Raw margins sum_i alpha_i y_i K(x_i, x) + b (also the ROC scores)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.ndim != 2 or X.shape[1] != model.support_vectors.shape[1]:
+        raise DataError(
+            f"feature count mismatch: model expects {model.support_vectors.shape[1]}"
+        )
     if len(model.support_vectors) == 0:
         return np.full(len(X), model.bias)
     K = rbf_kernel(model.support_vectors, X, model.gamma)

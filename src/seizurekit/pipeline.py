@@ -50,11 +50,11 @@ def has_type(value, kind) -> bool:
 
 def _is_class_weights(value) -> bool:
     """None, 'balanced', or a dict from class 0 or 1 (an int or its JSON
-    key string) to a finite number."""
+    key string) to a finite number > 0."""
     if value is None or value == "balanced":
         return True
     return isinstance(value, dict) and all(
-        str(k) in ("0", "1") and has_type(w, float) and math.isfinite(w)
+        str(k) in ("0", "1") and has_type(w, float) and math.isfinite(w) and w > 0
         for k, w in value.items()
     )
 
@@ -89,7 +89,7 @@ class PipelineConfig:
             if key == "class_weights" and not _is_class_weights(value):
                 raise ConfigError(
                     f"{self.model} parameter class_weights must be null, 'balanced' or "
-                    f"a dict from class 0 or 1 to a finite number, got {value!r}"
+                    f"a dict from class 0 or 1 to a finite number > 0, got {value!r}"
                 )
             if key == "class_weights" or (value is None and default is None):
                 continue

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import FeatureMatrix
+from .models.knn import nearest
 
 
 @dataclass(frozen=True)
@@ -32,23 +33,6 @@ class SmoteConfig:
             raise ConfigError(
                 f"target_ratio must be in (0, 1], got {self.target_ratio}"
             )
-
-
-def _minority_neighbors(minority: np.ndarray, k: int) -> np.ndarray:
-    """Index matrix of each minority row's k nearest minority neighbors.
-
-    Brute-force Euclidean; self excluded by index; distance ties resolved
-    toward the lower row index.
-    """
-    n = len(minority)
-    diff = minority[:, None, :] - minority[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    order = np.argsort(dist, axis=1, kind="stable")
-    neighbors = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        row = order[i][order[i] != i]
-        neighbors[i] = row[:k]
-    return neighbors
 
 
 def smote(
@@ -93,7 +77,7 @@ def smote(
 
     rng = np.random.default_rng(cfg.seed)
     minority = values[minority_idx]
-    neighbors = _minority_neighbors(minority, k)
+    neighbors = nearest(minority, minority, k, exclude_self=True)
 
     synth_rows = np.empty((n_synth, values.shape[1]), dtype=np.float64)
     source_rows = np.empty(n_synth, dtype=np.int64)

@@ -637,6 +637,45 @@ def test_predict_lstm_window_offset(tmp_path, synth_dir):
     assert float(first[2]) == pytest.approx(8.0)  # window ends at the 5th epoch
 
 
+MISMATCH_PARAMS = {
+    "knn": {"k": 3},
+    "logreg": {"max_iters": 30},
+    "rf": {"n_trees": 3, "max_depth": 3},
+    "svm": {"max_passes": 3},
+    "lstm": {"hidden_dim": 4, "epochs": 2},
+}
+
+
+@pytest.fixture(scope="module")
+def two_channel_run(tmp_path_factory, synth_dir):
+    """Models trained on synth_dir's 3-channel features, plus a 2-channel
+    feature file to score them on."""
+    root = tmp_path_factory.mktemp("mismatch")
+    assert main([
+        "synth", "--patients", "4", "--epochs-per-patient", "40", "--channels", "2",
+        "--seed", "0", "--out", str(root / "two"),
+    ]) == 0
+    for name, params in MISMATCH_PARAMS.items():
+        cfg = root / f"{name}.json"
+        cfg.write_text(json.dumps({"model": name, "model_params": params}), encoding="utf-8")
+        assert main([
+            "train", "--features", str(synth_dir / "features.csv"), "--config", str(cfg),
+            "--out", str(root / name),
+        ]) == 0
+    return root
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("name", list(MISMATCH_PARAMS))
+def test_feature_count_mismatch_exits_2(two_channel_run, tmp_path, capsys, name, command):
+    rc = main([
+        command, "--features", str(two_channel_run / "two" / "features.csv"),
+        "--model", str(two_channel_run / name / "model.json"), "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("data error:")
+
+
 # ---------------------------------------------------------------- ingest / featurize
 
 

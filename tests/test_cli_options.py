@@ -189,7 +189,10 @@ def test_smote_options_given_with_smote_are_used(runs, tmp_path):
 
 @pytest.mark.parametrize(
     "weights",
-    [{"1": "x"}, {"1": True}, {"2": 1.0}, {"one": 1.0}, {"1": float("nan")}, "bananas", 3, ["a"]],
+    [
+        {"1": "x"}, {"1": True}, {"2": 1.0}, {"one": 1.0}, {"1": float("nan")}, "bananas", 3, ["a"],
+        {"0": 0, "1": 0}, {"1": -5}, {"1": 0.0},
+    ],
 )
 def test_malformed_class_weights_exit_1_before_any_data_is_read(tmp_path, capsys, weights):
     config = {"model": "logreg", "model_params": {"class_weights": weights}}

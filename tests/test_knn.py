@@ -1,10 +1,15 @@
 """Nearest-neighbor voting, tie-breaking, and class weighting."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seizurekit import ConfigError, DataError
-from seizurekit.models import knn_classify, knn_predict, knn_scores
+from seizurekit.models import knn, knn_classify, knn_predict, knn_scores
+from seizurekit.models.knn import nearest
 
 
 TRAIN_X = np.array([[0.0, 0.0], [1.0, 1.0], [10.0, 10.0]])
@@ -82,3 +87,76 @@ def test_invalid_k_and_empty_train_rejected():
         knn_classify(TRAIN_X, TRAIN_Y, [0.0, 0.0], k=4)
     with pytest.raises(DataError):
         knn_classify(np.zeros((0, 2)), np.zeros(0), [0.0, 0.0], k=1)
+
+
+# ---------------------------------------------------------------- nearest
+
+
+def _reference_minority_neighbors(minority, k):
+    """SMOTE's former search: the full pairwise tensor, self dropped by index."""
+    n = len(minority)
+    diff = minority[:, None, :] - minority[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    order = np.argsort(dist, axis=1, kind="stable")
+    neighbors = np.empty((n, k), dtype=np.int64)
+    for i in range(n):
+        row = order[i][order[i] != i]
+        neighbors[i] = row[:k]
+    return neighbors
+
+
+def _reference_query_neighbors(train_X, X, k):
+    """knn_vote's former search: one distance pass per query row."""
+    out = np.empty((len(X), k), dtype=np.int64)
+    for r in range(len(X)):
+        dist = np.sqrt(((train_X - X[r]) ** 2).sum(axis=1))
+        out[r] = np.argsort(dist, kind="stable")[:k]
+    return out
+
+
+@st.composite
+def nearest_cases(draw):
+    d = draw(st.integers(1, 4))
+    # Quarter steps are exact in binary, so equal distances tie exactly.
+    row = st.lists(st.integers(-4, 4).map(lambda v: v / 4), min_size=d, max_size=d)
+    distinct = draw(st.lists(row, min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2, max_size=24))
+    # A large offset keeps the differences exact but not |a|^2 - 2ab + |b|^2.
+    offset = draw(st.sampled_from([0.0, 1e8]))
+    B = offset + np.array([distinct[i] for i in picks])  # repeats give duplicate rows
+    A = offset + np.array(draw(st.lists(row, max_size=10)), dtype=np.float64).reshape(-1, d)
+    exclude_self = draw(st.booleans())
+    top = len(B) - exclude_self
+    k = draw(st.sampled_from([1, top]) | st.integers(1, top))
+    # Small budgets split the rows into many blocks, one row each at the least.
+    budget = draw(st.sampled_from([1, 64, 1 << 20]))
+    return A, B, k, exclude_self, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(nearest_cases())
+def test_nearest_matches_the_former_neighbour_searches(case):
+    A, B, k, exclude_self, budget = case
+    with mock.patch.object(knn, "_BLOCK_BYTES", budget):
+        if exclude_self:
+            assert np.array_equal(nearest(B, B, k, exclude_self=True), _reference_minority_neighbors(B, k))
+        else:
+            got = nearest(A, B, k)
+            assert got.shape == (len(A), k)
+            assert np.array_equal(got, _reference_query_neighbors(B, A, k))
+
+
+def test_nearest_drops_own_index_not_first_position():
+    # Rows 0 and 1 coincide: row 1's nearest other row is row 0, which
+    # ranks ahead of row 1 itself.
+    X = np.array([[0.0], [0.0], [1.0]])
+    assert nearest(X, X, 1, exclude_self=True).tolist() == [[1], [0], [0]]
+
+
+def test_nearest_rejects_bad_shapes_and_k():
+    with pytest.raises(DataError):
+        nearest(np.zeros((2, 3)), np.zeros((4, 2)), 1)
+    with pytest.raises(DataError):
+        nearest(np.zeros((3, 2)), np.zeros((3, 2)), 3, exclude_self=True)
+    with pytest.raises(ConfigError):
+        nearest(np.zeros((3, 2)), np.zeros((3, 2)), 0)

@@ -1,6 +1,7 @@
 """Minority oversampling: counts, geometry, determinism, provenance."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -215,3 +216,19 @@ def test_each_synthetic_row_lies_between_its_source_and_a_nearest_neighbour(case
             lam = 0.0 if denom == 0 else min(max(float((s - X[i]) @ seg) / denom, 0.0), 1.0)
             on_segment |= np.abs(X[i] + lam * seg - s).max() <= 1e-12 * max(1.0, np.abs(X).max())
         assert on_segment, f"synthetic row {s} from row {i} is off every segment to {nearest}"
+
+
+def test_neighbour_search_memory_does_not_grow_with_minority_squared():
+    # The full pairwise difference tensor at this size is 400 * 400 * 92
+    # doubles, about 118 MB; the blocked search stays near its 1 MB budget.
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(1200, 92))
+    y = np.array([1] * 400 + [0] * 800)
+    tracemalloc.start()
+    try:
+        Xo, yo, mask = smote(X, y, balanced_config())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.sum() == 400
+    assert peak < 32 * 2**20
