@@ -446,6 +446,14 @@ _START_LINE = re.compile(r"^Seizure(?:\s+\d+)?\s+Start Time:\s*([0-9.]+)\s*secon
 _END_LINE = re.compile(r"^Seizure(?:\s+\d+)?\s+End Time:\s*([0-9.]+)\s*seconds?\s*$")
 
 
+def _summary_number(text: str, block: str) -> float:
+    """A summary count or time as a finite float, or SummaryError naming its file block."""
+    value = float(text) if re.fullmatch(r"\d+\.?\d*|\.\d+", text) else math.nan
+    if not math.isfinite(value):
+        raise SummaryError(f"{block}: {text!r} is not a finite number")
+    return value
+
+
 def parse_seizure_summary(text: str) -> dict[str, list[SeizureInterval]]:
     """Parse a CHB-MIT-style seizure summary into per-file interval lists.
 
@@ -455,9 +463,9 @@ def parse_seizure_summary(text: str) -> dict[str, list[SeizureInterval]]:
     banner, blank lines) is ignored. Files appear in document order; a file
     declaring zero seizures maps to an empty list.
 
-    Raises SummaryError when a file's declared count disagrees with the
-    intervals found, when an interval ends at or before its start, or when
-    seizure lines appear outside any file block.
+    Raises SummaryError when a count or time is not a finite number, when a
+    file's declared count disagrees with the intervals found, when an interval
+    ends at or before its start, or when seizure lines appear outside any file block.
     """
     result: dict[str, list[SeizureInterval]] = {}
     current: str | None = None
@@ -489,7 +497,7 @@ def parse_seizure_summary(text: str) -> dict[str, list[SeizureInterval]]:
         if m:
             if current is None:
                 raise SummaryError("seizure count line appears before any File Name")
-            declared[current] = int(m.group(1))
+            declared[current] = int(_summary_number(m.group(1), current))
             continue
         m = _START_LINE.match(line)
         if m:
@@ -497,7 +505,7 @@ def parse_seizure_summary(text: str) -> dict[str, list[SeizureInterval]]:
                 raise SummaryError("seizure start line appears before any File Name")
             if pending_start is not None:
                 raise SummaryError(f"{current}: two start times without an end time")
-            pending_start = float(m.group(1))
+            pending_start = _summary_number(m.group(1), current)
             continue
         m = _END_LINE.match(line)
         if m:
@@ -506,7 +514,7 @@ def parse_seizure_summary(text: str) -> dict[str, list[SeizureInterval]]:
             if pending_start is None:
                 raise SummaryError(f"{current}: end time without a start time")
             result[current].append(
-                SeizureInterval(file_name=current, start_s=pending_start, end_s=float(m.group(1)))
+                SeizureInterval(current, pending_start, _summary_number(m.group(1), current))
             )
             pending_start = None
             continue

@@ -3,8 +3,8 @@
 Recordings are cut into fixed-length, non-overlapping windows starting at
 t=0. Detection labeling marks any epoch that overlaps an annotated seizure
 interval; prediction labeling marks the pre-seizure horizon as positive and
-drops the seizure epochs themselves. Sequence construction for recurrent
-models windows consecutive epochs within one file.
+drops the seizure epochs themselves. Sequence windows for recurrent models
+hold epochs consecutive in time within one file; a gap ends a window.
 """
 
 from __future__ import annotations
@@ -273,11 +273,14 @@ class SequenceDataset:
 def build_sequences(
     features: "FeatureMatrix", labels: np.ndarray, T: int
 ) -> SequenceDataset:
-    """Slide a length-T window over each file's consecutive epoch rows.
+    """Every window of T epochs of one file that are consecutive in time.
 
-    Rows must already be ordered by time within each file. Window label =
-    last epoch's label; windows never span file boundaries; a file with
-    fewer than T epochs contributes no windows.
+    A file is a (patient, file) pair whose rows, interleaved with others or
+    not, must be strictly increasing in start time (else DataError). The
+    epoch length is the smallest positive start step within any file; a
+    step off it by more than a relative 1e-6 is a gap. No window spans a gap
+    or a file boundary. Windows come file by file in order of first
+    appearance, then in time order; each is labeled as its last epoch.
     """
     if T < 1:
         raise ConfigError(f"sequence length must be >= 1, got {T}")
@@ -285,34 +288,34 @@ def build_sequences(
     if len(labels) != features.n_rows:
         raise DataError(f"{len(labels)} labels for {features.n_rows} feature rows")
 
-    windows, win_labels, pats, fils, starts = [], [], [], [], []
-    keys = [
-        (p, f) for p, f in zip(features.patients, features.files)
-    ]
-    seen: dict[tuple, list[int]] = {}
-    for idx, key in enumerate(keys):
-        seen.setdefault(key, []).append(idx)
-    # Files in first-appearance order keeps output deterministic.
-    for key in dict.fromkeys(keys):
-        rows = seen[key]
-        for j in range(len(rows) - T + 1):
-            block = rows[j : j + T]
-            windows.append(features.values[block])
-            last = block[-1]
-            win_labels.append(labels[last])
-            pats.append(features.patients[last])
-            fils.append(features.files[last])
-            starts.append(features.starts[last])
+    # Number each file by its first row, then order the rows file by file.
+    codes = [np.unique(c, return_inverse=True)[1] for c in (features.patients, features.files)]
+    _, first, key = np.unique(np.column_stack(codes), axis=0, return_index=True, return_inverse=True)
+    file_num = np.argsort(np.argsort(first))[key.ravel()]
+    order = np.argsort(file_num, kind="stable")
 
-    d = features.n_dims
-    if windows:
-        X = np.stack(windows)
-    else:
-        X = np.zeros((0, T, d))
+    same_file = np.diff(file_num[order]) == 0
+    step = np.diff(features.starts[order])
+    bad = order[1:][same_file & ~(step > 0)]
+    if bad.size:
+        raise DataError(
+            f"file {features.files[bad[0]]!r} of patient {features.patients[bad[0]]!r}: start "
+            f"{features.starts[bad[0]]} does not follow the file's previous start"
+        )
+    epoch_len = step[same_file].min(initial=np.inf)
+    # Starts written as i * epoch_len_s miss exact multiples by a few ulps,
+    # and a real gap is at least one epoch.
+    joined = same_file & (np.abs(step - epoch_len) <= 1e-6 * epoch_len)
+    segment = np.cumsum(np.concatenate(([True], ~joined)))[: len(order)]
+
+    # A window stays in one segment iff its first and last rows do.
+    first_pos = np.flatnonzero(segment[: max(len(order) - T + 1, 0)] == segment[T - 1 :])
+    idx = order[first_pos[:, None] + np.arange(T)]
+    last = idx[:, -1]
     return SequenceDataset(
-        X=X,
-        y=np.array(win_labels, dtype=np.int64),
-        patients=np.array(pats, dtype=object),
-        files=np.array(fils, dtype=object),
-        starts=np.array(starts, dtype=np.float64),
+        X=features.values[idx],
+        y=labels[last].astype(np.int64),
+        patients=features.patients[last].astype(object),
+        files=features.files[last].astype(object),
+        starts=features.starts[last].astype(np.float64),
     )

@@ -101,13 +101,13 @@ class PipelineConfig:
         if len(self.split_ratios) != 3:
             raise ConfigError(f"split_ratios must hold 3 numbers, got {self.split_ratios!r}")
         # Sequence windows are balanced by duplication instead (see
-        # evaluate_split); neither row-level option applies to them.
-        if self.spec.sequential and self.use_smote:
-            raise ConfigError(f"{self.model} trains on sequence windows; smote is not supported")
-        if self.spec.sequential and self.max_train_rows is not None:
-            raise ConfigError(
-                f"{self.model} trains on sequence windows; max_train_rows is not supported"
-            )
+        # evaluate_split), and a row-level split would cut each file's windows
+        # at every row sent elsewhere: no row-level option applies to them.
+        row_level = {"smote": self.use_smote, "max_train_rows": self.max_train_rows is not None,
+                     "allow_leaky_split": self.allow_leaky_split}
+        used = [name for name, on in row_level.items() if on]
+        if self.spec.sequential and used:
+            raise ConfigError(f"{self.model} trains on sequence windows; {used[0]} is not supported")
         if self.sequence_length < 1:
             raise ConfigError(
                 f"sequence_length must be >= 1, got {self.sequence_length}"

@@ -79,19 +79,20 @@ def smote(
     minority = values[minority_idx]
     neighbors = nearest(minority, minority, k, exclude_self=True)
 
-    synth_rows = np.empty((n_synth, values.shape[1]), dtype=np.float64)
+    n = len(values)
+    out_values = np.empty((n + n_synth, values.shape[1]), dtype=np.float64)
+    out_values[:n] = values
     source_rows = np.empty(n_synth, dtype=np.int64)
     for s in range(n_synth):
         i = int(rng.integers(n_min))
         j = neighbors[i, int(rng.integers(k))]
         lam = rng.random() if fixed_lambda is None else fixed_lambda
-        synth_rows[s] = minority[i] + lam * (minority[j] - minority[i])
+        out_values[n + s] = minority[i] + lam * (minority[j] - minority[i])
         source_rows[s] = minority_idx[i]
 
-    out_values = np.concatenate([values, synth_rows], axis=0)
     out_y = np.concatenate([y, np.full(n_synth, minority_class, dtype=y.dtype)])
     mask = np.zeros(len(out_y), dtype=bool)
-    mask[len(values):] = True
+    mask[n:] = True
 
     if matrix:
         out = FeatureMatrix(

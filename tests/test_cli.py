@@ -767,6 +767,28 @@ def test_ingest_missing_referenced_file_warns_and_continues(tmp_path, capsys):
     assert all(line.endswith(",0") for line in meta[1:])
 
 
+def test_ingest_malformed_summary_time_exits_2(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.edf").write_bytes(make_edf_bytes("chb01", 10))
+    summary = tmp_path / "summary.txt"
+    summary.write_text(
+        "File Name: a.edf\n"
+        "Number of Seizures in File: 1\n"
+        "Seizure Start Time: 1.2.3 seconds\n"
+        "Seizure End Time: 4 seconds\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "store"
+    rc = main(
+        ["ingest", "--edf-dir", str(src), "--summary", str(summary), "--out", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "a.edf" in err and "1.2.3" in err
+    assert not (out / "meta.csv").exists()
+
+
 def test_ingest_skips_edf_with_zero_record_duration(tmp_path, capsys):
     src = tmp_path / "src"
     src.mkdir()

@@ -1,15 +1,19 @@
 """EDF binary round-trips, header validation, and summary parsing."""
 
 import datetime
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seizurekit import (
     ChannelMeta,
     EdfCalibrationError,
     EdfParseError,
     EdfRangeError,
+    DataError,
     Recording,
     SummaryError,
     parse_edf,
@@ -269,3 +273,88 @@ Seizure Start Time: 10 seconds
 """
     with pytest.raises(SummaryError):
         parse_seizure_summary(text)
+
+
+@pytest.mark.parametrize("time", ["1.2.3", ".", "..", pytest.param("9" * 400, id="overflow")])
+@pytest.mark.parametrize("line", ["Start", "End"])
+def test_summary_malformed_time_names_its_file_block(time, line):
+    times = {"Start": "10", "End": "20", line: time}
+    text = f"""File Name: a.edf
+Number of Seizures in File: 1
+Seizure Start Time: {times["Start"]} seconds
+Seizure End Time: {times["End"]} seconds
+"""
+    with pytest.raises(SummaryError, match="a.edf"):
+        parse_seizure_summary(text)
+
+
+def test_summary_count_with_more_digits_than_int_reads_is_rejected():
+    text = "File Name: a.edf\nNumber of Seizures in File: " + "1" * 5000 + "\n"
+    with pytest.raises(SummaryError, match="a.edf"):
+        parse_seizure_summary(text)
+
+
+_VALID_SUMMARY = """Data Sampling Rate: 256 Hz
+File Name: chb01_03.edf
+Number of Seizures in File: 1
+Seizure Start Time: 2996 seconds
+Seizure End Time: 3036 seconds
+
+File Name: chb01_04.edf
+Number of Seizures in File: 2
+Seizure 1 Start Time: 10 seconds
+Seizure 1 End Time: 20 seconds
+Seizure 2 Start Time: 100.5 seconds
+Seizure 2 End Time: 120 seconds
+""".splitlines()
+
+# Lines that look like summary lines but carry any number-ish text.
+_NUMBERISH = st.text(alphabet="0123456789.", max_size=12) | st.sampled_from(
+    ["9" * 400, "1" * 5000, ".", "1.2.3"]
+)
+_SUMMARY_LINE = (
+    st.builds("Seizure Start Time: {} seconds".format, _NUMBERISH)
+    | st.builds("Seizure 1 End Time: {} seconds".format, _NUMBERISH)
+    | st.builds("Number of Seizures in File: {}".format, _NUMBERISH)
+    | st.builds("File Name: {}".format, st.text(max_size=8))
+    | st.text(max_size=40)
+)
+
+
+@st.composite
+def mutated_summaries(draw):
+    """A valid summary with 1-5 line-level edits: delete, duplicate, swap,
+    replace or insert a line, or swap the text after a line's colon."""
+    lines = list(_VALID_SUMMARY)
+    for _ in range(draw(st.integers(1, 5))):
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "replace", "insert", "value"]))
+        i = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        if op == "insert" or not lines:
+            lines.insert(i, draw(_SUMMARY_LINE))
+        elif op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "replace":
+            lines[i] = draw(_SUMMARY_LINE)
+        elif ":" in lines[i]:
+            head, _, _ = lines[i].partition(":")
+            lines[i] = f"{head}: {draw(_NUMBERISH)} seconds"
+    return "\n".join(lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_summaries())
+def test_summary_mutations_raise_only_data_errors(text):
+    try:
+        result = parse_seizure_summary(text)
+    except DataError:
+        return
+    for name, intervals in result.items():
+        for iv in intervals:
+            assert iv.file_name == name
+            assert math.isfinite(iv.start_s) and math.isfinite(iv.end_s)
+            assert iv.start_s < iv.end_s

@@ -336,3 +336,121 @@ def test_build_sequences_bad_length_rejected():
         build_sequences(feats, np.zeros(3, dtype=int), 0)
     with pytest.raises(DataError):
         build_sequences(feats, np.zeros(4, dtype=int), 2)
+
+
+def _reference_build_sequences(features, labels, T):
+    """The former per-file loop, plus the gap rule: the epoch length is the
+    smallest start step within any file, and a window's rows must be
+    that far apart (to a relative 1e-6)."""
+    keys = [(p, f) for p, f in zip(features.patients, features.files)]
+    seen = {}
+    for idx, key in enumerate(keys):
+        seen.setdefault(key, []).append(idx)
+    steps = [
+        features.starts[b] - features.starts[a]
+        for rows in seen.values()
+        for a, b in zip(rows, rows[1:])
+    ]
+    epoch_len = min(steps, default=0.0)
+
+    windows, win_labels, pats, fils, starts = [], [], [], [], []
+    for key in dict.fromkeys(keys):
+        rows = seen[key]
+        for j in range(len(rows) - T + 1):
+            block = rows[j : j + T]
+            if any(
+                abs(features.starts[b] - features.starts[a] - epoch_len) > 1e-6 * epoch_len
+                for a, b in zip(block, block[1:])
+            ):
+                continue
+            windows.append(features.values[block])
+            last = block[-1]
+            win_labels.append(labels[last])
+            pats.append(features.patients[last])
+            fils.append(features.files[last])
+            starts.append(features.starts[last])
+    X = np.stack(windows) if windows else np.zeros((0, T, features.n_dims))
+    return X, win_labels, pats, fils, starts
+
+
+def test_build_sequences_windows_stop_at_gaps():
+    # Prediction labeling drops the ictal epochs between 4 s and 100 s.
+    feats = fm(np.arange(5, dtype=float).reshape(5, 1), ["A"] * 5, ["a"] * 5,
+               [0.0, 2.0, 4.0, 100.0, 102.0])
+    ds = build_sequences(feats, np.array([0, 0, 1, 0, 0]), 3)
+    assert len(ds) == 1
+    assert ds.starts.tolist() == [4.0]
+    assert ds.y.tolist() == [1]
+    assert ds.X[0, :, 0].tolist() == [0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "starts", [[0.0, 4.0, 2.0, 6.0], [0.0, 2.0, 2.0, 4.0], [0.0, 2.0, math.nan, 6.0]]
+)
+def test_build_sequences_rejects_starts_not_increasing_within_a_file(starts):
+    # The other file's rows sit between this file's rows and are fine.
+    feats = fm(np.zeros((6, 1)), ["A", "B", "A", "B", "A", "A"],
+               ["a", "b", "a", "b", "a", "a"], [starts[0], 0.0, starts[1], 2.0, *starts[2:]])
+    with pytest.raises(DataError, match="'a'"):
+        build_sequences(feats, np.zeros(6, dtype=int), 2)
+
+
+@st.composite
+def sequence_cases(draw):
+    """Files whose kept epochs are any subset of a file's epoch grid, rows
+    interleaved across files, plus a window length T.
+
+    Column 0 of a row is its file's number and column 1 its epoch index,
+    so the true windows can be read off the values."""
+    epoch_len = draw(st.sampled_from([2.0, 0.3, 1.7, 1 / 256, 30.0]))
+    base = draw(st.sampled_from([0, 1000, 10**6]))
+    keys = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["P1", "P2"]), st.sampled_from(["f1", "f2", "f3"])),
+            min_size=1, max_size=4, unique=True,
+        )
+    )
+    files = []
+    for num, key in enumerate(keys):
+        kept = draw(st.lists(st.booleans(), max_size=16))
+        files.append([(num, base + i) for i, keep in enumerate(kept) if keep])
+    # Interleave: pop the next row of a file drawn at each step.
+    order = draw(st.permutations([num for num, rows in enumerate(files) for _ in rows]))
+    queues = [list(rows) for rows in files]
+    rows = [queues[num].pop(0) for num in order]
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), 2)
+    feats = fm(
+        values,
+        [keys[num][0] for num, _ in rows],
+        [keys[num][1] for num, _ in rows],
+        [i * epoch_len for _, i in rows],
+    )
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows))))
+    T = draw(st.integers(1, 6) | st.just(17))
+    return feats, labels, T
+
+
+@settings(max_examples=400, deadline=None)
+@given(sequence_cases())
+def test_build_sequences_matches_reference_loop(case):
+    feats, labels, T = case
+    ds = build_sequences(feats, labels, T)
+    X, y, pats, fils, starts = _reference_build_sequences(feats, labels, T)
+    assert ds.X.shape == X.shape == (len(y), T, 2)
+    assert np.array_equal(ds.X, X)
+    assert ds.y.dtype == np.int64 and ds.y.tolist() == list(y)
+    assert ds.patients.dtype == object and ds.patients.tolist() == pats
+    assert ds.files.dtype == object and ds.files.tolist() == fils
+    assert ds.starts.dtype == np.float64 and ds.starts.tolist() == starts
+
+    # Where some file has two adjacent epochs the epoch length is the true
+    # one, and every window is T adjacent epochs of one file.
+    file_num, epoch = feats.values[:, 0], feats.values[:, 1]
+    if any(((file_num == f) & (epoch == e + 1)).any() for f, e in zip(file_num, epoch)):
+        assert (ds.X[:, :, 0] == ds.X[:, :1, 0]).all()
+        assert (np.diff(ds.X[:, :, 1], axis=1) == 1).all()
+        full_runs = sum(
+            ((file_num == f) & (epoch >= e) & (epoch < e + T)).sum() == T
+            for f, e in zip(file_num, epoch)
+        )
+        assert len(ds) == full_runs

@@ -102,6 +102,22 @@ def test_lstm_rejects_smote_and_row_cap(runs, tmp_path, capsys, command, flags, 
     assert "lstm" in err and ("smote" in err or "max_train_rows" in err)
 
 
+def test_lstm_rejects_the_leaky_row_split(runs, tmp_path, capsys):
+    # A row-level split scatters each file's epochs, so every window would
+    # be cut at the rows sent to the other splits.
+    _, features = runs
+    out = tmp_path / "out"
+    argv = [
+        "train", "--features", str(features), "--model", "lstm", "--allow-leaky-split",
+        "--config", _config(tmp_path, {"model_params": {"hidden_dim": 2, "epochs": 1}}),
+        "--out", str(out),
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "lstm" in err and "allow_leaky_split" in err
+    assert not out.exists()
+
+
 def test_ingest_checks_highpass_before_reading_any_file(tmp_path, capsys):
     src = tmp_path / "src"
     src.mkdir()

@@ -232,3 +232,21 @@ def test_neighbour_search_memory_does_not_grow_with_minority_squared():
         tracemalloc.stop()
     assert mask.sum() == 400
     assert peak < 32 * 2**20
+
+
+def test_synthetic_rows_are_written_into_the_output_without_a_second_copy():
+    # 100 minority rows against 2,000 majority: 1,900 synthetic rows. A
+    # separate array of synthetic rows concatenated onto the input would
+    # hold about half the output a second time.
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(2100, 92))
+    y = np.array([1] * 100 + [0] * 2000)
+    out_bytes = 4000 * 92 * 8
+    tracemalloc.start()
+    try:
+        Xo, yo, mask = smote(X, y, balanced_config())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Xo.nbytes == out_bytes and mask.sum() == 1900
+    assert peak < 1.25 * out_bytes
