@@ -34,7 +34,7 @@ from .epochs import (
     label_prediction,
     slice_epochs,
 )
-from .errors import ConfigError, DataError, LeakageError
+from .errors import ConfigError, DataError, LeakageError, read_utf8
 from .evaluation import assert_patient_disjoint
 from .features import (
     apply_scaler,
@@ -256,7 +256,7 @@ def _load_intervals(summary_paths, known_files, warn) -> dict:
         p = Path(spath)
         if not p.is_file():
             raise DataError(f"summary file not found: {spath}")
-        parsed = parse_seizure_summary(p.read_text(encoding="utf-8"))
+        parsed = parse_seizure_summary(read_utf8(p))
         for fname, ivs in parsed.items():
             if fname not in known_files:
                 warn(f"summary references missing file {fname!r}; intervals ignored")
@@ -266,7 +266,7 @@ def _load_intervals(summary_paths, known_files, warn) -> dict:
 
 
 def _demographics_rows(info_path: Path) -> list[str]:
-    lines = info_path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(info_path).splitlines()
     if not lines or lines[0].strip().lower() != "patient,age,gender":
         raise DataError(f"{info_path}: expected header 'patient,age,gender'")
     gender_counts: dict[str, int] = {}
@@ -408,7 +408,7 @@ def cmd_featurize(args) -> int:
             raise DataError(f"missing store file: {p}")
     info = json.loads(info_path.read_text(encoding="utf-8"))
     stack = np.load(epochs_path)
-    meta_lines = meta_path.read_text(encoding="utf-8").splitlines()
+    meta_lines = read_utf8(meta_path).splitlines() or [""]
     if meta_lines[0] != "patient,file,start_s,label":
         raise DataError(f"{meta_path}: unexpected header {meta_lines[0]!r}")
     if len(meta_lines) - 1 != len(stack):
@@ -418,12 +418,15 @@ def cmd_featurize(args) -> int:
 
     epochs = []
     labels = []
-    for line in meta_lines[1:]:
+    for ln, line in enumerate(meta_lines[1:], start=2):
         if not line:
             continue
-        patient, fname, start_s, label = line.split(",")
-        epochs.append((patient, fname, float(start_s)))
-        labels.append(int(label))
+        try:
+            patient, fname, start_s, label = line.split(",")
+            epochs.append((patient, fname, float(start_s)))
+            labels.append(int(label))
+        except ValueError as exc:
+            raise DataError(f"{meta_path}:{ln}: {exc}") from None
     epoch_objs = [
         Epoch(
             patient_id=patient,

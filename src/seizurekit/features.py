@@ -8,15 +8,16 @@ with zero training variance scale to 0 rather than NaN.
 
 from __future__ import annotations
 
-import io
+import itertools
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .epochs import Epoch
-from .errors import DataError
+from .errors import DataError, read_utf8
 from .version import SPEC_VERSION
 
 
@@ -156,65 +157,106 @@ def apply_scaler(s: Scaler, m: FeatureMatrix) -> FeatureMatrix:
 
 
 def csv_header(n_dims: int) -> str:
-    return "patient,file,start_s,label," + ",".join(f"f{i}" for i in range(n_dims))
-
-
-def _format_float(x: float) -> str:
-    """Shortest decimal that parses back to the same float."""
-    return repr(float(x))
+    return ",".join(["patient", "file", "start_s", "label", *(f"f{i}" for i in range(n_dims))])
 
 
 def write_feature_csv(m: FeatureMatrix, labels: np.ndarray, path) -> None:
-    """Write rows as `patient,file,start_s,label,f0..f{d-1}`, UTF-8 with LF."""
+    """Write rows as `patient,file,start_s,label,f0..f{d-1}`, UTF-8 with LF.
+
+    Floats are written as repr(), the shortest decimal that parses back to
+    the same float.
+    """
     labels = np.asarray(labels)
     if len(labels) != m.n_rows:
         raise DataError(f"{len(labels)} labels for {m.n_rows} rows")
-    buf = io.StringIO()
-    buf.write(csv_header(m.n_dims) + "\n")
-    for i in range(m.n_rows):
-        cells = [
-            str(m.patients[i]),
-            str(m.files[i]),
-            _format_float(m.starts[i]),
-            str(int(labels[i])),
-        ]
-        cells.extend(_format_float(v) for v in m.values[i])
-        buf.write(",".join(cells) + "\n")
+    rows = zip(
+        m.patients,
+        m.files,
+        m.starts.astype(np.float64, copy=False).tolist(),
+        labels.tolist(),
+        m.values.astype(np.float64, copy=False),
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(buf.getvalue())
+        fh.write(csv_header(m.n_dims) + "\n")
+        for patient, file, start, label, values in rows:
+            cells = [str(patient), str(file), repr(start), str(int(label)), *map(repr, values.tolist())]
+            fh.write(",".join(cells) + "\n")
+
+
+# np.loadtxt's message for a number it cannot parse; row counts from 0 over
+# the lines it was given, column from 1 over the file's fields.
+_NOT_A_NUMBER = re.compile(r"(could not convert string .*) at row (\d+), column (\d+)")
 
 
 def read_feature_csv(path) -> tuple[FeatureMatrix, np.ndarray]:
-    """Read the CSV written by write_feature_csv back into memory."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    """Read the CSV written by write_feature_csv back into memory.
+
+    The file is UTF-8 text; blank lines are skipped. A label is 0 or 1.
+    start_s and the feature values are decimal floats, parsed by one
+    np.loadtxt pass as the lines stream in: no digit separators (`1_0`),
+    hexadecimal or non-ASCII digits, which float() would accept. A
+    malformed line is a DataError naming path:line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_feature_lines(fh, path)
+    except UnicodeDecodeError:
+        read_utf8(path)  # raises the DataError naming the line of the first bad byte
+        raise
+
+
+def _parse_feature_lines(fh, path) -> tuple[FeatureMatrix, np.ndarray]:
+    first = fh.readline()
+    if not first:
         raise DataError(f"{path}: empty feature file")
-    header = lines[0].split(",")
+    first = first.rstrip("\n")
+    header = first.split(",")
     if header[:4] != ["patient", "file", "start_s", "label"]:
-        raise DataError(f"{path}: unexpected header {lines[0]!r}")
+        raise DataError(f"{path}: unexpected header {first!r}")
     d = len(header) - 4
-    if [h for h in header[4:]] != [f"f{i}" for i in range(d)]:
+    if header[4:] != [f"f{i}" for i in range(d)]:
         raise DataError(f"{path}: unexpected feature column names")
-    patients, files, starts, labels, values = [], [], [], [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != 4 + d:
-            raise DataError(f"{path}:{ln}: expected {4 + d} fields, got {len(cells)}")
-        patients.append(cells[0])
-        files.append(cells[1])
+    line_numbers, patients, files, labels = [], [], [], []
+
+    def checked_rows():
+        for ln, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.count(",") != 3 + d:
+                raise DataError(f"{path}:{ln}: expected {4 + d} fields, got {line.count(',') + 1}")
+            patient, file, _, label = line.split(",", 4)[:4]
+            if label not in ("0", "1"):
+                raise DataError(f"{path}:{ln}: label {label!r} is not 0 or 1")
+            line_numbers.append(ln)
+            patients.append(patient)
+            files.append(file)
+            labels.append(label == "1")
+            yield line
+
+    rows = checked_rows()
+    row = next(rows, None)
+    numbers = np.zeros((0, 1 + d))
+    if row is not None:  # loadtxt warns on input without rows
         try:
-            starts.append(float(cells[2]))
-            labels.append(int(cells[3]))
-            values.append([float(c) for c in cells[4:]])
+            numbers = np.loadtxt(
+                itertools.chain([row], rows),
+                delimiter=",",
+                comments=None,
+                usecols=[2, *range(4, 4 + d)],
+                ndmin=2,
+            )
         except ValueError as exc:
-            raise DataError(f"{path}:{ln}: {exc}") from None
+            bad = _NOT_A_NUMBER.search(str(exc))
+            if bad is None:
+                raise
+            raise DataError(
+                f"{path}:{line_numbers[int(bad[2])]}: {bad[1]} in field {bad[3]}"
+            ) from None
     m = FeatureMatrix(
-        values=np.array(values, dtype=np.float64).reshape(len(values), d),
+        values=np.ascontiguousarray(numbers[:, 1:]),
         patients=np.array(patients, dtype=object),
         files=np.array(files, dtype=object),
-        starts=np.array(starts, dtype=np.float64),
+        starts=numbers[:, 0].copy(),
     )
     return m, np.array(labels, dtype=np.int64)

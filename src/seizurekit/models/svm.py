@@ -29,16 +29,15 @@ class SVMModel:
 
 
 def rbf_kernel(A, B, gamma: float) -> np.ndarray:
-    """K[i, j] = exp(-gamma * ||A_i - B_j||^2)."""
+    """K[i, j] = exp(-gamma * ||A_i - B_j||^2), built in one (n, m) buffer."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
-    sq = (
-        (A * A).sum(axis=1)[:, None]
-        - 2.0 * A @ B.T
-        + (B * B).sum(axis=1)[None, :]
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
+    K = 2.0 * A @ B.T
+    np.subtract((A * A).sum(axis=1)[:, None], K, out=K)
+    K += (B * B).sum(axis=1)[None, :]
+    np.maximum(K, 0.0, out=K)
+    K *= -gamma
+    return np.exp(K, out=K)
 
 
 def svm_fit_smo(

@@ -1019,3 +1019,61 @@ def test_featurize_trains_end_to_end(edf_store, tmp_path):
     assert rc == 0
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["recall"] == 0.0
+
+
+def test_ingest_summary_that_is_not_utf8_exits_2(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.edf").write_bytes(make_edf_bytes("chb01", 10))
+    summary = tmp_path / "summary.txt"
+    summary.write_bytes(b"Data Sampling Rate: 8 Hz\nPatient: Jos\xe9\nFile Name: a.edf\n")
+    out = tmp_path / "store"
+    rc = main(["ingest", "--edf-dir", str(src), "--summary", str(summary), "--out", str(out)])
+    assert rc == 2
+    assert f"{summary}:2: not UTF-8" in capsys.readouterr().err
+    assert not (out / "meta.csv").exists()
+
+
+def test_ingest_demographics_that_are_not_utf8_exit_2(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.edf").write_bytes(make_edf_bytes("chb01", 4))
+    info = tmp_path / "subjects.csv"
+    info.write_bytes(b"patient,age,gender\nchb01,24,F\xe9\n")
+    rc = main(["ingest", "--edf-dir", str(src), "--demographics", str(info), "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert f"{info}:2: not UTF-8" in capsys.readouterr().err
+
+
+def _store_copy(edf_store, tmp_path, edit_meta):
+    _, store = edf_store
+    copy = tmp_path / "store"
+    copy.mkdir()
+    for name in ("epochs.npy", "store_info.json"):
+        (copy / name).write_bytes((store / name).read_bytes())
+    lines = (store / "meta.csv").read_bytes().split(b"\n")
+    (copy / "meta.csv").write_bytes(b"\n".join(edit_meta(lines)))
+    return copy
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (b"chb\xe9,a.edf,2.0,0", ":3: not UTF-8"),
+        (b"chb01,a.edf,2.0", ":3: not enough values"),
+        (b"chb01,a.edf,x,0", ":3: could not convert"),
+        (b"chb01,a.edf,2.0,1.0", ":3: invalid literal"),
+    ],
+)
+def test_featurize_malformed_meta_row_exits_2(edf_store, tmp_path, capsys, row, message):
+    store = _store_copy(edf_store, tmp_path, lambda lines: lines[:2] + [row] + lines[3:])
+    rc = main(["featurize", "--store", str(store), "--out", str(tmp_path / "feat")])
+    assert rc == 2
+    assert f"{store / 'meta.csv'}{message}" in capsys.readouterr().err
+
+
+def test_featurize_empty_meta_exits_2(edf_store, tmp_path, capsys):
+    store = _store_copy(edf_store, tmp_path, lambda lines: [b""])
+    rc = main(["featurize", "--store", str(store), "--out", str(tmp_path / "feat")])
+    assert rc == 2
+    assert "unexpected header" in capsys.readouterr().err

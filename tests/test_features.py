@@ -1,7 +1,15 @@
 """Per-epoch statistics, train-only scaling, and the feature CSV format."""
 
+import io
+import re
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seizurekit import (
     DataError,
@@ -170,6 +178,7 @@ def test_empty_train_rejected():
 
 def test_csv_header_format():
     assert csv_header(3) == "patient,file,start_s,label,f0,f1,f2"
+    assert csv_header(0) == "patient,file,start_s,label"
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -205,3 +214,174 @@ def test_csv_bad_header_rejected(tmp_path):
 def test_non_finite_features_rejected():
     with pytest.raises(DataError):
         fm([[np.nan, 1.0]])
+
+
+# ---------------------------------------------------------------- CSV syntax
+
+
+def reference_write(m, labels) -> str:
+    """The row-by-row writer the CSV format was defined with."""
+    buf = io.StringIO()
+    buf.write(csv_header(m.n_dims) + "\n")
+    for i in range(m.n_rows):
+        cells = [str(m.patients[i]), str(m.files[i]), repr(float(m.starts[i])), str(int(labels[i]))]
+        cells.extend(repr(float(v)) for v in m.values[i])
+        buf.write(",".join(cells) + "\n")
+    return buf.getvalue()
+
+
+def reference_read(text: str):
+    """The per-value float() reader the CSV format was defined with."""
+    lines = text.splitlines()
+    d = len(lines[0].split(",")) - 4
+    patients, files, starts, labels, values = [], [], [], [], []
+    for line in lines[1:]:
+        if not line:
+            continue
+        cells = line.split(",")
+        patients.append(cells[0])
+        files.append(cells[1])
+        starts.append(float(cells[2]))
+        labels.append(int(cells[3]))
+        values.append([float(c) for c in cells[4:]])
+    return (
+        np.array(values, dtype=np.float64).reshape(len(values), d),
+        patients,
+        files,
+        np.array(starts, dtype=np.float64),
+        np.array(labels, dtype=np.int64),
+    )
+
+
+def write_lines(path, lines, newline="\n"):
+    path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+    return path
+
+
+def rejected_at(path, line):
+    """pytest.raises for a DataError that names `path:line`."""
+    return pytest.raises(DataError, match=re.escape(f"{path}:{line}:"))
+
+
+def test_csv_wrong_field_count_names_its_line_after_blank_lines(tmp_path):
+    path = write_lines(
+        tmp_path / "f.csv",
+        [csv_header(2), "P1,a.edf,0.0,0,1.0,2.0", "", "", "P1,a.edf,2.0,0,1.0"],
+    )
+    with rejected_at(path, 5):
+        read_feature_csv(path)
+
+
+@pytest.mark.parametrize("row", ["P1,a.edf,2.0,0,1.0,x", "P1,a.edf,2.0,0,,2.0", "P1,a.edf,nope,0,1.0,2.0"])
+def test_csv_non_numeric_value_names_its_line(tmp_path, row):
+    path = write_lines(tmp_path / "f.csv", [csv_header(2), "P1,a.edf,0.0,0,1.0,2.0", "", row])
+    with rejected_at(path, 4):
+        read_feature_csv(path)
+
+
+@pytest.mark.parametrize("label", ["1.0", "x", ""])
+def test_csv_non_integer_label_names_its_line(tmp_path, label):
+    path = write_lines(tmp_path / "f.csv", [csv_header(1), "P1,a.edf,0.0,0,1.0", f"P1,a.edf,2.0,{label},1.0"])
+    with rejected_at(path, 3):
+        read_feature_csv(path)
+
+
+@pytest.mark.parametrize("label", ["7", "-1", "2"])
+def test_csv_label_outside_0_and_1_names_its_line(tmp_path, label):
+    path = write_lines(tmp_path / "f.csv", [csv_header(1), "P1,a.edf,0.0,0,1.0", "", f"P1,a.edf,2.0,{label},1.0"])
+    with rejected_at(path, 4):
+        read_feature_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["1_0", "1_000.5"])
+def test_csv_digit_separators_are_rejected(tmp_path, cell):
+    # float() reads "1_0" as 10.0; the CSV syntax has no digit separators
+    for row in (f"P1,a.edf,0.0,0,{cell}", f"P1,a.edf,{cell},0,1.0"):
+        path = write_lines(tmp_path / "f.csv", [csv_header(1), row])
+        with rejected_at(path, 2):
+            read_feature_csv(path)
+
+
+def test_csv_hash_in_names_is_data(tmp_path):
+    path = write_lines(tmp_path / "f.csv", [csv_header(2), "P#1,#a.edf,0.0,1,1.5,-2.5", "#P2,b#.edf,2.0,0,3.0,4.0"])
+    m, labels = read_feature_csv(path)
+    assert list(m.patients) == ["P#1", "#P2"]
+    assert list(m.files) == ["#a.edf", "b#.edf"]
+    assert m.values.tolist() == [[1.5, -2.5], [3.0, 4.0]]
+    assert labels.tolist() == [1, 0]
+
+
+def test_csv_crlf_line_endings_read_like_lf(tmp_path):
+    rows = [csv_header(2), "P1,a.edf,0.0,1,1.5,-2.5", "", "P2,b.edf,2.0,0,3.0,4.0"]
+    crlf, _ = read_feature_csv(write_lines(tmp_path / "crlf.csv", rows, newline="\r\n"))
+    lf, _ = read_feature_csv(write_lines(tmp_path / "lf.csv", rows))
+    assert np.array_equal(crlf.values, lf.values)
+    assert list(crlf.files) == list(lf.files) == ["a.edf", "b.edf"]
+    bad = write_lines(tmp_path / "bad.csv", rows + ["P2,b.edf,4.0,0,3.0"], newline="\r\n")
+    with rejected_at(bad, 5):
+        read_feature_csv(bad)
+
+
+def test_csv_header_only_gives_zero_rows_quietly(tmp_path):
+    path = write_lines(tmp_path / "f.csv", [csv_header(3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m, labels = read_feature_csv(path)
+    assert m.values.shape == (0, 3)
+    assert m.starts.shape == labels.shape == (0,)
+
+
+def test_csv_with_zero_feature_columns(tmp_path):
+    path = write_lines(tmp_path / "f.csv", ["patient,file,start_s,label", "P1,a.edf,0.0,1", "P2,b.edf,2.0,0"])
+    m, labels = read_feature_csv(path)
+    assert m.values.shape == (2, 0)
+    assert m.starts.tolist() == [0.0, 2.0]
+    assert labels.tolist() == [1, 0]
+
+
+def test_csv_non_utf8_byte_is_a_data_error(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_bytes(f"{csv_header(1)}\nP1,a.edf,0.0,0,1.0\nP\xe9,a.edf,2.0,0,1.0\n".encode("latin-1"))
+    with rejected_at(path, 3):
+        read_feature_csv(path)
+
+
+_BITS = st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+FLOATS = (
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308])
+    | _BITS.filter(np.isfinite)
+)
+NAMES = st.text(alphabet="Pab#._- 0123456789", min_size=1, max_size=8)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda d: st.lists(
+            st.tuples(NAMES, NAMES, FLOATS, st.integers(0, 1), st.lists(FLOATS, min_size=d, max_size=d)),
+            max_size=6,
+        ).map(lambda rows: (d, rows))
+    )
+)
+def test_csv_round_trip_is_bit_exact_on_any_float(case):
+    d, rows = case
+    m = FeatureMatrix(
+        values=np.array([r[4] for r in rows], dtype=np.float64).reshape(len(rows), d),
+        patients=np.array([r[0] for r in rows], dtype=object),
+        files=np.array([r[1] for r in rows], dtype=object),
+        starts=np.array([r[2] for r in rows], dtype=np.float64),
+    )
+    labels = np.array([r[3] for r in rows], dtype=np.int64)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        write_feature_csv(m, labels, path)
+        text = path.read_bytes().decode("utf-8")
+        back, back_labels = read_feature_csv(path)
+    assert text == reference_write(m, labels)
+    ref_values, ref_patients, ref_files, ref_starts, ref_labels = reference_read(text)
+    for got, want in ((back.values, m.values), (back.values, ref_values), (back.starts, m.starts), (back.starts, ref_starts)):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert list(back.patients) == list(m.patients) == ref_patients
+    assert list(back.files) == list(m.files) == ref_files
+    assert np.array_equal(back_labels, labels) and np.array_equal(back_labels, ref_labels)

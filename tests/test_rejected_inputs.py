@@ -1,5 +1,5 @@
 """Options and values that used to be ignored or accepted and now fail
-with a ConfigError (exit 1) or a ValueError."""
+with a ConfigError (exit 1), a DataError (exit 2) or a ValueError."""
 
 import datetime
 import json
@@ -138,3 +138,37 @@ def test_recording_rejects_bad_record_duration(duration):
             channels=(make_channel(label="EEG C0", spr=4),),
             signals=(np.zeros(8),),
         )
+
+
+def _edited_features(runs, tmp_path, line_no, edit):
+    """A copy of the run's feature CSV with line `line_no` (1-based) edited."""
+    _, features = runs
+    lines = features.read_bytes().split(b"\n")
+    lines[line_no - 1] = edit(lines[line_no - 1])
+    path = tmp_path / "features.csv"
+    path.write_bytes(b"\n".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("label", [b"7", b"-1"])
+def test_train_refuses_a_label_outside_0_and_1(runs, tmp_path, capsys, label):
+    def relabel(line):
+        cells = line.split(b",")
+        cells[3] = label
+        return b",".join(cells)
+
+    # line 242 is a row of P05, which the default split does not train on
+    path = _edited_features(runs, tmp_path, 242, relabel)
+    argv = [
+        "train", "--features", str(path), "--config", _config(tmp_path, {"model": "logreg"}),
+        "--out", str(tmp_path / "out"),
+    ]
+    assert main(argv) == 2
+    assert f"{path}:242: label '{label.decode()}'" in capsys.readouterr().err
+
+
+def test_train_refuses_a_feature_file_that_is_not_utf8(runs, tmp_path, capsys):
+    path = _edited_features(runs, tmp_path, 100, lambda line: b"P\xe9" + line)
+    argv = ["train", "--features", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"{path}:100: not UTF-8" in capsys.readouterr().err

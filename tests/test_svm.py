@@ -1,9 +1,12 @@
 """RBF-kernel SVM fitted with simplified sequential minimal optimization."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seizurekit import ConfigError, DataError
 from seizurekit.models import (
@@ -32,6 +35,46 @@ def test_kernel_self_similarity_is_one():
 def test_kernel_known_value():
     K = rbf_kernel(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]), gamma=0.5)
     assert K[0, 0] == pytest.approx(np.exp(-1.0))
+
+
+def reference_rbf_kernel(A, B, gamma):
+    """The kernel as one expression, with a temporary per step."""
+    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
+    B = np.atleast_2d(np.asarray(B, dtype=np.float64))
+    sq = (A * A).sum(axis=1)[:, None] - 2.0 * A @ B.T + (B * B).sum(axis=1)[None, :]
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-gamma * sq)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.integers(1, 12),
+    st.floats(1e-4, 50.0),
+    st.floats(1e-3, 1e3),
+    st.integers(0, 2**32 - 1),
+)
+def test_kernel_is_bit_identical_to_the_reference_expression(n, m, d, gamma, scale, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, d)) * scale
+    B = np.concatenate([A[: m // 2], rng.normal(size=(m - m // 2, d)) * scale])
+    for a, b in ((A, B), (A, A), (A[0], B)):
+        got, want = rbf_kernel(a, b, gamma), reference_rbf_kernel(a, b, gamma)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_kernel_peak_memory_is_one_output_buffer():
+    rng = np.random.default_rng(2)
+    A, B = rng.normal(size=(600, 8)), rng.normal(size=(500, 8))
+    tracemalloc.start()
+    try:
+        K = rbf_kernel(A, B, gamma=0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * K.nbytes
 
 
 def test_xor_is_learned_exactly():
