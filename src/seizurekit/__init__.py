@@ -21,7 +21,7 @@ from .edf import (
     write_edf,
 )
 from .epochs import (
-    Epoch,
+    Epochs,
     LabeledEpochSet,
     SequenceDataset,
     build_sequences,
@@ -64,7 +64,7 @@ __all__ = [
     "EdfCalibrationError",
     "EdfParseError",
     "EdfRangeError",
-    "Epoch",
+    "Epochs",
     "FeatureMatrix",
     "LabeledEpochSet",
     "LeakageError",

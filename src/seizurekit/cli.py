@@ -27,7 +27,8 @@ import numpy as np
 
 from .edf import parse_edf, parse_seizure_summary
 from .epochs import (
-    Epoch,
+    Epochs,
+    LabeledEpochSet,
     check_highpass,
     denoise,
     label_detection,
@@ -37,6 +38,7 @@ from .epochs import (
 from .errors import ConfigError, DataError, LeakageError, read_utf8
 from .evaluation import assert_patient_disjoint
 from .features import (
+    FeatureMatrix,
     apply_scaler,
     extract_features,
     fit_scaler,
@@ -103,7 +105,7 @@ def _load_config_file(path: str | None, allowed: set) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -294,6 +296,17 @@ def _demographics_rows(info_path: Path) -> list[str]:
     return rows
 
 
+def _labeled_epochs(path: Path, seizures, opts: dict) -> LabeledEpochSet:
+    """One EDF file's epochs with their labels for the task in opts."""
+    rec = denoise(parse_edf(path.read_bytes()), highpass_hz=opts["highpass_hz"])
+    rec = dataclasses.replace(rec, patient_id=_patient_for(rec.patient_id, path.name))
+    epochs = slice_epochs(rec, epoch_len_s=opts["epoch_len_s"], file_name=path.name)
+    del rec  # label_prediction copies the kept epochs; free the signals first
+    if opts["task"] == "detection":
+        return label_detection(epochs, seizures)
+    return label_prediction(epochs, seizures, horizon_s=opts["horizon_s"])
+
+
 def cmd_ingest(args) -> int:
     opts, _ = _options(args)
     if not opts["edf_dir"]:
@@ -317,55 +330,46 @@ def cmd_ingest(args) -> int:
     intervals = _load_intervals(opts["summaries"], known, warn)
 
     out = _out_dir(args)
-    all_epochs = []
-    all_labels = []
+    sets = []  # one LabeledEpochSet per file that has epochs
     failures = {}
     for path in edf_paths:
         try:
-            rec = parse_edf(path.read_bytes())
-            rec = denoise(rec, highpass_hz=opts["highpass_hz"])
-            epochs = slice_epochs(rec, epoch_len_s=opts["epoch_len_s"], file_name=path.name)
-            ivs = intervals.get(path.name, [])
-            if opts["task"] == "detection":
-                labeled = label_detection(epochs, ivs)
-            else:
-                labeled = label_prediction(epochs, ivs, horizon_s=opts["horizon_s"])
+            labeled = _labeled_epochs(path, intervals.get(path.name, []), opts)
         except DataError as exc:
             failures[path.name] = str(exc)
             warn(f"{path.name}: {exc}")
             continue
-        patient = _patient_for(rec.patient_id, path.name)
-        if patient != rec.patient_id:
-            labeled = dataclasses.replace(
-                labeled,
-                epochs=tuple(
-                    dataclasses.replace(e, patient_id=patient) for e in labeled.epochs
-                ),
-            )
-        all_epochs.extend(labeled.epochs)
-        all_labels.extend(int(v) for v in labeled.labels)
+        if len(labeled.epochs):
+            sets.append(labeled)
         print(
             f"{path.name}: {len(labeled.epochs)} epochs, "
             f"{int(labeled.labels.sum())} positive"
         )
-    if not all_epochs:
+    if not sets:
         raise DataError(
             "every EDF file failed to ingest: "
             + "; ".join(f"{k}: {v}" for k, v in sorted(failures.items()))
         )
 
-    shapes = {e.samples.shape for e in all_epochs}
+    shapes = {s.epochs.samples.shape[1:] for s in sets}
     if len(shapes) > 1:
         raise DataError(
             f"recordings disagree on channel count or rate: epoch shapes {sorted(shapes)}"
         )
 
-    stack = np.stack([e.samples for e in all_epochs])
+    def joined(field):
+        return np.concatenate([getattr(s.epochs, field) for s in sets])
+
+    labels = np.concatenate([s.labels for s in sets])
+    meta = FeatureMatrix(
+        values=np.zeros((len(labels), 0)),
+        patients=joined("patients"),
+        files=joined("files"),
+        starts=joined("starts"),
+    )
+    write_feature_csv(meta, labels, out / "meta.csv")
+    stack = joined("samples")
     np.save(out / "epochs.npy", stack)
-    with open(out / "meta.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("patient,file,start_s,label\n")
-        for e, label in zip(all_epochs, all_labels):
-            fh.write(f"{e.patient_id},{e.file_name},{repr(float(e.start_s))},{label}\n")
     _write_json(
         out / "store_info.json",
         {
@@ -386,8 +390,8 @@ def cmd_ingest(args) -> int:
     inputs.update({Path(s).name: s for s in opts["summaries"]})
     _write_manifest(out, "ingest", opts, args.seed, inputs)
     print(
-        f"ingest: {len(all_epochs)} epochs from {len(edf_paths) - len(failures)} file(s), "
-        f"{sum(all_labels)} positive; {len(failures)} failure(s)"
+        f"ingest: {len(labels)} epochs from {len(edf_paths) - len(failures)} file(s), "
+        f"{int(labels.sum())} positive; {len(failures)} failure(s)"
     )
     return 0
 
@@ -407,39 +411,22 @@ def cmd_featurize(args) -> int:
         if not p.is_file():
             raise DataError(f"missing store file: {p}")
     info = json.loads(info_path.read_text(encoding="utf-8"))
+    meta, labels = read_feature_csv(meta_path)
+    if meta.n_dims:
+        raise DataError(f"{meta_path}: unexpected feature columns in the header")
     stack = np.load(epochs_path)
-    meta_lines = read_utf8(meta_path).splitlines() or [""]
-    if meta_lines[0] != "patient,file,start_s,label":
-        raise DataError(f"{meta_path}: unexpected header {meta_lines[0]!r}")
-    if len(meta_lines) - 1 != len(stack):
-        raise DataError(
-            f"store mismatch: {len(stack)} epochs vs {len(meta_lines) - 1} meta rows"
-        )
-
-    epochs = []
-    labels = []
-    for ln, line in enumerate(meta_lines[1:], start=2):
-        if not line:
-            continue
-        try:
-            patient, fname, start_s, label = line.split(",")
-            epochs.append((patient, fname, float(start_s)))
-            labels.append(int(label))
-        except ValueError as exc:
-            raise DataError(f"{meta_path}:{ln}: {exc}") from None
-    epoch_objs = [
-        Epoch(
-            patient_id=patient,
-            file_name=fname,
-            start_s=start,
-            duration_s=float(info["epoch_len_s"]),
-            samples=stack[i],
-        )
-        for i, (patient, fname, start) in enumerate(epochs)
-    ]
-    fm = extract_features(epoch_objs, pool_channels=opts["pool_channels"])
+    if len(stack) != meta.n_rows:
+        raise DataError(f"store mismatch: {len(stack)} epochs vs {meta.n_rows} meta rows")
+    epochs = Epochs(
+        samples=stack,
+        patients=meta.patients,
+        files=meta.files,
+        starts=meta.starts,
+        duration_s=float(info["epoch_len_s"]),
+    )
+    fm = extract_features(epochs, pool_channels=opts["pool_channels"])
     out = _out_dir(args)
-    write_feature_csv(fm, np.array(labels, dtype=np.int64), out / "features.csv")
+    write_feature_csv(fm, labels, out / "features.csv")
     _write_manifest(
         out, "featurize", opts, args.seed, {"epochs.npy": epochs_path, "meta.csv": meta_path}
     )

@@ -24,27 +24,46 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class Epoch:
-    """One fixed-length window of a recording, all channels, physical units."""
+class Epochs:
+    """Fixed-length windows of recordings, all channels, physical units.
 
-    patient_id: str
-    file_name: str
-    start_s: float
+    ``samples[i]`` is window i as a (channels, window) array; the metadata
+    arrays describe the same window.
+    """
+
+    samples: np.ndarray  # (n, channels, window) float64
+    patients: np.ndarray  # (n,) str
+    files: np.ndarray  # (n,) str
+    starts: np.ndarray  # (n,) float64, seconds from the recording's start
     duration_s: float
-    samples: np.ndarray  # shape (channels, window_len)
 
     def __post_init__(self):
         if self.duration_s <= 0:
             raise DataError(f"epoch duration must be positive, got {self.duration_s}")
-        if self.samples.ndim != 2:
-            raise DataError("epoch samples must be a (channels, window) array")
+        if self.samples.ndim != 3:
+            raise DataError("epoch samples must be an (epochs, channels, window) array")
+        if not (len(self.patients) == len(self.files) == len(self.starts) == len(self.samples)):
+            raise DataError("epoch metadata length mismatch")
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def take(self, index) -> "Epochs":
+        """Epoch subset (boolean mask or index array), metadata kept aligned."""
+        return Epochs(
+            samples=self.samples[index],
+            patients=self.patients[index],
+            files=self.files[index],
+            starts=self.starts[index],
+            duration_s=self.duration_s,
+        )
 
 
 @dataclass(frozen=True)
 class LabeledEpochSet:
     """Epochs paired with binary labels for one task."""
 
-    epochs: tuple[Epoch, ...]
+    epochs: Epochs
     labels: np.ndarray
     task: str  # "detection" or "prediction"
 
@@ -144,9 +163,7 @@ def _highpass_scan(x: np.ndarray, alpha: float) -> np.ndarray:
     return y.reshape(-1)[:n]
 
 
-def slice_epochs(
-    r: Recording, epoch_len_s: float = 2.0, file_name: str = ""
-) -> list[Epoch]:
+def slice_epochs(r: Recording, epoch_len_s: float = 2.0, file_name: str = "") -> Epochs:
     """Cut a recording into non-overlapping epochs of epoch_len_s seconds.
 
     Windows tile the recording from t=0 with no gaps or overlap; a trailing
@@ -155,68 +172,55 @@ def slice_epochs(
     """
     if epoch_len_s <= 0:
         raise ConfigError(f"epoch length must be positive, got {epoch_len_s}")
-    if not r.channels:
-        return []
-    rates = set(r.sample_rate_hz)
-    if len(rates) > 1:
-        raise DataError(
-            f"channels have unequal sample rates {sorted(rates)}; resampling "
-            "is not supported"
-        )
-    rate = rates.pop()
-    window = epoch_len_s * rate
-    if abs(window - round(window)) > 1e-9 or round(window) < 1:
-        raise ConfigError(
-            f"epoch length {epoch_len_s} s at {rate} Hz is {window} samples; "
-            "must be a positive whole number"
-        )
-    window = int(round(window))
-
-    total = len(r.signals[0])
-    n_epochs = total // window
-    if n_epochs == 0:
-        return []
-
-    stacked = np.stack(r.signals)  # (channels, total)
-    out = []
-    for i in range(n_epochs):
-        out.append(
-            Epoch(
-                patient_id=r.patient_id,
-                file_name=file_name,
-                start_s=i * epoch_len_s,
-                duration_s=epoch_len_s,
-                samples=stacked[:, i * window : (i + 1) * window].copy(),
+    if r.channels:
+        rates = set(r.sample_rate_hz)
+        if len(rates) > 1:
+            raise DataError(
+                f"channels have unequal sample rates {sorted(rates)}; resampling "
+                "is not supported"
             )
-        )
-    return out
+        rate = rates.pop()
+        window = epoch_len_s * rate
+        if abs(window - round(window)) > 1e-9 or round(window) < 1:
+            raise ConfigError(
+                f"epoch length {epoch_len_s} s at {rate} Hz is {window} samples; "
+                "must be a positive whole number"
+            )
+        window = int(round(window))
+        n = len(r.signals[0]) // window
+        samples = np.stack([s[: n * window].reshape(n, window) for s in r.signals], axis=1)
+    else:
+        samples = np.zeros((0, 0, 0))
+    n = len(samples)
+    return Epochs(
+        samples=samples,
+        patients=np.full(n, r.patient_id, dtype=object),
+        files=np.full(n, file_name, dtype=object),
+        starts=np.arange(n) * float(epoch_len_s),
+        duration_s=epoch_len_s,
+    )
 
 
-def _overlaps(start: float, end: float, intervals: list[SeizureInterval]) -> bool:
-    """Nonzero-measure intersection of [start, end) with any [s, e)."""
-    return any(start < iv.end_s and iv.start_s < end for iv in intervals)
+def _overlaps(epochs: Epochs, intervals) -> np.ndarray:
+    """Per epoch: a nonzero-measure intersection of [start, start + duration)
+    with any [s, e) of the (s, e) pairs in intervals."""
+    s, e = np.array(intervals, dtype=np.float64).reshape(-1, 2).T
+    lo = epochs.starts[:, None]
+    return ((lo < e) & (s < lo + epochs.duration_s)).any(axis=1)
 
 
-def label_detection(
-    epochs: list[Epoch], seizures: list[SeizureInterval]
-) -> LabeledEpochSet:
+def label_detection(epochs: Epochs, seizures: list[SeizureInterval]) -> LabeledEpochSet:
     """Label 1 iff the epoch overlaps a seizure interval with nonzero measure.
 
     Intervals are half-open, so an epoch that merely touches a seizure
     boundary stays 0. No seizures means all labels 0.
     """
-    labels = np.array(
-        [
-            1 if _overlaps(e.start_s, e.start_s + e.duration_s, seizures) else 0
-            for e in epochs
-        ],
-        dtype=np.int64,
-    )
-    return LabeledEpochSet(epochs=tuple(epochs), labels=labels, task="detection")
+    labels = _overlaps(epochs, [(iv.start_s, iv.end_s) for iv in seizures])
+    return LabeledEpochSet(epochs=epochs, labels=labels.astype(np.int64), task="detection")
 
 
 def label_prediction(
-    epochs: list[Epoch],
+    epochs: Epochs,
     seizures: list[SeizureInterval],
     horizon_s: float = 300.0,
 ) -> LabeledEpochSet:
@@ -229,25 +233,13 @@ def label_prediction(
     """
     if horizon_s <= 0:
         raise ConfigError(f"prediction horizon must be positive, got {horizon_s}")
-    preictal = [
-        SeizureInterval(iv.file_name, iv.start_s - horizon_s, iv.start_s)
-        for iv in seizures
-    ]
-    kept: list[Epoch] = []
-    labels: list[int] = []
-    for e in epochs:
-        end = e.start_s + e.duration_s
-        if _overlaps(e.start_s, end, seizures):
-            continue
-        labels.append(1 if _overlaps(e.start_s, end, preictal) else 0)
-        kept.append(e)
-    out = LabeledEpochSet(
-        epochs=tuple(kept), labels=np.array(labels, dtype=np.int64), task="prediction"
-    )
+    ictal = [(iv.start_s, iv.end_s) for iv in seizures]
+    preictal = [(iv.start_s - horizon_s, iv.start_s) for iv in seizures]
+    kept = epochs.take(~_overlaps(epochs, ictal))
+    labels = _overlaps(kept, preictal)
+    out = LabeledEpochSet(epochs=kept, labels=labels.astype(np.int64), task="prediction")
     # An ictal epoch in a prediction set would poison both classes.
-    assert not any(
-        _overlaps(e.start_s, e.start_s + e.duration_s, seizures) for e in out.epochs
-    )
+    assert not _overlaps(out.epochs, ictal).any()
     return out
 
 

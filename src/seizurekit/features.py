@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .epochs import Epoch
+from .epochs import Epochs
 from .errors import DataError, read_utf8
 from .version import SPEC_VERSION
 
@@ -91,7 +91,12 @@ def load_scaler(path) -> Scaler:
         raise DataError(f"{path}: not a scaler document: {exc!r}") from None
 
 
-def extract_features(epochs: list[Epoch], pool_channels: bool = False) -> FeatureMatrix:
+# Epochs go through extract_features in blocks of about this many bytes, so
+# std's temporary copy stays small and in cache whatever the number of epochs.
+_BLOCK_BYTES = 1 << 20
+
+
+def extract_features(epochs: Epochs, pool_channels: bool = False) -> FeatureMatrix:
     """Compute (mean, max, min, population std) per channel for each epoch.
 
     Row layout: channel 0's four statistics, then channel 1's, and so on,
@@ -99,39 +104,30 @@ def extract_features(epochs: list[Epoch], pool_channels: bool = False) -> Featur
     are computed over all channels' samples together, giving 4 columns.
     Every epoch needs at least 2 samples per channel.
     """
-    if not epochs:
-        return FeatureMatrix(
-            values=np.zeros((0, 0)),
-            patients=np.array([], dtype=object),
-            files=np.array([], dtype=object),
-            starts=np.array([], dtype=np.float64),
-        )
-    rows = []
-    for e in epochs:
-        if e.samples.shape[1] < 2:
+    n, channels, window = epochs.samples.shape
+    values = np.zeros((0, 0))
+    if n:
+        if window < 2:
             raise DataError(
-                f"epoch at {e.start_s}s in {e.file_name!r} has "
-                f"{e.samples.shape[1]} samples per channel; need >= 2"
+                f"epoch at {epochs.starts[0]}s in {epochs.files[0]!r} has "
+                f"{window} samples per channel; need >= 2"
             )
-        data = e.samples.reshape(1, -1) if pool_channels else e.samples
-        stats = np.stack(
-            [
-                data.mean(axis=1),
-                data.max(axis=1),
-                data.min(axis=1),
-                data.std(axis=1),  # population convention (divide by n)
-            ],
-            axis=1,
-        )
-        rows.append(stats.reshape(-1))
-    values = np.stack(rows).astype(np.float64)
+        data = epochs.samples.reshape(n, 1, channels * window) if pool_channels else epochs.samples
+        values = np.empty((n, 4 * data.shape[1]))
+        step = max(1, _BLOCK_BYTES // max(1, data[0].nbytes))
+        for i in range(0, n, step):
+            block = data[i : i + step]
+            stats = [
+                block.mean(axis=2),
+                block.max(axis=2),
+                block.min(axis=2),
+                block.std(axis=2),  # population convention (divide by n)
+            ]
+            values[i : i + step] = np.stack(stats, axis=2).reshape(len(block), -1)
     if not np.isfinite(values).all():
         raise DataError("non-finite feature value; check input samples")
     return FeatureMatrix(
-        values=values,
-        patients=np.array([e.patient_id for e in epochs], dtype=object),
-        files=np.array([e.file_name for e in epochs], dtype=object),
-        starts=np.array([e.start_s for e in epochs], dtype=np.float64),
+        values=values, patients=epochs.patients, files=epochs.files, starts=epochs.starts
     )
 
 
@@ -160,15 +156,23 @@ def csv_header(n_dims: int) -> str:
     return ",".join(["patient", "file", "start_s", "label", *(f"f{i}" for i in range(n_dims))])
 
 
+# Characters the feature CSV cannot carry inside a patient or file name.
+_FIELD_BREAK = re.compile("[,\n\r]")
+
+
 def write_feature_csv(m: FeatureMatrix, labels: np.ndarray, path) -> None:
     """Write rows as `patient,file,start_s,label,f0..f{d-1}`, UTF-8 with LF.
 
     Floats are written as repr(), the shortest decimal that parses back to
-    the same float.
+    the same float. A patient or file name holding a comma or a line break
+    is a DataError, raised before the file is opened.
     """
     labels = np.asarray(labels)
     if len(labels) != m.n_rows:
         raise DataError(f"{len(labels)} labels for {m.n_rows} rows")
+    for name in dict.fromkeys(itertools.chain(m.patients, m.files)):
+        if _FIELD_BREAK.search(str(name)):
+            raise DataError(f"{path}: name {str(name)!r} holds a comma or line break")
     rows = zip(
         m.patients,
         m.files,

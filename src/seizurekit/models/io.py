@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from ..errors import DataError
+from ..errors import DataError, read_utf8
 from ..version import SPEC_VERSION
 from .registry import MODELS, spec_for
 
@@ -44,9 +44,8 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid model JSON: {exc}") from None
+    try:
+        doc = json.loads(read_utf8(path))
+    except ValueError as exc:  # JSONDecodeError, or an integer too long for int()
+        raise DataError(f"{path}: invalid model JSON: {exc}") from None
     return model_from_dict(doc)

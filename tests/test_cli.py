@@ -184,6 +184,14 @@ def test_config_file_must_exist(tmp_path, synth_dir):
     assert rc == 1
 
 
+def test_config_file_that_is_not_utf8_exits_1(tmp_path, synth_dir, capsys):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(b'{"model": "logreg\xe9"}')
+    argv = ["train", "--features", str(synth_dir / "features.csv"), "--config", str(cfg)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert f"{cfg}: invalid JSON" in capsys.readouterr().err
+
+
 def test_config_file_must_be_json_object(tmp_path, synth_dir, capsys):
     cfg = tmp_path / "arr.json"
     cfg.write_text("[1, 2]", encoding="utf-8")
@@ -427,6 +435,22 @@ def test_allow_leaky_split_flag(tmp_path, synth_dir):
 
 
 # ---------------------------------------------------------------- eval
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: b"\xe9" + doc, ":1: not UTF-8"),
+        (lambda doc: doc.replace(b"{", b'{"pad": ' + b"9" * 5000 + b",", 1), ": invalid model JSON"),
+    ],
+    ids=["not-utf8", "long-integer"],
+)
+def test_eval_unreadable_model_file_exits_2(tmp_path, synth_dir, trained_dir, capsys, edit, message):
+    model = tmp_path / "model.json"
+    model.write_bytes(edit((trained_dir / "model.json").read_bytes()))
+    argv = ["eval", "--features", str(synth_dir / "features.csv"), "--model", str(model)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert f"{model}{message}" in capsys.readouterr().err
 
 
 def test_eval_outputs(tmp_path, synth_dir, trained_dir, capsys):
@@ -947,6 +971,18 @@ def test_ingest_blank_patient_header_uses_file_prefix(tmp_path):
     assert all(line.startswith("chb05,chb05_17.edf,") for line in meta[1:])
 
 
+def test_ingest_patient_name_with_comma_exits_2(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.edf").write_bytes(make_edf_bytes("Smith, J", 4))
+    out = tmp_path / "store"
+    rc = main(["ingest", "--edf-dir", str(src), "--out", str(out)])
+    assert rc == 2
+    assert "'Smith, J' holds a comma" in capsys.readouterr().err
+    assert not (out / "meta.csv").exists()
+    assert not (out / "epochs.npy").exists()
+
+
 def test_ingest_config_file_only(tmp_path):
     src = tmp_path / "src"
     src.mkdir()
@@ -1060,9 +1096,10 @@ def _store_copy(edf_store, tmp_path, edit_meta):
     "row, message",
     [
         (b"chb\xe9,a.edf,2.0,0", ":3: not UTF-8"),
-        (b"chb01,a.edf,2.0", ":3: not enough values"),
+        (b"chb01,a.edf,2.0", ":3: expected 4 fields"),
         (b"chb01,a.edf,x,0", ":3: could not convert"),
-        (b"chb01,a.edf,2.0,1.0", ":3: invalid literal"),
+        (b"chb01,a.edf,2.0,1.0", ":3: label '1.0'"),
+        (b"chb01,a.edf,2.0,7", ":3: label '7'"),
     ],
 )
 def test_featurize_malformed_meta_row_exits_2(edf_store, tmp_path, capsys, row, message):
@@ -1072,8 +1109,17 @@ def test_featurize_malformed_meta_row_exits_2(edf_store, tmp_path, capsys, row, 
     assert f"{store / 'meta.csv'}{message}" in capsys.readouterr().err
 
 
+def test_featurize_meta_with_feature_columns_exits_2(edf_store, tmp_path, capsys):
+    store = _store_copy(
+        edf_store, tmp_path, lambda lines: [lines[0] + b",f0"] + [l + b",0.5" for l in lines[1:] if l]
+    )
+    rc = main(["featurize", "--store", str(store), "--out", str(tmp_path / "feat")])
+    assert rc == 2
+    assert f"{store / 'meta.csv'}: unexpected feature columns" in capsys.readouterr().err
+
+
 def test_featurize_empty_meta_exits_2(edf_store, tmp_path, capsys):
     store = _store_copy(edf_store, tmp_path, lambda lines: [b""])
     rc = main(["featurize", "--store", str(store), "--out", str(tmp_path / "feat")])
     assert rc == 2
-    assert "unexpected header" in capsys.readouterr().err
+    assert "empty feature file" in capsys.readouterr().err

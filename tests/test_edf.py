@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seizurekit import edf
 from seizurekit import (
     ChannelMeta,
     EdfCalibrationError,
@@ -167,6 +168,53 @@ def test_truncated_data_records_rejected():
     raw = write_edf(make_recording([ch], [np.zeros(8)], 2))
     with pytest.raises(EdfParseError):
         parse_edf(raw[:-4])
+
+
+# Text for a numeric header field: edge values, then any integer.
+_EDF_NUMBERS = st.sampled_from(
+    [b"0", b"-1", b"-2", b"nan", b"inf", b"1e9", b"", b"0x3", b"1.5", b"99999999", b"-0", b"+2"]
+) | st.integers(-3, 10**6).map(lambda i: str(i).encode())
+
+
+@st.composite
+def mutated_edfs(draw):
+    """A valid EDF with 1-4 edits: a numeric header field (num_signals,
+    num_records, header_bytes, record_duration or a signal's
+    samples_per_record) set to other text, num_signals and header_bytes set
+    to another count that agrees, the data records cut short or extended,
+    or one byte set to any value."""
+    n_signals, spr, n_records = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    channels = [make_channel(f"C{i}", spr=spr) for i in range(n_signals)]
+    signals = [np.linspace(-100.0, 100.0, spr * n_records) for _ in channels]
+    raw = bytearray(write_edf(make_recording(channels, signals, n_records)))
+    spr_at = 256 + n_signals * sum(w for name, w in edf._SIGNAL_FIELDS[:8])
+    fields = [(184, 8), (236, 8), (244, 8), (252, 4), *((spr_at + 8 * i, 8) for i in range(n_signals))]
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["field", "count", "cut", "extend", "byte"]))
+        if op == "field":
+            at, width = draw(st.sampled_from(fields))
+            raw[at : at + width] = draw(_EDF_NUMBERS)[:width].ljust(width)
+        elif op == "count" and len(raw) >= 256:
+            count = draw(st.integers(0, 4))
+            raw[184:192] = str(256 + 256 * count).encode().ljust(8)
+            raw[252:256] = str(count).encode().ljust(4)
+        elif op == "cut":
+            del raw[draw(st.integers(0, len(raw))) :]
+        elif op == "extend":
+            raw += draw(st.binary(min_size=1, max_size=64))
+        elif raw:
+            raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+    return bytes(raw)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mutated_edfs())
+def test_edf_mutations_raise_only_data_errors(raw):
+    try:
+        rec = parse_edf(raw)
+    except DataError:
+        return
+    assert isinstance(rec, Recording)
 
 
 def test_year_pivot():

@@ -51,20 +51,19 @@ def test_epoch_tiling_counts():
 
 def test_epoch_starts_and_shapes():
     epochs = slice_epochs(make_recording(10, rate_hz=8, n_channels=3), file_name="a.edf")
-    assert [e.start_s for e in epochs] == [0.0, 2.0, 4.0, 6.0, 8.0]
-    for e in epochs:
-        assert e.samples.shape == (3, 16)
-        assert e.duration_s == 2.0
-        assert e.file_name == "a.edf"
-        assert e.patient_id == "P01"
+    assert epochs.starts.tolist() == [0.0, 2.0, 4.0, 6.0, 8.0]
+    assert epochs.samples.shape == (5, 3, 16)
+    assert epochs.duration_s == 2.0
+    assert epochs.files.tolist() == ["a.edf"] * 5
+    assert epochs.patients.tolist() == ["P01"] * 5
 
 
 def test_epoch_samples_are_contiguous_slices():
     rec = make_recording(6, rate_hz=4, n_channels=1)
     rec.signals[0][:] = np.arange(24, dtype=float)
     epochs = slice_epochs(rec)
-    assert np.array_equal(epochs[0].samples[0], np.arange(8))
-    assert np.array_equal(epochs[2].samples[0], np.arange(16, 24))
+    assert np.array_equal(epochs.samples[0, 0], np.arange(8))
+    assert np.array_equal(epochs.samples[2, 0], np.arange(16, 24))
 
 
 def test_mismatched_channel_rates_rejected():
@@ -125,9 +124,9 @@ def test_detection_against_brute_force():
             s = float(rng.uniform(0, dur - 1))
             intervals.append(seizure(s, s + float(rng.uniform(0.1, 10.0))))
         out = label_detection(epochs, intervals)
-        for ep, lab in zip(out.epochs, out.labels):
+        for start, lab in zip(out.epochs.starts, out.labels):
             expect = any(
-                min(ep.start_s + ep.duration_s, iv.end_s) > max(ep.start_s, iv.start_s)
+                min(start + out.epochs.duration_s, iv.end_s) > max(start, iv.start_s)
                 for iv in intervals
             )
             assert lab == int(expect)
@@ -136,7 +135,7 @@ def test_detection_against_brute_force():
 def test_prediction_horizon_window():
     epochs = slice_epochs(make_recording(720))
     out = label_prediction(epochs, [seizure(700.0, 710.0)], horizon_s=300.0)
-    by_start = {e.start_s: int(l) for e, l in zip(out.epochs, out.labels)}
+    by_start = {s: int(l) for s, l in zip(out.epochs.starts.tolist(), out.labels)}
     assert by_start[398.0] == 0  # [398, 400) ends before the horizon opens
     assert by_start[400.0] == 1  # first epoch inside [400, 700)
     assert by_start[698.0] == 1
@@ -149,7 +148,7 @@ def test_prediction_horizon_window():
 def test_prediction_drops_ictal_epochs():
     epochs = slice_epochs(make_recording(30))
     out = label_prediction(epochs, [seizure(10.0, 20.0)], horizon_s=6.0)
-    starts = [e.start_s for e in out.epochs]
+    starts = out.epochs.starts.tolist()
     assert starts == [0.0, 2.0, 4.0, 6.0, 8.0, 20.0, 22.0, 24.0, 26.0, 28.0]
     by_start = dict(zip(starts, out.labels.tolist()))
     # horizon covers [4, 10); [2,4) only touches its left edge
@@ -162,7 +161,7 @@ def test_prediction_overlapping_horizons_merge():
     epochs = slice_epochs(make_recording(40))
     intervals = [seizure(14.0, 16.0), seizure(20.0, 22.0)]
     out = label_prediction(epochs, intervals, horizon_s=10.0)
-    by_start = dict(zip((e.start_s for e in out.epochs), out.labels.tolist()))
+    by_start = dict(zip(out.epochs.starts.tolist(), out.labels.tolist()))
     # horizons [4,14) and [10,20) union; ictal [14,16) and [20,22) removed
     assert 14.0 not in by_start and 20.0 not in by_start
     assert by_start[4.0] == 1 and by_start[12.0] == 1
@@ -174,6 +173,53 @@ def test_prediction_bad_horizon_rejected():
     epochs = slice_epochs(make_recording(10))
     with pytest.raises(ConfigError):
         label_prediction(epochs, [], horizon_s=0.0)
+
+
+def _reference_label_prediction(n_epochs, epoch_len_s, seizures, horizon_s):
+    """The per-epoch loop label_prediction was written with: the kept
+    epochs' starts and their labels."""
+
+    def overlaps(start, end, intervals):
+        return any(start < e and s < end for s, e in intervals)
+
+    ictal = [(iv.start_s, iv.end_s) for iv in seizures]
+    preictal = [(iv.start_s - horizon_s, iv.start_s) for iv in seizures]
+    starts, labels = [], []
+    for i in range(n_epochs):
+        start = i * epoch_len_s
+        end = start + epoch_len_s
+        if overlaps(start, end, ictal):
+            continue
+        starts.append(start)
+        labels.append(1 if overlaps(start, end, preictal) else 0)
+    return starts, labels
+
+
+# Multiples of 1/4 s make seizure and horizon edges touch epoch edges often.
+_QUARTERS = st.integers(0, 200).map(lambda q: q / 4) | st.floats(0, 60)
+_LENGTHS = st.integers(1, 200).map(lambda q: q / 4) | st.floats(0.01, 60)
+
+
+@settings(deadline=None)
+@given(
+    duration=st.integers(1, 40),
+    epoch_len_s=st.sampled_from([0.25, 0.5, 0.75, 1.0, 2.0, 2.5]),
+    seizures=st.lists(st.tuples(_QUARTERS, _LENGTHS), max_size=4),
+    horizon_s=_LENGTHS,
+)
+def test_label_prediction_matches_reference_loop(duration, epoch_len_s, seizures, horizon_s):
+    # Seizures may overlap one another and run past the end of the file.
+    rec = make_recording(duration)
+    rec.signals[0][:] = np.arange(len(rec.signals[0]), dtype=float)
+    epochs = slice_epochs(rec, epoch_len_s=epoch_len_s)
+    intervals = [seizure(start, start + length) for start, length in seizures]
+    out = label_prediction(epochs, intervals, horizon_s=horizon_s)
+    starts, labels = _reference_label_prediction(len(epochs), epoch_len_s, intervals, horizon_s)
+    assert out.epochs.starts.tolist() == starts
+    assert out.labels.tolist() == labels
+    window = epochs.samples.shape[2]
+    kept = (out.epochs.starts / epoch_len_s).round().astype(int)
+    assert np.array_equal(out.epochs.samples[:, 0, 0], kept * window)
 
 
 def test_denoise_default_is_identity():

@@ -5,6 +5,7 @@ import re
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from seizurekit import (
     DataError,
-    Epoch,
+    Epochs,
     FeatureMatrix,
     Scaler,
     apply_scaler,
@@ -22,16 +23,20 @@ from seizurekit import (
     read_feature_csv,
     write_feature_csv,
 )
+from seizurekit import features
 from seizurekit.features import csv_header
 
 
-def epoch(samples, patient="P01", file_name="a.edf", start=0.0):
-    return Epoch(
-        patient_id=patient,
-        file_name=file_name,
-        start_s=start,
-        duration_s=2.0,
+def epochs(samples, patients=None, files=None, starts=None):
+    """Epochs of the given (n, channels, window) samples; by default all of
+    patient P01 and file a.edf, 2 s apart from 0 s."""
+    n = len(samples)
+    return Epochs(
         samples=np.asarray(samples, dtype=np.float64),
+        patients=np.array(patients or ["P01"] * n, dtype=object),
+        files=np.array(files or ["a.edf"] * n, dtype=object),
+        starts=np.array(starts or [2.0 * i for i in range(n)], dtype=np.float64),
+        duration_s=2.0,
     )
 
 
@@ -47,7 +52,7 @@ def fm(values, n=None):
 
 
 def test_known_channel_statistics():
-    m = extract_features([epoch([[1.0, 2.0, 3.0, 4.0]])])
+    m = extract_features(epochs([[[1.0, 2.0, 3.0, 4.0]]]))
     row = m.values[0]
     assert row[0] == 2.5
     assert row[1] == 4.0
@@ -56,13 +61,13 @@ def test_known_channel_statistics():
 
 
 def test_constant_channel_has_zero_std():
-    m = extract_features([epoch([[7.0, 7.0, 7.0]])])
+    m = extract_features(epochs([[[7.0, 7.0, 7.0]]]))
     assert m.values[0].tolist() == [7.0, 7.0, 7.0, 0.0]
 
 
 def test_feature_layout_is_four_per_channel():
     samples = np.array([[1.0, 3.0], [10.0, 20.0], [-1.0, 1.0]])
-    m = extract_features([epoch(samples)])
+    m = extract_features(epochs([samples]))
     assert m.n_dims == 12
     # channel blocks appear in channel order: mean, max, min, std
     assert m.values[0][:4].tolist() == [2.0, 3.0, 1.0, 1.0]
@@ -71,13 +76,13 @@ def test_feature_layout_is_four_per_channel():
 
 def test_23_channels_give_92_dims():
     rng = np.random.default_rng(0)
-    m = extract_features([epoch(rng.normal(size=(23, 8)))])
+    m = extract_features(epochs([rng.normal(size=(23, 8))]))
     assert m.values.shape == (1, 92)
 
 
 def test_pool_channels_gives_four_dims():
     samples = np.array([[0.0, 2.0], [4.0, 6.0]])
-    m = extract_features([epoch(samples)], pool_channels=True)
+    m = extract_features(epochs([samples]), pool_channels=True)
     assert m.values.shape == (1, 4)
     assert m.values[0][0] == 3.0  # mean over all samples of all channels
     assert m.values[0][1] == 6.0
@@ -85,10 +90,9 @@ def test_pool_channels_gives_four_dims():
 
 
 def test_feature_metadata_follows_epochs():
-    eps = [
-        epoch([[0.0, 1.0]], patient="A", file_name="x.edf", start=0.0),
-        epoch([[2.0, 3.0]], patient="B", file_name="y.edf", start=2.0),
-    ]
+    eps = epochs(
+        [[[0.0, 1.0]], [[2.0, 3.0]]], patients=["A", "B"], files=["x.edf", "y.edf"], starts=[0.0, 2.0]
+    )
     m = extract_features(eps)
     assert list(m.patients) == ["A", "B"]
     assert list(m.files) == ["x.edf", "y.edf"]
@@ -100,8 +104,8 @@ def test_translation_shifts_mean_max_min_only():
     for _ in range(20):
         samples = rng.normal(size=(3, 16))
         shift = float(rng.uniform(-5, 5))
-        a = extract_features([epoch(samples)]).values[0]
-        b = extract_features([epoch(samples + shift)]).values[0]
+        a = extract_features(epochs([samples])).values[0]
+        b = extract_features(epochs([samples + shift])).values[0]
         for c in range(3):
             assert b[4 * c + 0] == pytest.approx(a[4 * c + 0] + shift)
             assert b[4 * c + 1] == pytest.approx(a[4 * c + 1] + shift)
@@ -111,12 +115,51 @@ def test_translation_shifts_mean_max_min_only():
 
 def test_single_sample_epoch_rejected():
     with pytest.raises(DataError):
-        extract_features([epoch([[5.0]])])
+        extract_features(epochs([[[5.0]]]))
 
 
 def test_empty_epoch_list_gives_empty_matrix():
-    m = extract_features([])
+    m = extract_features(epochs(np.zeros((0, 3, 4))))
     assert m.values.shape == (0, 0)
+
+
+def _reference_extract_features(eps, pool_channels=False):
+    """The per-epoch loop extract_features was written with."""
+    if not len(eps):
+        return np.zeros((0, 0))
+    rows = []
+    for samples in eps.samples:
+        data = samples.reshape(1, -1) if pool_channels else samples
+        stats = np.stack(
+            [data.mean(axis=1), data.max(axis=1), data.min(axis=1), data.std(axis=1)], axis=1
+        )
+        rows.append(stats.reshape(-1))
+    return np.stack(rows).astype(np.float64)
+
+
+@st.composite
+def epoch_arrays(draw):
+    """(n, C, W) samples with C in 1..5 and W in 2..40; some channels constant."""
+    n, c, w = draw(st.integers(0, 6)), draw(st.integers(1, 5)), draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    samples = draw(st.sampled_from([0.0, 1e-3, 1e3])) + scale * rng.standard_normal((n, c, w))
+    constant = np.array(draw(st.lists(st.booleans(), min_size=c, max_size=c)))
+    samples[:, constant, :] = samples[:, constant, :1]
+    return samples
+
+
+@settings(deadline=None)
+@given(epoch_arrays(), st.booleans(), st.sampled_from([1, 200, 1000, 1 << 20]))
+def test_extract_features_matches_reference_loop(samples, pool_channels, block_bytes):
+    eps = epochs(samples)
+    with mock.patch.object(features, "_BLOCK_BYTES", block_bytes):
+        m = extract_features(eps, pool_channels=pool_channels)
+    expected = _reference_extract_features(eps, pool_channels)
+    assert m.values.dtype == np.float64
+    assert m.values.shape == expected.shape
+    assert m.values.tobytes() == expected.tobytes()
+    assert m.starts is eps.starts and m.patients is eps.patients and m.files is eps.files
 
 
 def test_scaler_known_columns():
@@ -300,6 +343,18 @@ def test_csv_digit_separators_are_rejected(tmp_path, cell):
         path = write_lines(tmp_path / "f.csv", [csv_header(1), row])
         with rejected_at(path, 2):
             read_feature_csv(path)
+
+
+@pytest.mark.parametrize("name", ["P,1", "P\n1", "P\r1", "a,b.edf"])
+@pytest.mark.parametrize("field", ["patients", "files"])
+def test_csv_names_with_comma_or_line_break_are_refused(tmp_path, field, name):
+    m = fm([[1.0], [2.0]])
+    names = getattr(m, field).copy()
+    names[1] = name
+    path = tmp_path / "bad.csv"
+    with pytest.raises(DataError, match="comma or line break"):
+        write_feature_csv(FeatureMatrix(**{**vars(m), field: names}), np.array([0, 1]), path)
+    assert not path.exists()
 
 
 def test_csv_hash_in_names_is_data(tmp_path):
