@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -398,6 +399,21 @@ def cmd_ingest(args) -> int:
 
 # ---------------------------------------------------------------- featurize
 
+def _store_epoch_len(info_path: Path) -> float:
+    """The epoch length in seconds that store_info.json records, or DataError."""
+    try:
+        # Integers parse as floats, so a huge one reads as inf, not an int.
+        info = json.loads(read_utf8(info_path), parse_int=float)
+    except ValueError as exc:
+        raise DataError(f"{info_path}: invalid JSON: {exc}") from None
+    value = info.get("epoch_len_s") if isinstance(info, dict) else None
+    if not has_type(value, float) or not 0 < value < math.inf:
+        raise DataError(
+            f"{info_path}: epoch_len_s must be a positive finite number, got {value!r}"
+        )
+    return value
+
+
 def cmd_featurize(args) -> int:
     opts, _ = _options(args)
     if not opts["store"]:
@@ -410,7 +426,7 @@ def cmd_featurize(args) -> int:
     for p in (epochs_path, meta_path, info_path):
         if not p.is_file():
             raise DataError(f"missing store file: {p}")
-    info = json.loads(info_path.read_text(encoding="utf-8"))
+    epoch_len_s = _store_epoch_len(info_path)
     meta, labels = read_feature_csv(meta_path)
     if meta.n_dims:
         raise DataError(f"{meta_path}: unexpected feature columns in the header")
@@ -422,7 +438,7 @@ def cmd_featurize(args) -> int:
         patients=meta.patients,
         files=meta.files,
         starts=meta.starts,
-        duration_s=float(info["epoch_len_s"]),
+        duration_s=epoch_len_s,
     )
     fm = extract_features(epochs, pool_channels=opts["pool_channels"])
     out = _out_dir(args)
@@ -484,6 +500,19 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _window_length(model, explicit: int | None, model_file) -> int:
+    """The window length to score a sequence model with: the one its file
+    records, which an explicit value must equal; else the explicit value,
+    else the option's default."""
+    recorded = model.sequence_length
+    if recorded is not None and explicit not in (None, recorded):
+        raise ConfigError(
+            f"sequence_length {explicit} differs from the {recorded} "
+            f"that the model in {model_file} was trained with"
+        )
+    return recorded or explicit or _MODEL["sequence_length"][1]
+
+
 def cmd_eval(args) -> int:
     opts, given = _options(args)
     model = load_model(args.model_file)
@@ -494,6 +523,9 @@ def cmd_eval(args) -> int:
             f"in {args.model_file}"
         )
     opts["model"] = name
+    if spec_for(model).sequential:
+        explicit = opts["sequence_length"] if "sequence_length" in given else None
+        opts["sequence_length"] = _window_length(model, explicit, args.model_file)
     cfg = _pipeline_config(opts, given, args.seed)
     fm, labels = read_feature_csv(args.features)
 
@@ -573,7 +605,11 @@ def cmd_predict(args) -> int:
     # A model uses an option when it has a default for it here.
     used = {
         "threshold": spec.defaults.get("threshold"),
-        "sequence_length": _MODEL["sequence_length"][1] if spec.sequential else None,
+        "sequence_length": (
+            _window_length(model, opts["sequence_length"], args.model_file)
+            if spec.sequential
+            else None
+        ),
     }
     for key, default in used.items():
         if opts[key] is None:

@@ -32,7 +32,7 @@ def model_from_dict(doc: dict):
         raise DataError(f"unknown model_type {mtype!r}")
     try:
         return spec.from_doc(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {mtype} model document: {exc!r}") from None
 
 

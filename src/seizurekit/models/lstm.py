@@ -30,6 +30,7 @@ class LstmParams:
     b_g: np.ndarray
     w_out: np.ndarray  # (h,)
     b_out: float
+    sequence_length: int | None = None  # the window length T it was trained on, if known
 
     @property
     def hidden_dim(self) -> int:

@@ -14,7 +14,7 @@ so a wrapper installed on a module attribute sees every call.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -229,7 +229,6 @@ def _fit_svm(X, y, p, seed, val):
         gamma=float(gamma),
         tol=float(p["tol"]),
         max_passes=int(p["max_passes"]),
-        seed=seed,
     )
     return model, {}
 
@@ -252,6 +251,7 @@ def _svm_from_doc(doc):
         gamma=float(config["gamma"]),
         C=float(config["C"]),
         converged=bool(params.get("converged", True)),
+        n_iters=int(params.get("n_iters", 0)),
     )
 
 
@@ -267,6 +267,7 @@ _SVM = ModelSpec(
             "alphas": m.alphas.tolist(),
             "labels": m.labels.tolist(),
             "bias": m.bias,
+            "n_iters": m.n_iters,
             "converged": m.converged,
         },
         "config": {"C": m.C, "gamma": m.gamma},
@@ -290,13 +291,16 @@ def _fit_lstm(X, y, p, seed, val):
         patience=p["patience"],
     )
     best, history = lstm.lstm_train((X, y), val, train_cfg, params=params)
-    return best, {"epochs_run": len(history["train_loss"])}
+    return replace(best, sequence_length=X.shape[1]), {"epochs_run": len(history["train_loss"])}
 
 
 def _lstm_from_doc(doc):
     w = doc["weights"]
     weights = {name: np.array(w[name], dtype=np.float64) for name in lstm._FIELDS}
-    return lstm.LstmParams(**{**weights, "b_out": float(w["b_out"])})
+    T = doc["config"].get("sequence_length")  # absent from files that predate it
+    if T is not None and (type(T) is not int or T < 1):  # a bool is not a length
+        raise ValueError(f"sequence_length must be an int >= 1, got {T!r}")
+    return lstm.LstmParams(**{**weights, "b_out": float(w["b_out"])}, sequence_length=T)
 
 
 _LSTM = ModelSpec(
@@ -316,7 +320,7 @@ _LSTM = ModelSpec(
     to_doc=lambda m: {
         "dims": {"input_dim": m.input_dim, "hidden_dim": m.hidden_dim},
         "weights": {name: np.asarray(getattr(m, name)).tolist() for name in lstm._FIELDS},
-        "config": {},
+        "config": {} if m.sequence_length is None else {"sequence_length": m.sequence_length},
     },
     from_doc=_lstm_from_doc,
     sequential=True,

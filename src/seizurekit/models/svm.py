@@ -1,10 +1,15 @@
-"""RBF-kernel support vector machine trained by simplified SMO.
+"""RBF-kernel support vector machine trained by SMO.
 
-The dual problem is solved by pairwise coordinate ascent: scan every alpha,
-and when one violates its KKT condition beyond tol, pick a random partner,
-solve the two-variable subproblem analytically, and update the bias. A full
-scan with no updates means convergence; hitting max_passes first returns
-the current model with its ``converged`` flag cleared and a warning.
+The dual, max sum(alpha) - 1/2 sum_ij alpha_i alpha_j y_i y_j K_ij subject
+to 0 <= alpha <= C and sum(alpha * y) = 0, is solved two alphas at a time
+as in LIBSVM. The solver caches F = y - K (alpha * y), each label minus its
+margin without the bias (Platt 1998's error cache; F = -y * G for the dual
+gradient G). Each step takes i as the maximal violator and j by the
+second-order rule (Fan, Chen & Lin, JMLR 2005), solves the pair's
+subproblem analytically and updates F from rows i and j of K. The solver
+stops when the maximal-violating-pair gap is at most tol; a step budget
+reached first returns the current model with its ``converged`` flag
+cleared and a warning.
 """
 
 from __future__ import annotations
@@ -16,6 +21,9 @@ import numpy as np
 
 from ..errors import ConfigError, DataError
 
+# Curvature used in place of K_ii + K_jj - 2 K_ij <= 0 (LIBSVM's TAU).
+_TAU = 1e-12
+
 
 @dataclass(frozen=True)
 class SVMModel:
@@ -26,6 +34,7 @@ class SVMModel:
     gamma: float
     C: float
     converged: bool = True
+    n_iters: int = 0  # SMO steps taken
 
 
 def rbf_kernel(A, B, gamma: float) -> np.ndarray:
@@ -49,12 +58,14 @@ def svm_fit_smo(
     max_passes: int = 50,
     seed: int = 0,
 ) -> SVMModel:
-    """Fit the soft-margin RBF SVM dual with simplified SMO.
+    """Fit the soft-margin RBF SVM dual by SMO with second-order pair selection.
 
     Labels may arrive as {0, 1} (mapped to {-1, +1}) or already signed.
-    Every update keeps 0 <= alpha_i <= C and preserves sum(alpha_i * y_i)
-    = 0. Stops after a full pass changes nothing, or after max_passes
-    passes with a warning and converged=False.
+    Every step keeps 0 <= alpha_i <= C and sum(alpha_i * y_i) = 0. Stops
+    when the maximal-violating-pair gap is <= tol, or after
+    max_passes * ceil(n / 2) steps (about max_passes * n alpha updates)
+    with a warning and converged=False. Selection is deterministic, so seed
+    is unused; it is accepted for existing callers.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).copy()
@@ -77,83 +88,56 @@ def svm_fit_smo(
 
     n = len(X)
     K = rbf_kernel(X, X, gamma)
+    diag = K.diagonal().copy()
     alphas = np.zeros(n)
-    b = 0.0
-    rng = np.random.default_rng(seed)
-    converged = False
-
-    def f(i: int) -> float:
-        return float((alphas * y) @ K[:, i] + b)
-
-    for _ in range(max_passes):
-        num_changed = 0
-        for i in range(n):
-            E_i = f(i) - y[i]
-            if not (
-                (y[i] * E_i < -tol and alphas[i] < C)
-                or (y[i] * E_i > tol and alphas[i] > 0)
-            ):
-                continue
-            j = int(rng.integers(n - 1))
-            if j >= i:
-                j += 1
-            E_j = f(j) - y[j]
-            a_i_old, a_j_old = alphas[i], alphas[j]
-            if y[i] != y[j]:
-                L = max(0.0, a_j_old - a_i_old)
-                H = min(C, C + a_j_old - a_i_old)
-            else:
-                L = max(0.0, a_i_old + a_j_old - C)
-                H = min(C, a_i_old + a_j_old)
-            if L == H:
-                continue
-            eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-            if eta >= 0:
-                continue
-            a_j = a_j_old - y[j] * (E_i - E_j) / eta
-            a_j = min(H, max(L, a_j))
-            if abs(a_j - a_j_old) < 1e-5:
-                continue
-            a_i = a_i_old + y[i] * y[j] * (a_j_old - a_j)
-            alphas[i], alphas[j] = a_i, a_j
-            b1 = (
-                b
-                - E_i
-                - y[i] * (a_i - a_i_old) * K[i, i]
-                - y[j] * (a_j - a_j_old) * K[i, j]
-            )
-            b2 = (
-                b
-                - E_j
-                - y[i] * (a_i - a_i_old) * K[i, j]
-                - y[j] * (a_j - a_j_old) * K[j, j]
-            )
-            if 0 < a_i < C:
-                b = b1
-            elif 0 < a_j < C:
-                b = b2
-            else:
-                b = (b1 + b2) / 2.0
-            num_changed += 1
-        if num_changed == 0:
-            converged = True
+    F = y.copy()  # y - K (alpha * y) at alpha = 0
+    pos = y > 0
+    budget = max_passes * -(-n // 2)
+    steps = 0
+    while True:
+        # I_up holds the alphas that may move along +y, I_low along -y; a
+        # feasible alpha is optimal iff max F over I_up <= min F over I_low.
+        up = np.where(pos, alphas < C, alphas > 0)
+        low = np.where(pos, alphas > 0, alphas < C)
+        i = int(np.argmax(np.where(up, F, -np.inf)))
+        hi, lo = F[i], F[low].min()
+        converged = hi - lo <= tol
+        if converged or steps == budget:
             break
+        Ki = K[i]
+        gain = hi - F
+        curv = diag[i] + diag - 2.0 * Ki
+        curv[curv <= 0] = _TAU
+        j = int(np.argmin(np.where(low & (gain > 0), -gain * gain / curv, np.inf)))
+        # Move alpha_i by y_i t and alpha_j by -y_j t, t clipped to the box.
+        cap_i = C - alphas[i] if pos[i] else alphas[i]
+        cap_j = alphas[j] if pos[j] else C - alphas[j]
+        t = min(gain[j] / curv[j], cap_i, cap_j)
+        alphas[i] = (C if pos[i] else 0.0) if t == cap_i else alphas[i] + y[i] * t
+        alphas[j] = (0.0 if pos[j] else C) if t == cap_j else alphas[j] - y[j] * t
+        F -= t * (Ki - K[j])
+        steps += 1
 
     if not converged:
         warnings.warn(
-            f"SMO did not converge within {max_passes} passes; "
+            f"SMO did not converge within {budget} steps (max_passes={max_passes}); "
             "returning the current model",
             stacklevel=2,
         )
+    # A free vector sits on the margin, where the bias equals its F; with
+    # none free, any bias between hi and lo fits, so take the midpoint.
+    free = (alphas > 0) & (alphas < C)
+    bias = float(F[free].mean()) if free.any() else float(hi + lo) / 2.0
     support = alphas > 0
     return SVMModel(
         support_vectors=X[support].copy(),
         alphas=alphas[support].copy(),
         labels=y[support].copy(),
-        bias=b,
+        bias=bias,
         gamma=gamma,
         C=C,
-        converged=converged,
+        converged=bool(converged),
+        n_iters=steps,
     )
 
 

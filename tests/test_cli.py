@@ -661,6 +661,79 @@ def test_predict_lstm_window_offset(tmp_path, synth_dir):
     assert float(first[2]) == pytest.approx(8.0)  # window ends at the 5th epoch
 
 
+@pytest.fixture(scope="module")
+def lstm_at_5(tmp_path_factory, synth_dir):
+    """An lstm trained on synth_dir with windows of T = 5."""
+    root = tmp_path_factory.mktemp("lstm5")
+    cfg = root / "train.json"
+    cfg.write_text(json.dumps({
+        "model": "lstm", "sequence_length": 5, "model_params": {"hidden_dim": 4, "epochs": 1},
+    }), encoding="utf-8")
+    argv = ["train", "--features", str(synth_dir / "features.csv"), "--config", str(cfg)]
+    assert main([*argv, "--out", str(root / "train")]) == 0
+    return root / "train"
+
+
+def test_lstm_model_file_records_its_window_length(lstm_at_5):
+    doc = json.loads((lstm_at_5 / "model.json").read_text(encoding="utf-8"))
+    assert doc["config"] == {"sequence_length": 5}
+
+
+def _score_lstm(command, model, synth_dir, out, config=None):
+    argv = [command, "--features", str(synth_dir / "features.csv"), "--model", str(model)]
+    if config is not None:
+        path = out.parent / f"{out.name}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(path)]
+    return main([*argv, "--out", str(out)])
+
+
+@pytest.mark.parametrize("config", [None, {"sequence_length": 5}])
+def test_predict_and_eval_use_the_recorded_window_length(lstm_at_5, synth_dir, tmp_path, config):
+    model = lstm_at_5 / "model.json"
+    assert _score_lstm("predict", model, synth_dir, tmp_path / "pred", config) == 0
+    lines = (tmp_path / "pred" / "predictions.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + 6 * (120 - 5 + 1)
+    assert _score_lstm("eval", model, synth_dir, tmp_path / "eval", config) == 0
+    metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text(encoding="utf-8"))
+    report = json.loads((lstm_at_5 / "report.json").read_text(encoding="utf-8"))
+    assert metrics["n_test_rows"] == report["n_test_sequences"]
+    for key in ("tp", "fp", "tn", "fn", "auc"):
+        assert metrics[key] == report[key], key
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_a_window_length_other_than_the_recorded_one_exits_1(
+    lstm_at_5, synth_dir, tmp_path, capsys, command
+):
+    config = {"sequence_length": 10}
+    assert _score_lstm(command, lstm_at_5 / "model.json", synth_dir, tmp_path / "o", config) == 1
+    assert "sequence_length 10 differs from the 5" in capsys.readouterr().err
+
+
+def test_an_lstm_file_without_a_window_length_scores_at_10(lstm_at_5, synth_dir, tmp_path):
+    doc = json.loads((lstm_at_5 / "model.json").read_text(encoding="utf-8"))
+    del doc["config"]["sequence_length"]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert _score_lstm("predict", model, synth_dir, tmp_path / "pred") == 0
+    lines = (tmp_path / "pred" / "predictions.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + 6 * (120 - 10 + 1)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"sequence_length": v} for v in (0, -1, 2.5, "5", True)] + [[]],
+)
+def test_a_malformed_recorded_window_length_exits_2(lstm_at_5, synth_dir, tmp_path, capsys, config):
+    doc = json.loads((lstm_at_5 / "model.json").read_text(encoding="utf-8"))
+    doc["config"] = config
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert _score_lstm("predict", model, synth_dir, tmp_path / "pred") == 2
+    assert "malformed lstm model document" in capsys.readouterr().err
+
+
 MISMATCH_PARAMS = {
     "knn": {"k": 3},
     "logreg": {"max_iters": 30},
@@ -1116,6 +1189,44 @@ def test_featurize_meta_with_feature_columns_exits_2(edf_store, tmp_path, capsys
     rc = main(["featurize", "--store", str(store), "--out", str(tmp_path / "feat")])
     assert rc == 2
     assert f"{store / 'meta.csv'}: unexpected feature columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "info, message",
+    [
+        (b'{"epoch_len_s": 2.0,\n "task": "d\xe9tection"}', ":2: not UTF-8"),
+        (b'{"epoch_len_s": 2.0,', ": invalid JSON"),
+        (b'{"task": "detection"}', ": epoch_len_s must be a positive finite number, got None"),
+        (b"[2.0]", ": epoch_len_s must be a positive finite number, got None"),
+        (b'{"epoch_len_s": 0}', ": epoch_len_s must be a positive finite number, got 0.0"),
+        (b'{"epoch_len_s": -2.0}', ": epoch_len_s must be a positive finite number, got -2.0"),
+        (b'{"epoch_len_s": NaN}', ": epoch_len_s must be a positive finite number, got nan"),
+        (b'{"epoch_len_s": Infinity}', ": epoch_len_s must be a positive finite number, got inf"),
+        (b'{"epoch_len_s": 1' + b"0" * 400 + b"}", ": epoch_len_s must be a positive finite number, got inf"),
+        (b'{"epoch_len_s": "2.0"}', ": epoch_len_s must be a positive finite number, got '2.0'"),
+        (b'{"epoch_len_s": true}', ": epoch_len_s must be a positive finite number, got True"),
+    ],
+    ids=[
+        "not-utf8", "not-json", "no-key", "not-an-object", "zero", "negative", "nan",
+        "infinity", "huge-integer", "string", "bool",
+    ],
+)
+def test_featurize_malformed_store_info_exits_2(edf_store, tmp_path, capsys, info, message):
+    store = _store_copy(edf_store, tmp_path, lambda lines: lines)
+    (store / "store_info.json").write_bytes(info)
+    rc = main(["featurize", "--store", str(store), "--out", str(tmp_path / "feat")])
+    assert rc == 2
+    assert f"{store / 'store_info.json'}{message}" in capsys.readouterr().err
+
+
+def test_featurize_reads_an_integer_epoch_length(edf_store, tmp_path):
+    store = _store_copy(edf_store, tmp_path, lambda lines: lines)
+    info = json.loads((store / "store_info.json").read_text(encoding="utf-8"))
+    (store / "store_info.json").write_text(json.dumps({**info, "epoch_len_s": 2}), encoding="utf-8")
+    assert main(["featurize", "--store", str(store), "--out", str(tmp_path / "int")]) == 0
+    assert main(["featurize", "--store", str(edf_store[1]), "--out", str(tmp_path / "float")]) == 0
+    features = [(tmp_path / d / "features.csv").read_bytes() for d in ("int", "float")]
+    assert features[0] == features[1]
 
 
 def test_featurize_empty_meta_exits_2(edf_store, tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""RBF-kernel SVM fitted with simplified sequential minimal optimization."""
+"""RBF-kernel SVM fitted by SMO with second-order working-set selection."""
 
+import json
 import tracemalloc
 import warnings
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seizurekit import ConfigError, DataError
+from seizurekit.cli import main
 from seizurekit.models import (
     LogRegConfig,
     logreg_fit,
@@ -182,3 +184,153 @@ def test_bad_input_rejected():
         svm_fit_smo(XOR_X, np.array([0, 1, 2, 1]))
     with pytest.raises(DataError):
         svm_fit_smo(np.zeros((0, 2)), np.zeros(0))
+
+
+def test_model_records_steps_and_convergence():
+    model = svm_fit_smo(XOR_X, XOR_Y, C=10.0, gamma=2.0)
+    assert model.converged and model.n_iters > 0
+    rng = np.random.default_rng(6)
+    X, y = rng.normal(size=(60, 2)), rng.integers(0, 2, size=60)
+    with pytest.warns(UserWarning, match="converge"):
+        capped = svm_fit_smo(X, y, C=1.0, gamma=1.0, max_passes=1)
+    assert capped.n_iters == 30  # max_passes * ceil(n / 2) steps
+
+
+def reference_simplified_smo(X, y, C, gamma, tol=1e-3, max_passes=50, seed=0):
+    """The simplified SMO this solver replaced: a random partner per KKT
+    violator, and a bias updated per step. Returns (alphas over all rows, y
+    in {-1, +1}, converged)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = 2.0 * np.asarray(y, dtype=np.float64) - 1.0
+    n = len(X)
+    K = rbf_kernel(X, X, gamma)
+    alphas = np.zeros(n)
+    b = 0.0
+    rng = np.random.default_rng(seed)
+
+    def f(i):
+        return float((alphas * y) @ K[:, i] + b)
+
+    for _ in range(max_passes):
+        num_changed = 0
+        for i in range(n):
+            E_i = f(i) - y[i]
+            if not ((y[i] * E_i < -tol and alphas[i] < C) or (y[i] * E_i > tol and alphas[i] > 0)):
+                continue
+            j = int(rng.integers(n - 1))
+            if j >= i:
+                j += 1
+            E_j = f(j) - y[j]
+            a_i_old, a_j_old = alphas[i], alphas[j]
+            if y[i] != y[j]:
+                L, H = max(0.0, a_j_old - a_i_old), min(C, C + a_j_old - a_i_old)
+            else:
+                L, H = max(0.0, a_i_old + a_j_old - C), min(C, a_i_old + a_j_old)
+            eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
+            if L == H or eta >= 0:
+                continue
+            a_j = min(H, max(L, a_j_old - y[j] * (E_i - E_j) / eta))
+            if abs(a_j - a_j_old) < 1e-5:
+                continue
+            a_i = a_i_old + y[i] * y[j] * (a_j_old - a_j)
+            alphas[i], alphas[j] = a_i, a_j
+            b1 = b - E_i - y[i] * (a_i - a_i_old) * K[i, i] - y[j] * (a_j - a_j_old) * K[i, j]
+            b2 = b - E_j - y[i] * (a_i - a_i_old) * K[i, j] - y[j] * (a_j - a_j_old) * K[j, j]
+            b = b1 if 0 < a_i < C else b2 if 0 < a_j < C else (b1 + b2) / 2.0
+            num_changed += 1
+        if num_changed == 0:
+            return alphas, y, True
+    return alphas, y, False
+
+
+def dual_objective(alphas, y, K) -> float:
+    v = alphas * y
+    return float(alphas.sum() - 0.5 * v @ K @ v)
+
+
+def all_alphas(model, X, y):
+    """The model's alphas spread back over the training rows. Support rows
+    keep their training order, so each is matched to the next equal row
+    with its label; between identical rows any match gives the same F."""
+    out = np.zeros(len(X))
+    k = 0
+    for t in range(len(X)):
+        if k < len(model.alphas) and y[t] == model.labels[k] and np.array_equal(
+            X[t], model.support_vectors[k]
+        ):
+            out[t] = model.alphas[k]
+            k += 1
+    assert k == len(model.alphas)
+    return out
+
+
+def violating_pair_gap(alphas, y, K, C) -> float:
+    """max F over I_up minus min F over I_low, with F = y - K (alpha y)
+    computed from the alphas alone."""
+    F = y - K @ (alphas * y)
+    pos = y > 0
+    up = np.where(pos, alphas < C, alphas > 0)
+    low = np.where(pos, alphas > 0, alphas < C)
+    return float(F[up].max() - F[low].min())
+
+
+@st.composite
+def small_problems(draw):
+    n = draw(st.integers(4, 40))
+    d = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)).round(draw(st.integers(0, 3)))
+    copies = draw(st.integers(0, n // 2))
+    X[:copies] = X[n - copies:]  # duplicate rows, with labels that may differ
+    y = rng.integers(0, 2, size=n)
+    y[:2] = (0, 1)
+    C = draw(st.sampled_from([0.01, 0.1, 1.0, 10.0, 100.0]))
+    gamma = draw(st.sampled_from([0.1, 1.0, 5.0]))
+    return X, y, C, gamma
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_problems(), st.sampled_from([1e-3, 1e-2]))
+def test_solver_is_feasible_converges_and_is_no_worse_than_simplified_smo(problem, tol):
+    X, y, C, gamma = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = svm_fit_smo(X, y, C=C, gamma=gamma, tol=tol, max_passes=200)
+    assert np.all(model.alphas > 0) and np.all(model.alphas <= C)
+    assert abs(float(model.alphas @ model.labels)) < 1e-9
+    assert model.n_iters <= 200 * -(-len(X) // 2)
+    if not model.converged:
+        return
+    signed = 2.0 * y - 1.0
+    alphas = all_alphas(model, X, signed)
+    K = rbf_kernel(X, X, gamma)
+    assert violating_pair_gap(alphas, signed, K, C) <= tol
+    ref_alphas, ref_y, _ = reference_simplified_smo(X, y, C, gamma, tol=tol)
+    assert dual_objective(alphas, signed, K) >= dual_objective(ref_alphas, ref_y, K) - tol * C * len(X)
+
+
+@pytest.fixture(scope="module")
+def default_size_svm_run(tmp_path_factory):
+    """A holdout svm run on a 23 x 300 synthetic set (92 feature dims) at C 0.1."""
+    root = tmp_path_factory.mktemp("svm300")
+    assert main(["synth", "--epochs-per-patient", "300", "--seed", "0", "--out", str(root / "data")]) == 0
+    cfg = root / "svm.json"
+    cfg.write_text(json.dumps({"model": "svm", "model_params": {"C": 0.1, "max_passes": 30}}), encoding="utf-8")
+    argv = ["train", "--features", str(root / "data" / "features.csv"), "--config", str(cfg)]
+    assert main([*argv, "--out", str(root / "a")]) == 0
+    assert main([*argv, "--out", str(root / "b")]) == 0
+    return root
+
+
+def test_default_size_holdout_svm_converges(default_size_svm_run):
+    doc = json.loads((default_size_svm_run / "a" / "model.json").read_text(encoding="utf-8"))
+    assert doc["params"]["converged"] is True
+    assert 0 < doc["params"]["n_iters"] <= 30 * 1500
+    report = json.loads((default_size_svm_run / "a" / "report.json").read_text(encoding="utf-8"))
+    assert "warnings" not in report
+
+
+def test_svm_refit_writes_a_byte_identical_model_file(default_size_svm_run):
+    a, b = (default_size_svm_run / side / "model.json" for side in ("a", "b"))
+    assert a.read_bytes() == b.read_bytes()
