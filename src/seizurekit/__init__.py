@@ -24,6 +24,7 @@ from .epochs import (
     Epochs,
     LabeledEpochSet,
     SequenceDataset,
+    Windows,
     build_sequences,
     denoise,
     label_detection,
@@ -80,6 +81,7 @@ __all__ = [
     "SplitPlan",
     "SummaryError",
     "SynthConfig",
+    "Windows",
     "apply_scaler",
     "assert_patient_disjoint",
     "build_sequences",

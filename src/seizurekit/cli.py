@@ -537,14 +537,14 @@ def cmd_eval(args) -> int:
 
     scaler = fit_scaler(fm.take(train_idx))
     test_fm = apply_scaler(scaler, fm.take(test_idx))
-    inputs = model_inputs(cfg.spec, test_fm, labels[test_idx], cfg.sequence_length)
-    y_pred, scores = predict_and_score(model, inputs.X, cfg.threshold)
+    data = model_inputs(cfg.spec, test_fm, labels[test_idx], cfg.sequence_length)
+    y_pred, scores = predict_and_score(model, data.inputs, cfg.threshold)
 
-    report = metrics_report(inputs.y, y_pred, scores)
+    report = metrics_report(data.y, y_pred, scores)
     out = _out_dir(args)
     if "roc_points" in report:
         _write_roc_csv(out / "roc.csv", report.pop("roc_points"))
-    report["n_test_rows"] = int(len(inputs))
+    report["n_test_rows"] = int(len(data))
     report["test_patients"] = split["test_patients"]
     _write_json(out / "metrics.json", report)
     _write_manifest(
@@ -621,9 +621,9 @@ def cmd_predict(args) -> int:
     if args.scaler_file:
         fm = apply_scaler(load_scaler(args.scaler_file), fm)
 
-    inputs = model_inputs(spec, fm, np.zeros(fm.n_rows, dtype=np.int64), opts["sequence_length"])
-    classes, scores = predict_and_score(model, inputs.X, opts["threshold"])
-    rows = zip(inputs.patients, inputs.files, inputs.starts, scores, classes)
+    data = model_inputs(spec, fm, np.zeros(fm.n_rows, dtype=np.int64), opts["sequence_length"])
+    classes, scores = predict_and_score(model, data.inputs, opts["threshold"])
+    rows = zip(data.patients, data.files, data.starts, scores, classes)
 
     out = _out_dir(args)
     with open(out / "predictions.csv", "w", encoding="utf-8", newline="\n") as fh:

@@ -244,22 +244,51 @@ def label_prediction(
 
 
 @dataclass(frozen=True)
-class SequenceDataset:
-    """Windows of consecutive epoch-feature rows for sequence models.
+class Windows:
+    """Sequence windows held as row indices: window i is the (T, d) array
+    ``rows[idx[i]]``. A window costs T integers instead of T copied rows,
+    and indexing (a mask or index array) selects windows without copying
+    any row."""
 
-    ``X[i]`` is T consecutive feature rows from one file; ``y[i]`` is the
-    label of the window's last epoch, and the metadata arrays describe that
-    last epoch.
+    rows: np.ndarray  # (n_rows, d)
+    idx: np.ndarray  # (n_windows, T) integer
+
+    def __len__(self) -> int:
+        return len(self.idx)
+
+    def __getitem__(self, key) -> "Windows":
+        return Windows(self.rows, self.idx[key])
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(n_windows, T, d), the shape of the windows as one array."""
+        return (*self.idx.shape, self.rows.shape[1])
+
+
+@dataclass(frozen=True)
+class SequenceDataset:
+    """Model inputs, each with its label and the identity of its row.
+
+    ``inputs`` is what a model reads: from build_sequences, a Windows whose
+    window i is T consecutive feature rows from one file; for a row model,
+    the feature rows themselves. ``y[i]`` is the label of input i (of a
+    window's last epoch), and the metadata arrays describe that row.
     """
 
-    X: np.ndarray  # (n_windows, T, d)
-    y: np.ndarray  # (n_windows,)
+    inputs: "Windows | np.ndarray"
+    y: np.ndarray  # (n_inputs,)
     patients: np.ndarray
     files: np.ndarray
     starts: np.ndarray
 
     def __len__(self) -> int:
         return len(self.y)
+
+    @property
+    def X(self) -> np.ndarray:
+        """The inputs as one array; windows are copied out as (n_windows, T, d)."""
+        w = self.inputs
+        return w.rows[w.idx] if isinstance(w, Windows) else w
 
 
 def build_sequences(
@@ -272,7 +301,8 @@ def build_sequences(
     epoch length is the smallest positive start step within any file; a
     step off it by more than a relative 1e-6 is a gap. No window spans a gap
     or a file boundary. Windows come file by file in order of first
-    appearance, then in time order; each is labeled as its last epoch.
+    appearance, then in time order; each is labeled as its last epoch. They
+    are row indices into ``features.values``, which is not copied.
     """
     if T < 1:
         raise ConfigError(f"sequence length must be >= 1, got {T}")
@@ -305,7 +335,7 @@ def build_sequences(
     idx = order[first_pos[:, None] + np.arange(T)]
     last = idx[:, -1]
     return SequenceDataset(
-        X=features.values[idx],
+        inputs=Windows(features.values, idx),
         y=labels[last].astype(np.int64),
         patients=features.patients[last].astype(object),
         files=features.files[last].astype(object),

@@ -6,6 +6,12 @@ o*tanh(c_t), with h_0 = c_0 = 0. A sigmoid head on the final hidden state
 gives the positive-class probability. Gradients of the mean binary
 cross-entropy are computed by exact backpropagation through time and
 clipped by global norm before each SGD step.
+
+Windows arrive as ``epochs.Windows`` (feature rows plus a row-index matrix)
+or as an (N, T, d) array, which is viewed as N*T rows indexed by
+arange(N*T).reshape(N, T); either way step t reads ``rows[idx[:, t]]``.
+Only backprop keeps each step's activations: a pass that only scores
+windows holds the running h and c.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..epochs import Windows
 from ..errors import ConfigError, DataError
 from .logistic import sigmoid
 
@@ -66,17 +73,34 @@ def init_params(input_dim: int, hidden_dim: int = 64, seed: int = 0) -> LstmPara
     )
 
 
-def _forward_batch(p: LstmParams, seqs: np.ndarray):
-    """Run the recurrence over a (N, T, d) batch; cache all activations."""
+def _as_windows(seqs, what: str) -> Windows:
+    """seqs as Windows with float64 rows; an (N, T, d) array is not copied."""
+    if isinstance(seqs, Windows):
+        return Windows(np.asarray(seqs.rows, dtype=np.float64), np.asarray(seqs.idx))
+    seqs = np.asarray(seqs, dtype=np.float64)
+    if seqs.ndim != 3:
+        raise DataError(f"{what} must be a (N, T, d) array")
     N, T, d = seqs.shape
+    return Windows(seqs.reshape(N * T, d), np.arange(N * T).reshape(N, T))
+
+
+def _forward_batch(p: LstmParams, w: Windows, keep: bool):
+    """Run the recurrence over windows; (probabilities, cache).
+
+    With keep, the cache holds every step's activations for backprop;
+    without, it is None and only the running h and c are held.
+    """
+    N, T, d = w.shape
     h_dim = p.hidden_dim
     if d != p.input_dim:
         raise DataError(f"input dim {d} does not match parameters ({p.input_dim})")
     h = np.zeros((N, h_dim))
     c = np.zeros((N, h_dim))
-    cache = {"z": [], "i": [], "f": [], "o": [], "g": [], "c": [], "tanh_c": [], "h": [h]}
+    cache = None
+    if keep:
+        cache = {"z": [], "i": [], "f": [], "o": [], "g": [], "c": [], "tanh_c": [], "h": [h]}
     for t in range(T):
-        z = np.concatenate([seqs[:, t, :], h], axis=1)  # (N, d + h)
+        z = np.concatenate([w.rows[w.idx[:, t]], h], axis=1)  # (N, d + h)
         gi = sigmoid(z @ p.W_i.T + p.b_i)
         gf = sigmoid(z @ p.W_f.T + p.b_f)
         go = sigmoid(z @ p.W_o.T + p.b_o)
@@ -84,12 +108,13 @@ def _forward_batch(p: LstmParams, seqs: np.ndarray):
         c = gf * c + gi * gg
         tanh_c = np.tanh(c)
         h = go * tanh_c
-        for key, val in (
-            ("z", z), ("i", gi), ("f", gf), ("o", go), ("g", gg),
-            ("c", c), ("tanh_c", tanh_c), ("h", h),
-        ):
-            cache[key].append(val)
-    logits = cache["h"][-1] @ p.w_out + p.b_out
+        if keep:
+            for key, val in (
+                ("z", z), ("i", gi), ("f", gf), ("o", go), ("g", gg),
+                ("c", c), ("tanh_c", tanh_c), ("h", h),
+            ):
+                cache[key].append(val)
+    logits = h @ p.w_out + p.b_out
     probs = sigmoid(logits)
     return probs, cache
 
@@ -101,7 +126,7 @@ def lstm_forward(p: LstmParams, seq) -> tuple[float, dict]:
         raise DataError("sequence must be a (T, d) array")
     if seq.shape[0] < 1:
         raise DataError("sequence must have at least one step")
-    probs, cache = _forward_batch(p, seq[None, :, :])
+    probs, cache = _forward_batch(p, _as_windows(seq[None, :, :], "sequence"), keep=True)
     return float(probs[0]), cache
 
 
@@ -111,21 +136,21 @@ def lstm_grad(
     labels,
     clip_norm: float | None = 5.0,
 ) -> tuple[dict, float]:
-    """Exact BPTT gradients of the mean BCE over a (N, T, d) batch.
+    """Exact BPTT gradients of the mean BCE over a batch of windows.
 
     clip_norm rescales the whole gradient when its global L2 norm exceeds
     the limit; pass None to disable (finite-difference checks need the raw
     gradient).
     """
-    seqs = np.asarray(seqs, dtype=np.float64)
+    seqs = _as_windows(seqs, "batch")
     labels = np.asarray(labels, dtype=np.float64)
-    if seqs.ndim != 3 or len(seqs) == 0:
+    if len(seqs) == 0:
         raise DataError("batch must be a nonempty (N, T, d) array")
     if len(labels) != len(seqs):
         raise DataError(f"{len(labels)} labels for {len(seqs)} sequences")
 
     N, T, d = seqs.shape
-    probs, cache = _forward_batch(p, seqs)
+    probs, cache = _forward_batch(p, seqs, keep=True)
     per_seq = -(labels * np.log(np.maximum(probs, 1e-300))
                 + (1 - labels) * np.log(np.maximum(1 - probs, 1e-300)))
     if not np.isfinite(per_seq).all():
@@ -218,7 +243,7 @@ class LstmTrainConfig:
 
 
 def _mean_loss(p: LstmParams, seqs, labels) -> float:
-    probs, _ = _forward_batch(p, np.asarray(seqs, dtype=np.float64))
+    probs, _ = _forward_batch(p, _as_windows(seqs, "sequences"), keep=False)
     labels = np.asarray(labels, dtype=np.float64)
     per = -(labels * np.log(np.maximum(probs, 1e-300))
             + (1 - labels) * np.log(np.maximum(1 - probs, 1e-300)))
@@ -233,14 +258,15 @@ def lstm_train(
 ) -> tuple[LstmParams, dict]:
     """Mini-batch SGD over seeded shuffles; keeps the best-validation params.
 
-    train and val are (seqs, labels) pairs; val may be None, in which case
+    train and val are (windows, labels) pairs, the windows a Windows or an
+    (N, T, d) array; val may be None, in which case
     the training loss drives best-epoch selection and early stopping.
     Returns (best parameters, history dict with per-epoch losses).
     """
     seqs, labels = train
-    seqs = np.asarray(seqs, dtype=np.float64)
+    seqs = _as_windows(seqs, "training set")
     labels = np.asarray(labels, dtype=np.float64)
-    if seqs.ndim != 3 or len(seqs) == 0:
+    if len(seqs) == 0:
         raise DataError("training set must be a nonempty (N, T, d) array")
     rng = np.random.default_rng(cfg.seed)
     if params is None:
@@ -282,10 +308,8 @@ def lstm_predict(
     p: LstmParams, seqs, threshold: float = 0.5
 ) -> tuple[np.ndarray, np.ndarray]:
     """(classes, probabilities); class 1 iff probability >= threshold."""
-    seqs = np.asarray(seqs, dtype=np.float64)
-    if seqs.ndim != 3:
-        raise DataError("sequences must be a (N, T, d) array")
+    seqs = _as_windows(seqs, "sequences")
     if len(seqs) == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
-    probs, _ = _forward_batch(p, seqs)
+    probs, _ = _forward_batch(p, seqs, keep=False)
     return (probs >= threshold).astype(np.int64), probs

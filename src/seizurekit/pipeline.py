@@ -155,13 +155,13 @@ def model_inputs(
     """A model's inputs from scaled feature rows, each with the identity
     (patient, file, start) of the row it is scored as.
 
-    A sequence model reads length-T windows labelled by their last epoch;
-    every other model reads the rows themselves.
+    A sequence model reads length-T windows (row indices into fm.values)
+    labelled by their last epoch; every other model reads the rows themselves.
     """
     if spec.sequential:
         return build_sequences(fm, labels, sequence_length)
     return SequenceDataset(
-        X=fm.values,
+        inputs=fm.values,
         y=np.asarray(labels),
         patients=fm.patients,
         files=fm.files,
@@ -206,8 +206,11 @@ class RunResult:
     split: dict
 
 
-def _balance_by_duplication(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Duplicate minority windows cyclically until the classes are even."""
+def _balance_by_duplication(X, y: np.ndarray):
+    """Duplicate minority windows cyclically until the classes are even.
+
+    X is anything indexed by an index array (Windows duplicate indices, not rows).
+    """
     y = np.asarray(y)
     classes, counts = np.unique(y, return_counts=True)
     if len(classes) < 2 or counts.min() == counts.max():
@@ -216,7 +219,8 @@ def _balance_by_duplication(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, n
     idx = np.flatnonzero(y == minority)
     need = int(counts.max() - counts.min())
     extra = np.tile(idx, math.ceil(need / len(idx)))[:need]
-    return np.concatenate([X, X[extra]]), np.concatenate([y, y[extra]])
+    keep = np.concatenate([np.arange(len(y)), extra])
+    return X[keep], y[keep]
 
 
 def evaluate_split(
@@ -259,7 +263,7 @@ def evaluate_split(
         split: model_inputs(spec, scaled[split], split_labels[split], cfg.sequence_length)
         for split in scaled
     }
-    X_tr, y_tr = inputs["train"].X, inputs["train"].y
+    X_tr, y_tr = inputs["train"].inputs, inputs["train"].y
 
     cap = cfg.max_train_rows if cfg.max_train_rows is not None else spec.train_cap
     if cap is not None and len(X_tr) > cap:
@@ -285,12 +289,12 @@ def evaluate_split(
     else:
         counts = {"n_train_rows_used": int(len(X_tr)), "n_synthetic_train_rows": n_synth}
     held_out = inputs.get("val")
-    val = (held_out.X, held_out.y) if held_out is not None and len(held_out) else None
+    val = (held_out.inputs, held_out.y) if held_out is not None and len(held_out) else None
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         model, fit_report = spec.fit(X_tr, y_tr, cfg.params, cfg.seed, val)
-    y_pred, scores = predict_and_score(model, inputs["test"].X, cfg.threshold)
+    y_pred, scores = predict_and_score(model, inputs["test"].inputs, cfg.threshold)
 
     report = metrics_report(inputs["test"].y, y_pred, scores)
     report.update(split_info)

@@ -320,6 +320,30 @@ def test_train_rerun_is_byte_identical(tmp_path, synth_dir):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_lstm_train_and_predict_reruns_are_byte_identical(tmp_path, synth_dir):
+    cfg = tmp_path / "lstm.json"
+    cfg.write_text(
+        json.dumps({"model": "lstm", "model_params": {"hidden_dim": 4, "epochs": 2}}),
+        encoding="utf-8",
+    )
+    features = str(synth_dir / "features.csv")
+    for name in ("a", "b"):
+        train, pred = tmp_path / name / "train", tmp_path / name / "predict"
+        argv = ["train", "--features", features, "--config", str(cfg), "--seed", "3"]
+        assert main([*argv, "--out", str(train)]) == 0
+        assert main([
+            "predict", "--features", features, "--model", str(train / "model.json"),
+            "--scaler", str(train / "scaler.json"), "--out", str(pred),
+        ]) == 0
+    a, b = _tree_bytes(tmp_path / "a"), _tree_bytes(tmp_path / "b")
+    assert len(a) >= 7  # train: model, scaler, report, roc, manifest; predict: csv, manifest
+    assert a == b
+
+
 def test_contaminated_explicit_split_exits_3(tmp_path, synth_dir, capsys):
     cfg = tmp_path / "leaky.json"
     cfg.write_text(

@@ -1,9 +1,11 @@
 """LSTM recurrence, exact BPTT gradients, training, and prediction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from seizurekit import ConfigError, DataError
+from seizurekit import ConfigError, DataError, Windows
 from seizurekit.models import (
     LstmParams,
     LstmTrainConfig,
@@ -14,6 +16,7 @@ from seizurekit.models import (
     lstm_train,
 )
 from seizurekit.models.lstm import _FIELDS, _mean_loss
+from seizurekit.pipeline import _balance_by_duplication
 
 
 def zero_params(d=3, h=4):
@@ -224,3 +227,55 @@ def test_bad_input_rejected():
         LstmTrainConfig(patience=0)
     with pytest.raises(ConfigError):
         init_params(0)
+
+
+def overlapping_windows(n_rows=40, T=4, d=3, seed=12):
+    """Every length-T run of n_rows random rows as index windows, with an
+    imbalanced label per window."""
+    rows = np.random.default_rng(seed).normal(size=(n_rows, d))
+    idx = np.arange(n_rows - T + 1)[:, None] + np.arange(T)
+    return Windows(rows, idx), (rows[idx[:, -1], 0] > 0.8).astype(np.int64)
+
+
+def test_index_windows_train_and_score_bit_equal_to_copied_windows():
+    windows, labels = overlapping_windows()
+    balanced, y = _balance_by_duplication(windows, labels)
+    assert len(balanced) > len(windows)  # minority windows were duplicated
+    assert balanced.rows is windows.rows
+    val = (windows[::3], labels[::3])
+    cfg = LstmTrainConfig(learning_rate=0.1, epochs=3, batch_size=5, seed=2)
+
+    p_idx, h_idx = lstm_train((balanced, y), val, cfg)
+    p_arr, h_arr = lstm_train((balanced.rows[balanced.idx], y), (val[0].rows[val[0].idx], val[1]), cfg)
+    for k in _FIELDS:
+        assert np.array_equal(getattr(p_idx, k), getattr(p_arr, k)), k
+    assert h_idx == h_arr
+
+    classes, probs = lstm_predict(p_idx, windows)
+    classes_arr, probs_arr = lstm_predict(p_idx, windows.rows[windows.idx])
+    assert np.array_equal(probs, probs_arr)
+    assert np.array_equal(classes, classes_arr)
+
+
+def test_gradients_on_index_windows_equal_those_on_copied_windows():
+    windows, labels = overlapping_windows(n_rows=12, T=3)
+    p = init_params(3, hidden_dim=4, seed=5)
+    g_idx, loss_idx = lstm_grad(p, windows, labels)
+    g_arr, loss_arr = lstm_grad(p, windows.rows[windows.idx], labels)
+    assert loss_idx == loss_arr
+    for k in _FIELDS:
+        assert np.array_equal(g_idx[k], g_arr[k]), k
+
+
+def test_scoring_memory_does_not_grow_with_window_length():
+    n, d = 2000, 8
+    p = init_params(d, hidden_dim=8, seed=0)
+    peaks = {}
+    for T in (10, 40):
+        windows = Windows(np.ones((n + T, d)), np.arange(n)[:, None] + np.arange(T))
+        tracemalloc.start()
+        lstm_predict(p, windows)
+        peaks[T] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    # Kept activations would take 8 arrays of n rows per step: 4x at T = 40.
+    assert peaks[40] < 1.2 * peaks[10], peaks
