@@ -3,11 +3,12 @@
 The objective is the mean (optionally class-weighted) binary cross-entropy
 plus an L2 penalty (l2_lambda / 2) * ||w||^2 on the weights (not the bias).
 Training starts from zero parameters and stops when the gradient infinity
-norm drops below the tolerance or max_iters is reached.
+norm drops below the tolerance or, with a warning, when max_iters is reached.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,12 @@ def logreg_fit(X, y, config: LogRegConfig = LogRegConfig()) -> LogRegModel:
             break
         w = w - config.learning_rate * grad_w
         b = b - config.learning_rate * grad_b
+    if not converged:
+        warnings.warn(
+            f"logistic regression did not converge within {config.max_iters} iterations "
+            f"(tolerance={config.tolerance}); returning the current model",
+            stacklevel=2,
+        )
     return LogRegModel(weights=w, bias=b, config=config, n_iters=it, converged=converged)
 
 

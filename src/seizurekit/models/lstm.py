@@ -250,6 +250,18 @@ def _mean_loss(p: LstmParams, seqs, labels) -> float:
     return float(per.mean())
 
 
+def _labelled_windows(pair: tuple, name: str) -> tuple[Windows, np.ndarray]:
+    """A (windows, labels) pair checked to be nonempty with one label per window."""
+    seqs, labels = pair
+    seqs = _as_windows(seqs, f"{name} set")
+    labels = np.asarray(labels, dtype=np.float64)
+    if len(seqs) == 0:
+        raise DataError(f"{name} set must be a nonempty (N, T, d) array")
+    if labels.shape != (len(seqs),):
+        raise DataError(f"{name} labels of shape {labels.shape} for {len(seqs)} windows")
+    return seqs, labels
+
+
 def lstm_train(
     train: tuple,
     val: tuple | None,
@@ -259,26 +271,31 @@ def lstm_train(
     """Mini-batch SGD over seeded shuffles; keeps the best-validation params.
 
     train and val are (windows, labels) pairs, the windows a Windows or an
-    (N, T, d) array; val may be None, in which case
-    the training loss drives best-epoch selection and early stopping.
-    Returns (best parameters, history dict with per-epoch losses).
+    (N, T, d) array; val's windows must have the training windows' (T, d).
+    val may be None, in which case the training loss drives best-epoch
+    selection and early stopping. Returns the best parameters and a history
+    dict: per-epoch train_loss and val_loss lists, and best_epoch, the
+    epoch whose parameters were kept (0 for the initial ones).
     """
-    seqs, labels = train
-    seqs = _as_windows(seqs, "training set")
-    labels = np.asarray(labels, dtype=np.float64)
-    if len(seqs) == 0:
-        raise DataError("training set must be a nonempty (N, T, d) array")
+    seqs, labels = _labelled_windows(train, "training")
+    if val is not None:
+        val = _labelled_windows(val, "validation")
+        if val[0].shape[1:] != seqs.shape[1:]:
+            raise DataError(
+                f"validation windows of (T, d) = {val[0].shape[1:]} for training "
+                f"windows of {seqs.shape[1:]}"
+            )
     rng = np.random.default_rng(cfg.seed)
     if params is None:
         params = init_params(seqs.shape[2], seed=cfg.seed)
 
     monitor = val if val is not None else (seqs, labels)
-    history: dict = {"train_loss": [], "val_loss": []}
+    history: dict = {"train_loss": [], "val_loss": [], "best_epoch": 0}
     best = params
     best_loss = _mean_loss(params, *monitor)
     stale = 0
 
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(seqs))
         for lo in range(0, len(order), cfg.batch_size):
             batch = order[lo : lo + cfg.batch_size]
@@ -291,11 +308,12 @@ def lstm_train(
             updates["b_out"] = float(updates["b_out"])
             params = replace(params, **updates)
         history["train_loss"].append(_mean_loss(params, seqs, labels))
-        vloss = _mean_loss(params, *monitor)
+        vloss = history["train_loss"][-1] if val is None else _mean_loss(params, *monitor)
         history["val_loss"].append(vloss)
         if vloss < best_loss:
             best_loss = vloss
             best = params
+            history["best_epoch"] = epoch
             stale = 0
         else:
             stale += 1

@@ -291,7 +291,8 @@ def _fit_lstm(X, y, p, seed, val):
         patience=p["patience"],
     )
     best, history = lstm.lstm_train((X, y), val, train_cfg, params=params)
-    return replace(best, sequence_length=X.shape[1]), {"epochs_run": len(history["train_loss"])}
+    report = {"epochs_run": len(history["train_loss"]), **history}
+    return replace(best, sequence_length=X.shape[1]), report
 
 
 def _lstm_from_doc(doc):

@@ -75,8 +75,10 @@ def svm_fit_smo(
         raise DataError(f"{len(y)} labels for {len(X)} rows")
     if C <= 0:
         raise ConfigError(f"C must be positive, got {C}")
-    if gamma <= 0:
-        raise ConfigError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise ConfigError(f"gamma must be a finite number > 0, got {gamma}")
+    if not 0 < tol < np.inf:
+        raise ConfigError(f"tol must be a finite number > 0, got {tol}")
     if max_passes < 1:
         raise ConfigError(f"max_passes must be >= 1, got {max_passes}")
     if np.isin(y, (0, 1)).all():

@@ -1,5 +1,7 @@
 """Logistic regression: gradient correctness, convergence, numeric safety."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,16 @@ def test_bad_config_rejected():
         LogRegConfig(max_iters=-1)
     with pytest.raises(ConfigError):
         LogRegConfig(l2_lambda=-0.1)
+
+
+def test_reaching_max_iters_warns_and_converging_does_not():
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(30, 2))
+    y = (X[:, 0] > 0).astype(int)
+    with pytest.warns(UserWarning, match="did not converge within 3 iterations"):
+        capped = logreg_fit(X, y, LogRegConfig(max_iters=3))
+    assert not capped.converged and capped.n_iters == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        done = logreg_fit(X, y, LogRegConfig(l2_lambda=1.0, max_iters=5000, tolerance=1e-4))
+    assert done.converged

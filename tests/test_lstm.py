@@ -279,3 +279,20 @@ def test_scoring_memory_does_not_grow_with_window_length():
         tracemalloc.stop()
     # Kept activations would take 8 arrays of n rows per step: 4x at T = 40.
     assert peaks[40] < 1.2 * peaks[10], peaks
+
+
+@pytest.mark.parametrize(
+    "train_labels, val",
+    [
+        (np.zeros(5), None),  # one label short
+        (np.zeros(6), (np.zeros((3, 4, 3)), np.zeros(1))),  # one label for three windows
+        (np.zeros(6), (np.zeros((3, 4, 3)), np.zeros((3, 1)))),
+        (np.zeros(6), (np.zeros((3, 5, 3)), np.zeros(3))),  # T differs
+        (np.zeros(6), (np.zeros((3, 4, 2)), np.zeros(3))),  # d differs
+        (np.zeros(6), (np.zeros((0, 4, 3)), np.zeros(0))),
+    ],
+)
+def test_train_rejects_mismatched_labels_and_windows(train_labels, val):
+    cfg = LstmTrainConfig(epochs=1)
+    with pytest.raises(DataError):
+        lstm_train((np.zeros((6, 4, 3)), train_labels), val, cfg)

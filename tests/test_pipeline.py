@@ -182,6 +182,26 @@ def test_lstm_pipeline_runs(small_data):
     assert r["epochs_run"] == 2
 
 
+def test_lstm_report_shows_its_convergence(small_data):
+    fm, y = small_data
+    cfg = PipelineConfig(
+        model="lstm",
+        model_params={"hidden_dim": 4, "epochs": 3, "batch_size": 64, "learning_rate": 0.1},
+        sequence_length=5,
+    )
+    r = run_holdout(fm, y, cfg).report
+    assert len(r["train_loss"]) == len(r["val_loss"]) == r["epochs_run"] == 3
+    assert 0 <= r["best_epoch"] <= 3
+    if r["best_epoch"]:
+        assert r["val_loss"][r["best_epoch"] - 1] == min(r["val_loss"])
+
+
+def test_logreg_that_does_not_converge_says_so_in_the_report(small_data):
+    fm, y = small_data
+    capped = run_holdout(fm, y, config(model_params={"max_iters": 5})).report
+    assert any("did not converge within 5 iterations" in w for w in capped["warnings"])
+
+
 def test_unknown_model_and_params_rejected():
     with pytest.raises(ConfigError):
         PipelineConfig(model="mlp")

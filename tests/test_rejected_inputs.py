@@ -102,6 +102,16 @@ def test_lstm_rejects_smote_and_row_cap(runs, tmp_path, capsys, command, flags, 
     assert "lstm" in err and ("smote" in err or "max_train_rows" in err)
 
 
+@pytest.mark.parametrize("params", ['{"gamma": 1e400}', '{"tol": -1}'])
+def test_svm_gamma_or_tol_out_of_range_exits_1(runs, tmp_path, capsys, params):
+    _, features = runs
+    cfg = tmp_path / "svm.json"
+    cfg.write_text('{"model": "svm", "model_params": %s}' % params, encoding="utf-8")
+    argv = ["train", "--features", str(features), "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "must be a finite number > 0" in capsys.readouterr().err
+
+
 def test_lstm_rejects_the_leaky_row_split(runs, tmp_path, capsys):
     # A row-level split scatters each file's epochs, so every window would
     # be cut at the rows sent to the other splits.

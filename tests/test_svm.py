@@ -186,6 +186,14 @@ def test_bad_input_rejected():
         svm_fit_smo(np.zeros((0, 2)), np.zeros(0))
 
 
+@pytest.mark.parametrize(
+    "bad", [{"gamma": np.inf}, {"gamma": np.nan}, {"tol": -1.0}, {"tol": 0.0}, {"tol": np.nan}, {"tol": np.inf}]
+)
+def test_gamma_and_tol_must_be_finite_and_positive(bad):
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        svm_fit_smo(XOR_X, XOR_Y, **bad)
+
+
 def test_model_records_steps_and_convergence():
     model = svm_fit_smo(XOR_X, XOR_Y, C=10.0, gamma=2.0)
     assert model.converged and model.n_iters > 0
