@@ -146,8 +146,8 @@ def lstm_grad(
     labels = np.asarray(labels, dtype=np.float64)
     if len(seqs) == 0:
         raise DataError("batch must be a nonempty (N, T, d) array")
-    if len(labels) != len(seqs):
-        raise DataError(f"{len(labels)} labels for {len(seqs)} sequences")
+    if labels.shape != (len(seqs),):
+        raise DataError(f"labels of shape {labels.shape} for {len(seqs)} sequences")
 
     N, T, d = seqs.shape
     probs, cache = _forward_batch(p, seqs, keep=True)

@@ -296,3 +296,8 @@ def test_train_rejects_mismatched_labels_and_windows(train_labels, val):
     cfg = LstmTrainConfig(epochs=1)
     with pytest.raises(DataError):
         lstm_train((np.zeros((6, 4, 3)), train_labels), val, cfg)
+
+
+def test_grad_rejects_labels_that_would_broadcast():
+    with pytest.raises(DataError, match=r"shape \(2, 1\)"):
+        lstm_grad(zero_params(), np.zeros((2, 2, 3)), np.zeros((2, 1)))
