@@ -19,18 +19,18 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 import typing
 from pathlib import Path
 
 import numpy as np
 
+from .domains import check_params, has_type
 from .edf import parse_edf, parse_seizure_summary
+from .epochs import DOMAINS as INGEST_DOMAINS
 from .epochs import (
     Epochs,
     LabeledEpochSet,
-    check_highpass,
     denoise,
     label_detection,
     label_prediction,
@@ -52,7 +52,6 @@ from .models import MODELS, load_model, save_model, spec_for
 from .models.registry import DEFAULT_MODEL
 from .pipeline import (
     PipelineConfig,
-    has_type,
     metrics_report,
     model_inputs,
     patient_split,
@@ -314,8 +313,7 @@ def cmd_ingest(args) -> int:
         raise ConfigError("ingest needs --edf-dir (or edf_dir in the config file)")
     if opts["task"] not in ("detection", "prediction"):
         raise ConfigError(f"task must be detection or prediction, got {opts['task']!r}")
-    if opts["highpass_hz"] is not None:
-        check_highpass(opts["highpass_hz"])
+    check_params("ingest", {k: opts[k] for k in INGEST_DOMAINS}, INGEST_DOMAINS)
 
     d = Path(opts["edf_dir"])
     if not d.is_dir():
@@ -407,7 +405,7 @@ def _store_epoch_len(info_path: Path) -> float:
     except ValueError as exc:
         raise DataError(f"{info_path}: invalid JSON: {exc}") from None
     value = info.get("epoch_len_s") if isinstance(info, dict) else None
-    if not has_type(value, float) or not 0 < value < math.inf:
+    if value not in INGEST_DOMAINS["epoch_len_s"]:
         raise DataError(
             f"{info_path}: epoch_len_s must be a positive finite number, got {value!r}"
         )
@@ -602,20 +600,15 @@ def cmd_predict(args) -> int:
     opts, _ = _options(args)
     model = load_model(args.model_file)
     spec = spec_for(model)
-    # A model uses an option when it has a default for it here.
-    used = {
-        "threshold": spec.defaults.get("threshold"),
-        "sequence_length": (
-            _window_length(model, opts["sequence_length"], args.model_file)
-            if spec.sequential
-            else None
-        ),
-    }
-    for key, default in used.items():
-        if opts[key] is None:
-            opts[key] = default
-        elif default is None:
-            raise ConfigError(f"{spec.name} models take no {key}")
+    # A threshold given must lie in the model's domain; a model without one names it unknown.
+    if opts["threshold"] is None:
+        opts["threshold"] = spec.defaults.get("threshold")
+    else:
+        check_params(spec.name, {"threshold": opts["threshold"]}, spec.domains)
+    if spec.sequential:
+        opts["sequence_length"] = _window_length(model, opts["sequence_length"], args.model_file)
+    elif opts["sequence_length"] is not None:
+        raise ConfigError(f"{spec.name} models take no sequence_length")
 
     fm, _ = read_feature_csv(args.features)
     if args.scaler_file:

@@ -10,17 +10,25 @@ hold epochs consecutive in time within one file; a gap ends a window.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .domains import Domain, check_params
 from .edf import Recording, SeizureInterval
 from .errors import ConfigError, DataError
 
 if TYPE_CHECKING:
     from .features import FeatureMatrix
+
+# The ingest parameters; None for highpass_hz turns the filter off.
+DOMAINS = {
+    "epoch_len_s": Domain(float, 0, lo_open=True),
+    "horizon_s": Domain(float, 0, lo_open=True),
+    "highpass_hz": Domain(float, 0, lo_open=True, auto=True),
+}
+SEQUENCE_LENGTH = Domain(int, 1)  # epochs per build_sequences window
 
 
 @dataclass(frozen=True)
@@ -78,18 +86,6 @@ class LabeledEpochSet:
             raise DataError("labels must be 0 or 1")
 
 
-def check_highpass(highpass_hz) -> None:
-    """Raise ConfigError unless highpass_hz is a finite real number > 0."""
-    if (
-        isinstance(highpass_hz, bool)
-        or not isinstance(highpass_hz, numbers.Real)
-        or not 0 < highpass_hz < math.inf
-    ):
-        raise ConfigError(
-            f"highpass cutoff must be a finite number > 0 Hz, got {highpass_hz!r}"
-        )
-
-
 def denoise(r: Recording, highpass_hz: float | None = None) -> Recording:
     """Optional noise-reduction hook applied before epoching.
 
@@ -107,11 +103,11 @@ def denoise(r: Recording, highpass_hz: float | None = None) -> Recording:
     The output differs from the sample-by-sample recurrence only in
     rounding order, by at most 1e-12 of the channel's largest output.
 
-    Raises ConfigError unless ``highpass_hz`` is a finite real number > 0.
+    Raises ConfigError unless ``highpass_hz`` is None or a finite number > 0.
     """
+    check_params("denoise", {"highpass_hz": highpass_hz}, DOMAINS)
     if highpass_hz is None:
         return r
-    check_highpass(highpass_hz)
     rc = 1.0 / (2.0 * math.pi * float(highpass_hz))
     filtered = []
     for meta, x in zip(r.channels, r.signals):
@@ -170,8 +166,7 @@ def slice_epochs(r: Recording, epoch_len_s: float = 2.0, file_name: str = "") ->
     partial window is dropped. All channels must share one sample rate, and
     epoch_len_s times that rate must land on a whole number of samples.
     """
-    if epoch_len_s <= 0:
-        raise ConfigError(f"epoch length must be positive, got {epoch_len_s}")
+    check_params("slice_epochs", {"epoch_len_s": epoch_len_s}, DOMAINS)
     if r.channels:
         rates = set(r.sample_rate_hz)
         if len(rates) > 1:
@@ -231,8 +226,7 @@ def label_prediction(
     everything else is 0. Overlapping preictal windows from nearby seizures
     union without duplicating epochs.
     """
-    if horizon_s <= 0:
-        raise ConfigError(f"prediction horizon must be positive, got {horizon_s}")
+    check_params("label_prediction", {"horizon_s": horizon_s}, DOMAINS)
     ictal = [(iv.start_s, iv.end_s) for iv in seizures]
     preictal = [(iv.start_s - horizon_s, iv.start_s) for iv in seizures]
     kept = epochs.take(~_overlaps(epochs, ictal))
@@ -304,8 +298,7 @@ def build_sequences(
     appearance, then in time order; each is labeled as its last epoch. They
     are row indices into ``features.values``, which is not copied.
     """
-    if T < 1:
-        raise ConfigError(f"sequence length must be >= 1, got {T}")
+    check_params("build_sequences", {"T": T}, {"T": SEQUENCE_LENGTH})
     labels = np.asarray(labels)
     if len(labels) != features.n_rows:
         raise DataError(f"{len(labels)} labels for {features.n_rows} feature rows")

@@ -12,7 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import Domain, check_params
 from .errors import ConfigError, DataError, LeakageError
+
+_RATIO_DOMAINS = dict.fromkeys(("train", "val", "test"), Domain(float, 0))
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,15 @@ def _check_patients(patient_ids) -> list[str]:
     return ids
 
 
+def check_split_ratios(ratios) -> None:
+    """Raise ConfigError unless ratios are three finite numbers >= 0 that sum to 1."""
+    if len(ratios) != 3:
+        raise ConfigError(f"split_ratios must hold 3 numbers, got {ratios!r}")
+    check_params("split_ratios", dict(zip(_RATIO_DOMAINS, ratios)), _RATIO_DOMAINS)
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError(f"split ratios must sum to 1, got {ratios}")
+
+
 def split_patients(
     patient_ids,
     ratios: tuple[float, float, float] = (0.5, 0.25, 0.25),
@@ -55,10 +67,7 @@ def split_patients(
     ids = sorted(_check_patients(patient_ids))
     if len(ids) < 3:
         raise DataError(f"need at least 3 patients to split, got {len(ids)}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must sum to 1, got {ratios}")
-    if any(r < 0 for r in ratios):
-        raise ConfigError(f"split ratios must be nonnegative, got {ratios}")
+    check_split_ratios(ratios)
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ids))

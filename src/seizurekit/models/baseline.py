@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..domains import Domain, check_params
+
+DOMAINS = {"class": Domain(int, 0, 1)}
 
 
 @dataclass(frozen=True)
@@ -21,8 +23,7 @@ class ConstantModel:
     constant_class: int = 0
 
     def __post_init__(self):
-        if self.constant_class not in (0, 1):
-            raise ConfigError(f"constant class must be 0 or 1, got {self.constant_class}")
+        check_params("constant", {"class": self.constant_class}, DOMAINS)
 
 
 def constant_predict(model: ConstantModel, X) -> np.ndarray:

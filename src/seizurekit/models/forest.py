@@ -16,28 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..domains import Domain, check_params, domains_of, param
+from ..errors import DataError
 
 
 @dataclass(frozen=True)
 class RFConfig:
-    n_trees: int = 100
-    max_depth: int | None = None
-    min_samples_split: int = 2
-    max_features: int | None = None  # None = floor(sqrt(d))
+    n_trees: int = param(100, Domain(int, 1))
+    max_depth: int | None = param(None, Domain(int, 1, auto=True))
+    min_samples_split: int = param(2, Domain(int, 2))
+    max_features: int | None = param(None, Domain(int, 1, auto=True))  # None = floor(sqrt(d))
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees <= 0:
-            raise ConfigError(f"n_trees must be positive, got {self.n_trees}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.min_samples_split < 2:
-            raise ConfigError(
-                f"min_samples_split must be >= 2, got {self.min_samples_split}"
-            )
-        if self.max_features is not None and self.max_features < 1:
-            raise ConfigError(f"max_features must be >= 1, got {self.max_features}")
+        check_params("rf", self, domains_of(self))
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..domains import Domain, check_params
+from ..errors import DataError
 
 # Bytes of (A row, B row, column) differences held at once by ``nearest``.
 _BLOCK_BYTES = 1 << 20
+
+DOMAINS = {"k": Domain(int, 1)}
 
 
 @dataclass(frozen=True)
@@ -42,8 +45,7 @@ def nearest(A, B, k: int, exclude_self: bool = False) -> np.ndarray:
     B = np.asarray(B, dtype=np.float64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
         raise DataError(f"feature count mismatch: rows of shape {A.shape} against {B.shape}")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    check_params("knn", {"k": k}, DOMAINS)
     if k > len(B) - exclude_self:
         raise DataError(f"k={k} exceeds the {len(B) - exclude_self} rows to search")
 

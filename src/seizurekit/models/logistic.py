@@ -13,27 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..domains import Domain, check_params, domains_of, param
+from ..errors import DataError
 
 
 @dataclass(frozen=True)
 class LogRegConfig:
-    learning_rate: float = 0.1
-    l2_lambda: float = 0.0
-    max_iters: int = 1000
-    tolerance: float = 1e-6
+    learning_rate: float = param(0.1, Domain(float, 0, lo_open=True))
+    l2_lambda: float = param(0.0, Domain(float, 0))
+    max_iters: int = param(1000, Domain(int, 0))
+    tolerance: float = param(1e-6, Domain(float, 0))
     class_weights: dict | None = None  # {0: w0, 1: w1}; None = unweighted
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.l2_lambda < 0:
-            raise ConfigError(f"l2_lambda must be nonnegative, got {self.l2_lambda}")
-        if self.max_iters < 0:
-            raise ConfigError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.tolerance < 0:
-            raise ConfigError(f"tolerance must be nonnegative, got {self.tolerance}")
+        check_params("logreg", self, domains_of(self))
 
 
 @dataclass(frozen=True)

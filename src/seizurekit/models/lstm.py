@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..domains import Domain, check_params, domains_of, param
 from ..epochs import Windows
 from ..errors import ConfigError, DataError
 from .logistic import sigmoid
@@ -48,13 +49,16 @@ class LstmParams:
         return self.W_i.shape[1] - self.W_i.shape[0]
 
 
+INIT_DOMAINS = {"hidden_dim": Domain(int, 1)}  # init_params' hidden_dim
+
 _FIELDS = ("W_i", "W_f", "W_o", "W_g", "b_i", "b_f", "b_o", "b_g", "w_out", "b_out")
 
 
 def init_params(input_dim: int, hidden_dim: int = 64, seed: int = 0) -> LstmParams:
     """Uniform(-s, s) init with s = 1/sqrt(h); forget-gate bias starts at 1."""
-    if input_dim < 1 or hidden_dim < 1:
-        raise ConfigError(f"bad dims d={input_dim}, h={hidden_dim}")
+    if input_dim < 1:
+        raise ConfigError(f"input_dim must be >= 1, got {input_dim}")
+    check_params("lstm", {"hidden_dim": hidden_dim}, INIT_DOMAINS)
     rng = np.random.default_rng(seed)
     s = 1.0 / np.sqrt(hidden_dim)
     def u(*shape):
@@ -220,26 +224,16 @@ def lstm_grad(
 
 @dataclass(frozen=True)
 class LstmTrainConfig:
-    learning_rate: float = 0.05
-    epochs: int = 100
-    batch_size: int = 16
-    grad_clip_norm: float = 5.0
+    learning_rate: float = param(0.05, Domain(float, 0, lo_open=True))
+    epochs: int = param(100, Domain(int, 1))
+    batch_size: int = param(16, Domain(int, 1))
+    grad_clip_norm: float = param(5.0, Domain(float, 0, lo_open=True))
     seed: int = 0
-    patience: int | None = None  # epochs without val improvement; None = run all
+    # Epochs without val improvement before stopping; None runs every epoch.
+    patience: int | None = param(None, Domain(int, 1, auto=True))
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.grad_clip_norm <= 0:
-            raise ConfigError(
-                f"grad_clip_norm must be positive, got {self.grad_clip_norm}"
-            )
-        if self.patience is not None and self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        check_params("lstm", self, domains_of(self))
 
 
 def _mean_loss(p: LstmParams, seqs, labels) -> float:

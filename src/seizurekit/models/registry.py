@@ -1,11 +1,11 @@
 """The model registry: every model the toolkit trains, defined once.
 
 Each `ModelSpec` entry is the only definition of a model. The keys of its
-`defaults` are the model's allowed `model_params`; `fit` trains it on
-scaled inputs, `score` gives (classes, ranking scores) in one pass, and
-`to_doc`/`from_doc` convert it to and from its JSON document. Config
-validation, the pipeline, model persistence and the CLI's `--model`
-choices all read `MODELS`.
+`defaults` are the model's allowed `model_params` and `domains` the values
+each may take; `fit` trains it on scaled inputs, `score` gives (classes,
+ranking scores) in one pass, and `to_doc`/`from_doc` convert it to and from
+its JSON document. Config validation, the pipeline, model persistence and
+the CLI's `--model` choices all read `MODELS`.
 
 Entries call model functions through their module at call time (for
 example `forest.rf_scores`), never through a reference captured at import,
@@ -19,12 +19,20 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..domains import Domain, check_params, domains_of
+from ..epochs import SEQUENCE_LENGTH
+from ..errors import DataError
 from . import baseline, forest, knn, logistic, lstm, svm
 
 # SMO cost grows quadratically with rows, so SVM training is capped to a
 # seeded stratified subsample unless the caller sets an explicit limit.
 DEFAULT_SVM_TRAIN_CAP = 3000
+
+# Parameters that more than one model takes.
+CLASS_WEIGHTS = Domain(dict, 0, lo_open=True, auto=True)
+# A threshold above every score labels every row 0, one at or below every
+# score labels every row 1; both are legal.
+THRESHOLD = Domain(float)
 
 
 @dataclass(frozen=True)
@@ -32,6 +40,7 @@ class ModelSpec:
     name: str
     cls: type  # type of the trained model object
     defaults: dict  # allowed model_params and their default values
+    domains: dict  # model_params -> the Domain of its values
     fit: Callable  # (X, y, params, seed, val) -> (model, extra report fields)
     score: Callable  # (model, X, threshold) -> (classes, ranking scores)
     to_doc: Callable  # model -> JSON document fields besides model_type/spec_version
@@ -42,6 +51,7 @@ class ModelSpec:
 
 def resolve_class_weights(spec, y) -> dict | None:
     """None, an explicit {class: weight} dict, or 'balanced' (inverse frequency)."""
+    check_params("model", {"class_weights": spec}, {"class_weights": CLASS_WEIGHTS})
     if spec is None:
         return None
     if spec == "balanced":
@@ -52,9 +62,12 @@ def resolve_class_weights(spec, y) -> dict | None:
             n_c = int((y == c).sum())
             out[c] = n / (2.0 * n_c) if n_c else 1.0
         return out
-    if isinstance(spec, dict):
-        return {int(k): float(v) for k, v in spec.items()}
-    raise ConfigError(f"class_weights must be None, 'balanced', or a dict, got {spec!r}")
+    return {int(k): float(v) for k, v in spec.items()}
+
+
+def _typed(p: dict, domains: dict) -> dict:
+    """The entries of p named in domains, each as its domain's int or float (None stays)."""
+    return {k: None if p[k] is None else domains[k].kind(p[k]) for k in domains}
 
 
 # ---------------------------------------------------------------- knn
@@ -85,6 +98,7 @@ _KNN = ModelSpec(
     name="knn",
     cls=knn.KnnModel,
     defaults={"k": 2, "class_weights": None},
+    domains={**knn.DOMAINS, "class_weights": CLASS_WEIGHTS},
     fit=_fit_knn,
     score=lambda m, X, threshold: knn.knn_vote(m.train_X, m.train_y, X, m.k, m.class_weights),
     to_doc=lambda m: {
@@ -100,10 +114,7 @@ _KNN = ModelSpec(
 
 def _fit_logreg(X, y, p, seed, val):
     cfg = logistic.LogRegConfig(
-        learning_rate=float(p["learning_rate"]),
-        l2_lambda=float(p["l2_lambda"]),
-        max_iters=int(p["max_iters"]),
-        tolerance=float(p["tolerance"]),
+        **_typed(p, domains_of(logistic.LogRegConfig)),
         class_weights=resolve_class_weights(p["class_weights"], y),
         seed=seed,
     )
@@ -140,6 +151,11 @@ _LOGREG = ModelSpec(
         "class_weights": None,
         "threshold": 0.5,
     },
+    domains={
+        **domains_of(logistic.LogRegConfig),
+        "class_weights": CLASS_WEIGHTS,
+        "threshold": THRESHOLD,
+    },
     fit=_fit_logreg,
     score=_score_logreg,
     to_doc=lambda m: {
@@ -159,13 +175,7 @@ _LOGREG = ModelSpec(
 
 
 def _fit_rf(X, y, p, seed, val):
-    cfg = forest.RFConfig(
-        n_trees=int(p["n_trees"]),
-        max_depth=p["max_depth"],
-        min_samples_split=int(p["min_samples_split"]),
-        max_features=p["max_features"],
-        seed=seed,
-    )
+    cfg = forest.RFConfig(**_typed(p, domains_of(forest.RFConfig)), seed=seed)
     return forest.rf_fit(X, y, cfg), {}
 
 
@@ -201,6 +211,7 @@ _RF = ModelSpec(
     name="rf",
     cls=forest.RFModel,
     defaults={"n_trees": 100, "max_depth": None, "min_samples_split": 2, "max_features": None},
+    domains=domains_of(forest.RFConfig),
     fit=_fit_rf,
     score=_score_rf,
     to_doc=lambda m: {
@@ -222,15 +233,7 @@ def _fit_svm(X, y, p, seed, val):
     gamma = p["gamma"]
     if gamma is None:
         gamma = 1.0 / X.shape[1]
-    model = svm.svm_fit_smo(
-        X,
-        y,
-        C=float(p["C"]),
-        gamma=float(gamma),
-        tol=float(p["tol"]),
-        max_passes=int(p["max_passes"]),
-    )
-    return model, {}
+    return svm.svm_fit_smo(X, y, **_typed({**p, "gamma": gamma}, svm.DOMAINS)), {}
 
 
 def _score_svm(m, X, threshold):
@@ -259,6 +262,8 @@ _SVM = ModelSpec(
     name="svm",
     cls=svm.SVMModel,
     defaults={"C": 1.0, "gamma": None, "tol": 1e-3, "max_passes": 50},
+    # None picks gamma = 1 / n_features.
+    domains={**svm.DOMAINS, "gamma": replace(svm.DOMAINS["gamma"], auto=True)},
     fit=_fit_svm,
     score=_score_svm,
     to_doc=lambda m: {
@@ -282,14 +287,7 @@ _SVM = ModelSpec(
 
 def _fit_lstm(X, y, p, seed, val):
     params = lstm.init_params(X.shape[2], hidden_dim=int(p["hidden_dim"]), seed=seed)
-    train_cfg = lstm.LstmTrainConfig(
-        learning_rate=float(p["learning_rate"]),
-        epochs=int(p["epochs"]),
-        batch_size=int(p["batch_size"]),
-        grad_clip_norm=float(p["grad_clip_norm"]),
-        seed=seed,
-        patience=p["patience"],
-    )
+    train_cfg = lstm.LstmTrainConfig(**_typed(p, domains_of(lstm.LstmTrainConfig)), seed=seed)
     best, history = lstm.lstm_train((X, y), val, train_cfg, params=params)
     report = {"epochs_run": len(history["train_loss"]), **history}
     return replace(best, sequence_length=X.shape[1]), report
@@ -299,8 +297,8 @@ def _lstm_from_doc(doc):
     w = doc["weights"]
     weights = {name: np.array(w[name], dtype=np.float64) for name in lstm._FIELDS}
     T = doc["config"].get("sequence_length")  # absent from files that predate it
-    if T is not None and (type(T) is not int or T < 1):  # a bool is not a length
-        raise ValueError(f"sequence_length must be an int >= 1, got {T!r}")
+    if T is not None:
+        check_params("lstm", {"sequence_length": T}, {"sequence_length": SEQUENCE_LENGTH})
     return lstm.LstmParams(**{**weights, "b_out": float(w["b_out"])}, sequence_length=T)
 
 
@@ -316,6 +314,7 @@ _LSTM = ModelSpec(
         "patience": None,
         "threshold": 0.5,
     },
+    domains={**domains_of(lstm.LstmTrainConfig), **lstm.INIT_DOMAINS, "threshold": THRESHOLD},
     fit=_fit_lstm,
     score=lambda m, X, threshold: lstm.lstm_predict(m, X, threshold),
     to_doc=lambda m: {
@@ -335,6 +334,7 @@ _CONSTANT = ModelSpec(
     name="constant",
     cls=baseline.ConstantModel,
     defaults={"class": 0},
+    domains=baseline.DOMAINS,
     fit=lambda X, y, p, seed, val: (baseline.ConstantModel(constant_class=int(p["class"])), {}),
     score=lambda m, X, threshold: (baseline.constant_predict(m, X), baseline.constant_scores(m, X)),
     to_doc=lambda m: {"params": {"class": m.constant_class}, "config": {}},

@@ -19,10 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..domains import Domain, check_params
+from ..errors import DataError
 
 # Curvature used in place of K_ii + K_jj - 2 K_ij <= 0 (LIBSVM's TAU).
 _TAU = 1e-12
+
+# The domain of each svm_fit_smo parameter; C = inf (a hard margin) is refused.
+DOMAINS = {
+    "C": Domain(float, 0, lo_open=True),
+    "gamma": Domain(float, 0, lo_open=True),
+    "tol": Domain(float, 0, lo_open=True),
+    "max_passes": Domain(int, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -73,14 +82,7 @@ def svm_fit_smo(
         raise DataError("empty training set")
     if len(y) != len(X):
         raise DataError(f"{len(y)} labels for {len(X)} rows")
-    if C <= 0:
-        raise ConfigError(f"C must be positive, got {C}")
-    if not 0 < gamma < np.inf:
-        raise ConfigError(f"gamma must be a finite number > 0, got {gamma}")
-    if not 0 < tol < np.inf:
-        raise ConfigError(f"tol must be a finite number > 0, got {tol}")
-    if max_passes < 1:
-        raise ConfigError(f"max_passes must be >= 1, got {max_passes}")
+    check_params("svm", {"C": C, "gamma": gamma, "tol": tol, "max_passes": max_passes}, DOMAINS)
     if np.isin(y, (0, 1)).all():
         y = 2.0 * y - 1.0
     if not np.isin(y, (-1, 1)).all():

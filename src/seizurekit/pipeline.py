@@ -18,10 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .epochs import SequenceDataset, build_sequences
+from .domains import Domain, check_params, domains_of, param
+from .epochs import SEQUENCE_LENGTH, SequenceDataset, build_sequences
 from .errors import ConfigError, DataError
 from .evaluation import (
     assert_patient_disjoint,
+    check_split_ratios,
     compute_metrics,
     kfold_patients,
     roc_auc,
@@ -41,34 +43,16 @@ from .models.registry import (
 from .smote import SmoteConfig, smote
 
 
-def has_type(value, kind) -> bool:
-    """isinstance, except that an int passes for a float and a bool is not a number."""
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _is_class_weights(value) -> bool:
-    """None, 'balanced', or a dict from class 0 or 1 (an int or its JSON
-    key string) to a finite number > 0."""
-    if value is None or value == "balanced":
-        return True
-    return isinstance(value, dict) and all(
-        str(k) in ("0", "1") and has_type(w, float) and math.isfinite(w) and w > 0
-        for k, w in value.items()
-    )
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     model: str = DEFAULT_MODEL
     model_params: dict = field(default_factory=dict)
     use_smote: bool = False
-    smote_k: int = 5
-    smote_ratio: float = 1.0
+    smote_k: int = param(5, domains_of(SmoteConfig)["k_neighbors"])
+    smote_ratio: float = param(1.0, domains_of(SmoteConfig)["target_ratio"])
     split_ratios: tuple[float, float, float] = (0.5, 0.25, 0.25)
-    sequence_length: int = 10
-    max_train_rows: int | None = None
+    sequence_length: int = param(10, SEQUENCE_LENGTH)
+    max_train_rows: int | None = param(None, Domain(int, 2, auto=True))
     allow_leaky_split: bool = False
     seed: int = 0
 
@@ -76,30 +60,9 @@ class PipelineConfig:
         names = tuple(MODELS)
         if self.model not in names:
             raise ConfigError(f"unknown model {self.model!r}; choose from {names}")
-        unknown = set(self.model_params) - set(self.spec.defaults)
-        if unknown:
-            raise ConfigError(
-                f"unknown {self.model} parameter(s) {sorted(unknown)}; "
-                f"allowed: {sorted(self.spec.defaults)}"
-            )
-        # A value has its default's type; where the default is None, any
-        # number passes. class_weights takes the forms resolve_class_weights reads.
-        for key, value in self.model_params.items():
-            default = self.spec.defaults[key]
-            if key == "class_weights" and not _is_class_weights(value):
-                raise ConfigError(
-                    f"{self.model} parameter class_weights must be null, 'balanced' or "
-                    f"a dict from class 0 or 1 to a finite number > 0, got {value!r}"
-                )
-            if key == "class_weights" or (value is None and default is None):
-                continue
-            kind = float if default is None else type(default)
-            if not has_type(value, kind):
-                raise ConfigError(
-                    f"{self.model} parameter {key} must be {kind.__name__}, got {value!r}"
-                )
-        if len(self.split_ratios) != 3:
-            raise ConfigError(f"split_ratios must hold 3 numbers, got {self.split_ratios!r}")
+        check_params(self.model, self.model_params, self.spec.domains)
+        check_params("pipeline", self, domains_of(self))
+        check_split_ratios(self.split_ratios)
         # Sequence windows are balanced by duplication instead (see
         # evaluate_split), and a row-level split would cut each file's windows
         # at every row sent elsewhere: no row-level option applies to them.
@@ -108,14 +71,6 @@ class PipelineConfig:
         used = [name for name, on in row_level.items() if on]
         if self.spec.sequential and used:
             raise ConfigError(f"{self.model} trains on sequence windows; {used[0]} is not supported")
-        if self.sequence_length < 1:
-            raise ConfigError(
-                f"sequence_length must be >= 1, got {self.sequence_length}"
-            )
-        if self.max_train_rows is not None and self.max_train_rows < 2:
-            raise ConfigError(
-                f"max_train_rows must be >= 2, got {self.max_train_rows}"
-            )
 
     @property
     def spec(self) -> ModelSpec:
@@ -270,29 +225,29 @@ def evaluate_split(
         keep = stratified_cap(y_tr, cap, cfg.seed)
         X_tr, y_tr = X_tr[keep], y_tr[keep]
 
-    n_synth = 0
-    if cfg.use_smote:
-        smote_cfg = SmoteConfig(
-            k_neighbors=cfg.smote_k, target_ratio=cfg.smote_ratio, seed=cfg.seed
-        )
-        X_tr, y_tr, synth_mask = smote(X_tr, y_tr, smote_cfg)
-        n_synth = int(synth_mask.sum())
-
-    if spec.sequential:
-        if len(X_tr) == 0:
-            raise DataError("no training sequences; files shorter than T?")
-        X_tr, y_tr = _balance_by_duplication(X_tr, y_tr)
-        counts = {
-            "n_train_sequences": int(len(X_tr)),
-            "n_test_sequences": int(len(inputs["test"])),
-        }
-    else:
-        counts = {"n_train_rows_used": int(len(X_tr)), "n_synthetic_train_rows": n_synth}
     held_out = inputs.get("val")
     val = (held_out.inputs, held_out.y) if held_out is not None and len(held_out) else None
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        n_synth = 0
+        if cfg.use_smote:
+            smote_cfg = SmoteConfig(
+                k_neighbors=cfg.smote_k, target_ratio=cfg.smote_ratio, seed=cfg.seed
+            )
+            X_tr, y_tr, synth_mask = smote(X_tr, y_tr, smote_cfg)
+            n_synth = int(synth_mask.sum())
+
+        if spec.sequential:
+            if len(X_tr) == 0:
+                raise DataError("no training sequences; files shorter than T?")
+            X_tr, y_tr = _balance_by_duplication(X_tr, y_tr)
+            counts = {
+                "n_train_sequences": int(len(X_tr)),
+                "n_test_sequences": int(len(inputs["test"])),
+            }
+        else:
+            counts = {"n_train_rows_used": int(len(X_tr)), "n_synthetic_train_rows": n_synth}
         model, fit_report = spec.fit(X_tr, y_tr, cfg.params, cfg.seed, val)
     y_pred, scores = predict_and_score(model, inputs["test"].inputs, cfg.threshold)
 

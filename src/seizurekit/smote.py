@@ -15,24 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .domains import Domain, check_params, domains_of, param
+from .errors import DataError
 from .features import FeatureMatrix
 from .models.knn import nearest
 
 
 @dataclass(frozen=True)
 class SmoteConfig:
-    k_neighbors: int = 5
-    target_ratio: float = 1.0  # minority-to-majority ratio after oversampling
+    k_neighbors: int = param(5, Domain(int, 1))
+    # Minority-to-majority ratio after oversampling.
+    target_ratio: float = param(1.0, Domain(float, 0, 1, lo_open=True))
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_neighbors < 1:
-            raise ConfigError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
-        if not 0 < self.target_ratio <= 1:
-            raise ConfigError(
-                f"target_ratio must be in (0, 1], got {self.target_ratio}"
-            )
+        check_params("smote", self, domains_of(self))
 
 
 def smote(

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edf import ChannelMeta, Recording
+from .domains import Domain, check_params, domains_of, param
 from .errors import ConfigError
 from .features import FeatureMatrix
 
@@ -28,35 +29,16 @@ _MIX_AMP = 2.0
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n_patients: int = 23
-    epochs_per_patient: int = 1800
-    seizure_prevalence: float = 0.06
-    n_channels: int = 23
-    class_separation: float = 0.35
-    patient_effect_scale: float = 0.5
+    n_patients: int = param(23, Domain(int, 1))
+    epochs_per_patient: int = param(1800, Domain(int, 1))
+    seizure_prevalence: float = param(0.06, Domain(float, 0, 1, lo_open=True, hi_open=True))
+    n_channels: int = param(23, Domain(int, 1))
+    class_separation: float = param(0.35, Domain(float, 0, 1))
+    patient_effect_scale: float = param(0.5, Domain(float, 0))
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_patients < 1:
-            raise ConfigError(f"n_patients must be >= 1, got {self.n_patients}")
-        if self.epochs_per_patient < 1:
-            raise ConfigError(
-                f"epochs_per_patient must be >= 1, got {self.epochs_per_patient}"
-            )
-        if not 0 < self.seizure_prevalence < 1:
-            raise ConfigError(
-                f"seizure_prevalence must be in (0, 1), got {self.seizure_prevalence}"
-            )
-        if self.n_channels < 1:
-            raise ConfigError(f"n_channels must be >= 1, got {self.n_channels}")
-        if not 0 <= self.class_separation <= 1:
-            raise ConfigError(
-                f"class_separation must be in [0, 1], got {self.class_separation}"
-            )
-        if self.patient_effect_scale < 0:
-            raise ConfigError(
-                f"patient_effect_scale must be >= 0, got {self.patient_effect_scale}"
-            )
+        check_params("synth", self, domains_of(self))
 
     @property
     def n_dims(self) -> int:

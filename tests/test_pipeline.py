@@ -1,5 +1,7 @@
 """Pipeline ordering, leakage gate, row caps, and CV orchestration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -231,3 +233,12 @@ def test_cv_rejects_leaky_mode(small_data):
     fm, y = small_data
     with pytest.raises(ConfigError):
         run_cv(fm, y, config(allow_leaky_split=True), k=3)
+
+
+def test_smote_clamp_warning_reaches_the_report(small_data):
+    fm, y = small_data
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning that escapes the report fails the test
+        r = run_holdout(fm, y, config(use_smote=True, smote_k=10_000)).report
+    clamps = [w for w in r["warnings"] if "clamping" in w]
+    assert len(clamps) == 1 and clamps[0].startswith("k_neighbors=10000 >= minority count")

@@ -182,3 +182,110 @@ def test_train_refuses_a_feature_file_that_is_not_utf8(runs, tmp_path, capsys):
     argv = ["train", "--features", str(path), "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert f"{path}:100: not UTF-8" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- parameter domains
+
+
+def _train_raw(runs, tmp_path, config_text, features=None):
+    """train with a config file holding config_text verbatim (JSON reads 1e400 as inf)."""
+    cfg = tmp_path / "raw.json"
+    cfg.write_text(config_text, encoding="utf-8")
+    argv = [
+        "train", "--features", str(features or runs[1]), "--config", str(cfg),
+        "--out", str(tmp_path / "out"),
+    ]
+    return main(argv)
+
+
+@pytest.mark.parametrize(
+    "config_text, named",
+    [
+        ('{"model": "logreg", "model_params": {"tolerance": 1e400}}', "tolerance"),
+        ('{"model": "logreg", "model_params": {"threshold": 1e400}}', "threshold"),
+        ('{"model": "logreg", "model_params": {"threshold": -1e400}}', "threshold"),
+        ('{"model": "rf", "model_params": {"max_features": 1e400}}', "max_features"),
+        ('{"model": "rf", "model_params": {"max_depth": 2.5}}', "max_depth"),
+        ('{"model": "rf", "model_params": {"max_features": 2.5}}', "max_features"),
+        ('{"model": "svm", "model_params": {"C": 1e400}}', "C"),
+        ('{"model": "logreg", "model_params": {"learning_rate": 1e400}}', "learning_rate"),
+        ('{"model": "lstm", "model_params": {"learning_rate": 1e400}}', "learning_rate"),
+        ('{"split_ratios": [NaN, 0.5, 0.5]}', "split_ratios"),
+        ('{"split_ratios": [Infinity, 0.5, 0.5]}', "split_ratios"),
+    ],
+)
+def test_a_parameter_outside_its_domain_exits_1(runs, tmp_path, capsys, config_text, named):
+    assert _train_raw(runs, tmp_path, config_text) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "model, params",
+    [
+        ("knn", '{"k": 0}'),
+        ("logreg", '{"tolerance": 1e400}'),
+        ("rf", '{"max_depth": 2.5}'),
+        ("svm", '{"gamma": NaN}'),
+        ("lstm", '{"patience": 0}'),
+        ("constant", '{"class": 2}'),
+    ],
+)
+def test_the_domain_check_runs_before_any_data_is_read(runs, tmp_path, capsys, model, params):
+    text = '{"model": "%s", "model_params": %s}' % (model, params)
+    # Reading the missing features file would exit 2.
+    assert _train_raw(runs, tmp_path, text, features=tmp_path / "missing.csv") == 1
+    assert f"error: {model} parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "1e400", "-inf"])
+def test_predict_threshold_must_be_finite(runs, tmp_path, capsys, threshold):
+    root, features = runs
+    argv = [
+        "predict", "--features", str(features), "--model", str(root / "logreg" / "model.json"),
+        f"--threshold={threshold}", "--out", str(tmp_path / "p"),
+    ]
+    assert main(argv) == 1
+    assert "threshold must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_refuses_a_patient_effect_that_is_not_finite(tmp_path, capsys, value):
+    argv = ["synth", "--patients", "3", "--patient-effect", value, "--out", str(tmp_path / "s")]
+    assert main(argv) == 1
+    assert "patient_effect_scale must be a finite number >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--epoch-len", "nan"], "epoch_len_s"),
+        (["--epoch-len", "inf"], "epoch_len_s"),
+        (["--task", "prediction", "--horizon", "nan"], "horizon_s"),
+    ],
+)
+def test_ingest_checks_its_lengths_before_reading_any_file(tmp_path, capsys, flags, named):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.edf").write_bytes(b"not an EDF file")
+    assert main(["ingest", "--edf-dir", str(src), *flags, "--out", str(tmp_path / "s")]) == 1
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, key, value", [("logreg", "tolerance", float("inf")), ("rf", "max_depth", 2.5)]
+)
+def test_a_model_file_outside_the_domain_is_a_data_error(runs, tmp_path, capsys, name, key, value):
+    root, features = runs
+    doc = json.loads((root / name / "model.json").read_text(encoding="utf-8"))
+    doc["config"][key] = value
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [
+        "eval", "--features", str(features), "--model", str(model), "--out", str(tmp_path / "e"),
+    ]
+    assert main(argv) == 2
+    assert f"malformed {name} model document" in capsys.readouterr().err
