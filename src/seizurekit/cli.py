@@ -28,16 +28,9 @@ import numpy as np
 from .domains import check_params, has_type
 from .edf import parse_edf, parse_seizure_summary
 from .epochs import DOMAINS as INGEST_DOMAINS
-from .epochs import (
-    Epochs,
-    LabeledEpochSet,
-    denoise,
-    label_detection,
-    label_prediction,
-    slice_epochs,
-)
+from .epochs import Epochs, LabeledEpochSet, stream_labeled_epochs
 from .errors import ConfigError, DataError, LeakageError, read_utf8
-from .evaluation import assert_patient_disjoint
+from .evaluation import FOLD_DOMAINS, assert_patient_disjoint
 from .features import (
     FeatureMatrix,
     apply_scaler,
@@ -298,13 +291,41 @@ def _demographics_rows(info_path: Path) -> list[str]:
 
 def _labeled_epochs(path: Path, seizures, opts: dict) -> LabeledEpochSet:
     """One EDF file's epochs with their labels for the task in opts."""
-    rec = denoise(parse_edf(path.read_bytes()), highpass_hz=opts["highpass_hz"])
-    rec = dataclasses.replace(rec, patient_id=_patient_for(rec.patient_id, path.name))
-    epochs = slice_epochs(rec, epoch_len_s=opts["epoch_len_s"], file_name=path.name)
-    del rec  # label_prediction copies the kept epochs; free the signals first
-    if opts["task"] == "detection":
-        return label_detection(epochs, seizures)
-    return label_prediction(epochs, seizures, horizon_s=opts["horizon_s"])
+    rec = parse_edf(path.read_bytes())
+    signals, rates = list(rec.signals), rec.sample_rate_hz
+    patient = _patient_for(rec.patient_id, path.name)
+    del rec  # signals now holds the only reference to each parsed channel
+    return stream_labeled_epochs(
+        signals,
+        rates,
+        seizures,
+        opts["task"],
+        epoch_len_s=opts["epoch_len_s"],
+        horizon_s=opts["horizon_s"],
+        highpass_hz=opts["highpass_hz"],
+        patient=patient,
+        file_name=path.name,
+    )
+
+
+# Bytes of epochs that _save_epochs copies out of a strided view at a time.
+_WRITE_BLOCK = 4 << 20
+
+
+def _save_epochs(path: Path, parts) -> None:
+    """Write the file that np.save(path, np.concatenate(parts)) writes, for
+    float64 (n, channels, window) arrays that share their trailing shape,
+    without the concatenated copy: one .npy header, then the C-order bytes
+    of each part a few MB at a time."""
+    shape = (sum(len(p) for p in parts), *parts[0].shape[1:])
+    descr = np.lib.format.dtype_to_descr(np.dtype(np.float64))
+    header = {"descr": descr, "fortran_order": False, "shape": shape}
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for part in parts:
+            step = max(1, _WRITE_BLOCK // part[0].nbytes)
+            for i in range(0, len(part), step):
+                fh.write(np.ascontiguousarray(part[i : i + step], dtype=np.float64).data)
 
 
 def cmd_ingest(args) -> int:
@@ -367,16 +388,16 @@ def cmd_ingest(args) -> int:
         starts=joined("starts"),
     )
     write_feature_csv(meta, labels, out / "meta.csv")
-    stack = joined("samples")
-    np.save(out / "epochs.npy", stack)
+    n_channels, window = shapes.pop()
+    _save_epochs(out / "epochs.npy", [s.epochs.samples for s in sets])
     _write_json(
         out / "store_info.json",
         {
             "epoch_len_s": opts["epoch_len_s"],
             "task": opts["task"],
             "horizon_s": opts["horizon_s"],
-            "n_channels": int(stack.shape[1]),
-            "window": int(stack.shape[2]),
+            "n_channels": n_channels,
+            "window": window,
             "spec_version": SPEC_VERSION,
         },
     )
@@ -558,6 +579,7 @@ def cmd_eval(args) -> int:
 def cmd_cv(args) -> int:
     opts, given = _options(args)
     cfg = _pipeline_config(opts, given, args.seed)
+    check_params("cv", {"k": opts["k"]}, FOLD_DOMAINS)
     fm, labels = read_feature_csv(args.features)
     result = run_cv(fm, labels, cfg, k=opts["k"])
 

@@ -293,14 +293,14 @@ def parse_edf(raw: bytes) -> Recording:
 
     samples_per_record = sum(c.samples_per_record for c in channels)
     record_bytes = samples_per_record * 2
-    data = raw[expected_header:]
+    data_len = len(raw) - expected_header
 
     if num_records == -1:
         # Unknown on input; recover the count when the payload tiles evenly.
         if record_bytes == 0:
             num_records = 0
-        elif len(data) % record_bytes == 0:
-            num_records = len(data) // record_bytes
+        elif data_len % record_bytes == 0:
+            num_records = data_len // record_bytes
         else:
             raise EdfParseError(
                 "num_records is -1 and data length does not tile into records",
@@ -308,17 +308,18 @@ def parse_edf(raw: bytes) -> Recording:
             )
     if num_records < 0:
         raise EdfParseError(f"negative record count {num_records}", 236)
-    if len(data) < num_records * record_bytes:
+    if data_len < num_records * record_bytes:
         raise EdfParseError(
-            f"truncated data records: have {len(data)} bytes, "
+            f"truncated data records: have {data_len} bytes, "
             f"need {num_records * record_bytes}",
-            expected_header + len(data),
+            expected_header + data_len,
         )
 
     signals: list[np.ndarray] = []
     if num_records > 0 and num_signals > 0:
+        # A view of the data records in raw; slicing raw would copy them.
         flat = np.frombuffer(
-            data[: num_records * record_bytes], dtype="<i2"
+            raw, dtype="<i2", count=num_records * samples_per_record, offset=expected_header
         ).reshape(num_records, samples_per_record)
         col = 0
         for meta in channels:

@@ -108,22 +108,26 @@ def denoise(r: Recording, highpass_hz: float | None = None) -> Recording:
     check_params("denoise", {"highpass_hz": highpass_hz}, DOMAINS)
     if highpass_hz is None:
         return r
-    rc = 1.0 / (2.0 * math.pi * float(highpass_hz))
-    filtered = []
-    for meta, x in zip(r.channels, r.signals):
-        fs = meta.samples_per_record / r.record_duration_s
-        # A subnormal cutoff overflows rc; its limit is the all-pass alpha = 1.
-        alpha = rc / (rc + 1.0 / fs) if rc < math.inf else 1.0
-        filtered.append(_highpass_scan(x, alpha))
+    filtered = tuple(
+        _highpass_scan(x, _highpass_alpha(highpass_hz, fs))
+        for x, fs in zip(r.signals, r.sample_rate_hz)
+    )
     return Recording(
         patient_id=r.patient_id,
         start_datetime=r.start_datetime,
         record_duration_s=r.record_duration_s,
         num_records=r.num_records,
         channels=r.channels,
-        signals=tuple(filtered),
+        signals=filtered,
         recording_id=r.recording_id,
     )
+
+
+def _highpass_alpha(highpass_hz: float, fs: float) -> float:
+    """denoise's a = rc / (rc + 1/fs) for a cutoff and a sample rate."""
+    rc = 1.0 / (2.0 * math.pi * float(highpass_hz))
+    # A subnormal cutoff overflows rc; its limit is the all-pass alpha = 1.
+    return rc / (rc + 1.0 / fs) if rc < math.inf else 1.0
 
 
 # Block length of the high-pass scan: long enough that the per-block carry
@@ -168,20 +172,7 @@ def slice_epochs(r: Recording, epoch_len_s: float = 2.0, file_name: str = "") ->
     """
     check_params("slice_epochs", {"epoch_len_s": epoch_len_s}, DOMAINS)
     if r.channels:
-        rates = set(r.sample_rate_hz)
-        if len(rates) > 1:
-            raise DataError(
-                f"channels have unequal sample rates {sorted(rates)}; resampling "
-                "is not supported"
-            )
-        rate = rates.pop()
-        window = epoch_len_s * rate
-        if abs(window - round(window)) > 1e-9 or round(window) < 1:
-            raise ConfigError(
-                f"epoch length {epoch_len_s} s at {rate} Hz is {window} samples; "
-                "must be a positive whole number"
-            )
-        window = int(round(window))
+        window = _window_len(r.sample_rate_hz, epoch_len_s)
         n = len(r.signals[0]) // window
         samples = np.stack([s[: n * window].reshape(n, window) for s in r.signals], axis=1)
     else:
@@ -196,12 +187,45 @@ def slice_epochs(r: Recording, epoch_len_s: float = 2.0, file_name: str = "") ->
     )
 
 
-def _overlaps(epochs: Epochs, intervals) -> np.ndarray:
+def _window_len(rates, epoch_len_s: float) -> int:
+    """Samples per epoch at the one rate that every channel shares."""
+    rates = set(rates)
+    if len(rates) > 1:
+        raise DataError(
+            f"channels have unequal sample rates {sorted(rates)}; resampling "
+            "is not supported"
+        )
+    rate = rates.pop()
+    window = epoch_len_s * rate
+    if abs(window - round(window)) > 1e-9 or round(window) < 1:
+        raise ConfigError(
+            f"epoch length {epoch_len_s} s at {rate} Hz is {window} samples; "
+            "must be a positive whole number"
+        )
+    return int(round(window))
+
+
+def _overlaps(starts: np.ndarray, duration_s: float, intervals) -> np.ndarray:
     """Per epoch: a nonzero-measure intersection of [start, start + duration)
     with any [s, e) of the (s, e) pairs in intervals."""
     s, e = np.array(intervals, dtype=np.float64).reshape(-1, 2).T
-    lo = epochs.starts[:, None]
-    return ((lo < e) & (s < lo + epochs.duration_s)).any(axis=1)
+    lo = starts[:, None]
+    return ((lo < e) & (s < lo + duration_s)).any(axis=1)
+
+
+def _detection_labels(starts, duration_s: float, seizures) -> np.ndarray:
+    """label_detection's labels for epochs at these starts."""
+    ictal = [(iv.start_s, iv.end_s) for iv in seizures]
+    return _overlaps(starts, duration_s, ictal).astype(np.int64)
+
+
+def _prediction_labels(starts, duration_s: float, seizures, horizon_s: float):
+    """label_prediction's (kept, labels) for epochs at these starts: the mask
+    of epochs that overlap no seizure, and the label of each kept epoch."""
+    check_params("label_prediction", {"horizon_s": horizon_s}, DOMAINS)
+    kept = ~_overlaps(starts, duration_s, [(iv.start_s, iv.end_s) for iv in seizures])
+    preictal = [(iv.start_s - horizon_s, iv.start_s) for iv in seizures]
+    return kept, _overlaps(starts[kept], duration_s, preictal).astype(np.int64)
 
 
 def label_detection(epochs: Epochs, seizures: list[SeizureInterval]) -> LabeledEpochSet:
@@ -210,8 +234,8 @@ def label_detection(epochs: Epochs, seizures: list[SeizureInterval]) -> LabeledE
     Intervals are half-open, so an epoch that merely touches a seizure
     boundary stays 0. No seizures means all labels 0.
     """
-    labels = _overlaps(epochs, [(iv.start_s, iv.end_s) for iv in seizures])
-    return LabeledEpochSet(epochs=epochs, labels=labels.astype(np.int64), task="detection")
+    labels = _detection_labels(epochs.starts, epochs.duration_s, seizures)
+    return LabeledEpochSet(epochs=epochs, labels=labels, task="detection")
 
 
 def label_prediction(
@@ -226,15 +250,61 @@ def label_prediction(
     everything else is 0. Overlapping preictal windows from nearby seizures
     union without duplicating epochs.
     """
-    check_params("label_prediction", {"horizon_s": horizon_s}, DOMAINS)
-    ictal = [(iv.start_s, iv.end_s) for iv in seizures]
-    preictal = [(iv.start_s - horizon_s, iv.start_s) for iv in seizures]
-    kept = epochs.take(~_overlaps(epochs, ictal))
-    labels = _overlaps(kept, preictal)
-    out = LabeledEpochSet(epochs=kept, labels=labels.astype(np.int64), task="prediction")
-    # An ictal epoch in a prediction set would poison both classes.
-    assert not _overlaps(out.epochs, ictal).any()
-    return out
+    kept, labels = _prediction_labels(epochs.starts, epochs.duration_s, seizures, horizon_s)
+    return LabeledEpochSet(epochs=epochs.take(kept), labels=labels, task="prediction")
+
+
+def stream_labeled_epochs(
+    signals: list,
+    rates,
+    seizures: list[SeizureInterval],
+    task: str = "detection",
+    *,
+    epoch_len_s: float = 2.0,
+    horizon_s: float = 300.0,
+    highpass_hz: float | None = None,
+    patient: str = "",
+    file_name: str = "",
+) -> LabeledEpochSet:
+    """One recording's labeled epochs, as the library path gives them:
+    ``label_<task>(slice_epochs(denoise(r, highpass_hz), epoch_len_s,
+    file_name), seizures)`` for a recording r of patient ``patient`` whose
+    channel c holds ``signals[c]`` at ``rates[c]`` Hz.
+
+    Each sample is copied about once. The kept epochs and their labels
+    come from the epoch starts before any sample is read; then channel c is
+    filtered, cut into windows, its kept windows go into one channel-major
+    (channels, kept, window) float64 buffer, and ``signals[c]`` is set to
+    None, so that a caller holding no other reference frees each channel
+    as the buffer fills. ``samples`` is that buffer seen as
+    (kept, channels, window). The same ConfigError and DataError as the
+    library path come before any channel is touched.
+    """
+    check_params("ingest", {"epoch_len_s": epoch_len_s, "highpass_hz": highpass_hz}, DOMAINS)
+    window = _window_len(rates, epoch_len_s) if signals else 0
+    n = len(signals[0]) // window if signals else 0
+    starts = np.arange(n) * float(epoch_len_s)
+    if task == "prediction":
+        kept, labels = _prediction_labels(starts, epoch_len_s, seizures, horizon_s)
+    else:
+        kept, labels = np.ones(n, dtype=bool), _detection_labels(starts, epoch_len_s, seizures)
+    # Channel-major: a channel's pages are first touched as it is written,
+    # while the parsed channels before it are already freed.
+    buffer = np.empty((len(signals), int(kept.sum()), window))
+    for c, fs in enumerate(rates):
+        x, signals[c] = signals[c], None
+        if highpass_hz is not None:
+            x = _highpass_scan(x, _highpass_alpha(highpass_hz, fs))
+        buffer[c] = x[: n * window].reshape(n, window)[kept]
+    n_kept = buffer.shape[1]
+    epochs = Epochs(
+        samples=buffer.transpose(1, 0, 2),
+        patients=np.full(n_kept, patient, dtype=object),
+        files=np.full(n_kept, file_name, dtype=object),
+        starts=starts[kept],
+        duration_s=epoch_len_s,
+    )
+    return LabeledEpochSet(epochs=epochs, labels=labels, task=task)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from .domains import Domain, check_params
 from .errors import ConfigError, DataError, LeakageError
 
 _RATIO_DOMAINS = dict.fromkeys(("train", "val", "test"), Domain(float, 0))
+FOLD_DOMAINS = {"k": Domain(int, 2)}  # kfold_patients' fold count
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,8 @@ def kfold_patients(
     for the rest. Returns [(train_patients, test_patients), ...] in fold
     order.
     """
+    check_params("kfold_patients", {"k": k}, FOLD_DOMAINS)
     ids = sorted(_check_patients(patient_ids))
-    if k < 2:
-        raise ConfigError(f"k must be >= 2, got {k}")
     if k > len(ids):
         raise DataError(f"k={k} exceeds patient count {len(ids)}")
     rng = np.random.default_rng(seed)

@@ -7,9 +7,10 @@ margin without the bias (Platt 1998's error cache; F = -y * G for the dual
 gradient G). Each step takes i as the maximal violator and j by the
 second-order rule (Fan, Chen & Lin, JMLR 2005), solves the pair's
 subproblem analytically and updates F from rows i and j of K. The solver
-stops when the maximal-violating-pair gap is at most tol; a step budget
-reached first returns the current model with its ``converged`` flag
-cleared and a warning.
+stops when the maximal-violating-pair gap is at most tol, on an F
+recomputed from the alphas, since the updated one drifts by rounding; a
+step budget reached first returns the current model with its
+``converged`` flag cleared and a warning.
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ def svm_fit_smo(
     pos = y > 0
     budget = max_passes * -(-n // 2)
     steps = 0
+    fresh = True  # F was computed from alphas, not updated step by step
     while True:
         # I_up holds the alphas that may move along +y, I_low along -y; a
         # feasible alpha is optimal iff max F over I_up <= min F over I_low.
@@ -106,6 +108,11 @@ def svm_fit_smo(
         i = int(np.argmax(np.where(up, F, -np.inf)))
         hi, lo = F[i], F[low].min()
         converged = hi - lo <= tol
+        if converged and not fresh:
+            # The updated F drifts by rounding; confirm the gap from alphas.
+            F = y - K @ (alphas * y)
+            fresh = True
+            continue
         if converged or steps == budget:
             break
         Ki = K[i]
@@ -121,6 +128,7 @@ def svm_fit_smo(
         alphas[j] = (0.0 if pos[j] else C) if t == cap_j else alphas[j] - y[j] * t
         F -= t * (Ki - K[j])
         steps += 1
+        fresh = False
 
     if not converged:
         warnings.warn(

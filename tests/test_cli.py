@@ -601,6 +601,15 @@ def test_cv_rejects_leaky_flag(tmp_path, synth_dir, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("k", ["1", "0", "-3"])
+def test_cv_bad_k_exits_1_before_the_csv_is_read(tmp_path, capsys, k):
+    missing = tmp_path / "missing.csv"
+    rc = main(["cv", "--k", k, "--features", str(missing), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"cv parameter k must be an int >= 2, got {k}" in err
+
+
 # ---------------------------------------------------------------- predict
 
 

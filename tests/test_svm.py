@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seizurekit import ConfigError, DataError
@@ -300,6 +300,11 @@ def small_problems(draw):
 
 @settings(deadline=None, max_examples=150)
 @given(small_problems(), st.sampled_from([1e-3, 1e-2]))
+# The step-by-step F once read a gap of tol where the fresh one is 0.010000000000000009.
+@example(
+    (np.array([[1.0, -1], [-2, -3], [0, 1], [0, 1], [1, -1], [3, -1]]), np.array([0, 1, 1, 1, 1, 0]), 0.01, 5.0),
+    1e-2,
+)
 def test_solver_is_feasible_converges_and_is_no_worse_than_simplified_smo(problem, tol):
     X, y, C, gamma = problem
     with warnings.catch_warnings():
