@@ -32,26 +32,11 @@ from .epochs import Epochs, LabeledEpochSet, stream_labeled_epochs
 from .errors import ConfigError, DataError, LeakageError, read_utf8
 from .evaluation import FOLD_DOMAINS, assert_patient_disjoint
 from .features import (
-    FeatureMatrix,
-    apply_scaler,
-    extract_features,
-    fit_scaler,
-    load_scaler,
-    read_feature_csv,
-    save_scaler,
-    write_feature_csv,
+    FeatureMatrix, extract_features, read_feature_csv, scaler_json, write_feature_csv
 )
 from .models import MODELS, load_model, save_model, spec_for
 from .models.registry import DEFAULT_MODEL
-from .pipeline import (
-    PipelineConfig,
-    metrics_report,
-    model_inputs,
-    patient_split,
-    predict_and_score,
-    run_cv,
-    run_holdout,
-)
+from .pipeline import PipelineConfig, patient_split, run_cv, run_holdout, score_features
 from .synthetic import SynthConfig, generate_synthetic
 from .version import SPEC_VERSION
 
@@ -348,6 +333,7 @@ def cmd_ingest(args) -> int:
 
     known = {p.name for p in edf_paths}
     intervals = _load_intervals(opts["summaries"], known, warn)
+    demographics = _demographics_rows(Path(opts["demographics"])) if opts["demographics"] else None
 
     out = _out_dir(args)
     sets = []  # one LabeledEpochSet per file that has epochs
@@ -401,10 +387,9 @@ def cmd_ingest(args) -> int:
             "spec_version": SPEC_VERSION,
         },
     )
-    if opts["demographics"]:
-        rows = _demographics_rows(Path(opts["demographics"]))
+    if demographics:
         with open(out / "demographics.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(rows) + "\n")
+            fh.write("\n".join(demographics) + "\n")
 
     inputs = {p.name: p for p in edf_paths if p.name not in failures}
     inputs.update({Path(s).name: s for s in opts["summaries"]})
@@ -504,8 +489,8 @@ def cmd_train(args) -> int:
     result = run_holdout(fm, labels, cfg, _explicit_split(opts))
 
     out = _out_dir(args)
-    save_model(result.model, out / "model.json")
-    save_scaler(result.scaler, out / "scaler.json")
+    save_model(result.model, result.scaler, result.fit_patients, out / "model.json")
+    (out / "scaler.json").write_text(scaler_json(result.scaler), encoding="utf-8", newline="\n")
     _write_json(out / "report.json", _report_without_curve(result.report))
     if "roc_points" in result.report:
         _write_roc_csv(out / "roc.csv", result.report["roc_points"])
@@ -534,7 +519,7 @@ def _window_length(model, explicit: int | None, model_file) -> int:
 
 def cmd_eval(args) -> int:
     opts, given = _options(args)
-    model = load_model(args.model_file)
+    model, scaler, fit_patients = load_model(args.model_file)
     name = spec_for(model).name
     if opts["model"] not in (None, name):
         raise ConfigError(
@@ -549,17 +534,18 @@ def cmd_eval(args) -> int:
     fm, labels = read_feature_csv(args.features)
 
     rows, split = patient_split(fm, cfg, _explicit_split(opts))
-    train_idx, test_idx = rows["train"], rows["test"]
-    assert_patient_disjoint(fm.patients[train_idx], fm.patients[test_idx])
-    if len(train_idx) == 0 or len(test_idx) == 0:
-        raise DataError("evaluation split has an empty side")
+    test_idx = rows["test"]
+    assert_patient_disjoint(fm.patients[rows["train"]], fm.patients[test_idx])
+    if len(test_idx) == 0:
+        raise DataError("evaluation split has no test rows")
 
-    scaler = fit_scaler(fm.take(train_idx))
-    test_fm = apply_scaler(scaler, fm.take(test_idx))
-    data = model_inputs(cfg.spec, test_fm, labels[test_idx], cfg.sequence_length)
-    y_pred, scores = predict_and_score(model, data.inputs, cfg.threshold)
-
-    report = metrics_report(data.y, y_pred, scores)
+    data, _, _, report = score_features(
+        model, scaler, fm.take(test_idx), labels[test_idx], cfg.sequence_length, cfg.threshold
+    )
+    # Scoring first makes a file of another feature layout a DataError, not a name clash.
+    fitted_on = sorted(set(fit_patients) & set(map(str, fm.patients[test_idx])))
+    if fitted_on:
+        raise LeakageError(f"test patient(s) {fitted_on} helped fit the model in {args.model_file}")
     out = _out_dir(args)
     if "roc_points" in report:
         _write_roc_csv(out / "roc.csv", report.pop("roc_points"))
@@ -620,7 +606,7 @@ def cmd_cv(args) -> int:
 
 def cmd_predict(args) -> int:
     opts, _ = _options(args)
-    model = load_model(args.model_file)
+    model, scaler, _ = load_model(args.model_file)
     spec = spec_for(model)
     # A threshold given must lie in the model's domain; a model without one names it unknown.
     if opts["threshold"] is None:
@@ -632,12 +618,13 @@ def cmd_predict(args) -> int:
     elif opts["sequence_length"] is not None:
         raise ConfigError(f"{spec.name} models take no sequence_length")
 
+    # --scaler only restates the scaler that the model file carries.
+    if args.scaler_file and Path(args.scaler_file).read_bytes() != scaler_json(scaler).encode():
+        raise DataError(f"{args.scaler_file} is not the scaler in {args.model_file}; drop --scaler")
     fm, _ = read_feature_csv(args.features)
-    if args.scaler_file:
-        fm = apply_scaler(load_scaler(args.scaler_file), fm)
-
-    data = model_inputs(spec, fm, np.zeros(fm.n_rows, dtype=np.int64), opts["sequence_length"])
-    classes, scores = predict_and_score(model, data.inputs, opts["threshold"])
+    data, classes, scores, _ = score_features(
+        model, scaler, fm, None, opts["sequence_length"], opts["threshold"]
+    )
     rows = zip(data.patients, data.files, data.starts, scores, classes)
 
     out = _out_dir(args)
@@ -725,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True, dest="model_file")
-    p.add_argument("--scaler", dest="scaler_file", help="scaler JSON from train")
+    p.add_argument("--scaler", dest="scaler_file", help="must equal train's scaler.json")
     p.add_argument("--threshold", type=float)
     p.set_defaults(func=cmd_predict)
 

@@ -12,7 +12,6 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -71,24 +70,10 @@ class Scaler:
             raise DataError("scaler std must be nonnegative")
 
 
-def save_scaler(s: Scaler, path) -> None:
-    """Write the scaler as JSON: `mean`, `std` and `spec_version`."""
+def scaler_json(s: Scaler) -> str:
+    """The text of scaler.json: `mean`, `std` and `spec_version` as key-sorted JSON."""
     doc = {"mean": s.mean.tolist(), "std": s.std.tolist(), "spec_version": SPEC_VERSION}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_scaler(path) -> Scaler:
-    """Read a scaler written by save_scaler; a malformed file raises DataError."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return Scaler(
-            mean=np.array(doc["mean"], dtype=np.float64),
-            std=np.array(doc["std"], dtype=np.float64),
-        )
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise DataError(f"{path}: not a scaler document: {exc!r}") from None
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # Epochs go through extract_features in blocks of about this many bytes, so

@@ -1,17 +1,23 @@
 """Versioned JSON serialization for every registered model type.
 
-Documents carry `model_type` and `spec_version`; the other fields come
-from the model's registry entry (`params` and `config` for the tabular
-models, `dims`, `weights` and `config` for the LSTM). Floats are written
-with full round-trip precision, so save -> load reproduces parameters
-exactly.
+A model file is the whole trained artefact: every document carries
+`model_type`, `spec_version`, the `scaler` fitted on the training rows and
+`fit_patients`, the sorted patients of the training and validation rows.
+The other fields come from the model's registry entry (`params` and
+`config` for the tabular models, `dims`, `weights` and `config` for the
+LSTM). Floats are written with full round-trip precision, so save -> load
+reproduces parameters exactly.
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
+
+from ..domains import Domain
 from ..errors import DataError, read_utf8
+from ..features import Scaler
 from ..version import SPEC_VERSION
 from .registry import MODELS, spec_for
 
@@ -36,16 +42,38 @@ def model_from_dict(doc: dict):
         raise DataError(f"malformed {mtype} model document: {exc!r}") from None
 
 
-def save_model(model, path) -> None:
-    doc = model_to_dict(model)
+def _scaler_from_doc(field) -> Scaler:
+    if not isinstance(field, dict):
+        raise DataError("no scaler object; a file saved before models carried one needs retraining")
+    for key, domain in (("mean", Domain(float)), ("std", Domain(float, 0))):
+        if not (isinstance(field.get(key), list) and all(v in domain for v in field[key])):
+            raise DataError(f"scaler {key} must be a list, each entry {domain}")
+    return Scaler(*(np.array(field[key], dtype=np.float64) for key in ("mean", "std")))
+
+
+def save_model(model, scaler: Scaler, fit_patients, path) -> None:
+    """Write model, the scaler its inputs need and the patients it was fitted on."""
+    doc = {
+        **model_to_dict(model),
+        "scaler": {"mean": scaler.mean.tolist(), "std": scaler.std.tolist()},
+        "fit_patients": sorted(map(str, fit_patients)),
+    }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_model(path):
+    """(model, scaler, fit_patients) from a file save_model wrote; DataError names the file."""
     try:
         doc = json.loads(read_utf8(path))
     except ValueError as exc:  # JSONDecodeError, or an integer too long for int()
         raise DataError(f"{path}: invalid model JSON: {exc}") from None
-    return model_from_dict(doc)
+    try:
+        model = model_from_dict(doc)
+        patients = doc.get("fit_patients")
+        if not (isinstance(patients, list) and all(isinstance(p, str) for p in patients)):
+            raise DataError("fit_patients must be a list of patient names")
+        return model, _scaler_from_doc(doc.get("scaler")), patients
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

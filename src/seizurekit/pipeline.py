@@ -3,8 +3,9 @@
 Every run follows the same sequence: split by patient, fit the scaler on
 training rows only, scale all splits, oversample the training split if
 asked, then fit the model. Models come from the registry in
-models/registry.py, and every model is scored by the same code; a
-sequence model reads build_sequences windows where the others read rows.
+models/registry.py, and score_features scores every model, fresh or
+loaded from its file, on raw feature rows; a sequence model reads
+build_sequences windows where the others read rows.
 A patient-disjointness gate guards every evaluation; the only way around
 it is the explicit allow_leaky_split switch, which exists to demonstrate
 how optimistic row-level splits are.
@@ -30,7 +31,7 @@ from .evaluation import (
     split_patients,
     summarize_folds,
 )
-from .features import FeatureMatrix, apply_scaler, fit_scaler
+from .features import FeatureMatrix, Scaler, apply_scaler, fit_scaler
 # DEFAULT_SVM_TRAIN_CAP and resolve_class_weights are re-exported here.
 from .models.registry import (
     DEFAULT_MODEL,
@@ -105,14 +106,15 @@ def stratified_cap(y, cap: int, seed: int) -> np.ndarray:
 
 
 def model_inputs(
-    spec: ModelSpec, fm: FeatureMatrix, labels, sequence_length: int
+    spec: ModelSpec, scaler: Scaler, fm: FeatureMatrix, labels, sequence_length: int
 ) -> SequenceDataset:
-    """A model's inputs from scaled feature rows, each with the identity
-    (patient, file, start) of the row it is scored as.
+    """A model's inputs from raw feature rows, which scaler scales, each
+    with the identity (patient, file, start) of the row it is scored as.
 
-    A sequence model reads length-T windows (row indices into fm.values)
-    labelled by their last epoch; every other model reads the rows themselves.
+    A sequence model reads length-T windows (row indices into the scaled
+    rows) labelled by their last epoch; every other model reads the rows.
     """
+    fm = apply_scaler(scaler, fm)
     if spec.sequential:
         return build_sequences(fm, labels, sequence_length)
     return SequenceDataset(
@@ -124,9 +126,24 @@ def model_inputs(
     )
 
 
-def predict_and_score(model, X, threshold: float = 0.5):
-    """(predicted classes, ranking scores) for any registered model."""
-    return spec_for(model).score(model, X, threshold)
+def score_features(model, scaler, fm: FeatureMatrix, labels, sequence_length: int, threshold):
+    """Score raw feature rows with a trained model and the scaler fitted with it.
+
+    Returns the model_inputs scored, the classes, the ranking scores, and a
+    report of the labels: confusion-matrix metrics, plus AUC and ROC points
+    when both classes occur; or None without labels.
+    """
+    spec = spec_for(model)
+    y = np.zeros(fm.n_rows, dtype=np.int64) if labels is None else labels
+    data = model_inputs(spec, scaler, fm, y, sequence_length)
+    classes, scores = spec.score(model, data.inputs, threshold)
+    if labels is None:
+        return data, classes, scores, None
+    report = compute_metrics(data.y, classes).to_dict()
+    if len(np.unique(data.y)) == 2:
+        points, report["auc"] = roc_auc(data.y, scores)
+        report["roc_points"] = [[float(a), float(b)] for a, b in points]
+    return data, classes, scores, report
 
 
 def _leaky_row_split(n: int, ratios, seed: int):
@@ -142,23 +159,12 @@ def _leaky_row_split(n: int, ratios, seed: int):
     )
 
 
-def metrics_report(y_true, y_pred, scores) -> dict:
-    """Confusion-matrix metrics, plus AUC and ROC points when both classes occur."""
-    report = compute_metrics(y_true, y_pred)
-    out = report.to_dict()
-    if scores is not None and len(np.unique(np.asarray(y_true))) == 2:
-        points, auc = roc_auc(y_true, scores)
-        out["auc"] = auc
-        out["roc_points"] = [[float(a), float(b)] for a, b in points]
-    return out
-
-
 @dataclass(frozen=True)
 class RunResult:
     report: dict
     model: object
     scaler: object
-    split: dict
+    fit_patients: list  # sorted patients of the train and validation rows
 
 
 def _balance_by_duplication(X, y: np.ndarray):
@@ -199,34 +205,22 @@ def evaluate_split(
             assert_patient_disjoint(fm.patients[train_idx], fm.patients[val_idx])
             assert_patient_disjoint(fm.patients[val_idx], fm.patients[test_idx])
 
+    spec = cfg.spec
     train_fm = fm.take(train_idx)
     scaler = fit_scaler(train_fm)
-    scaled = {"train": apply_scaler(scaler, train_fm), "test": apply_scaler(scaler, fm.take(test_idx))}
-    split_labels = {"train": labels[train_idx], "test": labels[test_idx]}
-    if val_idx is not None and len(val_idx):
-        scaled["val"] = apply_scaler(scaler, fm.take(val_idx))
-        split_labels["val"] = labels[val_idx]
-
-    split_info = {
-        "n_train_rows": int(len(train_idx)),
-        "n_val_rows": int(len(val_idx)) if val_idx is not None else 0,
-        "n_test_rows": int(len(test_idx)),
-    }
-
-    spec = cfg.spec
-    inputs = {
-        split: model_inputs(spec, scaled[split], split_labels[split], cfg.sequence_length)
-        for split in scaled
-    }
-    X_tr, y_tr = inputs["train"].inputs, inputs["train"].y
+    T = cfg.sequence_length
+    train = model_inputs(spec, scaler, train_fm, labels[train_idx], T)
+    X_tr, y_tr = train.inputs, train.y
 
     cap = cfg.max_train_rows if cfg.max_train_rows is not None else spec.train_cap
     if cap is not None and len(X_tr) > cap:
         keep = stratified_cap(y_tr, cap, cfg.seed)
         X_tr, y_tr = X_tr[keep], y_tr[keep]
 
-    held_out = inputs.get("val")
-    val = (held_out.inputs, held_out.y) if held_out is not None and len(held_out) else None
+    val = None
+    if val_idx is not None and len(val_idx):
+        held_out = model_inputs(spec, scaler, fm.take(val_idx), labels[val_idx], T)
+        val = (held_out.inputs, held_out.y) if len(held_out) else None
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -242,23 +236,28 @@ def evaluate_split(
             if len(X_tr) == 0:
                 raise DataError("no training sequences; files shorter than T?")
             X_tr, y_tr = _balance_by_duplication(X_tr, y_tr)
-            counts = {
-                "n_train_sequences": int(len(X_tr)),
-                "n_test_sequences": int(len(inputs["test"])),
-            }
+            counts = {"n_train_sequences": int(len(X_tr))}
         else:
             counts = {"n_train_rows_used": int(len(X_tr)), "n_synthetic_train_rows": n_synth}
         model, fit_report = spec.fit(X_tr, y_tr, cfg.params, cfg.seed, val)
-    y_pred, scores = predict_and_score(model, inputs["test"].inputs, cfg.threshold)
+    test, _, _, report = score_features(
+        model, scaler, fm.take(test_idx), labels[test_idx], T, cfg.threshold
+    )
+    if spec.sequential:
+        counts["n_test_sequences"] = int(len(test))
 
-    report = metrics_report(inputs["test"].y, y_pred, scores)
-    report.update(split_info)
+    report.update(
+        n_train_rows=int(len(train_idx)),
+        n_val_rows=int(len(val_idx)) if val_idx is not None else 0,
+        n_test_rows=int(len(test_idx)),
+    )
     report.update(counts)
     report.update(fit_report)
     notes = [str(w.message) for w in caught]
     if notes:
         report["warnings"] = notes
-    return RunResult(report=report, model=model, scaler=scaler, split=split_info)
+    fit_rows = train_idx if val_idx is None else np.concatenate([train_idx, val_idx])
+    return RunResult(report, model, scaler, sorted(set(map(str, fm.patients[fit_rows]))))
 
 
 def patient_split(

@@ -6,8 +6,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from seizurekit import Recording, write_edf
+from seizurekit import Recording, Scaler, write_edf
 from seizurekit.cli import main
 from seizurekit.features import read_feature_csv
 from seizurekit.models import save_model
@@ -277,6 +279,10 @@ def test_train_outputs(trained_dir, synth_dir):
     groups = [split["train_patients"], split["val_patients"], split["test_patients"]]
     assert sorted(p for g in groups for p in g) == [f"P0{i}" for i in range(1, 7)]
 
+    doc = json.loads((trained_dir / "model.json").read_text(encoding="utf-8"))
+    assert doc["scaler"] == {"mean": scaler["mean"], "std": scaler["std"]}
+    assert doc["fit_patients"] == sorted(split["train_patients"] + split["val_patients"])
+
     roc_lines = (trained_dir / "roc.csv").read_text(encoding="utf-8").splitlines()
     assert roc_lines[0] == "fpr,tpr"
     assert roc_lines[1] == "0.0,0.0"
@@ -461,13 +467,18 @@ def test_allow_leaky_split_flag(tmp_path, synth_dir):
 # ---------------------------------------------------------------- eval
 
 
+def _without(doc, *keys):
+    return {k: v for k, v in doc.items() if k not in keys}
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (lambda doc: b"\xe9" + doc, ":1: not UTF-8"),
         (lambda doc: doc.replace(b"{", b'{"pad": ' + b"9" * 5000 + b",", 1), ": invalid model JSON"),
+        (lambda doc: json.dumps(_without(json.loads(doc), "scaler")).encode(), ": no scaler"),
     ],
-    ids=["not-utf8", "long-integer"],
+    ids=["not-utf8", "long-integer", "no-scaler"],
 )
 def test_eval_unreadable_model_file_exits_2(tmp_path, synth_dir, trained_dir, capsys, edit, message):
     model = tmp_path / "model.json"
@@ -529,6 +540,17 @@ def test_eval_contaminated_split_exits_3(tmp_path, synth_dir, trained_dir):
         ]
     )
     assert rc == 3
+
+
+def test_eval_refuses_test_patients_the_model_was_fitted_on(tmp_path, synth_dir, capsys):
+    features = str(synth_dir / "features.csv")
+    train = tmp_path / "train"
+    assert main(["train", "--features", features, "--seed", "1", "--out", str(train)]) == 0
+    # Seed 1 fits on P01, P02, P03, P05 and P06; seed 0 tests on P02.
+    argv = ["eval", "--features", features, "--model", str(train / "model.json"), "--seed", "0"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+    assert "['P02'] helped fit the model" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------- cv
@@ -666,9 +688,102 @@ def test_predict_threshold_flag(tmp_path, synth_dir, trained_dir):
     assert set(classes_at(1.01, "high")) == {0}
 
 
+def _predict(synth_dir, trained_dir, out, *flags):
+    return main([
+        "predict", "--features", str(synth_dir / "features.csv"),
+        "--model", str(trained_dir / "model.json"), *flags, "--out", str(out),
+    ])
+
+
+def test_predict_applies_the_model_files_scaler(tmp_path, synth_dir, trained_dir):
+    assert _predict(synth_dir, trained_dir, tmp_path / "bare") == 0
+    given = ["--scaler", str(trained_dir / "scaler.json")]
+    assert _predict(synth_dir, trained_dir, tmp_path / "given", *given) == 0
+    bare = (tmp_path / "bare" / "predictions.csv").read_bytes()
+    assert bare == (tmp_path / "given" / "predictions.csv").read_bytes()
+
+
+def test_predict_refuses_a_scaler_other_than_the_model_files(
+    tmp_path, synth_dir, trained_dir, capsys
+):
+    doc = json.loads((trained_dir / "scaler.json").read_text(encoding="utf-8"))
+    doc["mean"][0] += 1.0
+    other = tmp_path / "scaler.json"
+    other.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    assert _predict(synth_dir, trained_dir, tmp_path / "out", "--scaler", str(other)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "drop --scaler" in err
+    assert not (tmp_path / "out").exists()
+
+
+_FINITE = st.floats(-1e6, 1e6)
+_GOOD = st.lists(st.floats(0, 1e6), min_size=12, max_size=12)  # the synth CSV is 12 wide
+
+
+def _scaler(mean, std):
+    return {"mean": mean, "std": std}
+
+
+def _with_entry(field, key, i, value):
+    entries = list(field[key])
+    entries[i % len(entries)] = value
+    return {**field, key: entries}
+
+
+_KEY = st.sampled_from(["mean", "std"])
+# Each case is the `scaler` field of a model file (None: the field is missing).
+MALFORMED_SCALERS = st.one_of(
+    st.none(),
+    st.one_of(st.integers(), st.text(max_size=5), st.lists(_FINITE, max_size=3)),
+    st.builds(
+        lambda field, key, value: {**field, key: value},
+        st.builds(_scaler, _GOOD, _GOOD),
+        _KEY,
+        st.one_of(
+            st.none(), _FINITE, st.text(max_size=5), st.dictionaries(st.text(max_size=2), _FINITE)
+        ),
+    ),
+    st.builds(_scaler, _GOOD, st.lists(st.floats(0, 1e6), max_size=11)),
+    st.integers(0, 20).filter(lambda n: n != 12).flatmap(
+        lambda n: st.builds(_scaler, *[st.lists(st.floats(0, 1e6), min_size=n, max_size=n)] * 2)
+    ),
+    st.builds(
+        lambda field, i, value: _with_entry(field, "std", i, value),
+        st.builds(_scaler, _GOOD, _GOOD), st.integers(0, 11), st.floats(-1e6, -1e-9),
+    ),
+    st.builds(
+        lambda field, key, i: _with_entry(field, key, i, float("nan")),
+        st.builds(_scaler, _GOOD, _GOOD), _KEY, st.integers(0, 11),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def scaler_cases(tmp_path_factory):
+    return tmp_path_factory.mktemp("scalers")
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(field=MALFORMED_SCALERS)
+def test_a_malformed_embedded_scaler_is_a_data_error(
+    scaler_cases, synth_dir, trained_dir, capsys, field
+):
+    doc = _without(json.loads((trained_dir / "model.json").read_text(encoding="utf-8")), "scaler")
+    if field is not None:
+        doc["scaler"] = field
+    (scaler_cases / "model.json").write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert _predict(synth_dir, scaler_cases, scaler_cases / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "scaler" in err
+
+
 def test_predict_lstm_window_offset(tmp_path, synth_dir):
     model_path = tmp_path / "lstm.json"
-    save_model(init_params(12, hidden_dim=4, seed=0), model_path)
+    identity = Scaler(mean=np.zeros(12), std=np.ones(12))
+    save_model(init_params(12, hidden_dim=4, seed=0), identity, [], model_path)
     cfg = tmp_path / "pred.json"
     cfg.write_text(json.dumps({"sequence_length": 5}), encoding="utf-8")
     out = tmp_path / "pred"
@@ -1064,6 +1179,8 @@ def test_ingest_bad_demographics_header_exits_2(tmp_path, capsys):
     )
     assert rc == 2
     assert "patient,age,gender" in capsys.readouterr().err
+    for name in ("epochs.npy", "meta.csv", "store_info.json"):
+        assert not (tmp_path / "store" / name).exists(), name
 
 
 def test_ingest_blank_patient_header_uses_file_prefix(tmp_path):

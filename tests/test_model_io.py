@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from seizurekit import DataError, SPEC_VERSION
+from seizurekit import DataError, SPEC_VERSION, Scaler
 from seizurekit.models import (
     ConstantModel,
     KnnModel,
@@ -21,10 +21,13 @@ from seizurekit.models import (
     rf_fit,
     rf_scores,
     save_model,
+    spec_for,
     svm_decision,
     svm_fit_smo,
 )
-from seizurekit.pipeline import predict_and_score
+
+# save_model needs a scaler; these tests score the models directly, so any will do.
+SCALER = Scaler(mean=np.zeros(2), std=np.ones(2))
 
 
 def test_logreg_round_trip_preserves_predictions(tmp_path):
@@ -33,8 +36,8 @@ def test_logreg_round_trip_preserves_predictions(tmp_path):
     y = (X[:, 0] > 0).astype(int)
     model = logreg_fit(X, y, LogRegConfig(max_iters=100, class_weights={0: 1.0, 1: 2.0}))
     path = tmp_path / "model.json"
-    save_model(model, path)
-    back = load_model(path)
+    save_model(model, SCALER, [], path)
+    back, _, _ = load_model(path)
     q = rng.normal(size=(10, 4))
     assert np.array_equal(logreg_predict_proba(model, q), logreg_predict_proba(back, q))
     assert back.config.class_weights == {0: 1.0, 1: 2.0}
@@ -48,8 +51,8 @@ def test_rf_round_trip_preserves_trees(tmp_path):
     y = rng.integers(0, 2, size=40)
     model = rf_fit(X, y, RFConfig(n_trees=5, max_depth=3, seed=7))
     path = tmp_path / "rf.json"
-    save_model(model, path)
-    back = load_model(path)
+    save_model(model, SCALER, [], path)
+    back, _, _ = load_model(path)
     q = rng.normal(size=(15, 3))
     assert np.array_equal(rf_scores(model, q), rf_scores(back, q))
     assert back.config == model.config
@@ -61,8 +64,8 @@ def test_svm_round_trip_preserves_decision(tmp_path):
     y = np.array([0, 1, 1, 0])
     model = svm_fit_smo(X, y, C=10.0, gamma=2.0, seed=1)
     path = tmp_path / "svm.json"
-    save_model(model, path)
-    back = load_model(path)
+    save_model(model, SCALER, [], path)
+    back, _, _ = load_model(path)
     assert np.array_equal(svm_decision(model, X), svm_decision(back, X))
     assert back.gamma == model.gamma and back.C == model.C
     assert back.converged == model.converged
@@ -77,10 +80,11 @@ def test_knn_round_trip_preserves_votes(tmp_path):
         class_weights={0: 1.0, 1: 2.0},
     )
     path = tmp_path / "knn.json"
-    save_model(model, path)
-    back = load_model(path)
+    save_model(model, SCALER, [], path)
+    back, _, _ = load_model(path)
     q = rng.normal(size=(8, 2))
-    assert np.array_equal(predict_and_score(model, q)[0], predict_and_score(back, q)[0])
+    score = spec_for(model).score
+    assert np.array_equal(score(model, q, 0.5)[0], score(back, q, 0.5)[0])
     assert back.class_weights == {0: 1.0, 1: 2.0}  # JSON keys restored to ints
     assert back.k == 3
 
@@ -88,8 +92,8 @@ def test_knn_round_trip_preserves_votes(tmp_path):
 def test_lstm_round_trip_preserves_probabilities(tmp_path):
     params = init_params(4, hidden_dim=6, seed=5)
     path = tmp_path / "lstm.json"
-    save_model(params, path)
-    back = load_model(path)
+    save_model(params, SCALER, [], path)
+    back, _, _ = load_model(path)
     seqs = np.random.default_rng(6).normal(size=(5, 7, 4))
     assert np.array_equal(lstm_predict(params, seqs)[1], lstm_predict(back, seqs)[1])
     doc = json.loads(path.read_text())
@@ -102,8 +106,8 @@ def test_lstm_round_trip_preserves_probabilities(tmp_path):
 
 def test_constant_round_trip(tmp_path):
     path = tmp_path / "c.json"
-    save_model(ConstantModel(constant_class=1), path)
-    back = load_model(path)
+    save_model(ConstantModel(constant_class=1), SCALER, [], path)
+    back, _, _ = load_model(path)
     assert back.constant_class == 1
 
 
@@ -113,7 +117,7 @@ def test_documents_carry_type_and_version(tmp_path):
     assert doc["model_type"] == "constant"
     assert doc["spec_version"] == SPEC_VERSION
     path = tmp_path / "m.json"
-    save_model(model, path)
+    save_model(model, SCALER, [], path)
     raw = path.read_text()
     assert raw.endswith("\n")
     assert json.loads(raw)["spec_version"] == SPEC_VERSION

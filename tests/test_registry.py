@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from seizurekit import ConfigError, DataError
 from seizurekit.cli import build_parser
-from seizurekit.features import apply_scaler
 from seizurekit.models import (
     MODELS,
     RFConfig,
@@ -25,11 +24,12 @@ from seizurekit.models import (
     rf_predict,
     rf_scores,
     save_model,
+    spec_for,
     svm_decision,
     svm_fit_smo,
     svm_predict,
 )
-from seizurekit.pipeline import PipelineConfig, model_inputs, predict_and_score, run_holdout
+from seizurekit.pipeline import PipelineConfig, run_holdout, score_features
 from seizurekit.synthetic import SynthConfig, generate_synthetic
 
 # Small settings so that every model trains in well under a second.
@@ -56,12 +56,17 @@ def test_every_model_scores_the_same_after_save_and_load(name, data, tmp_path):
     cfg = PipelineConfig(model=name, model_params=SMALL_PARAMS.get(name, {}), seed=1)
     result = run_holdout(fm, labels, cfg)
     path = tmp_path / "model.json"
-    save_model(result.model, path)
-    back = load_model(path)
+    save_model(result.model, result.scaler, result.fit_patients, path)
+    back, scaler, fit_patients = load_model(path)
+    assert np.array_equal(scaler.mean, result.scaler.mean)
+    assert np.array_equal(scaler.std, result.scaler.std)
+    assert fit_patients == result.fit_patients
 
-    inputs = model_inputs(cfg.spec, apply_scaler(result.scaler, fm), labels, cfg.sequence_length)
-    classes, scores = predict_and_score(result.model, inputs.X, cfg.threshold)
-    classes_back, scores_back = predict_and_score(back, inputs.X, cfg.threshold)
+    T, threshold = cfg.sequence_length, cfg.threshold
+    inputs, classes, scores, _ = score_features(
+        result.model, result.scaler, fm, labels, T, threshold
+    )
+    _, classes_back, scores_back, _ = score_features(back, scaler, fm, labels, T, threshold)
     assert np.array_equal(classes, classes_back)
     assert np.array_equal(scores, scores_back)
     assert classes.dtype == np.int64
@@ -69,7 +74,7 @@ def test_every_model_scores_the_same_after_save_and_load(name, data, tmp_path):
 
     assert json.loads(path.read_text(encoding="utf-8"))["model_type"] == name
     again = tmp_path / "again.json"
-    save_model(back, again)
+    save_model(back, scaler, fit_patients, again)
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -105,7 +110,7 @@ def test_scores_match_the_model_functions():
     q = rng.normal(size=(25, 3))
 
     rf = rf_fit(X, y, RFConfig(n_trees=4, max_depth=2, seed=0))
-    classes, scores = predict_and_score(rf, q)
+    classes, scores = spec_for(rf).score(rf, q, 0.5)
     assert np.array_equal(classes, rf_predict(rf, q))
     assert np.array_equal(scores, rf_scores(rf, q))
     # An even forest ties on some rows; a tie goes to class 0.
@@ -113,14 +118,14 @@ def test_scores_match_the_model_functions():
     assert np.array_equal(classes, (votes * 2 > 4).astype(np.int64))
 
     svm = svm_fit_smo(X, y, C=1.0, gamma=0.5, seed=0)
-    classes, scores = predict_and_score(svm, q)
+    classes, scores = spec_for(svm).score(svm, q, 0.5)
     assert np.array_equal(classes, svm_predict(svm, q))
     assert np.array_equal(scores, svm_decision(svm, q))
 
 
 def test_unregistered_and_malformed_models_are_data_errors():
     with pytest.raises(DataError):
-        predict_and_score(object(), np.zeros((1, 2)))
+        spec_for(object())
     doc = model_to_dict(rf_fit(np.array([[0.0], [1.0]]), np.array([0, 1]), RFConfig(n_trees=1)))
     del doc["params"]["n_features"]
     with pytest.raises(DataError, match="malformed rf"):
