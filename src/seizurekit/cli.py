@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domains import check_params, has_type
+from .domains import Domain, check_params, has_type
 from .edf import parse_edf, parse_seizure_summary
 from .epochs import DOMAINS as INGEST_DOMAINS
 from .epochs import Epochs, LabeledEpochSet, stream_labeled_epochs
@@ -245,6 +245,9 @@ def _load_intervals(summary_paths, known_files, warn) -> dict:
     return intervals
 
 
+_AGE = Domain(float, 0)
+
+
 def _demographics_rows(info_path: Path) -> list[str]:
     lines = read_utf8(info_path).splitlines()
     if not lines or lines[0].strip().lower() != "patient,age,gender":
@@ -261,6 +264,8 @@ def _demographics_rows(info_path: Path) -> list[str]:
             age = float(cells[1])
         except ValueError:
             raise DataError(f"{info_path}:{ln}: age {cells[1]!r} is not numeric") from None
+        if age not in _AGE:
+            raise DataError(f"{info_path}:{ln}: age {cells[1]!r} must be {_AGE}")
         gender = cells[2] or "unknown"
         gender_counts[gender] = gender_counts.get(gender, 0) + 1
         lo = int(age // 10) * 10
@@ -434,7 +439,14 @@ def cmd_featurize(args) -> int:
     meta, labels = read_feature_csv(meta_path)
     if meta.n_dims:
         raise DataError(f"{meta_path}: unexpected feature columns in the header")
-    stack = np.load(epochs_path)
+    try:
+        stack = np.load(epochs_path)
+    except (ValueError, EOFError) as exc:
+        raise DataError(f"{epochs_path}: not a readable .npy array: {exc}") from None
+    if stack.ndim != 3 or stack.dtype.kind not in "fiu":
+        raise DataError(
+            f"{epochs_path}: expected a 3-d numeric array, got {stack.dtype} {stack.shape}"
+        )
     if len(stack) != meta.n_rows:
         raise DataError(f"store mismatch: {len(stack)} epochs vs {meta.n_rows} meta rows")
     epochs = Epochs(

@@ -259,14 +259,20 @@ def roc_auc(y_true, scores) -> tuple[list[tuple[float, float]], float]:
 
 
 def summarize_folds(reports: list[dict]) -> dict:
-    """Mean and sample standard deviation per numeric metric across folds."""
+    """Mean and sample standard deviation per numeric metric across folds.
+
+    A metric missing from some folds (auc, when a fold's test side has one
+    class) is summarized over the folds that have it; keys come from every
+    fold in the order first seen, so the folds' order cannot drop one.
+    """
     if not reports:
         raise DataError("no fold reports to summarize")
-    keys = [
+    keys = dict.fromkeys(
         k
-        for k in reports[0]
-        if isinstance(reports[0][k], (int, float)) and k not in ("tp", "fp", "tn", "fn")
-    ]
+        for r in reports
+        for k, v in r.items()
+        if isinstance(v, (int, float)) and k not in ("tp", "fp", "tn", "fn")
+    )
     out = {}
     for k in keys:
         vals = np.array([r[k] for r in reports if k in r], dtype=np.float64)

@@ -1,15 +1,14 @@
 """From-scratch classifiers: KNN, logistic regression, random forest,
 RBF-kernel SVM, a single-layer LSTM, and trivial baselines."""
 
-from .baseline import ConstantModel, constant_predict, constant_scores
-from .forest import RFConfig, RFModel, best_split, gini, rf_fit, rf_predict, rf_scores
+from .baseline import ConstantModel
+from .forest import RFConfig, RFModel, best_split, gini, rf_fit, rf_scores
 from .io import load_model, model_from_dict, model_to_dict, save_model
-from .knn import KnnModel, knn_classify, knn_predict, knn_scores, knn_vote
+from .knn import KnnModel, knn_vote
 from .logistic import (
     LogRegConfig,
     LogRegModel,
     logreg_fit,
-    logreg_predict,
     logreg_predict_proba,
     sigmoid,
 )
@@ -23,7 +22,7 @@ from .lstm import (
     lstm_train,
 )
 from .registry import MODELS, ModelSpec, spec_for
-from .svm import SVMModel, rbf_kernel, svm_decision, svm_fit_smo, svm_predict
+from .svm import SVMModel, rbf_kernel, svm_decision, svm_fit_smo
 
 __all__ = [
     "ConstantModel",
@@ -38,17 +37,11 @@ __all__ = [
     "RFModel",
     "SVMModel",
     "best_split",
-    "constant_predict",
-    "constant_scores",
     "gini",
     "init_params",
-    "knn_classify",
-    "knn_predict",
-    "knn_scores",
     "knn_vote",
     "load_model",
     "logreg_fit",
-    "logreg_predict",
     "logreg_predict_proba",
     "lstm_forward",
     "lstm_grad",
@@ -58,12 +51,10 @@ __all__ = [
     "model_to_dict",
     "rbf_kernel",
     "rf_fit",
-    "rf_predict",
     "rf_scores",
     "save_model",
     "sigmoid",
     "spec_for",
     "svm_decision",
     "svm_fit_smo",
-    "svm_predict",
 ]

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..domains import Domain, check_params
 
 DOMAINS = {"class": Domain(int, 0, 1)}
@@ -24,13 +22,3 @@ class ConstantModel:
 
     def __post_init__(self):
         check_params("constant", {"class": self.constant_class}, DOMAINS)
-
-
-def constant_predict(model: ConstantModel, X) -> np.ndarray:
-    n = len(np.atleast_2d(np.asarray(X)))
-    return np.full(n, model.constant_class, dtype=np.int64)
-
-
-def constant_scores(model: ConstantModel, X) -> np.ndarray:
-    n = len(np.atleast_2d(np.asarray(X)))
-    return np.full(n, float(model.constant_class))

@@ -164,15 +164,6 @@ def rf_fit(X, y, config: RFConfig = RFConfig()) -> RFModel:
     return RFModel(trees=tuple(trees), config=config, n_features=d)
 
 
-def rf_predict(model: RFModel, X) -> np.ndarray:
-    """Majority vote across trees; a tie predicts class 0.
-
-    A share above 0.5 is exactly a vote count above n_trees / 2: both are
-    exact in float64 for any n_trees < 2**52.
-    """
-    return (rf_scores(model, X) > 0.5).astype(np.int64)
-
-
 def rf_scores(model: RFModel, X) -> np.ndarray:
     """Fraction of trees voting class 1, usable as a ranking score."""
     X = np.asarray(X, dtype=np.float64)

@@ -74,17 +74,6 @@ def _vote(classes: np.ndarray, weights: dict | None) -> int:
     return int(classes[0])
 
 
-def knn_classify(
-    train_X,
-    train_y,
-    query,
-    k: int,
-    class_weights: dict | None = None,
-) -> int:
-    """Majority class among the k nearest training rows to one query row."""
-    return int(knn_vote(train_X, train_y, [query], k, class_weights)[0][0])
-
-
 def knn_vote(
     train_X,
     train_y,
@@ -113,13 +102,3 @@ def knn_vote(
             w_all = float(w.sum())
         scores[r] = w_pos / w_all if w_all else 0.0
     return classes, scores
-
-
-def knn_predict(train_X, train_y, X, k: int, class_weights: dict | None = None) -> np.ndarray:
-    """knn_classify applied row-wise."""
-    return knn_vote(train_X, train_y, X, k, class_weights)[0]
-
-
-def knn_scores(train_X, train_y, X, k: int, class_weights: dict | None = None) -> np.ndarray:
-    """Positive-class vote share per query row, usable as a ranking score."""
-    return knn_vote(train_X, train_y, X, k, class_weights)[1]

@@ -123,8 +123,3 @@ def logreg_predict_proba(model: LogRegModel, X) -> np.ndarray:
             f"model dimension {len(model.weights)}"
         )
     return sigmoid(X @ model.weights + model.bias)
-
-
-def logreg_predict(model: LogRegModel, X, threshold: float = 0.5) -> np.ndarray:
-    """Class 1 iff predicted probability >= threshold."""
-    return (logreg_predict_proba(model, X) >= threshold).astype(np.int64)

@@ -3,7 +3,8 @@
 Each `ModelSpec` entry is the only definition of a model. The keys of its
 `defaults` are the model's allowed `model_params` and `domains` the values
 each may take; `fit` trains it on scaled inputs, `score` gives (classes,
-ranking scores) in one pass, and `to_doc`/`from_doc` convert it to and from
+ranking scores) in one pass and is the only rule that turns a model's
+scores into classes, and `to_doc`/`from_doc` convert it to and from
 its JSON document. Config validation, the pipeline, model persistence and
 the CLI's `--model` choices all read `MODELS`.
 
@@ -180,7 +181,8 @@ def _fit_rf(X, y, p, seed, val):
 
 
 def _score_rf(m, X, threshold):
-    # A tied vote (share exactly 0.5) goes to class 0, as in rf_predict.
+    # Class 1 on a majority of trees; a share of exactly 0.5 goes to class 0.
+    # share > 0.5 is exactly votes > n_trees / 2 for any n_trees < 2**52.
     scores = forest.rf_scores(m, X)
     return (scores > 0.5).astype(np.int64), scores
 
@@ -237,7 +239,7 @@ def _fit_svm(X, y, p, seed, val):
 
 
 def _score_svm(m, X, threshold):
-    # Class 1 for a nonnegative margin, as in svm_predict.
+    # Class 1 for a margin >= 0.
     margins = svm.svm_decision(m, X)
     return (margins >= 0).astype(np.int64), margins
 
@@ -336,7 +338,10 @@ _CONSTANT = ModelSpec(
     defaults={"class": 0},
     domains=baseline.DOMAINS,
     fit=lambda X, y, p, seed, val: (baseline.ConstantModel(constant_class=int(p["class"])), {}),
-    score=lambda m, X, threshold: (baseline.constant_predict(m, X), baseline.constant_scores(m, X)),
+    score=lambda m, X, threshold: (
+        np.full(len(X), m.constant_class, dtype=np.int64),
+        np.full(len(X), float(m.constant_class)),
+    ),
     to_doc=lambda m: {"params": {"class": m.constant_class}, "config": {}},
     from_doc=lambda doc: baseline.ConstantModel(constant_class=int(doc["params"]["class"])),
 )

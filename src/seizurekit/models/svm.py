@@ -164,8 +164,3 @@ def svm_decision(model: SVMModel, X) -> np.ndarray:
         return np.full(len(X), model.bias)
     K = rbf_kernel(model.support_vectors, X, model.gamma)
     return (model.alphas * model.labels) @ K + model.bias
-
-
-def svm_predict(model: SVMModel, X) -> np.ndarray:
-    """Class 1 for nonnegative margin, else 0."""
-    return (svm_decision(model, X) >= 0).astype(np.int64)

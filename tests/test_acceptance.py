@@ -39,18 +39,17 @@ from seizurekit.models import (
     LstmTrainConfig,
     init_params,
     logreg_fit,
-    logreg_predict,
     lstm_grad,
     lstm_predict,
     lstm_train,
     svm_fit_smo,
-    svm_predict,
 )
 from seizurekit.models.lstm import _FIELDS, _mean_loss
 from seizurekit.pipeline import PipelineConfig, run_holdout
 from seizurekit.synthetic import SynthConfig, generate_synthetic
 
 from tests.test_lstm import flatten, unflatten
+from tests.test_registry import classify
 
 
 def _passed(num, label, t0, budget_s):
@@ -389,11 +388,11 @@ def test_criterion_09_svm_kernel_necessity():
     y = np.array([0, 1, 1, 0])
 
     model = svm_fit_smo(X, y, C=10.0, gamma=2.0, seed=1)
-    svm_acc = float((svm_predict(model, X) == y).mean())
+    svm_acc = float((classify(model, X) == y).mean())
     assert svm_acc == 1.0
 
     lin = logreg_fit(X, y, LogRegConfig(learning_rate=0.5, max_iters=500))
-    lin_acc = float((logreg_predict(lin, X) == y).mean())
+    lin_acc = float((classify(lin, X) == y).mean())
     assert lin_acc <= 0.75, lin_acc
 
     assert np.all(model.alphas >= -1e-12) and np.all(model.alphas <= model.C + 1e-12)

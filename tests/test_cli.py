@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, output files, manifests, determinism."""
 
 import datetime
+import io
 import json
 import re
 
@@ -1183,6 +1184,20 @@ def test_ingest_bad_demographics_header_exits_2(tmp_path, capsys):
         assert not (tmp_path / "store" / name).exists(), name
 
 
+@pytest.mark.parametrize("age", ["nan", "inf", "-3"])
+def test_ingest_age_that_is_not_a_finite_nonnegative_number_exits_2(tmp_path, capsys, age):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.edf").write_bytes(make_edf_bytes("chb01", 4))
+    info = tmp_path / "subjects.csv"
+    info.write_text(f"patient,age,gender\nchb01,24,F\nchb02,{age},M\n", encoding="utf-8")
+    out = tmp_path / "store"
+    rc = main(["ingest", "--edf-dir", str(src), "--demographics", str(info), "--out", str(out)])
+    assert rc == 2
+    assert f"{info}:3: age '{age}' must be a finite number >= 0" in capsys.readouterr().err
+    assert not (out / "epochs.npy").exists()
+
+
 def test_ingest_blank_patient_header_uses_file_prefix(tmp_path):
     src = tmp_path / "src"
     src.mkdir()
@@ -1339,6 +1354,32 @@ def test_featurize_meta_with_feature_columns_exits_2(edf_store, tmp_path, capsys
     rc = main(["featurize", "--store", str(store), "--out", str(tmp_path / "feat")])
     assert rc == 2
     assert f"{store / 'meta.csv'}: unexpected feature columns" in capsys.readouterr().err
+
+
+def _npy_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=True)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda good: b"not a numpy file\n" * 8, "not a readable .npy array"),
+        (lambda good: _npy_bytes(np.array([None] * 60)), "not a readable .npy array"),
+        (lambda good: good[:-40], "not a readable .npy array"),
+        (lambda good: _npy_bytes(np.zeros((60, 8))), "expected a 3-d numeric array"),
+    ],
+    ids=["garbage", "object-dtype", "truncated", "two-d"],
+)
+def test_featurize_unreadable_epochs_file_exits_2(edf_store, tmp_path, capsys, corrupt, message):
+    store = _store_copy(edf_store, tmp_path, lambda lines: lines)
+    epochs = store / "epochs.npy"
+    epochs.write_bytes(corrupt(epochs.read_bytes()))
+    rc = main(["featurize", "--store", str(store), "--out", str(tmp_path / "feat")])
+    assert rc == 2
+    assert f"{epochs}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "feat" / "features.csv").exists()
 
 
 @pytest.mark.parametrize(

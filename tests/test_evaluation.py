@@ -245,6 +245,17 @@ def test_auc_rejects_degenerate_input():
         roc_auc([1, 0], [np.nan, 0.5])
 
 
+def test_summarize_folds_keys_do_not_depend_on_fold_order():
+    one_class = {"accuracy": 1.0, "recall": 0.0}  # a one-class test side has no auc
+    both = {"accuracy": 0.5, "recall": 0.5, "auc": 0.75}
+    other = {"accuracy": 0.7, "recall": 0.25, "auc": 0.25}
+    for folds in ([one_class, both, both], [both, one_class, both], [both, other, one_class]):
+        s = summarize_folds(folds)
+        assert list(s) == ["accuracy", "recall", "auc"]
+        aucs = [f["auc"] for f in folds if "auc" in f]
+        assert s["auc"]["mean"] == pytest.approx(np.mean(aucs))
+
+
 def test_summarize_folds_mean_and_sample_std():
     reports = [{"accuracy": 0.7, "tp": 1}, {"accuracy": 0.8, "tp": 2}, {"accuracy": 0.9, "tp": 3}]
     s = summarize_folds(reports)

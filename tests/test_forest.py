@@ -6,8 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seizurekit import ConfigError, DataError
-from seizurekit.models import RFConfig, RFModel, best_split, gini, rf_fit, rf_predict, rf_scores
+from seizurekit.models import RFConfig, RFModel, best_split, gini, rf_fit, rf_scores
 from seizurekit.models.forest import TreeNode
+
+from tests.test_registry import classify
 
 
 def test_gini_known_values():
@@ -88,7 +90,7 @@ def test_single_deep_tree_memorizes_unique_rows():
     # the tree memorizes its bootstrap sample; rows it saw must come back right
     seeds = np.random.SeedSequence(1).spawn(1)
     idx = np.random.default_rng(seeds[0]).integers(0, 40, size=40)
-    pred = rf_predict(model, X[idx])
+    pred = classify(model, X[idx])
     assert np.array_equal(pred, y[idx])
 
 
@@ -97,7 +99,7 @@ def test_forest_learns_separable_data():
     X = np.concatenate([rng.normal(-2, 0.5, size=(40, 2)), rng.normal(2, 0.5, size=(40, 2))])
     y = np.array([0] * 40 + [1] * 40)
     model = rf_fit(X, y, RFConfig(n_trees=15, max_depth=4, seed=2))
-    assert (rf_predict(model, X) == y).mean() >= 0.95
+    assert (classify(model, X) == y).mean() >= 0.95
 
 
 def test_same_seed_reproduces_forest():
@@ -108,7 +110,7 @@ def test_same_seed_reproduces_forest():
     a = rf_fit(X, y, RFConfig(n_trees=7, seed=3))
     b = rf_fit(X, y, RFConfig(n_trees=7, seed=3))
     c = rf_fit(X, y, RFConfig(n_trees=7, seed=4))
-    assert np.array_equal(rf_predict(a, q), rf_predict(b, q))
+    assert np.array_equal(classify(a, q), classify(b, q))
     assert np.array_equal(rf_scores(a, q), rf_scores(b, q))
     assert not np.array_equal(rf_scores(a, q), rf_scores(c, q))
 
@@ -130,14 +132,14 @@ def test_forest_vote_tie_predicts_class_zero():
     leaf0 = TreeNode(counts=(5, 0))
     leaf1 = TreeNode(counts=(0, 5))
     model = RFModel(trees=(leaf0, leaf1), config=RFConfig(n_trees=2), n_features=1)
-    assert rf_predict(model, np.array([[0.0]]))[0] == 0
+    assert classify(model, np.array([[0.0]]))[0] == 0
     assert rf_scores(model, np.array([[0.0]]))[0] == 0.5
 
 
 def test_leaf_count_tie_predicts_class_zero():
     tie_leaf = TreeNode(counts=(3, 3))
     model = RFModel(trees=(tie_leaf,), config=RFConfig(n_trees=1), n_features=1)
-    assert rf_predict(model, np.array([[0.0]]))[0] == 0
+    assert classify(model, np.array([[0.0]]))[0] == 0
 
 
 def test_scores_are_vote_fractions():
@@ -157,7 +159,7 @@ def test_bad_input_rejected():
         rf_fit(np.zeros((4, 2)), np.array([0, 1, 2, 0]))
     model = rf_fit(np.array([[0.0], [1.0]]), np.array([0, 1]), RFConfig(n_trees=1))
     with pytest.raises(DataError):
-        rf_predict(model, np.zeros((2, 3)))
+        classify(model, np.zeros((2, 3)))
 
 
 def _reference_best_split(X, y, candidate_features):
@@ -296,4 +298,4 @@ def test_rf_scores_match_reference_walk(case, n_trees, max_depth, seed):
     got = rf_scores(model, queries)
     assert got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
-    assert np.array_equal(rf_predict(model, queries), (want > 0.5).astype(np.int64))
+    assert np.array_equal(classify(model, queries), (want > 0.5).astype(np.int64))

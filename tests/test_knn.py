@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seizurekit import ConfigError, DataError
-from seizurekit.models import knn, knn_classify, knn_predict, knn_scores
+from seizurekit.models import knn, knn_vote
 from seizurekit.models.knn import nearest
 
 
@@ -16,18 +16,23 @@ TRAIN_X = np.array([[0.0, 0.0], [1.0, 1.0], [10.0, 10.0]])
 TRAIN_Y = np.array([0, 0, 1])
 
 
+def classify_one(train_X, train_y, query, k, class_weights=None):
+    """The class knn_vote gives one query row."""
+    return int(knn_vote(train_X, train_y, [query], k, class_weights)[0][0])
+
+
 def test_majority_vote_small_example():
     # query near the two class-0 points; k=2 neighbors are both class 0
-    assert knn_classify(TRAIN_X, TRAIN_Y, [0.1, 0.1], k=2) == 0
-    assert knn_classify(TRAIN_X, TRAIN_Y, [9.0, 9.0], k=1) == 1
+    assert classify_one(TRAIN_X, TRAIN_Y, [0.1, 0.1], k=2) == 0
+    assert classify_one(TRAIN_X, TRAIN_Y, [9.0, 9.0], k=1) == 1
 
 
 def test_vote_tie_goes_to_nearest_neighbor():
     X = np.array([[0.0], [2.0]])
     y = np.array([1, 0])
     # k=2 splits the vote 1-1; the closer point decides
-    assert knn_classify(X, y, [0.4], k=2) == 1
-    assert knn_classify(X, y, [1.6], k=2) == 0
+    assert classify_one(X, y, [0.4], k=2) == 1
+    assert classify_one(X, y, [1.6], k=2) == 0
 
 
 def test_distance_tie_prefers_lower_row_index():
@@ -35,12 +40,12 @@ def test_distance_tie_prefers_lower_row_index():
     y = np.array([1, 0, 0])
     # query 0.0 is equidistant from rows 0 and 1; stable sort ranks row 0
     # first, so the k=1 neighbor (and the vote tiebreak at k=2) is class 1
-    assert knn_classify(X, y, [0.0], k=1) == 1
-    assert knn_classify(X, y, [0.0], k=2) == 1
+    assert classify_one(X, y, [0.0], k=1) == 1
+    assert classify_one(X, y, [0.0], k=2) == 1
 
 
 def test_query_on_training_point():
-    assert knn_classify(TRAIN_X, TRAIN_Y, [10.0, 10.0], k=1) == 1
+    assert classify_one(TRAIN_X, TRAIN_Y, [10.0, 10.0], k=1) == 1
 
 
 def test_predict_matches_classify_rowwise():
@@ -48,8 +53,8 @@ def test_predict_matches_classify_rowwise():
     train_X = rng.normal(size=(30, 3))
     train_y = rng.integers(0, 2, size=30)
     X = rng.normal(size=(15, 3))
-    batch = knn_predict(train_X, train_y, X, k=5)
-    single = [knn_classify(train_X, train_y, row, k=5) for row in X]
+    batch, _ = knn_vote(train_X, train_y, X, k=5)
+    single = [classify_one(train_X, train_y, row, k=5) for row in X]
     assert batch.tolist() == single
 
 
@@ -59,34 +64,34 @@ def test_prediction_invariant_to_training_order():
     train_X = rng.normal(size=(40, 4))
     train_y = rng.integers(0, 2, size=40)
     X = rng.normal(size=(20, 4))
-    base = knn_predict(train_X, train_y, X, k=3)
+    base, _ = knn_vote(train_X, train_y, X, k=3)
     perm = rng.permutation(40)
-    shuffled = knn_predict(train_X[perm], train_y[perm], X, k=3)
+    shuffled, _ = knn_vote(train_X[perm], train_y[perm], X, k=3)
     assert np.array_equal(base, shuffled)
 
 
 def test_class_weights_can_flip_minority_vote():
     X = np.array([[0.0], [0.2], [0.4]])
     y = np.array([0, 0, 1])
-    assert knn_classify(X, y, [0.2], k=3) == 0
+    assert classify_one(X, y, [0.2], k=3) == 0
     # weighting class 1 votes 3x outweighs two class-0 neighbors
-    assert knn_classify(X, y, [0.2], k=3, class_weights={0: 1.0, 1: 3.0}) == 1
+    assert classify_one(X, y, [0.2], k=3, class_weights={0: 1.0, 1: 3.0}) == 1
 
 
 def test_scores_are_positive_vote_share():
-    s = knn_scores(TRAIN_X, TRAIN_Y, np.array([[0.0, 0.0], [10.0, 10.0]]), k=3)
+    _, s = knn_vote(TRAIN_X, TRAIN_Y, np.array([[0.0, 0.0], [10.0, 10.0]]), k=3)
     assert s.tolist() == [pytest.approx(1 / 3), pytest.approx(1 / 3)]
-    s1 = knn_scores(TRAIN_X, TRAIN_Y, np.array([[10.0, 10.0]]), k=1)
+    _, s1 = knn_vote(TRAIN_X, TRAIN_Y, np.array([[10.0, 10.0]]), k=1)
     assert s1[0] == 1.0
 
 
 def test_invalid_k_and_empty_train_rejected():
     with pytest.raises(ConfigError):
-        knn_classify(TRAIN_X, TRAIN_Y, [0.0, 0.0], k=0)
+        classify_one(TRAIN_X, TRAIN_Y, [0.0, 0.0], k=0)
     with pytest.raises(DataError):
-        knn_classify(TRAIN_X, TRAIN_Y, [0.0, 0.0], k=4)
+        classify_one(TRAIN_X, TRAIN_Y, [0.0, 0.0], k=4)
     with pytest.raises(DataError):
-        knn_classify(np.zeros((0, 2)), np.zeros(0), [0.0, 0.0], k=1)
+        classify_one(np.zeros((0, 2)), np.zeros(0), [0.0, 0.0], k=1)
 
 
 # ---------------------------------------------------------------- nearest

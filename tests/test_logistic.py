@@ -9,11 +9,12 @@ from seizurekit import ConfigError
 from seizurekit.models import (
     LogRegConfig,
     logreg_fit,
-    logreg_predict,
     logreg_predict_proba,
     sigmoid,
 )
 from seizurekit.models.logistic import _loss_and_grad, _sample_weights
+
+from tests.test_registry import classify
 
 
 def test_sigmoid_known_values():
@@ -38,14 +39,14 @@ def test_zero_iterations_gives_uninformative_model():
     assert np.all(model.weights == 0.0) and model.bias == 0.0
     assert np.all(logreg_predict_proba(model, X) == 0.5)
     # p = 0.5 meets a 0.5 threshold, so everything is class 1
-    assert np.all(logreg_predict(model, X) == 1)
+    assert np.all(classify(model, X) == 1)
 
 
 def test_separable_1d_problem_is_learned():
     X = np.array([[-2.0], [-1.5], [-1.0], [1.0], [1.5], [2.0]])
     y = np.array([0, 0, 0, 1, 1, 1])
     model = logreg_fit(X, y, LogRegConfig(learning_rate=1.0, max_iters=500))
-    assert np.array_equal(logreg_predict(model, X), y)
+    assert np.array_equal(classify(model, X), y)
     assert model.weights[0] > 0
 
 
@@ -124,7 +125,7 @@ def test_class_weights_shift_decisions_toward_minority():
         X, y, LogRegConfig(max_iters=300, class_weights={0: 1.0, 1: 9.0})
     )
     grid = np.linspace(-3, 3, 61).reshape(-1, 1)
-    assert logreg_predict(weighted, grid).sum() > logreg_predict(plain, grid).sum()
+    assert classify(weighted, grid).sum() > classify(plain, grid).sum()
 
 
 def test_balanced_sample_weights():
@@ -146,7 +147,7 @@ def test_threshold_boundary_is_class_one():
     model = logreg_fit(
         np.array([[-1.0], [1.0]]), np.array([0, 1]), LogRegConfig(max_iters=0)
     )
-    assert logreg_predict(model, np.array([[0.0]]), threshold=0.5)[0] == 1
+    assert classify(model, np.array([[0.0]]), threshold=0.5)[0] == 1
 
 
 def test_bad_config_rejected():

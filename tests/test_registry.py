@@ -12,25 +12,27 @@ from seizurekit import ConfigError, DataError
 from seizurekit.cli import build_parser
 from seizurekit.models import (
     MODELS,
+    KnnModel,
     RFConfig,
-    knn_classify,
-    knn_predict,
-    knn_scores,
     knn_vote,
     load_model,
     model_from_dict,
     model_to_dict,
     rf_fit,
-    rf_predict,
     rf_scores,
     save_model,
     spec_for,
     svm_decision,
     svm_fit_smo,
-    svm_predict,
 )
 from seizurekit.pipeline import PipelineConfig, run_holdout, score_features
 from seizurekit.synthetic import SynthConfig, generate_synthetic
+
+
+def classify(model, X, threshold=0.5):
+    """The classes that the model's registry entry gives X."""
+    return spec_for(model).score(model, X, threshold)[0]
+
 
 # Small settings so that every model trains in well under a second.
 SMALL_PARAMS = {
@@ -111,7 +113,7 @@ def test_scores_match_the_model_functions():
 
     rf = rf_fit(X, y, RFConfig(n_trees=4, max_depth=2, seed=0))
     classes, scores = spec_for(rf).score(rf, q, 0.5)
-    assert np.array_equal(classes, rf_predict(rf, q))
+    assert np.array_equal(classes, (rf_scores(rf, q) > 0.5).astype(np.int64))
     assert np.array_equal(scores, rf_scores(rf, q))
     # An even forest ties on some rows; a tie goes to class 0.
     votes = np.rint(scores * 4).astype(int)
@@ -119,7 +121,7 @@ def test_scores_match_the_model_functions():
 
     svm = svm_fit_smo(X, y, C=1.0, gamma=0.5, seed=0)
     classes, scores = spec_for(svm).score(svm, q, 0.5)
-    assert np.array_equal(classes, svm_predict(svm, q))
+    assert np.array_equal(classes, (svm_decision(svm, q) >= 0).astype(np.int64))
     assert np.array_equal(scores, svm_decision(svm, q))
 
 
@@ -173,8 +175,10 @@ def test_one_pass_knn_matches_per_row_reference(case):
     train_X, train_y, queries, k, class_weights = case
     classes, scores = knn_vote(train_X, train_y, queries, k, class_weights)
     assert classes.tolist() == [
-        knn_classify(train_X, train_y, q, k, class_weights) for q in queries
+        int(knn_vote(train_X, train_y, [q], k, class_weights)[0][0]) for q in queries
     ]
     assert scores.tolist() == _reference_scores(train_X, train_y, queries, k, class_weights)
-    assert np.array_equal(knn_predict(train_X, train_y, queries, k, class_weights), classes)
-    assert np.array_equal(knn_scores(train_X, train_y, queries, k, class_weights), scores)
+    model = KnnModel(train_X, train_y, k, class_weights)
+    registry_classes, registry_scores = spec_for(model).score(model, queries, 0.5)
+    assert np.array_equal(registry_classes, classes)
+    assert np.array_equal(registry_scores, scores)

@@ -14,12 +14,12 @@ from seizurekit.cli import main
 from seizurekit.models import (
     LogRegConfig,
     logreg_fit,
-    logreg_predict,
     rbf_kernel,
     svm_decision,
     svm_fit_smo,
-    svm_predict,
 )
+
+from tests.test_registry import classify
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
@@ -82,14 +82,14 @@ def test_kernel_peak_memory_is_one_output_buffer():
 def test_xor_is_learned_exactly():
     model = svm_fit_smo(XOR_X, XOR_Y, C=10.0, gamma=2.0, seed=1)
     assert model.converged
-    assert np.array_equal(svm_predict(model, XOR_X), XOR_Y)
+    assert np.array_equal(classify(model, XOR_X), XOR_Y)
 
 
 def test_xor_beats_linear_model():
     model = svm_fit_smo(XOR_X, XOR_Y, C=10.0, gamma=2.0, seed=1)
-    svm_acc = (svm_predict(model, XOR_X) == XOR_Y).mean()
+    svm_acc = (classify(model, XOR_X) == XOR_Y).mean()
     lin = logreg_fit(XOR_X, XOR_Y, LogRegConfig(learning_rate=0.5, max_iters=2000))
-    lin_acc = (logreg_predict(lin, XOR_X) == XOR_Y).mean()
+    lin_acc = (classify(lin, XOR_X) == XOR_Y).mean()
     assert svm_acc == 1.0
     assert lin_acc <= 0.75  # no linear boundary solves XOR
 
@@ -121,7 +121,7 @@ def test_decision_sign_convention():
     model = svm_fit_smo(X, y, C=1.0, gamma=1.0, seed=2)
     d = svm_decision(model, np.array([[-2.0], [2.0]]))
     assert d[0] < 0 < d[1]
-    assert svm_predict(model, np.array([[-2.0], [2.0]])).tolist() == [0, 1]
+    assert classify(model, np.array([[-2.0], [2.0]])).tolist() == [0, 1]
 
 
 def test_zero_margin_is_class_one():
@@ -129,7 +129,7 @@ def test_zero_margin_is_class_one():
     # predictions are margin >= 0, so an exactly-zero margin lands in class 1
     fake = model.support_vectors[:1] * 0.0
     sign = svm_decision(model, fake)
-    pred = svm_predict(model, fake)
+    pred = classify(model, fake)
     assert pred[0] == (1 if sign[0] >= 0 else 0)
 
 
