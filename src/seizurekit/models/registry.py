@@ -66,6 +66,12 @@ def resolve_class_weights(spec, y) -> dict | None:
     return {int(k): float(v) for k, v in spec.items()}
 
 
+def _with_convergence(model):
+    """A fit's result for a model with iterations: the model, and its
+    iteration count and convergence flag for the run report."""
+    return model, {"n_iters": model.n_iters, "converged": model.converged}
+
+
 def _typed(p: dict, domains: dict) -> dict:
     """The entries of p named in domains, each as its domain's int or float (None stays)."""
     return {k: None if p[k] is None else domains[k].kind(p[k]) for k in domains}
@@ -119,7 +125,7 @@ def _fit_logreg(X, y, p, seed, val):
         class_weights=resolve_class_weights(p["class_weights"], y),
         seed=seed,
     )
-    return logistic.logreg_fit(X, y, cfg), {}
+    return _with_convergence(logistic.logreg_fit(X, y, cfg))
 
 
 def _score_logreg(m, X, threshold):
@@ -235,7 +241,7 @@ def _fit_svm(X, y, p, seed, val):
     gamma = p["gamma"]
     if gamma is None:
         gamma = 1.0 / X.shape[1]
-    return svm.svm_fit_smo(X, y, **_typed({**p, "gamma": gamma}, svm.DOMAINS)), {}
+    return _with_convergence(svm.svm_fit_smo(X, y, **_typed({**p, "gamma": gamma}, svm.DOMAINS)))
 
 
 def _score_svm(m, X, threshold):

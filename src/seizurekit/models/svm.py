@@ -11,11 +11,19 @@ stops when the maximal-violating-pair gap is at most tol, on an F
 recomputed from the alphas, since the updated one drifts by rounding; a
 step budget reached first returns the current model with its
 ``converged`` flag cleared and a warning.
+
+The n x n kernel is never built. Rows of K are computed when a step needs
+them and kept in a least-recently-used cache of at most _ROW_CACHE_BYTES
+(Chang & Lin, ACM TIST 2011). The recomputed F and the decision function
+sum over the support vectors through blocks of query rows, each at most
+_BLOCK_BYTES of kernel, so a fit holds about _ROW_CACHE_BYTES plus
+_BLOCK_BYTES beyond its inputs, whatever n is.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +33,15 @@ from ..errors import DataError
 
 # Curvature used in place of K_ii + K_jj - 2 K_ij <= 0 (LIBSVM's TAU).
 _TAU = 1e-12
+
+# The most bytes of kernel rows the SMO solver keeps between steps.
+_ROW_CACHE_BYTES = 8 << 20
+
+# The most bytes of kernel that one block of margins holds (one query row at
+# least). Its rows are a power of two: with one OpenBLAS thread, such blocks
+# gave the margins of one whole-query product bit for bit, except in a last
+# block of a few rows, where blocks of 1,000 or 777 rows did not.
+_BLOCK_BYTES = 8 << 20
 
 # The domain of each svm_fit_smo parameter; C = inf (a hard margin) is refused.
 DOMAINS = {
@@ -51,12 +68,51 @@ def rbf_kernel(A, B, gamma: float) -> np.ndarray:
     """K[i, j] = exp(-gamma * ||A_i - B_j||^2), built in one (n, m) buffer."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
+    return _rbf(A, (A * A).sum(axis=1), B, (B * B).sum(axis=1), gamma)
+
+
+def _rbf(A, sq_A, B, sq_B, gamma: float) -> np.ndarray:
+    """rbf_kernel(A, B, gamma) given the rows' squared norms."""
     K = 2.0 * A @ B.T
-    np.subtract((A * A).sum(axis=1)[:, None], K, out=K)
-    K += (B * B).sum(axis=1)[None, :]
+    np.subtract(sq_A[:, None], K, out=K)
+    K += sq_B[None, :]
     np.maximum(K, 0.0, out=K)
     K *= -gamma
     return np.exp(K, out=K)
+
+
+def _margins(sv, coef, X, gamma: float) -> np.ndarray:
+    """coef @ rbf_kernel(sv, X, gamma), through blocks of query rows."""
+    sq_sv = (sv * sv).sum(axis=1)
+    # The largest power of two of rows whose kernel fits in _BLOCK_BYTES.
+    step = 1 << max(0, (_BLOCK_BYTES // (8 * max(1, len(sv)))).bit_length() - 1)
+    out = np.empty(len(X))
+    for start in range(0, len(X), step):
+        block = X[start : start + step]
+        K = _rbf(sv, sq_sv, block, (block * block).sum(axis=1), gamma)
+        out[start : start + len(block)] = coef @ K
+    return out
+
+
+class _KernelRows:
+    """Rows of the training kernel, computed on demand and kept in a
+    least-recently-used cache of at most _ROW_CACHE_BYTES (one row at least)."""
+
+    def __init__(self, X: np.ndarray, sq: np.ndarray, gamma: float):
+        self.X, self.sq, self.gamma = X, sq, gamma
+        self.capacity = max(1, _ROW_CACHE_BYTES // (8 * len(X)))
+        self.rows: OrderedDict[int, np.ndarray] = OrderedDict()
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        row = self.rows.get(i)
+        if row is not None:
+            self.rows.move_to_end(i)
+            return row
+        if len(self.rows) == self.capacity:
+            self.rows.popitem(last=False)
+        row = _rbf(self.X[i : i + 1], self.sq[i : i + 1], self.X, self.sq, self.gamma)[0]
+        self.rows[i] = row
+        return row
 
 
 def svm_fit_smo(
@@ -92,8 +148,8 @@ def svm_fit_smo(
         raise DataError("need both classes to fit an SVM")
 
     n = len(X)
-    K = rbf_kernel(X, X, gamma)
-    diag = K.diagonal().copy()
+    sq = (X * X).sum(axis=1)
+    K = _KernelRows(X, sq, gamma)
     alphas = np.zeros(n)
     F = y.copy()  # y - K (alpha * y) at alpha = 0
     pos = y > 0
@@ -110,14 +166,15 @@ def svm_fit_smo(
         converged = hi - lo <= tol
         if converged and not fresh:
             # The updated F drifts by rounding; confirm the gap from alphas.
-            F = y - K @ (alphas * y)
+            sv = np.flatnonzero(alphas)
+            F = y - _margins(X[sv], alphas[sv] * y[sv], X, gamma)
             fresh = True
             continue
         if converged or steps == budget:
             break
         Ki = K[i]
         gain = hi - F
-        curv = diag[i] + diag - 2.0 * Ki
+        curv = 2.0 - 2.0 * Ki  # K_ii + K_jj - 2 K_ij, with K_ii = exp(0) = 1
         curv[curv <= 0] = _TAU
         j = int(np.argmin(np.where(low & (gain > 0), -gain * gain / curv, np.inf)))
         # Move alpha_i by y_i t and alpha_j by -y_j t, t clipped to the box.
@@ -162,5 +219,5 @@ def svm_decision(model: SVMModel, X) -> np.ndarray:
         )
     if len(model.support_vectors) == 0:
         return np.full(len(X), model.bias)
-    K = rbf_kernel(model.support_vectors, X, model.gamma)
-    return (model.alphas * model.labels) @ K + model.bias
+    coef = model.alphas * model.labels
+    return _margins(model.support_vectors, coef, X, model.gamma) + model.bias

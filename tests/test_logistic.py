@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from seizurekit import ConfigError
 from seizurekit.models import (
@@ -29,6 +32,46 @@ def test_sigmoid_saturates_without_overflow():
     assert p[0] == pytest.approx(0.0, abs=1e-300)
     assert p[1] == 1.0
     assert p[1] - sigmoid(np.array([50.0]))[0] < 1e-20
+
+
+def masked_sigmoid(z):
+    """The sigmoid as it was first written: one masked branch per sign."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SIGMOID_EDGES = [0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 36.7, -745.2, np.inf, -np.inf, np.nan]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=0, max_dims=2, max_side=40),
+        elements=st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SIGMOID_EDGES)),
+    )
+)
+def test_sigmoid_is_bit_identical_to_the_masked_form(z):
+    assert_same_bits(sigmoid(z), masked_sigmoid(z))
+
+
+def test_sigmoid_is_bit_identical_on_a_million_values():
+    rng = np.random.default_rng(11)
+    z = np.concatenate([rng.normal(0, 30, 10**6 - len(SIGMOID_EDGES)), SIGMOID_EDGES])
+    assert_same_bits(sigmoid(z), masked_sigmoid(z))
+
+
+def assert_same_bits(got, want):
+    """Equal bit for bit, except that a NaN may come back with the other sign."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 def test_zero_iterations_gives_uninformative_model():

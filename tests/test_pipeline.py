@@ -204,6 +204,14 @@ def test_logreg_that_does_not_converge_says_so_in_the_report(small_data):
     assert any("did not converge within 5 iterations" in w for w in capped["warnings"])
 
 
+def test_logreg_and_svm_reports_give_iterations_and_convergence(small_data):
+    fm, y = small_data
+    for cfg in (config(model_params={"max_iters": 5}), config(model="svm", model_params={"C": 1.0})):
+        result = run_holdout(fm, y, cfg)
+        assert result.report["n_iters"] == result.model.n_iters > 0
+        assert result.report["converged"] is result.model.converged
+
+
 def test_unknown_model_and_params_rejected():
     with pytest.raises(ConfigError):
         PipelineConfig(model="mlp")

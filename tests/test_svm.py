@@ -1,6 +1,7 @@
 """RBF-kernel SVM fitted by SMO with second-order working-set selection."""
 
 import json
+import sys
 import tracemalloc
 import warnings
 
@@ -15,10 +16,12 @@ from seizurekit.models import (
     LogRegConfig,
     logreg_fit,
     rbf_kernel,
+    svm,
     svm_decision,
     svm_fit_smo,
 )
 
+from tests.test_ingest import _child_peak_mb
 from tests.test_registry import classify
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -347,3 +350,146 @@ def test_default_size_holdout_svm_converges(default_size_svm_run):
 def test_svm_refit_writes_a_byte_identical_model_file(default_size_svm_run):
     a, b = (default_size_svm_run / side / "model.json" for side in ("a", "b"))
     assert a.read_bytes() == b.read_bytes()
+
+
+def reference_dense_smo(X, y, C, gamma, tol=1e-3, max_passes=50):
+    """svm_fit_smo's solver on the whole kernel, built once: the form the
+    row cache replaced. Returns (alphas over all rows, bias, steps, converged)."""
+    y = 2.0 * np.asarray(y, dtype=np.float64) - 1.0
+    n = len(X)
+    K = rbf_kernel(X, X, gamma)
+    alphas, F, pos = np.zeros(n), y.copy(), y > 0
+    budget, steps, fresh = max_passes * -(-n // 2), 0, True
+    while True:
+        up = np.where(pos, alphas < C, alphas > 0)
+        low = np.where(pos, alphas > 0, alphas < C)
+        i = int(np.argmax(np.where(up, F, -np.inf)))
+        hi, lo = F[i], F[low].min()
+        converged = hi - lo <= tol
+        if converged and not fresh:
+            F, fresh = y - K @ (alphas * y), True
+            continue
+        if converged or steps == budget:
+            break
+        gain = hi - F
+        curv = K[i, i] + K.diagonal() - 2.0 * K[i]
+        curv[curv <= 0] = 1e-12
+        j = int(np.argmin(np.where(low & (gain > 0), -gain * gain / curv, np.inf)))
+        cap_i = C - alphas[i] if pos[i] else alphas[i]
+        cap_j = alphas[j] if pos[j] else C - alphas[j]
+        t = min(gain[j] / curv[j], cap_i, cap_j)
+        alphas[i] = (C if pos[i] else 0.0) if t == cap_i else alphas[i] + y[i] * t
+        alphas[j] = (0.0 if pos[j] else C) if t == cap_j else alphas[j] - y[j] * t
+        F -= t * (K[i] - K[j])
+        steps, fresh = steps + 1, False
+    free = (alphas > 0) & (alphas < C)
+    bias = float(F[free].mean()) if free.any() else float(hi + lo) / 2.0
+    return alphas, bias, steps, converged
+
+
+def blobs(n, d, seed):
+    """Two overlapping Gaussian classes, continuous so that no two rows tie."""
+    rng = np.random.default_rng(seed)
+    y = (rng.random(n) < 0.3).astype(int)
+    return rng.normal(size=(n, d)) + 0.8 * y[:, None], y
+
+
+@pytest.mark.parametrize("n, d, C, gamma, seed", [(150, 5, 1.0, 0.5, 0), (300, 12, 0.1, 1 / 12, 1), (200, 3, 10.0, 2.0, 2)])
+def test_row_cache_fit_matches_a_dense_kernel_fit(n, d, C, gamma, seed):
+    X, y = blobs(n, d, seed)
+    signed = 2.0 * y - 1.0
+    model = svm_fit_smo(X, y, C=C, gamma=gamma, max_passes=200)
+    ref_alphas, ref_bias, ref_steps, ref_converged = reference_dense_smo(X, y, C, gamma, max_passes=200)
+    assert model.converged and ref_converged and model.n_iters == ref_steps
+    alphas = all_alphas(model, X, signed)
+    assert np.array_equal(alphas > 0, ref_alphas > 0)
+    assert np.abs(alphas - ref_alphas).max() <= 1e-12
+    assert model.bias == pytest.approx(ref_bias, abs=1e-12)
+    K = rbf_kernel(X, X, gamma)
+    assert violating_pair_gap(alphas, signed, K, C) <= 1e-3
+    assert violating_pair_gap(ref_alphas, signed, K, C) <= 1e-3
+
+
+def test_a_two_row_cache_fits_the_same_model_bit_for_bit(monkeypatch):
+    X, y = blobs(200, 4, 3)
+    big = svm_fit_smo(X, y, C=1.0, gamma=0.5, max_passes=200)
+    computed = []  # the rows of each kernel block computed
+    rbf = svm._rbf
+
+    def counted(*args):
+        computed.append(len(args[0]))
+        return rbf(*args)
+
+    monkeypatch.setattr(svm, "_rbf", counted)
+    monkeypatch.setattr(svm, "_ROW_CACHE_BYTES", 2 * 8 * len(X))
+    tiny = svm_fit_smo(X, y, C=1.0, gamma=0.5, max_passes=200)
+    # Every step reads two rows; a two-row cache had to compute most again.
+    assert computed.count(1) > tiny.n_iters
+    for field in ("support_vectors", "alphas", "labels"):
+        assert np.array_equal(getattr(tiny, field).view(np.uint64), getattr(big, field).view(np.uint64))
+    assert (tiny.bias, tiny.n_iters, tiny.converged) == (big.bias, big.n_iters, big.converged)
+
+
+def random_model(n_sv, d, seed):
+    rng = np.random.default_rng(seed)
+    return svm.SVMModel(
+        support_vectors=rng.normal(size=(n_sv, d)),
+        alphas=rng.random(n_sv),
+        labels=rng.choice([-1.0, 1.0], n_sv),
+        bias=0.25,
+        gamma=0.3 / d,
+        C=1.0,
+    )
+
+
+# Row counts that no block of 64 or 2,048 rows divides.
+@pytest.mark.parametrize("n_sv, d, rows", [(1, 3, 4100), (20, 6, 333), (64, 92, 4101), (526, 92, 6900), (100, 17, 2049)])
+@pytest.mark.parametrize("block_rows", [1, 64, 2048])
+def test_decision_blocks_give_the_margins_of_one_block(monkeypatch, n_sv, d, rows, block_rows):
+    model = random_model(n_sv, d, rows)
+    X = np.random.default_rng(rows + 1).normal(size=(rows, d))
+    coef = model.alphas * model.labels
+    want = coef @ rbf_kernel(model.support_vectors, X, model.gamma) + model.bias
+    monkeypatch.setattr(svm, "_BLOCK_BYTES", 8 * n_sv * block_rows)
+    got = svm_decision(model, X)
+    # A block's product may take another BLAS kernel or thread split than
+    # the whole one; on OpenBLAS, 2,048-row blocks with one thread differed
+    # only on tails of a few rows, by at most 1.3 ulps of sum |coef|.
+    assert np.abs(got - want).max() <= 64 * np.finfo(float).eps * np.abs(coef).sum()
+    assert np.array_equal(svm_decision(model, X), got)
+
+
+def test_decision_holds_one_block_of_kernel_at_a_time(monkeypatch):
+    model = random_model(100, 8, 0)
+    X = np.random.default_rng(1).normal(size=(20_000, 8))
+    monkeypatch.setattr(svm, "_BLOCK_BYTES", 1 << 20)  # the whole kernel would be 16 MB
+    tracemalloc.start()
+    try:
+        svm_decision(model, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (1 << 20)
+
+
+_FIT_3000 = """
+import numpy as np
+from seizurekit.models import svm_fit_smo
+rng = np.random.default_rng(0)
+y = (rng.random(3000) < 0.3).astype(int)
+X = rng.normal(size=(3000, 92)) + 0.3 * y[:, None]
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux's ru_maxrss in KiB")
+def test_a_3000_row_fit_holds_far_less_than_the_whole_kernel(tmp_path):
+    fit = _FIT_3000 + "model = svm_fit_smo(X, y, C=0.1, gamma=1 / 92, max_passes=30)\nassert model.converged\n"
+    rise = _child_peak_mb(fit, tmp_path) - _child_peak_mb(_FIT_3000, tmp_path)
+    kernel_mb = 3000**2 * 8 / 2**20
+    assert rise < 0.4 * kernel_mb, f"a 3000-row fit rose {rise:.1f} MB; the whole kernel is {kernel_mb:.1f} MB"
+
+
+def test_default_size_holdout_svm_reports_its_steps(default_size_svm_run):
+    doc = json.loads((default_size_svm_run / "a" / "model.json").read_text(encoding="utf-8"))
+    report = json.loads((default_size_svm_run / "a" / "report.json").read_text(encoding="utf-8"))
+    assert (report["n_iters"], report["converged"]) == (doc["params"]["n_iters"], doc["params"]["converged"])
