@@ -23,17 +23,11 @@ import sys
 import typing
 from pathlib import Path
 
-import numpy as np
-
-from .domains import Domain, check_params, has_type
-from .edf import parse_edf, parse_seizure_summary
-from .epochs import DOMAINS as INGEST_DOMAINS
-from .epochs import Epochs, LabeledEpochSet, stream_labeled_epochs
-from .errors import ConfigError, DataError, LeakageError, read_utf8
+from . import store
+from .domains import check_params, has_type
+from .errors import ConfigError, DataError, LeakageError
 from .evaluation import FOLD_DOMAINS, assert_patient_disjoint
-from .features import (
-    FeatureMatrix, extract_features, read_feature_csv, scaler_json, write_feature_csv
-)
+from .features import extract_features, read_feature_csv, scaler_json, write_feature_csv
 from .models import MODELS, load_model, save_model, spec_for
 from .models.registry import DEFAULT_MODEL
 from .pipeline import PipelineConfig, patient_split, run_cv, run_holdout, score_features
@@ -191,11 +185,6 @@ def _write_roc_csv(path: Path, points) -> None:
             fh.write(f"{repr(float(fpr))},{repr(float(tpr))}\n")
 
 
-def _report_without_curve(report: dict) -> dict:
-    out = {k: v for k, v in report.items() if k != "roc_points"}
-    return out
-
-
 # ---------------------------------------------------------------- synth
 
 def cmd_synth(args) -> int:
@@ -220,248 +209,44 @@ def cmd_synth(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- ingest
+# ---------------------------------------------------------------- ingest / featurize
 
-def _patient_for(rec_patient: str, file_name: str) -> str:
-    """Recordings with a blank patient header fall back to the file prefix."""
-    if rec_patient.strip():
-        return rec_patient
-    stem = Path(file_name).stem
-    return stem.split("_")[0] or stem
-
-
-def _load_intervals(summary_paths, known_files, warn) -> dict:
-    intervals = {}
-    for spath in summary_paths:
-        p = Path(spath)
-        if not p.is_file():
-            raise DataError(f"summary file not found: {spath}")
-        parsed = parse_seizure_summary(read_utf8(p))
-        for fname, ivs in parsed.items():
-            if fname not in known_files:
-                warn(f"summary references missing file {fname!r}; intervals ignored")
-                continue
-            intervals.setdefault(fname, []).extend(ivs)
-    return intervals
-
-
-_AGE = Domain(float, 0)
-
-
-def _demographics_rows(info_path: Path) -> list[str]:
-    lines = read_utf8(info_path).splitlines()
-    if not lines or lines[0].strip().lower() != "patient,age,gender":
-        raise DataError(f"{info_path}: expected header 'patient,age,gender'")
-    gender_counts: dict[str, int] = {}
-    age_bins: dict[str, int] = {}
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != 3:
-            raise DataError(f"{info_path}:{ln}: expected 3 fields")
-        try:
-            age = float(cells[1])
-        except ValueError:
-            raise DataError(f"{info_path}:{ln}: age {cells[1]!r} is not numeric") from None
-        if age not in _AGE:
-            raise DataError(f"{info_path}:{ln}: age {cells[1]!r} must be {_AGE}")
-        gender = cells[2] or "unknown"
-        gender_counts[gender] = gender_counts.get(gender, 0) + 1
-        lo = int(age // 10) * 10
-        key = f"{lo}-{lo + 9}"
-        age_bins[key] = age_bins.get(key, 0) + 1
-    rows = ["kind,key,count"]
-    for g in sorted(gender_counts):
-        rows.append(f"gender,{g},{gender_counts[g]}")
-    for b in sorted(age_bins, key=lambda s: int(s.split('-')[0])):
-        rows.append(f"age,{b},{age_bins[b]}")
-    return rows
-
-
-def _labeled_epochs(path: Path, seizures, opts: dict) -> LabeledEpochSet:
-    """One EDF file's epochs with their labels for the task in opts."""
-    rec = parse_edf(path.read_bytes())
-    signals, rates = list(rec.signals), rec.sample_rate_hz
-    patient = _patient_for(rec.patient_id, path.name)
-    del rec  # signals now holds the only reference to each parsed channel
-    return stream_labeled_epochs(
-        signals,
-        rates,
-        seizures,
-        opts["task"],
-        epoch_len_s=opts["epoch_len_s"],
-        horizon_s=opts["horizon_s"],
-        highpass_hz=opts["highpass_hz"],
-        patient=patient,
-        file_name=path.name,
-    )
-
-
-# Bytes of epochs that _save_epochs copies out of a strided view at a time.
-_WRITE_BLOCK = 4 << 20
-
-
-def _save_epochs(path: Path, parts) -> None:
-    """Write the file that np.save(path, np.concatenate(parts)) writes, for
-    float64 (n, channels, window) arrays that share their trailing shape,
-    without the concatenated copy: one .npy header, then the C-order bytes
-    of each part a few MB at a time."""
-    shape = (sum(len(p) for p in parts), *parts[0].shape[1:])
-    descr = np.lib.format.dtype_to_descr(np.dtype(np.float64))
-    header = {"descr": descr, "fortran_order": False, "shape": shape}
-    with open(path, "wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, header)
-        for part in parts:
-            step = max(1, _WRITE_BLOCK // part[0].nbytes)
-            for i in range(0, len(part), step):
-                fh.write(np.ascontiguousarray(part[i : i + step], dtype=np.float64).data)
+def _keyed_by_name(paths) -> dict:
+    """Each distinct path under its file name, or under the whole path when
+    distinct paths share a file name."""
+    paths = set(map(Path, paths))
+    names = [p.name for p in paths]
+    return {p.name if names.count(p.name) == 1 else str(p): p for p in paths}
 
 
 def cmd_ingest(args) -> int:
     opts, _ = _options(args)
     if not opts["edf_dir"]:
         raise ConfigError("ingest needs --edf-dir (or edf_dir in the config file)")
-    if opts["task"] not in ("detection", "prediction"):
-        raise ConfigError(f"task must be detection or prediction, got {opts['task']!r}")
-    check_params("ingest", {k: opts[k] for k in INGEST_DOMAINS}, INGEST_DOMAINS)
-
-    d = Path(opts["edf_dir"])
-    if not d.is_dir():
-        raise DataError(f"EDF directory not found: {opts['edf_dir']}")
-    edf_paths = sorted(p for p in d.iterdir() if p.suffix.lower() == ".edf")
-    if not edf_paths:
-        raise DataError(f"no EDF files found in {opts['edf_dir']}")
-
-    def warn(msg):
-        print(f"warning: {msg}", file=sys.stderr)
-
-    known = {p.name for p in edf_paths}
-    intervals = _load_intervals(opts["summaries"], known, warn)
-    demographics = _demographics_rows(Path(opts["demographics"])) if opts["demographics"] else None
-
-    out = _out_dir(args)
-    sets = []  # one LabeledEpochSet per file that has epochs
-    failures = {}
-    for path in edf_paths:
-        try:
-            labeled = _labeled_epochs(path, intervals.get(path.name, []), opts)
-        except DataError as exc:
-            failures[path.name] = str(exc)
-            warn(f"{path.name}: {exc}")
-            continue
-        if len(labeled.epochs):
-            sets.append(labeled)
-        print(
-            f"{path.name}: {len(labeled.epochs)} epochs, "
-            f"{int(labeled.labels.sum())} positive"
-        )
-    if not sets:
-        raise DataError(
-            "every EDF file failed to ingest: "
-            + "; ".join(f"{k}: {v}" for k, v in sorted(failures.items()))
-        )
-
-    shapes = {s.epochs.samples.shape[1:] for s in sets}
-    if len(shapes) > 1:
-        raise DataError(
-            f"recordings disagree on channel count or rate: epoch shapes {sorted(shapes)}"
-        )
-
-    def joined(field):
-        return np.concatenate([getattr(s.epochs, field) for s in sets])
-
-    labels = np.concatenate([s.labels for s in sets])
-    meta = FeatureMatrix(
-        values=np.zeros((len(labels), 0)),
-        patients=joined("patients"),
-        files=joined("files"),
-        starts=joined("starts"),
+    out = Path(args.out)
+    counts, failures, inputs = store.write_store(
+        out, **opts, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr)
     )
-    write_feature_csv(meta, labels, out / "meta.csv")
-    n_channels, window = shapes.pop()
-    _save_epochs(out / "epochs.npy", [s.epochs.samples for s in sets])
-    _write_json(
-        out / "store_info.json",
-        {
-            "epoch_len_s": opts["epoch_len_s"],
-            "task": opts["task"],
-            "horizon_s": opts["horizon_s"],
-            "n_channels": n_channels,
-            "window": window,
-            "spec_version": SPEC_VERSION,
-        },
-    )
-    if demographics:
-        with open(out / "demographics.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(demographics) + "\n")
-
-    inputs = {p.name: p for p in edf_paths if p.name not in failures}
-    inputs.update({Path(s).name: s for s in opts["summaries"]})
-    _write_manifest(out, "ingest", opts, args.seed, inputs)
+    for name, (kept, positive) in counts.items():
+        print(f"{name}: {kept} epochs, {positive} positive")
+    _write_manifest(out, "ingest", opts, args.seed, _keyed_by_name(inputs))
     print(
-        f"ingest: {len(labels)} epochs from {len(edf_paths) - len(failures)} file(s), "
-        f"{int(labels.sum())} positive; {len(failures)} failure(s)"
+        f"ingest: {sum(k for k, _ in counts.values())} epochs from {len(counts)} file(s), "
+        f"{sum(p for _, p in counts.values())} positive; {len(failures)} failure(s)"
     )
     return 0
-
-
-# ---------------------------------------------------------------- featurize
-
-def _store_epoch_len(info_path: Path) -> float:
-    """The epoch length in seconds that store_info.json records, or DataError."""
-    try:
-        # Integers parse as floats, so a huge one reads as inf, not an int.
-        info = json.loads(read_utf8(info_path), parse_int=float)
-    except ValueError as exc:
-        raise DataError(f"{info_path}: invalid JSON: {exc}") from None
-    value = info.get("epoch_len_s") if isinstance(info, dict) else None
-    if value not in INGEST_DOMAINS["epoch_len_s"]:
-        raise DataError(
-            f"{info_path}: epoch_len_s must be a positive finite number, got {value!r}"
-        )
-    return value
 
 
 def cmd_featurize(args) -> int:
     opts, _ = _options(args)
     if not opts["store"]:
         raise ConfigError("featurize needs --store (or store in the config file)")
-
-    store_dir = Path(opts["store"])
-    epochs_path = store_dir / "epochs.npy"
-    meta_path = store_dir / "meta.csv"
-    info_path = store_dir / "store_info.json"
-    for p in (epochs_path, meta_path, info_path):
-        if not p.is_file():
-            raise DataError(f"missing store file: {p}")
-    epoch_len_s = _store_epoch_len(info_path)
-    meta, labels = read_feature_csv(meta_path)
-    if meta.n_dims:
-        raise DataError(f"{meta_path}: unexpected feature columns in the header")
-    try:
-        stack = np.load(epochs_path)
-    except (ValueError, EOFError) as exc:
-        raise DataError(f"{epochs_path}: not a readable .npy array: {exc}") from None
-    if stack.ndim != 3 or stack.dtype.kind not in "fiu":
-        raise DataError(
-            f"{epochs_path}: expected a 3-d numeric array, got {stack.dtype} {stack.shape}"
-        )
-    if len(stack) != meta.n_rows:
-        raise DataError(f"store mismatch: {len(stack)} epochs vs {meta.n_rows} meta rows")
-    epochs = Epochs(
-        samples=stack,
-        patients=meta.patients,
-        files=meta.files,
-        starts=meta.starts,
-        duration_s=epoch_len_s,
-    )
+    epochs, labels = store.read_store(opts["store"])
     fm = extract_features(epochs, pool_channels=opts["pool_channels"])
     out = _out_dir(args)
     write_feature_csv(fm, labels, out / "features.csv")
-    _write_manifest(
-        out, "featurize", opts, args.seed, {"epochs.npy": epochs_path, "meta.csv": meta_path}
-    )
+    inputs = {name: Path(opts["store"]) / name for name in (store.EPOCHS, store.META)}
+    _write_manifest(out, "featurize", opts, args.seed, inputs)
     print(f"featurize: {fm.n_rows} rows x {fm.n_dims} dims -> {out / 'features.csv'}")
     return 0
 
@@ -503,9 +288,9 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     save_model(result.model, result.scaler, result.fit_patients, out / "model.json")
     (out / "scaler.json").write_text(scaler_json(result.scaler), encoding="utf-8", newline="\n")
-    _write_json(out / "report.json", _report_without_curve(result.report))
     if "roc_points" in result.report:
-        _write_roc_csv(out / "roc.csv", result.report["roc_points"])
+        _write_roc_csv(out / "roc.csv", result.report.pop("roc_points"))
+    _write_json(out / "report.json", result.report)
     _write_manifest(out, "train", opts, cfg.seed, {"features.csv": args.features})
     acc = result.report.get("accuracy")
     rec = result.report.get("recall")
@@ -583,7 +368,8 @@ def cmd_cv(args) -> int:
 
     out = _out_dir(args)
     for report in result["folds"]:
-        _write_json(out / f"fold_{report['fold']}.json", _report_without_curve(report))
+        report.pop("roc_points", None)
+        _write_json(out / f"fold_{report['fold']}.json", report)
     summary = {
         "k": opts["k"],
         "seed": cfg.seed,

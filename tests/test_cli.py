@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, output files, manifests, determinism."""
 
 import datetime
+import hashlib
 import io
 import json
 import re
@@ -1159,6 +1160,42 @@ def test_ingest_demographics(tmp_path):
     assert "age,0-9,1" in rows
     assert "age,20-29,1" in rows
     assert "age,30-39,2" in rows
+
+
+def test_ingest_manifest_hashes_every_input_file(tmp_path):
+    # Two summaries share a file name, so each is keyed by its whole path;
+    # the names that stay distinct keep their file-name keys.
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "x.edf").write_bytes(make_edf_bytes("chb01", 10))
+    summaries = []
+    for sub, seizures in (("a", 0), ("b", 1)):
+        (tmp_path / sub).mkdir()
+        summary = tmp_path / sub / "summary.txt"
+        summary.write_text(
+            f"File Name: x.edf\nNumber of Seizures in File: {seizures}\n"
+            + "Seizure Start Time: 4 seconds\nSeizure End Time: 6 seconds\n" * seizures,
+            encoding="utf-8",
+        )
+        summaries += ["--summary", str(summary)]
+    demographics = tmp_path / "demo.csv"
+    demographics.write_text("patient,age,gender\nchb01,11,F\n", encoding="utf-8")
+    out = tmp_path / "store"
+    argv = ["ingest", "--edf-dir", str(src), *summaries, "--demographics", str(demographics)]
+    assert main([*argv, "--out", str(out)]) == 0
+
+    def sha(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"] == {
+        "x.edf": sha(src / "x.edf"),
+        str(tmp_path / "a" / "summary.txt"): sha(tmp_path / "a" / "summary.txt"),
+        str(tmp_path / "b" / "summary.txt"): sha(tmp_path / "b" / "summary.txt"),
+        "demo.csv": sha(demographics),
+    }
+    meta = (out / "meta.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.rsplit(",", 1)[1] for line in meta[1:]] == ["0", "0", "1", "0", "0"]
 
 
 def test_ingest_bad_demographics_header_exits_2(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """`ingest` streams each EDF channel into one epoch buffer; the library
 path label_*(slice_epochs(denoise(parse_edf(raw)))) is its oracle, byte
-for byte, and its peak memory is about one copy of the kept epochs."""
+for byte, and its peak memory is about one copy of the kept epochs.
+`store.write_store` and `store.read_store` are checked against the same
+oracle without the CLI."""
 
 import io
 import os
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seizurekit
-from seizurekit import DataError, FeatureMatrix, write_feature_csv
+from seizurekit import ConfigError, DataError, FeatureMatrix, write_feature_csv
 from seizurekit.cli import main
 from seizurekit.edf import SeizureInterval, parse_edf, parse_seizure_summary
 from seizurekit.epochs import (
@@ -24,6 +26,7 @@ from seizurekit.epochs import (
     slice_epochs,
     stream_labeled_epochs,
 )
+from seizurekit.store import read_store, write_store
 from tests.test_cli import make_edf_bytes
 from tests.test_edf import make_channel, make_recording
 
@@ -63,10 +66,10 @@ def edf_dir(tmp_path_factory):
     return d
 
 
-def library_store(edf_dir: Path, task: str, highpass_hz, tmp_path: Path) -> tuple[bytes, bytes]:
-    """epochs.npy and meta.csv as the library functions, one after the other, give them."""
+def library_sets(edf_dir: Path, task: str, highpass_hz) -> dict:
+    """Each parsed file's labeled epochs, as the library functions, one after the other, give them."""
     seizures = parse_seizure_summary(SUMMARY)
-    sets = []
+    sets = {}
     for path in sorted(edf_dir.glob("*.edf")):
         try:
             rec = denoise(parse_edf(path.read_bytes()), highpass_hz=highpass_hz)
@@ -74,11 +77,15 @@ def library_store(edf_dir: Path, task: str, highpass_hz, tmp_path: Path) -> tupl
             continue
         epochs = slice_epochs(rec, epoch_len_s=2.0, file_name=path.name)
         if task == "detection":
-            labeled = label_detection(epochs, seizures.get(path.name, []))
+            sets[path.name] = label_detection(epochs, seizures.get(path.name, []))
         else:
-            labeled = label_prediction(epochs, seizures.get(path.name, []), horizon_s=HORIZON_S)
-        if len(labeled.epochs):
-            sets.append(labeled)
+            sets[path.name] = label_prediction(epochs, seizures.get(path.name, []), horizon_s=HORIZON_S)
+    return sets
+
+
+def library_store(edf_dir: Path, task: str, highpass_hz, tmp_path: Path) -> tuple[bytes, bytes]:
+    """epochs.npy and meta.csv as the library functions, one after the other, give them."""
+    sets = [s for s in library_sets(edf_dir, task, highpass_hz).values() if len(s.epochs)]
     buf = io.BytesIO()
     np.save(buf, np.concatenate([s.epochs.samples for s in sets]))
     labels = np.concatenate([s.labels for s in sets])
@@ -107,6 +114,57 @@ def test_ingest_store_equals_the_library_path(edf_dir, tmp_path, capsys, task, h
     epochs_npy, meta_csv = library_store(edf_dir, task, highpass_hz, tmp_path)
     assert (tmp_path / "store" / "epochs.npy").read_bytes() == epochs_npy
     assert (tmp_path / "store" / "meta.csv").read_bytes() == meta_csv
+
+
+def _write_store(edf_dir: Path, out: Path, **overrides):
+    """write_store on the four files with the given arguments replaced, and the warnings it gave."""
+    warned = []
+    kwargs = dict(
+        summaries=[edf_dir / "summary.txt"], task="prediction", epoch_len_s=2.0,
+        horizon_s=HORIZON_S, highpass_hz=0.5, demographics=None, warn=warned.append,
+    )
+    return write_store(out, edf_dir, **{**kwargs, **overrides}), warned
+
+
+@pytest.mark.parametrize("task", ["detection", "prediction"])
+@pytest.mark.parametrize("highpass_hz", [None, 0.5])
+def test_read_store_gives_back_the_library_epochs(edf_dir, tmp_path, task, highpass_hz):
+    (counts, failures, inputs), warned = _write_store(
+        edf_dir, tmp_path / "store", task=task, highpass_hz=highpass_hz
+    )
+    epochs, labels = read_store(tmp_path / "store")
+
+    want = library_sets(edf_dir, task, highpass_hz)
+    assert counts == {name: (len(s.epochs), int(s.labels.sum())) for name, s in want.items()}
+    assert list(failures) == ["d.edf"] and warned == [f"d.edf: {failures['d.edf']}"]
+    assert inputs == [edf_dir / name for name in want] + [edf_dir / "summary.txt"]
+    kept = [s for s in want.values() if len(s.epochs)]
+    assert epochs.samples.dtype == np.float64
+    assert np.array_equal(epochs.samples, np.concatenate([s.epochs.samples for s in kept]))
+    for field in ("patients", "files", "starts"):
+        assert np.array_equal(getattr(epochs, field), np.concatenate([getattr(s.epochs, field) for s in kept]))
+    assert epochs.duration_s == 2.0
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, np.concatenate([s.labels for s in kept]))
+
+
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        (lambda tmp: {"task": "sleep"}, ConfigError),
+        (lambda tmp: {"epoch_len_s": 0.0}, ConfigError),
+        (lambda tmp: {"horizon_s": float("nan")}, ConfigError),
+        (lambda tmp: {"summaries": [tmp / "missing.txt"]}, DataError),
+        (lambda tmp: {"demographics": tmp / "no_gender.csv"}, DataError),
+    ],
+    ids=["task", "epoch_len_s", "horizon_s", "summary", "demographics"],
+)
+def test_write_store_checks_its_inputs_before_it_writes(edf_dir, tmp_path, overrides, error):
+    (tmp_path / "no_gender.csv").write_text("patient,age\nchb01,11\n", encoding="utf-8")
+    out = tmp_path / "store"
+    with pytest.raises(error):
+        _write_store(edf_dir, out, **overrides(tmp_path))
+    assert not out.exists()
 
 
 @st.composite
