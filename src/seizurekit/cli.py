@@ -30,7 +30,7 @@ from .evaluation import FOLD_DOMAINS, assert_patient_disjoint
 from .features import extract_features, read_feature_csv, scaler_json, write_feature_csv
 from .models import MODELS, load_model, save_model, spec_for
 from .models.registry import DEFAULT_MODEL
-from .pipeline import PipelineConfig, patient_split, run_cv, run_holdout, score_features
+from .pipeline import PipelineConfig, holdout_split, run_cv, run_holdout, score_features
 from .synthetic import SynthConfig, generate_synthetic
 from .version import SPEC_VERSION
 
@@ -328,13 +328,14 @@ def cmd_eval(args) -> int:
         explicit = opts["sequence_length"] if "sequence_length" in given else None
         opts["sequence_length"] = _window_length(model, explicit, args.model_file)
     cfg = _pipeline_config(opts, given, args.seed)
+    fitting = sorted(set(cfg.model_params) - {"threshold"})
+    if fitting:
+        raise ConfigError(f"model_params {fitting} only apply when fitting; eval takes threshold")
     fm, labels = read_feature_csv(args.features)
 
-    rows, split = patient_split(fm, cfg, _explicit_split(opts))
+    rows, split = holdout_split(fm, cfg, _explicit_split(opts))
     test_idx = rows["test"]
     assert_patient_disjoint(fm.patients[rows["train"]], fm.patients[test_idx])
-    if len(test_idx) == 0:
-        raise DataError("evaluation split has no test rows")
 
     data, _, _, report = score_features(
         model, scaler, fm.take(test_idx), labels[test_idx], cfg.sequence_length, cfg.threshold

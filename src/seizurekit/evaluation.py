@@ -8,7 +8,7 @@ themselves in the report's ``undefined`` list instead of returning NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -139,24 +139,8 @@ class MetricsReport:
     weighted_recall: float
     undefined: tuple[str, ...] = ()
 
-    @property
-    def n(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "weighted_precision": self.weighted_precision,
-            "weighted_recall": self.weighted_recall,
-            "undefined": list(self.undefined),
-        }
+        return {**asdict(self), "undefined": list(self.undefined)}
 
 
 def _ratio(num: int, den: int, name: str, undefined: list[str]) -> float:

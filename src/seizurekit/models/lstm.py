@@ -16,6 +16,8 @@ windows holds the running h and c.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,30 +53,27 @@ class LstmParams:
 
 INIT_DOMAINS = {"hidden_dim": Domain(int, 1)}  # init_params' hidden_dim
 
-_FIELDS = ("W_i", "W_f", "W_o", "W_g", "b_i", "b_f", "b_o", "b_g", "w_out", "b_out")
+# An activation, and the gradient of its input from the gradient dy of its output y.
+_SIGMOID = (sigmoid, lambda dy, y: dy * y * (1.0 - y))
+_TANH = (np.tanh, lambda dy, y: dy * (1.0 - y**2))
+# The cell's gates in parameter order: (name, activation, its gradient).
+_GATES = (("i", *_SIGMOID), ("f", *_SIGMOID), ("o", *_SIGMOID), ("g", *_TANH))
+_FIELDS = (*(f"W_{n}" for n, *_ in _GATES), *(f"b_{n}" for n, *_ in _GATES), "w_out", "b_out")
 
 
 def init_params(input_dim: int, hidden_dim: int = 64, seed: int = 0) -> LstmParams:
-    """Uniform(-s, s) init with s = 1/sqrt(h); forget-gate bias starts at 1."""
+    """Uniform(-s, s) init with s = 1/sqrt(h), drawn in _FIELDS order; the
+    forget-gate bias starts at 1 (open, so early gradients flow) and draws nothing."""
     if input_dim < 1:
         raise ConfigError(f"input_dim must be >= 1, got {input_dim}")
     check_params("lstm", {"hidden_dim": hidden_dim}, INIT_DOMAINS)
     rng = np.random.default_rng(seed)
     s = 1.0 / np.sqrt(hidden_dim)
-    def u(*shape):
-        return rng.uniform(-s, s, size=shape)
-    return LstmParams(
-        W_i=u(hidden_dim, input_dim + hidden_dim),
-        W_f=u(hidden_dim, input_dim + hidden_dim),
-        W_o=u(hidden_dim, input_dim + hidden_dim),
-        W_g=u(hidden_dim, input_dim + hidden_dim),
-        b_i=u(hidden_dim),
-        b_f=np.ones(hidden_dim),  # starts open so early gradients flow
-        b_o=u(hidden_dim),
-        b_g=u(hidden_dim),
-        w_out=u(hidden_dim),
-        b_out=float(u()),
-    )
+    w = {}
+    for k in _FIELDS:
+        shape = (hidden_dim, input_dim + hidden_dim) if k[0] == "W" else () if k == "b_out" else (hidden_dim,)
+        w[k] = np.ones(shape) if k == "b_f" else rng.uniform(-s, s, size=shape)
+    return LstmParams(**{**w, "b_out": float(w["b_out"])})
 
 
 def _as_windows(seqs, what: str) -> Windows:
@@ -102,21 +101,18 @@ def _forward_batch(p: LstmParams, w: Windows, keep: bool):
     c = np.zeros((N, h_dim))
     cache = None
     if keep:
-        cache = {"z": [], "i": [], "f": [], "o": [], "g": [], "c": [], "tanh_c": [], "h": [h]}
+        cache = {key: [] for key in ("z", *(n for n, *_ in _GATES), "c", "tanh_c")} | {"h": [h]}
+    # Each step replaces one gate at a time, so at most one extra gate array is alive.
+    gate = {}
     for t in range(T):
         z = np.concatenate([w.rows[w.idx[:, t]], h], axis=1)  # (N, d + h)
-        gi = sigmoid(z @ p.W_i.T + p.b_i)
-        gf = sigmoid(z @ p.W_f.T + p.b_f)
-        go = sigmoid(z @ p.W_o.T + p.b_o)
-        gg = np.tanh(z @ p.W_g.T + p.b_g)
-        c = gf * c + gi * gg
+        for n, act, _ in _GATES:
+            gate[n] = act(z @ getattr(p, f"W_{n}").T + getattr(p, f"b_{n}"))
+        c = gate["f"] * c + gate["i"] * gate["g"]
         tanh_c = np.tanh(c)
-        h = go * tanh_c
+        h = gate["o"] * tanh_c
         if keep:
-            for key, val in (
-                ("z", z), ("i", gi), ("f", gf), ("o", go), ("g", gg),
-                ("c", c), ("tanh_c", tanh_c), ("h", h),
-            ):
+            for key, val in (("z", z), *gate.items(), ("c", c), ("tanh_c", tanh_c), ("h", h)):
                 cache[key].append(val)
     logits = h @ p.w_out + p.b_out
     probs = sigmoid(logits)
@@ -132,6 +128,12 @@ def lstm_forward(p: LstmParams, seq) -> tuple[float, dict]:
         raise DataError("sequence must have at least one step")
     probs, cache = _forward_batch(p, _as_windows(seq[None, :, :], "sequence"), keep=True)
     return float(probs[0]), cache
+
+
+def _bce(probs, labels):
+    """Each window's binary cross-entropy, its logs clamped at log(1e-300)."""
+    return -(labels * np.log(np.maximum(probs, 1e-300))
+             + (1 - labels) * np.log(np.maximum(1 - probs, 1e-300)))
 
 
 def lstm_grad(
@@ -155,70 +157,47 @@ def lstm_grad(
 
     N, T, d = seqs.shape
     probs, cache = _forward_batch(p, seqs, keep=True)
-    per_seq = -(labels * np.log(np.maximum(probs, 1e-300))
-                + (1 - labels) * np.log(np.maximum(1 - probs, 1e-300)))
+    per_seq = _bce(probs, labels)
     if not np.isfinite(per_seq).all():
         bad = int(np.flatnonzero(~np.isfinite(per_seq))[0])
         raise DataError(f"non-finite loss at sequence index {bad}")
     loss = float(per_seq.mean())
 
-    grads = {
-        "W_i": np.zeros_like(p.W_i), "W_f": np.zeros_like(p.W_f),
-        "W_o": np.zeros_like(p.W_o), "W_g": np.zeros_like(p.W_g),
-        "b_i": np.zeros_like(p.b_i), "b_f": np.zeros_like(p.b_f),
-        "b_o": np.zeros_like(p.b_o), "b_g": np.zeros_like(p.b_g),
-        "w_out": np.zeros_like(p.w_out), "b_out": 0.0,
-    }
-
+    grads = {f"{k}_{n}": np.zeros_like(getattr(p, f"{k}_{n}")) for k in "Wb" for n, *_ in _GATES}
     # d(mean BCE)/d(logit) = (p - y) / N; the head feeds h_T.
     dlogits = (probs - labels) / N  # (N,)
-    h_T = cache["h"][-1]
-    grads["w_out"] = dlogits @ h_T
+    grads["w_out"] = dlogits @ cache["h"][-1]
     grads["b_out"] = float(dlogits.sum())
 
     h_dim = p.hidden_dim
     dh = dlogits[:, None] * p.w_out[None, :]  # (N, h)
     dc = np.zeros((N, h_dim))
+    da = {}  # each gate's pre-activation gradient at step t
     for t in range(T - 1, -1, -1):
         z = cache["z"][t]
-        gi, gf, go, gg = cache["i"][t], cache["f"][t], cache["o"][t], cache["g"][t]
+        gate = {n: cache[n][t] for n, *_ in _GATES}
         tanh_c = cache["tanh_c"][t]
         c_prev = cache["c"][t - 1] if t > 0 else np.zeros((N, h_dim))
 
-        do = dh * tanh_c
-        dc = dc + dh * go * (1.0 - tanh_c**2)
-        di = dc * gg
-        dg = dc * gi
-        df = dc * c_prev
-
-        da_i = di * gi * (1.0 - gi)
-        da_f = df * gf * (1.0 - gf)
-        da_o = do * go * (1.0 - go)
-        da_g = dg * (1.0 - gg**2)
-
-        grads["W_i"] += da_i.T @ z
-        grads["W_f"] += da_f.T @ z
-        grads["W_o"] += da_o.T @ z
-        grads["W_g"] += da_g.T @ z
-        grads["b_i"] += da_i.sum(axis=0)
-        grads["b_f"] += da_f.sum(axis=0)
-        grads["b_o"] += da_o.sum(axis=0)
-        grads["b_g"] += da_g.sum(axis=0)
-
-        dz = da_i @ p.W_i + da_f @ p.W_f + da_o @ p.W_o + da_g @ p.W_g
+        dc = dc + dh * gate["o"] * (1.0 - tanh_c**2)
+        # A gate's output gradient is that of the product it feeds
+        # (c = f*c_prev + i*g, h = o*tanh(c)) times its partner there.
+        feeds = {"i": (dc, gate["g"]), "f": (dc, c_prev), "o": (dh, tanh_c), "g": (dc, gate["i"])}
+        for n, _, dact in _GATES:
+            dout, partner = feeds[n]
+            da[n] = dact(dout * partner, gate[n])
+            grads[f"W_{n}"] += da[n].T @ z
+            grads[f"b_{n}"] += da[n].sum(axis=0)
+        dz = functools.reduce(operator.iadd, (da[n] @ getattr(p, f"W_{n}") for n, *_ in _GATES))
         dh = dz[:, d:]
-        dc = dc * gf
+        dc = dc * gate["f"]
 
     if clip_norm is not None:
-        total = 0.0
-        for k in grads:
-            g = grads[k]
-            total += float(g**2) if k == "b_out" else float((g * g).sum())
-        norm = np.sqrt(total)
+        norm = np.sqrt(sum(
+            float(g**2) if k == "b_out" else float((g * g).sum()) for k, g in grads.items()
+        ))
         if norm > clip_norm:
-            scale = clip_norm / norm
-            for k in grads:
-                grads[k] = grads[k] * scale
+            grads = {k: g * (clip_norm / norm) for k, g in grads.items()}
     return grads, loss
 
 
@@ -238,10 +217,7 @@ class LstmTrainConfig:
 
 def _mean_loss(p: LstmParams, seqs, labels) -> float:
     probs, _ = _forward_batch(p, _as_windows(seqs, "sequences"), keep=False)
-    labels = np.asarray(labels, dtype=np.float64)
-    per = -(labels * np.log(np.maximum(probs, 1e-300))
-            + (1 - labels) * np.log(np.maximum(1 - probs, 1e-300)))
-    return float(per.mean())
+    return float(_bce(probs, np.asarray(labels, dtype=np.float64)).mean())
 
 
 def _labelled_windows(pair: tuple, name: str) -> tuple[Windows, np.ndarray]:

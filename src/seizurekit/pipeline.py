@@ -146,19 +146,6 @@ def score_features(model, scaler, fm: FeatureMatrix, labels, sequence_length: in
     return data, classes, scores, report
 
 
-def _leaky_row_split(n: int, ratios, seed: int):
-    """Row-level (patient-ignoring) split; only for the optimism demo."""
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    n_train = math.floor(ratios[0] * n + 0.5)
-    n_val = math.floor(ratios[1] * n + 0.5)
-    return (
-        np.sort(order[:n_train]),
-        np.sort(order[n_train : n_train + n_val]),
-        np.sort(order[n_train + n_val :]),
-    )
-
-
 @dataclass(frozen=True)
 class RunResult:
     report: dict
@@ -260,54 +247,58 @@ def evaluate_split(
     return RunResult(report, model, scaler, sorted(set(map(str, fm.patients[fit_rows]))))
 
 
-def patient_split(
+def holdout_split(
     fm: FeatureMatrix, cfg: PipelineConfig, explicit=None
 ) -> tuple[dict, dict]:
-    """Row indices of each side of a patient-level split, and its report entry.
+    """Row indices of each side of a holdout split, and its report entry.
 
     explicit is a (train, val, test) tuple of patient lists, each of which
     must be in the data; without it, split_patients draws the groups from
-    split_ratios and the seed.
+    split_ratios and the seed, or allow_leaky_split splits the rows at
+    random. A split with no test rows is a DataError, raised before any fit.
     """
     sides = ("train", "val", "test")
-    if explicit is None:
-        plan = split_patients(
-            sorted(set(fm.patients)), ratios=cfg.split_ratios, seed=cfg.seed
-        )
-        groups = (plan.train_patients, plan.val_patients, plan.test_patients)
-        entry = {"seed": plan.seed}
+    if explicit is None and cfg.allow_leaky_split:
+        # A row-level split that ignores patients; only for the optimism demo.
+        order = np.random.default_rng(cfg.seed).permutation(fm.n_rows)
+        n_train, n_val = (math.floor(r * fm.n_rows + 0.5) for r in cfg.split_ratios[:2])
+        parts = np.split(order, [n_train, n_train + n_val])
+        rows = {side: np.sort(part) for side, part in zip(sides, parts)}
+        entry = {"leaky_row_level": True, "seed": cfg.seed}
     else:
-        groups = explicit
-        entry = {"explicit": True}
-        present = set(map(str, fm.patients))
+        if explicit is None:
+            plan = split_patients(
+                sorted(set(fm.patients)), ratios=cfg.split_ratios, seed=cfg.seed
+            )
+            groups = (plan.train_patients, plan.val_patients, plan.test_patients)
+            entry = {"seed": plan.seed}
+        else:
+            groups = explicit
+            entry = {"explicit": True}
+            present = set(map(str, fm.patients))
+            for side, group in zip(sides, groups):
+                missing = sorted(set(group) - present)
+                if missing:
+                    raise DataError(f"{side}_patients not in dataset: {missing}")
+        rows = {}
         for side, group in zip(sides, groups):
-            missing = sorted(set(group) - present)
-            if missing:
-                raise DataError(f"{side}_patients not in dataset: {missing}")
-    rows = {}
-    for side, group in zip(sides, groups):
-        rows[side] = np.flatnonzero(np.isin(fm.patients, group))
-        entry[f"{side}_patients"] = list(group)
+            rows[side] = np.flatnonzero(np.isin(fm.patients, group))
+            entry[f"{side}_patients"] = list(group)
+    if len(rows["test"]) == 0:
+        raise DataError("evaluation split has no test rows")
     return rows, entry
 
 
 def run_holdout(
     fm: FeatureMatrix, labels: np.ndarray, cfg: PipelineConfig, explicit=None
 ) -> RunResult:
-    """Patient-level holdout on the explicit patient lists if given, else
-    per split_ratios (or a leaky row split on request)."""
-    if cfg.allow_leaky_split and explicit is None:
-        train_idx, val_idx, test_idx = _leaky_row_split(
-            fm.n_rows, cfg.split_ratios, cfg.seed
-        )
-        result = evaluate_split(
-            fm, labels, train_idx, test_idx, cfg, val_idx=val_idx, skip_gate=True
-        )
-        result.report["split"] = {"leaky_row_level": True, "seed": cfg.seed}
-        return result
-
-    rows, entry = patient_split(fm, cfg, explicit)
-    result = evaluate_split(fm, labels, rows["train"], rows["test"], cfg, val_idx=rows["val"])
+    """Holdout on holdout_split's rows; the leakage gate is skipped only
+    for the leaky row split."""
+    rows, entry = holdout_split(fm, cfg, explicit)
+    result = evaluate_split(
+        fm, labels, rows["train"], rows["test"], cfg, val_idx=rows["val"],
+        skip_gate="leaky_row_level" in entry,
+    )
     result.report["split"] = entry
     return result
 

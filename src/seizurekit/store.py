@@ -37,8 +37,8 @@ def write_store(
     highpass_hz), epoch_len_s), seizures)``, its seizures taken from the
     summary files. A file that fails with a DataError is skipped and passed
     to warn, as is a summary entry for a file that edf_dir lacks. The task,
-    the ingest parameters, edf_dir, the summaries and the demographics table
-    are all checked before out is created.
+    the ingest parameters, edf_dir, the summaries, the demographics table
+    and every file's epochs are all checked before out is created.
 
     Returns (counts, failures, inputs): each file read's name -> (kept,
     positive) epochs, in file order; each failed file's name -> its error;
@@ -65,8 +65,6 @@ def write_store(
                 warn(f"summary references missing file {fname!r}; intervals ignored")
     demographics_rows = _demographics_rows(Path(demographics)) if demographics else None
 
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
     sets = []  # one LabeledEpochSet per file that has epochs
     counts, failures = {}, {}
     for path in edf_paths:
@@ -90,6 +88,8 @@ def write_store(
             f"recordings disagree on channel count or rate: epoch shapes {sorted(shapes)}"
         )
 
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
     labels = np.concatenate([s.labels for s in sets])
     fields = ("patients", "files", "starts")
     meta = {f: np.concatenate([getattr(s.epochs, f) for s in sets]) for f in fields}

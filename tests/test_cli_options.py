@@ -172,6 +172,8 @@ def test_no_smote_flag_wins_over_the_config_file(runs, tmp_path):
         ("eval", {"sequence_length": 3}, "sequence_length"),
         ("train", {"model": "logreg", "smote_k": 3}, "smote_k"),
         ("cv", {"smote": False, "smote_ratio": 0.5}, "smote_ratio"),
+        # eval scores the fitted model: only the decision threshold applies.
+        ("eval", {"model_params": {"n_trees": 3}}, "n_trees"),
     ],
 )
 def test_an_option_the_run_would_not_use_is_rejected(runs, tmp_path, capsys, command, config, named):
@@ -199,3 +201,15 @@ def test_malformed_class_weights_exit_1_before_any_data_is_read(tmp_path, capsys
     # The features file does not exist: reading it would exit 2.
     assert main(_argv(tmp_path, "train", config)) == 1
     assert "class_weights" in _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("train", []), ("train", ["--allow-leaky-split"]), ("eval", [])],
+)
+def test_a_split_with_no_test_rows_is_a_data_error_before_any_fit(runs, tmp_path, capsys, command, flags):
+    # After a fit, the empty test split would fail as "cannot compute metrics on empty input".
+    assert _run(runs, tmp_path, command, {"split_ratios": [1.0, 0.0, 0.0]}, flags) == 2
+    line = _one_error_line(capsys.readouterr().err, "data error:")
+    assert line.endswith("evaluation split has no test rows")
+    assert not (tmp_path / "out").exists()

@@ -156,15 +156,25 @@ def test_read_store_gives_back_the_library_epochs(edf_dir, tmp_path, task, highp
         (lambda tmp: {"horizon_s": float("nan")}, ConfigError),
         (lambda tmp: {"summaries": [tmp / "missing.txt"]}, DataError),
         (lambda tmp: {"demographics": tmp / "no_gender.csv"}, DataError),
+        # 0.3 s is not a whole number of samples at 8 Hz; each file finds that out.
+        (lambda tmp: {"epoch_len_s": 0.3}, ConfigError),
+        (lambda tmp: {"edf_dir": _dir_of_one_unparseable_edf(tmp), "summaries": []}, DataError),
     ],
-    ids=["task", "epoch_len_s", "horizon_s", "summary", "demographics"],
+    ids=["task", "epoch_len_s", "horizon_s", "summary", "demographics", "samples", "unparseable"],
 )
 def test_write_store_checks_its_inputs_before_it_writes(edf_dir, tmp_path, overrides, error):
     (tmp_path / "no_gender.csv").write_text("patient,age\nchb01,11\n", encoding="utf-8")
     out = tmp_path / "store"
+    kwargs = overrides(tmp_path)
     with pytest.raises(error):
-        _write_store(edf_dir, out, **overrides(tmp_path))
+        _write_store(kwargs.pop("edf_dir", edf_dir), out, **kwargs)
     assert not out.exists()
+
+
+def _dir_of_one_unparseable_edf(tmp: Path) -> Path:
+    (tmp / "bad").mkdir()
+    (tmp / "bad" / "x.edf").write_bytes(b"not an EDF header")
+    return tmp / "bad"
 
 
 @st.composite

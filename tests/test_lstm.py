@@ -96,6 +96,19 @@ def test_init_bounds_and_forget_bias():
     assert p.hidden_dim == 16 and p.input_dim == 5
 
 
+def test_init_draws_in_field_order_and_the_forget_bias_draws_nothing():
+    d, h, seed = 3, 5, 7
+    p = init_params(d, hidden_dim=h, seed=seed)
+    rng = np.random.default_rng(seed)
+    s = 1.0 / np.sqrt(h)
+    for k in ("W_i", "W_f", "W_o", "W_g"):
+        assert np.array_equal(getattr(p, k), rng.uniform(-s, s, size=(h, d + h))), k
+    for k in ("b_i", "b_o", "b_g", "w_out"):
+        assert np.array_equal(getattr(p, k), rng.uniform(-s, s, size=h)), k
+    assert type(p.b_out) is float and p.b_out == float(rng.uniform(-s, s))
+    assert np.array_equal(p.b_f, np.ones(h))
+
+
 def test_gradients_match_finite_differences():
     # every parameter entry, central differences, multiple seeds
     d, h, T, N = 3, 4, 5, 3
@@ -279,6 +292,22 @@ def test_scoring_memory_does_not_grow_with_window_length():
         tracemalloc.stop()
     # Kept activations would take 8 arrays of n rows per step: 4x at T = 40.
     assert peaks[40] < 1.2 * peaks[10], peaks
+
+
+def test_scoring_replaces_a_steps_gates_one_at_a_time():
+    n, d, h = 4000, 4, 64
+    p = init_params(d, hidden_dim=h, seed=0)
+    peaks = {}
+    for T in (1, 8):
+        windows = Windows(np.ones((n + T, d)), np.arange(n)[:, None] + np.arange(T))
+        tracemalloc.start()
+        lstm_predict(p, windows)
+        peaks[T] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    # Over T = 1, later steps hold 3.0 more (n, h) arrays; computing all four
+    # new gates while the last step's four are alive holds 5.0.
+    arrays = (peaks[8] - peaks[1]) / (n * h * 8)
+    assert arrays <= 3.5, arrays
 
 
 @pytest.mark.parametrize(
