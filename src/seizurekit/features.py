@@ -132,7 +132,8 @@ def apply_scaler(s: Scaler, m: FeatureMatrix) -> FeatureMatrix:
             f"scaler has {len(s.mean)} columns, matrix has {m.n_dims}"
         )
     safe = np.where(s.std == 0, 1.0, s.std)
-    z = (m.values - s.mean) / safe
+    z = m.values - s.mean
+    z /= safe  # in place: one n x d array, not two
     z[:, s.std == 0] = 0.0
     return FeatureMatrix(values=z, patients=m.patients, files=m.files, starts=m.starts)
 

@@ -1,8 +1,10 @@
 """Random forest of CART decision trees for binary labels.
 
 Each tree trains on a bootstrap resample with a per-tree sub-seed and
-considers floor(sqrt(d)) randomly chosen features at every node. Split
-thresholds are midpoints of consecutive distinct sorted values, scored by
+considers floor(sqrt(d)) randomly chosen features at every node. Trees
+grow on row indices into the one training matrix, copying neither the
+resample nor a node's rows; a node gathers only its candidate columns of
+its rows. Split thresholds are midpoints of consecutive distinct sorted values, scored by
 weighted Gini impurity. All boundaries of a feature are scored at once as
 arrays, with the same arithmetic and tie rules as a scan in order: the
 first feature, then the first boundary, of equal impurity wins. Prediction
@@ -117,11 +119,13 @@ def best_split(X, y, candidate_features):
     return best[1], best[2], gain
 
 
-def _grow(X, y, rng, config: RFConfig, max_features: int, depth: int) -> TreeNode:
-    counts = np.bincount(y, minlength=2)
+def _grow(X, y, rows, rng, config: RFConfig, max_features: int, depth: int) -> TreeNode:
+    """The subtree of X[rows]: each node reads only its candidate columns of its rows."""
+    y_node = y[rows]
+    counts = np.bincount(y_node, minlength=2)
     leaf = TreeNode(counts=(int(counts[0]), int(counts[1])))
     if (
-        len(y) < config.min_samples_split
+        len(rows) < config.min_samples_split
         or counts[0] == 0
         or counts[1] == 0
         or (config.max_depth is not None and depth >= config.max_depth)
@@ -129,13 +133,14 @@ def _grow(X, y, rng, config: RFConfig, max_features: int, depth: int) -> TreeNod
         return leaf
     d = X.shape[1]
     candidates = rng.choice(d, size=min(max_features, d), replace=False)
-    split = best_split(X, y, candidates)
+    split = best_split(X[np.ix_(rows, candidates)], y_node, range(len(candidates)))
     if split is None:
         return leaf
-    f, threshold, _ = split
-    mask = X[:, f] <= threshold
-    left = _grow(X[mask], y[mask], rng, config, max_features, depth + 1)
-    right = _grow(X[~mask], y[~mask], rng, config, max_features, depth + 1)
+    k, threshold, _ = split
+    f = int(candidates[k])
+    mask = X[rows, f] <= threshold
+    left = _grow(X, y, rows[mask], rng, config, max_features, depth + 1)
+    right = _grow(X, y, rows[~mask], rng, config, max_features, depth + 1)
     return TreeNode(feature=f, threshold=threshold, left=left, right=right)
 
 
@@ -159,8 +164,8 @@ def rf_fit(X, y, config: RFConfig = RFConfig()) -> RFModel:
     n = len(X)
     for t in range(config.n_trees):
         rng = np.random.default_rng(seeds[t])
-        idx = rng.integers(0, n, size=n)
-        trees.append(_grow(X[idx], y[idx], rng, config, max_features, depth=0))
+        rows = rng.integers(0, n, size=n)
+        trees.append(_grow(X, y, rows, rng, config, max_features, depth=0))
     return RFModel(trees=tuple(trees), config=config, n_features=d)
 
 

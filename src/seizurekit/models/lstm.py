@@ -10,8 +10,9 @@ clipped by global norm before each SGD step.
 Windows arrive as ``epochs.Windows`` (feature rows plus a row-index matrix)
 or as an (N, T, d) array, which is viewed as N*T rows indexed by
 arange(N*T).reshape(N, T); either way step t reads ``rows[idx[:, t]]``.
-Only backprop keeps each step's activations: a pass that only scores
-windows holds the running h and c.
+Only backprop keeps each step's activations. A pass that only scores
+windows runs over consecutive blocks of about _BLOCK_BYTES of step input
+and holds the running h and c of one block of windows.
 """
 
 from __future__ import annotations
@@ -59,6 +60,16 @@ _TANH = (np.tanh, lambda dy, y: dy * (1.0 - y**2))
 # The cell's gates in parameter order: (name, activation, its gradient).
 _GATES = (("i", *_SIGMOID), ("f", *_SIGMOID), ("o", *_SIGMOID), ("g", *_TANH))
 _FIELDS = (*(f"W_{n}" for n, *_ in _GATES), *(f"b_{n}" for n, *_ in _GATES), "w_out", "b_out")
+
+# The most bytes of (N, d + h) step input that one block of a scoring pass
+# holds; the last block, which also takes the remainder, holds up to twice
+# that. A block's windows are a power of two, 8 at least, as svm._margins'
+# query rows are, and no product has fewer rows than a block. With one
+# OpenBLAS thread such blocks give the probabilities of one whole-set pass
+# bit for bit. Smaller products can take another kernel and differ in the
+# last bits: a short last block did so for SVM margins, and 1 MB blocks
+# (512 windows) did at d = 127, h = 2.
+_BLOCK_BYTES = 2 << 20
 
 
 def init_params(input_dim: int, hidden_dim: int = 64, seed: int = 0) -> LstmParams:
@@ -215,8 +226,19 @@ class LstmTrainConfig:
         check_params("lstm", self, domains_of(self))
 
 
+def _scores(p: LstmParams, w: Windows) -> np.ndarray:
+    """The probabilities of _forward_batch(p, w, keep=False), computed block by block."""
+    step = 1 << max(3, (_BLOCK_BYTES // (8 * (w.shape[2] + p.hidden_dim))).bit_length() - 1)
+    # Whole blocks from the start; the last one also takes the remainder.
+    edges = [*range(0, max(len(w) - step, 0) + 1, step), len(w)]
+    probs = np.empty(len(w))
+    for a, b in zip(edges, edges[1:]):
+        probs[a:b] = _forward_batch(p, w[a:b], keep=False)[0]
+    return probs
+
+
 def _mean_loss(p: LstmParams, seqs, labels) -> float:
-    probs, _ = _forward_batch(p, _as_windows(seqs, "sequences"), keep=False)
+    probs = _scores(p, _as_windows(seqs, "sequences"))
     return float(_bce(probs, np.asarray(labels, dtype=np.float64)).mean())
 
 
@@ -299,5 +321,5 @@ def lstm_predict(
     seqs = _as_windows(seqs, "sequences")
     if len(seqs) == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
-    probs, _ = _forward_batch(p, seqs, keep=False)
+    probs = _scores(p, seqs)
     return (probs >= threshold).astype(np.int64), probs

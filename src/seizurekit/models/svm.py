@@ -16,8 +16,9 @@ The n x n kernel is never built. Rows of K are computed when a step needs
 them and kept in a least-recently-used cache of at most _ROW_CACHE_BYTES
 (Chang & Lin, ACM TIST 2011). The recomputed F and the decision function
 sum over the support vectors through blocks of query rows, each at most
-_BLOCK_BYTES of kernel, so a fit holds about _ROW_CACHE_BYTES plus
-_BLOCK_BYTES beyond its inputs, whatever n is.
+_BLOCK_BYTES of kernel. The cache is emptied before F is recomputed, so a
+fit holds about the larger of _ROW_CACHE_BYTES and _BLOCK_BYTES beyond its
+inputs, whatever n is.
 """
 
 from __future__ import annotations
@@ -166,6 +167,9 @@ def svm_fit_smo(
         converged = hi - lo <= tol
         if converged and not fresh:
             # The updated F drifts by rounding; confirm the gap from alphas.
+            # Rows are recomputed bit for bit, so the cache makes way for
+            # the margins' blocks.
+            K.rows.clear()
             sv = np.flatnonzero(alphas)
             F = y - _margins(X[sv], alphas[sv] * y[sv], X, gamma)
             fresh = True

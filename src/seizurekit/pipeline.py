@@ -198,6 +198,7 @@ def evaluate_split(
     T = cfg.sequence_length
     train = model_inputs(spec, scaler, train_fm, labels[train_idx], T)
     X_tr, y_tr = train.inputs, train.y
+    del train_fm, train  # the unscaled rows, and the scaled ones a cap leaves behind
 
     cap = cfg.max_train_rows if cfg.max_train_rows is not None else spec.train_cap
     if cap is not None and len(X_tr) > cap:

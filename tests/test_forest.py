@@ -1,5 +1,7 @@
 """Random forest: Gini splitting, bootstrap determinism, voting rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -299,3 +301,98 @@ def test_rf_scores_match_reference_walk(case, n_trees, max_depth, seed):
     assert got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(classify(model, queries), (want > 0.5).astype(np.int64))
+
+
+def _reference_copying_grow(X, y, rng, config: RFConfig, max_features: int, depth: int) -> TreeNode:
+    """The _grow that copied each node's rows, all columns, for its children."""
+    counts = np.bincount(y, minlength=2)
+    leaf = TreeNode(counts=(int(counts[0]), int(counts[1])))
+    if (
+        len(y) < config.min_samples_split
+        or counts[0] == 0
+        or counts[1] == 0
+        or (config.max_depth is not None and depth >= config.max_depth)
+    ):
+        return leaf
+    d = X.shape[1]
+    candidates = rng.choice(d, size=min(max_features, d), replace=False)
+    split = best_split(X, y, candidates)
+    if split is None:
+        return leaf
+    f, threshold, _ = split
+    mask = X[:, f] <= threshold
+    left = _reference_copying_grow(X[mask], y[mask], rng, config, max_features, depth + 1)
+    right = _reference_copying_grow(X[~mask], y[~mask], rng, config, max_features, depth + 1)
+    return TreeNode(feature=f, threshold=threshold, left=left, right=right)
+
+
+def _reference_copying_fit(X, y, config: RFConfig) -> tuple[TreeNode, ...]:
+    """rf_fit's trees grown on a copy of each bootstrap resample."""
+    d = X.shape[1]
+    max_features = config.max_features if config.max_features is not None else max(1, int(np.sqrt(d)))
+    seeds = np.random.SeedSequence(config.seed).spawn(config.n_trees)
+    trees = []
+    for t in range(config.n_trees):
+        rng = np.random.default_rng(seeds[t])
+        idx = rng.integers(0, len(X), size=len(X))
+        trees.append(_reference_copying_grow(X[idx], y[idx], rng, config, max_features, depth=0))
+    return tuple(trees)
+
+
+def _bits(node: TreeNode):
+    """A tree as nested tuples, thresholds by their bits."""
+    if node.is_leaf:
+        return node.counts
+    assert type(node.feature) is int
+    return (node.feature, float(node.threshold).hex(), _bits(node.left), _bits(node.right))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    split_cases(),
+    st.integers(0, 20),
+    st.integers(1, 3),
+    st.none() | st.integers(1, 4),
+    st.integers(2, 6),
+    st.none() | st.integers(1, 6),
+    st.integers(0, 2**16),
+)
+@example(_POW_CASE, 0, 2, None, 2, None, 0)
+@example(_POW_CASE, 5, 1, 1, 3, 1, 1)
+def test_trees_grown_on_row_indices_equal_trees_grown_on_copies(
+    case, duplicates, n_trees, max_depth, min_samples_split, max_features, seed
+):
+    X, y, _ = case
+    # Exact duplicate rows, labels included, beside the columns' own ties.
+    dup = np.random.default_rng(seed).integers(0, len(X), size=duplicates)
+    X, y = np.vstack([X, X[dup]]), np.concatenate([y, y[dup]])
+    if max_features is not None:
+        max_features = min(max_features, X.shape[1])
+    config = RFConfig(
+        n_trees=n_trees,
+        max_depth=max_depth,
+        min_samples_split=min_samples_split,
+        max_features=max_features,
+        seed=seed,
+    )
+    got = rf_fit(X, y, config).trees
+    want = _reference_copying_fit(X, y, config)
+    assert [_bits(t) for t in got] == [_bits(t) for t in want]
+
+
+def test_fit_memory_does_not_grow_with_the_feature_count():
+    n = 4000
+    rng = np.random.default_rng(0)
+    y = (rng.random(n) < 0.3).astype(np.int64)
+    # Every column is continuous, so a node's split work is the same whichever
+    # candidates it draws.
+    config = RFConfig(n_trees=2, max_depth=2, max_features=4, seed=1)
+    peaks = {}
+    for d in (16, 256):
+        X = rng.normal(size=(n, d))
+        tracemalloc.start()
+        rf_fit(X, y, config)
+        peaks[d] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    # A copied bootstrap resample alone would be 8 MB at d = 256.
+    assert peaks[256] <= 1.2 * peaks[16], peaks

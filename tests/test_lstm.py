@@ -1,10 +1,15 @@
 """LSTM recurrence, exact BPTT gradients, training, and prediction."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seizurekit
 from seizurekit import ConfigError, DataError, Windows
 from seizurekit.models import (
     LstmParams,
@@ -15,7 +20,8 @@ from seizurekit.models import (
     lstm_predict,
     lstm_train,
 )
-from seizurekit.models.lstm import _FIELDS, _mean_loss
+from seizurekit.models import lstm
+from seizurekit.models.lstm import _FIELDS, _bce, _forward_batch, _mean_loss
 from seizurekit.pipeline import _balance_by_duplication
 
 
@@ -308,6 +314,116 @@ def test_scoring_replaces_a_steps_gates_one_at_a_time():
     # new gates while the last step's four are alive holds 5.0.
     arrays = (peaks[8] - peaks[1]) / (n * h * 8)
     assert arrays <= 3.5, arrays
+
+
+def test_forward_batch_replaces_a_steps_gates_one_at_a_time():
+    # test_scoring_replaces_a_steps_gates_one_at_a_time on one pass over
+    # every window, which blocked scoring need not make at this size.
+    n, d, h = 4000, 4, 64
+    p = init_params(d, hidden_dim=h, seed=0)
+    peaks = {}
+    for T in (1, 8):
+        windows = Windows(np.ones((n + T, d)), np.arange(n)[:, None] + np.arange(T))
+        tracemalloc.start()
+        _forward_batch(p, windows, keep=False)
+        peaks[T] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    arrays = (peaks[8] - peaks[1]) / (n * h * 8)
+    assert arrays <= 3.5, arrays
+
+
+def block_windows(d: int, h: int) -> int:
+    """Windows in a scoring block: the largest power of two, 8 at least,
+    whose (N, d + h) step input fits in lstm._BLOCK_BYTES."""
+    n = 8
+    while 2 * n * (d + h) * 8 <= lstm._BLOCK_BYTES:
+        n *= 2
+    return n
+
+
+def blocked_scoring_mismatches(d: int, h: int) -> list:
+    """The window counts, among 1, 7 and counts about one to three blocks,
+    at which lstm_predict or _mean_loss differ in any bit from one
+    _forward_batch over every window."""
+    step = block_windows(d, h)
+    p = init_params(d, hidden_dim=h, seed=d + h)
+    rng = np.random.default_rng(h)
+    bad = []
+    for n in (1, 7, step - 1, step, step + 1, 2 * step - 1, 3 * step + 5):
+        T = 3
+        windows = Windows(rng.normal(size=(n + T, d)), np.arange(n)[:, None] + np.arange(T))
+        labels = (rng.random(n) < 0.3).astype(np.float64)
+        whole, _ = _forward_batch(p, windows, keep=False)
+        _, probs = lstm_predict(p, windows)
+        loss = _mean_loss(p, windows, labels)
+        if not (np.array_equal(probs, whole) and loss == float(_bce(whole, labels).mean())):
+            bad.append(n)
+    return bad
+
+
+# (d, h) with 32,768 and 2,048 windows in a block.
+BLOCKED_SHAPES = [(3, 5), (92, 16)]
+
+
+@pytest.mark.parametrize("d, h", BLOCKED_SHAPES)
+def test_blocked_scoring_is_bit_equal_to_one_pass(d, h):
+    assert blocked_scoring_mismatches(d, h) == []
+
+
+@pytest.mark.parametrize("d, h", BLOCKED_SHAPES)
+def test_blocked_scoring_is_bit_equal_to_one_pass_with_one_blas_thread(d, h):
+    # The benchmark and the byte-identity of the CLI's outputs assume one thread.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(Path(seizurekit.__file__).parents[1]), str(root)]),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+    )
+    code = f"from tests.test_lstm import blocked_scoring_mismatches as m; print(m({d}, {h}))"
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3])
+@pytest.mark.parametrize("extra", [0, 1, -1])
+def test_scoring_blocks_are_whole_and_the_last_takes_the_remainder(monkeypatch, n_blocks, extra):
+    d, h = 3, 5
+    step = block_windows(d, h)
+    n = max(1, n_blocks * step + extra)
+    sizes = []
+
+    def counted(p, w, keep):
+        sizes.append(len(w))
+        return _forward_batch(p, w, keep)
+
+    monkeypatch.setattr(lstm, "_forward_batch", counted)
+    lstm_predict(init_params(d, hidden_dim=h), Windows(np.zeros((n, d)), np.arange(n)[:, None]))
+    assert sum(sizes) == n
+    assert sizes[:-1] == [step] * (len(sizes) - 1)
+    assert step <= sizes[-1] < 2 * step or sizes == [n]
+
+
+@pytest.mark.parametrize("score", ["predict", "mean_loss"])
+def test_scoring_memory_does_not_grow_with_the_number_of_blocks(score):
+    d, h, T = 92, 64, 2
+    step = block_windows(d, h)
+    p = init_params(d, hidden_dim=h, seed=0)
+    peaks = {}
+    for blocks in (2, 16):
+        n = blocks * step
+        windows = Windows(np.ones((n + T, d)), np.arange(n)[:, None] + np.arange(T))
+        labels = np.zeros(n)
+        tracemalloc.start()
+        if score == "predict":
+            lstm_predict(p, windows)
+        else:
+            _mean_loss(p, windows, labels)
+        peaks[blocks] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    # One pass over every window would hold 8x as much at 16 blocks.
+    assert peaks[16] <= 1.2 * peaks[2], peaks
 
 
 @pytest.mark.parametrize(

@@ -430,6 +430,36 @@ def test_a_two_row_cache_fits_the_same_model_bit_for_bit(monkeypatch):
     assert (tiny.bias, tiny.n_iters, tiny.converged) == (big.bias, big.n_iters, big.converged)
 
 
+def test_steps_after_an_unconfirmed_gap_match_a_dense_kernel_fit(monkeypatch):
+    # The step-by-step F reads a gap of tol here, the fresh one a gap just
+    # above it, so SMO steps on from a row cache emptied for the fresh F.
+    X = np.array([[1.0, -1], [-2, -3], [0, 1], [0, 1], [1, -1], [3, -1]])
+    y = np.array([0, 1, 1, 1, 1, 0])
+    C, gamma, tol = 0.01, 5.0, 0.01
+    events = []  # "F" for each fresh F, else the cached rows before a row read
+    margins, read = svm._margins, svm._KernelRows.__getitem__
+
+    def fresh_f(*args):
+        events.append("F")
+        return margins(*args)
+
+    def read_row(self, i):
+        events.append(len(self.rows))
+        return read(self, i)
+
+    monkeypatch.setattr(svm, "_margins", fresh_f)
+    monkeypatch.setattr(svm._KernelRows, "__getitem__", read_row)
+    model = svm_fit_smo(X, y, C=C, gamma=gamma, tol=tol, max_passes=200)
+    first = events.index("F")
+    assert events.count("F") == 2 and events[first + 1] == 0, events
+    ref_alphas, ref_bias, ref_steps, ref_converged = reference_dense_smo(X, y, C, gamma, tol=tol, max_passes=200)
+    assert model.converged and ref_converged and model.n_iters == ref_steps
+    alphas = all_alphas(model, X, 2.0 * y - 1.0)
+    assert np.array_equal(alphas > 0, ref_alphas > 0)
+    assert np.abs(alphas - ref_alphas).max() <= 1e-12
+    assert model.bias == pytest.approx(ref_bias, abs=1e-12)
+
+
 def random_model(n_sv, d, seed):
     rng = np.random.default_rng(seed)
     return svm.SVMModel(
