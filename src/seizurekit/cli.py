@@ -25,9 +25,9 @@ from pathlib import Path
 
 from . import store
 from .domains import check_params, has_type
-from .errors import ConfigError, DataError, LeakageError
+from .errors import ConfigError, DataError, LeakageError, json_text, write_json
 from .evaluation import FOLD_DOMAINS, assert_patient_disjoint
-from .features import extract_features, read_feature_csv, scaler_json, write_feature_csv
+from .features import extract_features, read_feature_csv, scaler_doc, write_feature_csv
 from .models import MODELS, load_model, save_model, spec_for
 from .models.registry import DEFAULT_MODEL
 from .pipeline import PipelineConfig, holdout_split, run_cv, run_holdout, score_features
@@ -50,14 +50,8 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_manifest(out: Path, command: str, config: dict, seed: int, inputs: dict) -> None:
-    _write_json(
+    write_json(
         out / "manifest.json",
         {
             "command": command,
@@ -287,10 +281,10 @@ def cmd_train(args) -> int:
 
     out = _out_dir(args)
     save_model(result.model, result.scaler, result.fit_patients, out / "model.json")
-    (out / "scaler.json").write_text(scaler_json(result.scaler), encoding="utf-8", newline="\n")
+    write_json(out / "scaler.json", scaler_doc(result.scaler))
     if "roc_points" in result.report:
         _write_roc_csv(out / "roc.csv", result.report.pop("roc_points"))
-    _write_json(out / "report.json", result.report)
+    write_json(out / "report.json", result.report)
     _write_manifest(out, "train", opts, cfg.seed, {"features.csv": args.features})
     acc = result.report.get("accuracy")
     rec = result.report.get("recall")
@@ -349,7 +343,7 @@ def cmd_eval(args) -> int:
         _write_roc_csv(out / "roc.csv", report.pop("roc_points"))
     report["n_test_rows"] = int(len(data))
     report["test_patients"] = split["test_patients"]
-    _write_json(out / "metrics.json", report)
+    write_json(out / "metrics.json", report)
     _write_manifest(
         out, "eval", opts, cfg.seed, {"features.csv": args.features, "model.json": args.model_file}
     )
@@ -370,7 +364,7 @@ def cmd_cv(args) -> int:
     out = _out_dir(args)
     for report in result["folds"]:
         report.pop("roc_points", None)
-        _write_json(out / f"fold_{report['fold']}.json", report)
+        write_json(out / f"fold_{report['fold']}.json", report)
     summary = {
         "k": opts["k"],
         "seed": cfg.seed,
@@ -384,7 +378,7 @@ def cmd_cv(args) -> int:
             for name, stats in sorted(result["summary"].items())
         },
     }
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     with open(out / "folds.csv", "w", encoding="utf-8", newline="\n") as fh:
         metric_names = ["accuracy", "precision", "recall", "f1", "auc"]
         fh.write("fold," + ",".join(metric_names) + "\n")
@@ -418,7 +412,7 @@ def cmd_predict(args) -> int:
         raise ConfigError(f"{spec.name} models take no sequence_length")
 
     # --scaler only restates the scaler that the model file carries.
-    if args.scaler_file and Path(args.scaler_file).read_bytes() != scaler_json(scaler).encode():
+    if args.scaler_file and Path(args.scaler_file).read_bytes() != json_text(scaler_doc(scaler)).encode():
         raise DataError(f"{args.scaler_file} is not the scaler in {args.model_file}; drop --scaler")
     fm, _ = read_feature_csv(args.features)
     data, classes, scores, _ = score_features(

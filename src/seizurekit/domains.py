@@ -75,6 +75,11 @@ def domains_of(config) -> dict:
     return {f.name: f.metadata["domain"] for f in fields(config) if "domain" in f.metadata}
 
 
+def defaults_of(config) -> dict:
+    """The default of each field of a config dataclass declared with param()."""
+    return {f.name: f.default for f in fields(config) if "domain" in f.metadata}
+
+
 def check_params(owner: str, values, domains: dict) -> None:
     """Raise ConfigError unless every value lies in its parameter's domain.
 

@@ -47,6 +47,20 @@ _SIGNAL_FIELDS = (
     ("reserved", 32),
 )
 
+_HEADER_BYTES = sum(width for _, width in _HEADER_FIELDS)  # 256
+_SIGNAL_BYTES = sum(width for _, width in _SIGNAL_FIELDS)  # 256 per signal
+
+# The type each numeric field of both tables is read as; every other field is text.
+_KINDS = dict(
+    header_bytes=int, num_records=int, record_duration=float, num_signals=int, physical_min=float,
+    physical_max=float, digital_min=int, digital_max=int, samples_per_record=int,
+)
+
+# Fixed-header fields parse_edf does not read: any bytes pass there.
+_UNREAD = ("version", "reserved")
+
+_NOT_PRINTABLE = re.compile(rb"[^\x20-\x7e]")
+
 
 class EdfParseError(DataError):
     """Malformed or truncated EDF bytes. Carries the byte offset of the problem."""
@@ -96,6 +110,11 @@ class ChannelMeta:
         if self.samples_per_record < 1:
             raise EdfCalibrationError(
                 f"channel {self.label!r}: samples_per_record must be >= 1"
+            )
+        if not math.isfinite(self.gain) or self.gain == 0:  # NaN or constant samples
+            raise EdfCalibrationError(
+                f"channel {self.label!r}: physical range [{self.physical_min}, "
+                f"{self.physical_max}] gives gain {self.gain}, not a finite nonzero number"
             )
 
     @property
@@ -163,35 +182,26 @@ class SeizureInterval:
             )
 
 
-def _decode_text(raw: bytes, offset: int, name: str) -> str:
-    """Decode a fixed-width header field; EDF mandates printable ASCII."""
-    for b in raw:
-        if b < 32 or b > 126:
-            raise EdfParseError(
-                f"field {name!r} contains non-ASCII byte 0x{b:02x}", offset
-            )
-    return raw.decode("ascii").rstrip(" ")
-
-
-def _decode_int(raw: bytes, offset: int, name: str) -> int:
-    text = _decode_text(raw, offset, name).strip()
+def _read_field(raw: bytes, offset: int, width: int, name: str):
+    """A header field as text without trailing spaces, or as the int or float
+    _KINDS gives its name; EDF mandates printable ASCII."""
+    chunk = raw[offset : offset + width]
+    if bad := _NOT_PRINTABLE.search(chunk):
+        raise EdfParseError(f"field {name!r} contains non-ASCII byte 0x{bad[0][0]:02x}", offset)
+    text = chunk.decode("ascii").rstrip(" ")
+    kind = _KINDS.get(name.partition("[")[0], str)
+    if kind is str:
+        return text
+    text = text.strip()
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
-        raise EdfParseError(f"field {name!r} is not an integer: {text!r}", offset) from None
-
-
-def _decode_float(raw: bytes, offset: int, name: str) -> float:
-    text = _decode_text(raw, offset, name).strip()
-    try:
-        return float(text)
-    except ValueError:
-        raise EdfParseError(f"field {name!r} is not numeric: {text!r}", offset) from None
+        what = "an integer" if kind is int else "numeric"
+        raise EdfParseError(f"field {name!r} is not {what}: {text!r}", offset) from None
 
 
 def _parse_start_datetime(date_text: str, time_text: str, offset: int) -> datetime.datetime:
-    m = re.fullmatch(r"(\d{2})\.(\d{2})\.(\d{2})", date_text)
-    t = re.fullmatch(r"(\d{2})\.(\d{2})\.(\d{2})", time_text)
+    m, t = (re.fullmatch(r"(\d{2})\.(\d{2})\.(\d{2})", s) for s in (date_text, time_text))
     if m is None or t is None:
         raise EdfParseError(
             f"start date/time not in dd.mm.yy / hh.mm.ss form: {date_text!r} {time_text!r}",
@@ -217,41 +227,36 @@ def parse_edf(raw: bytes) -> Recording:
 
     Raises EdfParseError (with byte offset) on truncation, malformed
     fields or a record duration that is not a finite number > 0, and
-    EdfCalibrationError when a channel declares an unusable digital range.
+    EdfCalibrationError when a channel declares an unusable digital range
+    or a gain that is not a finite nonzero number.
     """
-    if len(raw) < 256:
+    if len(raw) < _HEADER_BYTES:
         raise EdfParseError(f"file too short for EDF header: {len(raw)} bytes", len(raw))
 
-    fields: dict[str, bytes] = {}
-    pos = 0
+    head, at, pos = {}, {}, 0  # fixed-header values and byte offsets by name
     for name, width in _HEADER_FIELDS:
-        fields[name] = raw[pos : pos + width]
+        at[name] = pos
+        if name not in _UNREAD:
+            head[name] = _read_field(raw, pos, width, name)
+        if name == "start_time":  # the date is checked before any later field
+            start = _parse_start_datetime(head["start_date"], head["start_time"], at["start_date"])
         pos += width
 
-    patient_id = _decode_text(fields["patient_id"], 8, "patient_id")
-    recording_id = _decode_text(fields["recording_id"], 88, "recording_id")
-    start = _parse_start_datetime(
-        _decode_text(fields["start_date"], 168, "start_date"),
-        _decode_text(fields["start_time"], 176, "start_time"),
-        168,
-    )
-    header_bytes = _decode_int(fields["header_bytes"], 184, "header_bytes")
-    num_records = _decode_int(fields["num_records"], 236, "num_records")
-    record_duration = _decode_float(fields["record_duration"], 244, "record_duration")
-    num_signals = _decode_int(fields["num_signals"], 252, "num_signals")
-
+    record_duration = head["record_duration"]
     if not 0 < record_duration < math.inf:
         raise EdfParseError(
             f"field 'record_duration' must be a finite number > 0, got {record_duration}",
-            244,
+            at["record_duration"],
         )
 
+    num_signals = head["num_signals"]
     if num_signals < 0:
-        raise EdfParseError(f"negative signal count {num_signals}", 252)
-    expected_header = 256 + num_signals * 256
-    if header_bytes != expected_header:
+        raise EdfParseError(f"negative signal count {num_signals}", at["num_signals"])
+    expected_header = _HEADER_BYTES + num_signals * _SIGNAL_BYTES
+    if head["header_bytes"] != expected_header:
         raise EdfParseError(
-            f"field 'header_bytes' is {header_bytes}, expected {expected_header}", 184
+            f"field 'header_bytes' is {head['header_bytes']}, expected {expected_header}",
+            at["header_bytes"],
         )
     if len(raw) < expected_header:
         raise EdfParseError(
@@ -260,41 +265,20 @@ def parse_edf(raw: bytes) -> Recording:
         )
 
     # Signal headers store each field contiguously across all signals.
-    sig_values: dict[str, list] = {}
-    pos = 256
+    columns: dict[str, list] = {}
     for name, width in _SIGNAL_FIELDS:
-        column = []
-        for i in range(num_signals):
-            chunk = raw[pos : pos + width]
-            qualified = f"{name}[{i}]"
-            if name in ("physical_min", "physical_max"):
-                column.append(_decode_float(chunk, pos, qualified))
-            elif name in ("digital_min", "digital_max", "samples_per_record"):
-                column.append(_decode_int(chunk, pos, qualified))
-            else:
-                column.append(_decode_text(chunk, pos, qualified))
-            pos += width
-        sig_values[name] = column
-
-    channels = tuple(
-        ChannelMeta(
-            label=sig_values["label"][i],
-            transducer=sig_values["transducer"][i],
-            physical_dimension=sig_values["physical_dimension"][i],
-            physical_min=sig_values["physical_min"][i],
-            physical_max=sig_values["physical_max"][i],
-            digital_min=sig_values["digital_min"][i],
-            digital_max=sig_values["digital_max"][i],
-            prefiltering=sig_values["prefiltering"][i],
-            samples_per_record=sig_values["samples_per_record"][i],
-        )
-        for i in range(num_signals)
-    )
+        columns[name] = [
+            _read_field(raw, pos + i * width, width, f"{name}[{i}]") for i in range(num_signals)
+        ]
+        pos += num_signals * width
+    del columns["reserved"]
+    channels = tuple(ChannelMeta(**dict(zip(columns, row))) for row in zip(*columns.values()))
 
     samples_per_record = sum(c.samples_per_record for c in channels)
     record_bytes = samples_per_record * 2
     data_len = len(raw) - expected_header
 
+    num_records = head["num_records"]
     if num_records == -1:
         # Unknown on input; recover the count when the payload tiles evenly.
         if record_bytes == 0:
@@ -307,7 +291,7 @@ def parse_edf(raw: bytes) -> Recording:
                 expected_header,
             )
     if num_records < 0:
-        raise EdfParseError(f"negative record count {num_records}", 236)
+        raise EdfParseError(f"negative record count {num_records}", at["num_records"])
     if data_len < num_records * record_bytes:
         raise EdfParseError(
             f"truncated data records: have {data_len} bytes, "
@@ -333,23 +317,14 @@ def parse_edf(raw: bytes) -> Recording:
         signals = [np.zeros(0) for _ in channels]
 
     return Recording(
-        patient_id=patient_id,
+        patient_id=head["patient_id"],
         start_datetime=start,
         record_duration_s=record_duration,
         num_records=num_records,
         channels=channels,
         signals=tuple(signals),
-        recording_id=recording_id,
+        recording_id=head["recording_id"],
     )
-
-
-def _encode_text(value: str, width: int, name: str) -> bytes:
-    for ch in value:
-        if ord(ch) < 32 or ord(ch) > 126:
-            raise ValueError(f"field {name!r} contains non-ASCII character {ch!r}")
-    if len(value) > width:
-        raise ValueError(f"field {name!r} value {value!r} exceeds {width} characters")
-    return value.ljust(width).encode("ascii")
 
 
 def _encode_number(value: float | int, width: int, name: str) -> bytes:
@@ -374,6 +349,17 @@ def _encode_number(value: float | int, width: int, name: str) -> bytes:
     return text.ljust(width).encode("ascii")
 
 
+def _encode_field(value, width: int, name: str) -> bytes:
+    """A header field's bytes: printable ASCII text, or a number if _KINDS names one."""
+    if name.partition("[")[0] in _KINDS:
+        return _encode_number(value, width, name)
+    if bad := re.search(r"[^\x20-\x7e]", value):
+        raise ValueError(f"field {name!r} contains non-ASCII character {bad[0]!r}")
+    if len(value) > width:
+        raise ValueError(f"field {name!r} value {value!r} exceeds {width} characters")
+    return value.ljust(width).encode("ascii")
+
+
 def write_edf(recording: Recording) -> bytes:
     """Serialize a Recording to EDF bytes.
 
@@ -388,39 +374,30 @@ def write_edf(recording: Recording) -> bytes:
     if not 1985 <= start.year <= 2084:
         raise ValueError(f"start year {start.year} outside the EDF 1985-2084 window")
 
-    head = b"".join(
-        (
-            _encode_text("0", 8, "version"),
-            _encode_text(recording.patient_id, 80, "patient_id"),
-            _encode_text(recording.recording_id, 80, "recording_id"),
-            _encode_text(f"{start.day:02d}.{start.month:02d}.{start.year % 100:02d}", 8, "start_date"),
-            _encode_text(f"{start.hour:02d}.{start.minute:02d}.{start.second:02d}", 8, "start_time"),
-            _encode_number(256 + ns * 256, 8, "header_bytes"),
-            _encode_text("", 44, "reserved"),
-            _encode_number(recording.num_records, 8, "num_records"),
-            _encode_number(recording.record_duration_s, 8, "record_duration"),
-            _encode_number(ns, 4, "num_signals"),
-        )
-    )
-
-    sig_head = []
-    for name, width in _SIGNAL_FIELDS:
-        for i, c in enumerate(recording.channels):
-            qualified = f"{name}[{i}]"
-            if name == "reserved":
-                sig_head.append(_encode_text("", width, qualified))
-            else:
-                value = getattr(c, name)
-                if isinstance(value, str):
-                    sig_head.append(_encode_text(value, width, qualified))
-                else:
-                    sig_head.append(_encode_number(value, width, qualified))
+    values = {
+        "version": "0",
+        "patient_id": recording.patient_id,
+        "recording_id": recording.recording_id,
+        "start_date": f"{start.day:02d}.{start.month:02d}.{start.year % 100:02d}",
+        "start_time": f"{start.hour:02d}.{start.minute:02d}.{start.second:02d}",
+        "header_bytes": _HEADER_BYTES + ns * _SIGNAL_BYTES,
+        "reserved": "",
+        "num_records": recording.num_records,
+        "record_duration": recording.record_duration_s,
+        "num_signals": ns,
+    }
+    head = [_encode_field(values[name], width, name) for name, width in _HEADER_FIELDS]
+    head += [  # ChannelMeta holds every signal field but the blank reserved one
+        _encode_field(getattr(c, name, ""), width, f"{name}[{i}]")
+        for name, width in _SIGNAL_FIELDS
+        for i, c in enumerate(recording.channels)
+    ]
 
     digital_columns = []
     for i, (meta, physical) in enumerate(zip(recording.channels, recording.signals)):
         low = min(meta.physical_min, meta.physical_max)
         high = max(meta.physical_min, meta.physical_max)
-        bad = np.nonzero((physical < low) | (physical > high))[0]
+        bad = np.nonzero(~((physical >= low) & (physical <= high)))[0]  # NaN too
         if bad.size:
             raise EdfRangeError(
                 f"channel {meta.label!r} (index {i}): sample {int(bad[0])} value "
@@ -438,13 +415,15 @@ def write_edf(recording: Recording) -> bytes:
     else:
         payload = b""
 
-    return head + b"".join(sig_head) + payload
+    return b"".join(head) + payload
 
 
-_FILE_LINE = re.compile(r"^File Name:\s*(\S+)\s*$")
-_COUNT_LINE = re.compile(r"^Number of Seizures in File:\s*(\d+)\s*$")
-_START_LINE = re.compile(r"^Seizure(?:\s+\d+)?\s+Start Time:\s*([0-9.]+)\s*seconds?\s*$")
-_END_LINE = re.compile(r"^Seizure(?:\s+\d+)?\s+End Time:\s*([0-9.]+)\s*seconds?\s*$")
+# One summary line the parser reads; the group that matched says which kind.
+_SUMMARY_LINE = re.compile(
+    r"(?:File Name:\s*(?P<file>\S+)"
+    r"|Number of Seizures in File:\s*(?P<count>\d+)"
+    r"|Seizure(?:\s+\d+)?\s+(?P<edge>Start|End) Time:\s*(?P<time>[0-9.]+)\s*seconds?)\s*"
+)
 
 
 def _summary_number(text: str, block: str) -> float:
@@ -485,41 +464,32 @@ def parse_seizure_summary(text: str) -> dict[str, list[SeizureInterval]]:
             )
 
     for line in text.splitlines():
-        line = line.strip()
-        m = _FILE_LINE.match(line)
-        if m:
+        m = _SUMMARY_LINE.fullmatch(line.strip())
+        if m is None:
+            continue  # channel lists, banners, blank lines
+        if m["file"]:
             close_block()
-            current = m.group(1)
+            current = m["file"]
             result[current] = []
             declared[current] = 0
             pending_start = None
             continue
-        m = _COUNT_LINE.match(line)
-        if m:
-            if current is None:
-                raise SummaryError("seizure count line appears before any File Name")
-            declared[current] = int(_summary_number(m.group(1), current))
-            continue
-        m = _START_LINE.match(line)
-        if m:
-            if current is None:
-                raise SummaryError("seizure start line appears before any File Name")
+        if current is None:
+            what = "count" if m["count"] else m["edge"].lower()
+            raise SummaryError(f"seizure {what} line appears before any File Name")
+        if m["count"]:
+            declared[current] = int(_summary_number(m["count"], current))
+        elif m["edge"] == "Start":
             if pending_start is not None:
                 raise SummaryError(f"{current}: two start times without an end time")
-            pending_start = _summary_number(m.group(1), current)
-            continue
-        m = _END_LINE.match(line)
-        if m:
-            if current is None:
-                raise SummaryError("seizure end line appears before any File Name")
+            pending_start = _summary_number(m["time"], current)
+        else:
             if pending_start is None:
                 raise SummaryError(f"{current}: end time without a start time")
             result[current].append(
-                SeizureInterval(current, pending_start, _summary_number(m.group(1), current))
+                SeizureInterval(current, pending_start, _summary_number(m["time"], current))
             )
             pending_start = None
-            continue
-        # Anything else (channel lists, banners, blank lines) is ignored.
 
     close_block()
     return result

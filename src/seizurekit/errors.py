@@ -1,9 +1,11 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the UTF-8 reader and JSON
+writer that every module uses.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 LeakageError -> 3.
 """
 
+import json
 from pathlib import Path
 
 
@@ -27,3 +29,20 @@ def read_utf8(path) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}:{line}: not UTF-8: byte {data[exc.start]:#04x}") from None
+
+
+# The layout of every JSON file the toolkit writes.
+_JSON_LAYOUT = {"indent": 2, "sort_keys": True}
+
+
+def json_text(doc) -> str:
+    """The text write_json writes for doc: keys sorted, two-space indents, a final newline."""
+    return json.dumps(doc, **_JSON_LAYOUT) + "\n"
+
+
+def write_json(path, doc) -> None:
+    """Write json_text(doc) to path as UTF-8 with LF line ends. json.dump
+    streams the text, so a large model file is never held whole in memory."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, **_JSON_LAYOUT)
+        fh.write("\n")

@@ -9,7 +9,6 @@ with zero training variance scale to 0 rather than NaN.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from dataclasses import dataclass
 
@@ -70,10 +69,9 @@ class Scaler:
             raise DataError("scaler std must be nonnegative")
 
 
-def scaler_json(s: Scaler) -> str:
-    """The text of scaler.json: `mean`, `std` and `spec_version` as key-sorted JSON."""
-    doc = {"mean": s.mean.tolist(), "std": s.std.tolist(), "spec_version": SPEC_VERSION}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def scaler_doc(s: Scaler) -> dict:
+    """The document of scaler.json: `mean`, `std` and `spec_version`."""
+    return {"mean": s.mean.tolist(), "std": s.std.tolist(), "spec_version": SPEC_VERSION}
 
 
 # Epochs go through extract_features in blocks of about this many bytes, so

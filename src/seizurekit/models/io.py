@@ -16,7 +16,7 @@ import json
 import numpy as np
 
 from ..domains import Domain
-from ..errors import DataError, read_utf8
+from ..errors import DataError, read_utf8, write_json
 from ..features import Scaler
 from ..version import SPEC_VERSION
 from .registry import MODELS, spec_for
@@ -58,9 +58,7 @@ def save_model(model, scaler: Scaler, fit_patients, path) -> None:
         "scaler": {"mean": scaler.mean.tolist(), "std": scaler.std.tolist()},
         "fit_patients": sorted(map(str, fit_patients)),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_model(path):

@@ -215,8 +215,8 @@ def lstm_grad(
 @dataclass(frozen=True)
 class LstmTrainConfig:
     learning_rate: float = param(0.05, Domain(float, 0, lo_open=True))
-    epochs: int = param(100, Domain(int, 1))
-    batch_size: int = param(16, Domain(int, 1))
+    epochs: int = param(30, Domain(int, 1))
+    batch_size: int = param(32, Domain(int, 1))
     grad_clip_norm: float = param(5.0, Domain(float, 0, lo_open=True))
     seed: int = 0
     # Epochs without val improvement before stopping; None runs every epoch.

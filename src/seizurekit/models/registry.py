@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..domains import Domain, check_params, domains_of
+from ..domains import Domain, check_params, defaults_of, domains_of
 from ..epochs import SEQUENCE_LENGTH
 from ..errors import DataError
 from . import baseline, forest, knn, logistic, lstm, svm
@@ -150,14 +150,7 @@ def _logreg_from_doc(doc):
 _LOGREG = ModelSpec(
     name="logreg",
     cls=logistic.LogRegModel,
-    defaults={
-        "learning_rate": 0.1,
-        "l2_lambda": 0.0,
-        "max_iters": 1000,
-        "tolerance": 1e-6,
-        "class_weights": None,
-        "threshold": 0.5,
-    },
+    defaults={**defaults_of(logistic.LogRegConfig), "class_weights": None, "threshold": 0.5},
     domains={
         **domains_of(logistic.LogRegConfig),
         "class_weights": CLASS_WEIGHTS,
@@ -218,7 +211,7 @@ def _tree_from_dict(doc: dict) -> forest.TreeNode:
 _RF = ModelSpec(
     name="rf",
     cls=forest.RFModel,
-    defaults={"n_trees": 100, "max_depth": None, "min_samples_split": 2, "max_features": None},
+    defaults=defaults_of(forest.RFConfig),
     domains=domains_of(forest.RFConfig),
     fit=_fit_rf,
     score=_score_rf,
@@ -313,15 +306,7 @@ def _lstm_from_doc(doc):
 _LSTM = ModelSpec(
     name="lstm",
     cls=lstm.LstmParams,
-    defaults={
-        "hidden_dim": 64,
-        "learning_rate": 0.05,
-        "epochs": 30,
-        "batch_size": 32,
-        "grad_clip_norm": 5.0,
-        "patience": None,
-        "threshold": 0.5,
-    },
+    defaults={"hidden_dim": 64, **defaults_of(lstm.LstmTrainConfig), "threshold": 0.5},
     domains={**domains_of(lstm.LstmTrainConfig), **lstm.INIT_DOMAINS, "threshold": THRESHOLD},
     fit=_fit_lstm,
     score=lambda m, X, threshold: lstm.lstm_predict(m, X, threshold),

@@ -16,7 +16,7 @@ import numpy as np
 from .domains import Domain, check_params
 from .edf import parse_edf, parse_seizure_summary
 from .epochs import DOMAINS, Epochs, LabeledEpochSet, stream_labeled_epochs
-from .errors import ConfigError, DataError, read_utf8
+from .errors import ConfigError, DataError, read_utf8, write_json
 from .features import FeatureMatrix, read_feature_csv, write_feature_csv
 from .version import SPEC_VERSION
 
@@ -104,8 +104,7 @@ def write_store(
         "window": window,
         "spec_version": SPEC_VERSION,
     }
-    with open(out / INFO, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(info, indent=2, sort_keys=True) + "\n")
+    write_json(out / INFO, info)
     if demographics_rows:
         with open(out / DEMOGRAPHICS, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(demographics_rows) + "\n")

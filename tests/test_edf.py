@@ -2,6 +2,7 @@
 
 import datetime
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,26 @@ def make_recording(channels, signals, num_records):
         signals=tuple(signals),
         recording_id="Startdate 04-MAR-2002",
     )
+
+
+def field_start(n_signals, name, signal=None):
+    """The byte offset of a fixed-header field (signal None) or of one
+    signal's field, worked out from the (name, width) tables."""
+    pos = 0
+    for field, width in edf._HEADER_FIELDS:
+        if signal is None and field == name:
+            return pos
+        pos += width
+    for field, width in edf._SIGNAL_FIELDS:
+        if field == name:
+            return pos + signal * width
+        pos += n_signals * width
+    raise KeyError(name)
+
+
+def two_channel_edf() -> bytearray:
+    channels = [make_channel("C0", spr=2), make_channel("C1", spr=2)]
+    return bytearray(write_edf(make_recording(channels, [np.zeros(2), np.zeros(2)], 1)))
 
 
 def test_file_layout_sizes():
@@ -163,6 +184,57 @@ def test_record_duration_not_finite_positive_rejected(text):
     assert err.value.offset == 244
 
 
+_NUMERIC_HEADER = ("header_bytes", "num_records", "record_duration", "num_signals")
+_NUMERIC_SIGNAL = ("physical_min", "physical_max", "digital_min", "digital_max", "samples_per_record")
+
+
+@pytest.mark.parametrize(
+    "name, signal",
+    [*((name, None) for name in _NUMERIC_HEADER), *((n, i) for n in _NUMERIC_SIGNAL for i in (0, 1))],
+)
+def test_non_numeric_field_reports_its_own_offset(name, signal):
+    raw = two_channel_edf()
+    at = field_start(2, name, signal)
+    width = dict(edf._HEADER_FIELDS if signal is None else edf._SIGNAL_FIELDS)[name]
+    raw[at : at + width] = b"x1".ljust(width)
+    qualified = name if signal is None else f"{name}[{signal}]"
+    with pytest.raises(EdfParseError, match=re.escape(f"field {qualified!r} is not")) as err:
+        parse_edf(bytes(raw))
+    assert err.value.offset == at
+
+
+# (physical_min, physical_max) whose gain over -32768..32767 is NaN,
+# infinite or zero: every sample would read as NaN or as one constant.
+UNUSABLE_GAINS = [
+    (b"nan", b"100"),
+    (b"inf", b"100"),
+    (b"-inf", b"100"),
+    (b"-1e308", b"1e308"),
+    (b"1e308", b"-1e308"),
+    (b"5e-324", b"1e-323"),
+]
+
+
+def with_physical_range(raw: bytearray, signal: int, pmin: bytes, pmax: bytes) -> bytes:
+    """raw, a two-channel EDF, with one signal's physical_min/max set to the given text."""
+    for name, text in (("physical_min", pmin), ("physical_max", pmax)):
+        at = field_start(2, name, signal)
+        raw[at : at + 8] = text.ljust(8)
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("pmin, pmax", UNUSABLE_GAINS)
+def test_unusable_gain_rejected(pmin, pmax):
+    with pytest.raises(EdfCalibrationError, match="'C1'.*not a finite nonzero number"):
+        parse_edf(with_physical_range(two_channel_edf(), 1, pmin, pmax))
+
+
+@pytest.mark.parametrize("pmin, pmax", [(math.nan, 1.0), (-math.inf, 1.0), (0.0, 1e-320)])
+def test_channel_meta_refuses_unusable_gain(pmin, pmax):
+    with pytest.raises(EdfCalibrationError):
+        ChannelMeta("x", "", "uV", pmin, pmax, -32768, 32767, "", 4)
+
+
 def test_truncated_data_records_rejected():
     ch = make_channel(spr=4)
     raw = write_edf(make_recording([ch], [np.zeros(8)], 2))
@@ -241,6 +313,15 @@ def test_out_of_range_sample_names_channel_and_index():
         write_edf(make_recording([ch], [sig], 1))
     assert "EEG F3" in str(err.value)
     assert "2" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_sample_names_channel_and_index(bad):
+    ch = make_channel(spr=4)
+    sig = np.zeros(8)
+    sig[5] = bad
+    with pytest.raises(EdfRangeError, match=r"'EEG F3' \(index 1\): sample 5 value"):
+        write_edf(make_recording([make_channel("C0", spr=4), ch], [np.zeros(8), sig], 2))
 
 
 def test_bad_digital_range_rejected():

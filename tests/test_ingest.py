@@ -28,7 +28,7 @@ from seizurekit.epochs import (
 )
 from seizurekit.store import read_store, write_store
 from tests.test_cli import make_edf_bytes
-from tests.test_edf import make_channel, make_recording
+from tests.test_edf import UNUSABLE_GAINS, make_channel, make_recording, with_physical_range
 
 HORIZON_S = 16.0
 
@@ -169,6 +169,22 @@ def test_write_store_checks_its_inputs_before_it_writes(edf_dir, tmp_path, overr
     with pytest.raises(error):
         _write_store(kwargs.pop("edf_dir", edf_dir), out, **kwargs)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("pmin, pmax", UNUSABLE_GAINS)
+def test_ingest_skips_a_file_whose_gain_is_unusable(tmp_path, capsys, pmin, pmax):
+    (tmp_path / "edf").mkdir()
+    for name, seed in (("a.edf", 1), ("c.edf", 3)):
+        (tmp_path / "edf" / name).write_bytes(make_edf_bytes("chb01", 8, n_channels=2, seed=seed))
+    raw = bytearray(make_edf_bytes("chb02", 8, n_channels=2, seed=2))
+    (tmp_path / "edf" / "b.edf").write_bytes(with_physical_range(raw, 0, pmin, pmax))
+    assert main(["ingest", "--edf-dir", str(tmp_path / "edf"), "--out", str(tmp_path / "store")]) == 0
+    captured = capsys.readouterr()
+    assert "warning: b.edf:" in captured.err and "not a finite nonzero number" in captured.err
+    assert "b.edf" not in captured.out and "; 1 failure(s)" in captured.out
+    epochs, _ = read_store(tmp_path / "store")
+    assert sorted(set(epochs.files)) == ["a.edf", "c.edf"]
+    assert np.isfinite(epochs.samples).all()
 
 
 def _dir_of_one_unparseable_edf(tmp: Path) -> Path:
