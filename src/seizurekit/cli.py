@@ -6,8 +6,8 @@ epoch store, `featurize` turns the store into a feature CSV, and
 `train` / `eval` / `cv` / `predict` run models over feature CSVs under the
 leakage-safe pipeline. Every run writes a manifest (the options it ran
 with, seed, SHA-256 of each input) so results can be reproduced byte for
-byte; no output embeds a timestamp. Each command's options are defined
-once, in OPTIONS.
+byte; no output embeds a timestamp. Each command's options, config keys
+and flags alike, are defined once, in OPTIONS.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 leakage-gate abort.
@@ -25,11 +25,11 @@ from pathlib import Path
 
 from . import store
 from .domains import check_params, has_type
+from .epochs import TASKS
 from .errors import ConfigError, DataError, LeakageError, json_text, write_json
 from .evaluation import FOLD_DOMAINS, assert_patient_disjoint
 from .features import extract_features, read_feature_csv, scaler_doc, write_feature_csv
 from .models import MODELS, load_model, save_model, spec_for
-from .models.registry import DEFAULT_MODEL
 from .pipeline import PipelineConfig, holdout_split, run_cv, run_holdout, score_features
 from .synthetic import SynthConfig, generate_synthetic
 from .version import SPEC_VERSION
@@ -87,50 +87,64 @@ def _load_config_file(path: str | None, allowed: set) -> dict:
 
 # An option that only its flag sets; no config-file key reaches it.
 FLAG_ONLY = "flag"
+# The flag of a key spelled with dashes: --epochs-per-patient sets epochs_per_patient.
+DASHED = "--"
 
-_MODEL = {"model": (str, DEFAULT_MODEL), "model_params": (dict, {}), "sequence_length": (int, 10)}
+_MODEL = {"model": (str, PipelineConfig.model, DASHED), "model_params": (dict, {}, None),
+          "sequence_length": (int, PipelineConfig.sequence_length, None)}
 _TRAINING = {
-    "smote": (bool, False),
-    "smote_k": (int, 5),
-    "smote_ratio": (float, 1.0),
-    "max_train_rows": (int, None),
+    "smote": (bool, PipelineConfig.use_smote, DASHED),
+    "smote_k": (int, PipelineConfig.smote_k, None),
+    "smote_ratio": (float, PipelineConfig.smote_ratio, None),
+    "max_train_rows": (int, PipelineConfig.max_train_rows, None),
 }
 _SPLIT = {
-    "split_ratios": (list[float], [0.5, 0.25, 0.25]),
-    "train_patients": (list[str], None),
-    "val_patients": (list[str], None),
-    "test_patients": (list[str], None),
+    "split_ratios": (list[float], list(PipelineConfig.split_ratios), None),
+    **{f"{side}_patients": (list[str], None, None) for side in ("train", "val", "test")},
 }
 
-# Every option of every command: config key -> (type, default). A flag
-# whose argparse dest equals the key overrides the config file. A default
-# of None also admits null. Each command runs with the dict _options
-# resolves from this table, and its manifest records that dict as `config`.
+# Every option of every command: config key -> (type, default, flag). A
+# default of None also admits null. build_parser makes each flag, which
+# overrides the config file: None for a key only the config file sets.
+# Each command runs with the dict _options resolves from this table, and
+# its manifest records that dict as `config`.
 OPTIONS = {
     "synth": {
-        "patients": (int, 23),
-        "epochs_per_patient": (int, 1800),
-        "prevalence": (float, 0.06),
-        "channels": (int, 23),
-        "separation": (float, 0.35),
-        "patient_effect": (float, 0.5),
+        "patients": (int, SynthConfig.n_patients, DASHED),
+        "epochs_per_patient": (int, SynthConfig.epochs_per_patient, DASHED),
+        "prevalence": (float, SynthConfig.seizure_prevalence, DASHED),
+        "channels": (int, SynthConfig.n_channels, DASHED),
+        "separation": (float, SynthConfig.class_separation, DASHED),
+        "patient_effect": (float, SynthConfig.patient_effect_scale, DASHED),
     },
     "ingest": {
-        "edf_dir": (str, None),
-        "summaries": (list[str], []),
-        "task": (str, "detection"),
-        "epoch_len_s": (float, 2.0),
-        "horizon_s": (float, 300.0),
-        "highpass_hz": (float, None),
-        "demographics": (str, None),
+        "edf_dir": (str, None, DASHED),
+        "summaries": (list[str], [], "--summary"),
+        "task": (str, "detection", DASHED),
+        "epoch_len_s": (float, 2.0, "--epoch-len"),
+        "horizon_s": (float, 300.0, "--horizon"),
+        "highpass_hz": (float, None, "--highpass"),
+        "demographics": (str, None, DASHED),
     },
-    "featurize": {"store": (str, None), "pool_channels": (bool, False)},
-    "train": {**_MODEL, **_TRAINING, **_SPLIT, "allow_leaky_split": (FLAG_ONLY, False)},
-    "cv": {**_MODEL, **_TRAINING, "k": (int, 5)},
-    # eval takes the model type from the model file.
-    "eval": {**_MODEL, "model": (str, None), **_SPLIT},
+    "featurize": {"store": (str, None, DASHED), "pool_channels": (bool, False, DASHED)},
+    "train": {
+        **_MODEL, **_TRAINING, **_SPLIT, "allow_leaky_split": (FLAG_ONLY, False, DASHED)
+    },
+    "cv": {**_MODEL, **_TRAINING, "k": (int, 5, DASHED)},
+    # eval takes the model type from the model file; its --model names that file.
+    "eval": {**_MODEL, "model": (str, None, None), **_SPLIT},
     # None until the model file shows whether the model uses them.
-    "predict": {"threshold": (float, None), "sequence_length": (int, None)},
+    "predict": {"threshold": (float, None, DASHED), "sequence_length": (int, None, None)},
+}
+
+# The values a flag may take where its type admits others, and the flags' help texts.
+_CHOICES = {"model": tuple(MODELS), "task": TASKS}
+_HELP = {
+    "summaries": "seizure summary file (repeatable)",
+    "highpass_hz": "optional high-pass cutoff in Hz",
+    "demographics": "patient,age,gender CSV; emits age/gender count summaries",
+    "store": "directory written by ingest",
+    "allow_leaky_split": "row-level split that ignores patients (demo only)",
 }
 
 
@@ -155,15 +169,15 @@ def _options(args) -> tuple[dict, set]:
     config file's keys, then the flags given, each checked for its type;
     and the keys that the config file or a flag gave."""
     table = OPTIONS[args.command]
-    settable = {key for key, (kind, _) in table.items() if kind is not FLAG_ONLY}
+    settable = {key for key, (kind, *_) in table.items() if kind is not FLAG_ONLY}
     given = _load_config_file(args.config, settable)
     given.update((k, v) for k, v in vars(args).items() if k in table and v is not None)
     if getattr(args, "no_smote", False):
         if args.smote:
             raise ConfigError("--smote and --no-smote are mutually exclusive")
         given["smote"] = False
-    values = {key: default for key, (_, default) in table.items()} | given
-    return {key: _checked(key, v, *table[key]) for key, v in values.items()}, set(given)
+    values = {key: default for key, (_, default, _) in table.items()} | given
+    return {key: _checked(key, v, *table[key][:2]) for key, v in values.items()}, set(given)
 
 
 def _out_dir(args) -> Path:
@@ -305,7 +319,7 @@ def _window_length(model, explicit: int | None, model_file) -> int:
             f"sequence_length {explicit} differs from the {recorded} "
             f"that the model in {model_file} was trained with"
         )
-    return recorded or explicit or _MODEL["sequence_length"][1]
+    return recorded or explicit or PipelineConfig.sequence_length
 
 
 def cmd_eval(args) -> int:
@@ -437,78 +451,47 @@ def cmd_predict(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(sp, out_required: bool = True):
-    sp.add_argument("--config", help="JSON config file")
-    sp.add_argument("--seed", type=int, default=0, help="master random seed")
-    sp.add_argument("--out", required=out_required, help="output directory")
+# Each command's function and help line, in the order --help lists them.
+_COMMANDS = {
+    "synth": (cmd_synth, "generate the synthetic validation dataset"),
+    "ingest": (cmd_ingest, "read EDF files + seizure summaries into an epoch store"),
+    "featurize": (cmd_featurize, "turn an epoch store into a feature CSV"),
+    "train": (cmd_train, "train on a feature CSV"),
+    "eval": (cmd_eval, "eval on a feature CSV"),
+    "cv": (cmd_cv, "cv on a feature CSV"),
+    "predict": (cmd_predict, "apply a saved model to a feature CSV"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="seizurekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate the synthetic validation dataset")
-    _add_common(p)
-    p.add_argument("--patients", type=int)
-    p.add_argument("--epochs-per-patient", type=int, dest="epochs_per_patient")
-    p.add_argument("--prevalence", type=float)
-    p.add_argument("--channels", type=int)
-    p.add_argument("--separation", type=float)
-    p.add_argument("--patient-effect", type=float, dest="patient_effect")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("ingest", help="read EDF files + seizure summaries into an epoch store")
-    _add_common(p)
-    p.add_argument("--edf-dir", dest="edf_dir")
-    p.add_argument(
-        "--summary", action="append", dest="summaries", help="seizure summary file (repeatable)"
-    )
-    p.add_argument("--task", choices=("detection", "prediction"))
-    p.add_argument("--epoch-len", type=float, dest="epoch_len_s")
-    p.add_argument("--horizon", type=float, dest="horizon_s")
-    p.add_argument(
-        "--highpass", type=float, dest="highpass_hz", help="optional high-pass cutoff in Hz"
-    )
-    p.add_argument(
-        "--demographics", help="patient,age,gender CSV; emits age/gender count summaries"
-    )
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("featurize", help="turn an epoch store into a feature CSV")
-    _add_common(p)
-    p.add_argument("--store", help="directory written by ingest")
-    p.add_argument("--pool-channels", action="store_true", dest="pool_channels", default=None)
-    p.set_defaults(func=cmd_featurize)
-
-    for name, fn in (("train", cmd_train), ("eval", cmd_eval), ("cv", cmd_cv)):
-        p = sub.add_parser(name, help=f"{name} on a feature CSV")
-        _add_common(p)
-        p.add_argument("--features", required=True, help="feature CSV path")
-        if name == "eval":
+    for command, (fn, about) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--seed", type=int, default=0, help="master random seed")
+        p.add_argument("--out", required=True, help="output directory")
+        if command in ("train", "eval", "cv", "predict"):
+            p.add_argument("--features", required=True, help="feature CSV path")
+        if command in ("eval", "predict"):
             p.add_argument("--model", required=True, dest="model_file", help="model JSON")
-        else:
-            p.add_argument("--model", choices=tuple(MODELS))
-            p.add_argument("--smote", action="store_true", default=None)
+        if command == "predict":
+            p.add_argument("--scaler", dest="scaler_file", help="must equal train's scaler.json")
+        for key, (kind, default, flag) in OPTIONS[command].items():
+            if flag is None:
+                continue
+            flag = "--" + key.replace("_", "-") if flag == DASHED else flag
+            if kind in (bool, FLAG_ONLY):
+                # None leaves a bool to the config file; no config key reaches a FLAG_ONLY.
+                how = {"action": "store_true", "default": None if kind is bool else default}
+            elif typing.get_origin(kind) is list:
+                how = {"action": "append"}
+            else:
+                how = {"type": kind, "choices": _CHOICES.get(key)}
+            p.add_argument(flag, dest=key, help=_HELP.get(key), **how)
+        if "smote" in OPTIONS[command]:
             p.add_argument("--no-smote", action="store_true", dest="no_smote")
-        if name == "train":
-            p.add_argument(
-                "--allow-leaky-split",
-                action="store_true",
-                dest="allow_leaky_split",
-                help="row-level split that ignores patients (demo only)",
-            )
-        if name == "cv":
-            p.add_argument("--k", type=int)
         p.set_defaults(func=fn)
-
-    p = sub.add_parser("predict", help="apply a saved model to a feature CSV")
-    _add_common(p)
-    p.add_argument("--features", required=True)
-    p.add_argument("--model", required=True, dest="model_file")
-    p.add_argument("--scaler", dest="scaler_file", help="must equal train's scaler.json")
-    p.add_argument("--threshold", type=float)
-    p.set_defaults(func=cmd_predict)
-
     return parser
 
 

@@ -56,9 +56,6 @@ _KINDS = dict(
     physical_max=float, digital_min=int, digital_max=int, samples_per_record=int,
 )
 
-# Fixed-header fields parse_edf does not read: any bytes pass there.
-_UNREAD = ("version", "reserved")
-
 _NOT_PRINTABLE = re.compile(rb"[^\x20-\x7e]")
 
 
@@ -194,6 +191,8 @@ def _read_field(raw: bytes, offset: int, width: int, name: str):
         return text
     text = text.strip()
     try:
+        if "_" in text:  # int() and float() read digit separators, which EDF has none of
+            raise ValueError
         return kind(text)
     except ValueError:
         what = "an integer" if kind is int else "numeric"
@@ -236,8 +235,7 @@ def parse_edf(raw: bytes) -> Recording:
     head, at, pos = {}, {}, 0  # fixed-header values and byte offsets by name
     for name, width in _HEADER_FIELDS:
         at[name] = pos
-        if name not in _UNREAD:
-            head[name] = _read_field(raw, pos, width, name)
+        head[name] = _read_field(raw, pos, width, name)
         if name == "start_time":  # the date is checked before any later field
             start = _parse_start_datetime(head["start_date"], head["start_time"], at["start_date"])
         pos += width

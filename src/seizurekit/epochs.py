@@ -29,6 +29,7 @@ DOMAINS = {
     "highpass_hz": Domain(float, 0, lo_open=True, auto=True),
 }
 SEQUENCE_LENGTH = Domain(int, 1)  # epochs per build_sequences window
+TASKS = ("detection", "prediction")  # each labels epochs through label_<task>
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,10 @@ class LabeledEpochSet:
 
     epochs: Epochs
     labels: np.ndarray
-    task: str  # "detection" or "prediction"
+    task: str  # one of TASKS
 
     def __post_init__(self):
-        if self.task not in ("detection", "prediction"):
+        if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}")
         if len(self.labels) != len(self.epochs):
             raise DataError(

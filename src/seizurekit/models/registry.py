@@ -15,6 +15,7 @@ so a wrapper installed on a module attribute sees every call.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
@@ -231,10 +232,7 @@ _RF = ModelSpec(
 
 
 def _fit_svm(X, y, p, seed, val):
-    gamma = p["gamma"]
-    if gamma is None:
-        gamma = 1.0 / X.shape[1]
-    return _with_convergence(svm.svm_fit_smo(X, y, **_typed({**p, "gamma": gamma}, svm.DOMAINS)))
+    return _with_convergence(svm.svm_fit_smo(X, y, **_typed(p, svm.DOMAINS)))
 
 
 def _score_svm(m, X, threshold):
@@ -262,9 +260,8 @@ def _svm_from_doc(doc):
 _SVM = ModelSpec(
     name="svm",
     cls=svm.SVMModel,
-    defaults={"C": 1.0, "gamma": None, "tol": 1e-3, "max_passes": 50},
-    # None picks gamma = 1 / n_features.
-    domains={**svm.DOMAINS, "gamma": replace(svm.DOMAINS["gamma"], auto=True)},
+    defaults={k: inspect.signature(svm.svm_fit_smo).parameters[k].default for k in svm.DOMAINS},
+    domains=svm.DOMAINS,
     fit=_fit_svm,
     score=_score_svm,
     to_doc=lambda m: {

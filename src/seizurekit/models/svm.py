@@ -44,10 +44,11 @@ _ROW_CACHE_BYTES = 8 << 20
 # block of a few rows, where blocks of 1,000 or 777 rows did not.
 _BLOCK_BYTES = 8 << 20
 
-# The domain of each svm_fit_smo parameter; C = inf (a hard margin) is refused.
+# The domain of each svm_fit_smo parameter; C = inf (a hard margin) is
+# refused, and gamma None means 1 / n_features.
 DOMAINS = {
     "C": Domain(float, 0, lo_open=True),
-    "gamma": Domain(float, 0, lo_open=True),
+    "gamma": Domain(float, 0, lo_open=True, auto=True),
     "tol": Domain(float, 0, lo_open=True),
     "max_passes": Domain(int, 1),
 }
@@ -120,7 +121,7 @@ def svm_fit_smo(
     X,
     y,
     C: float = 1.0,
-    gamma: float = 1.0,
+    gamma: float | None = None,
     tol: float = 1e-3,
     max_passes: int = 50,
     seed: int = 0,
@@ -128,6 +129,7 @@ def svm_fit_smo(
     """Fit the soft-margin RBF SVM dual by SMO with second-order pair selection.
 
     Labels may arrive as {0, 1} (mapped to {-1, +1}) or already signed.
+    gamma None takes 1 / n_features; the fitted model records the value used.
     Every step keeps 0 <= alpha_i <= C and sum(alpha_i * y_i) = 0. Stops
     when the maximal-violating-pair gap is <= tol, or after
     max_passes * ceil(n / 2) steps (about max_passes * n alpha updates)
@@ -138,6 +140,8 @@ def svm_fit_smo(
     y = np.asarray(y, dtype=np.float64).copy()
     if len(X) == 0:
         raise DataError("empty training set")
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise DataError(f"X must be 2-D with at least one feature column, got shape {X.shape}")
     if len(y) != len(X):
         raise DataError(f"{len(y)} labels for {len(X)} rows")
     check_params("svm", {"C": C, "gamma": gamma, "tol": tol, "max_passes": max_passes}, DOMAINS)
@@ -147,6 +151,8 @@ def svm_fit_smo(
         raise DataError("labels must be 0/1 or -1/+1")
     if len(np.unique(y)) < 2:
         raise DataError("need both classes to fit an SVM")
+    if gamma is None:
+        gamma = 1.0 / X.shape[1]
 
     n = len(X)
     sq = (X * X).sum(axis=1)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .domains import Domain, check_params
 from .edf import parse_edf, parse_seizure_summary
-from .epochs import DOMAINS, Epochs, LabeledEpochSet, stream_labeled_epochs
+from .epochs import DOMAINS, TASKS, Epochs, LabeledEpochSet, stream_labeled_epochs
 from .errors import ConfigError, DataError, read_utf8, write_json
 from .features import FeatureMatrix, read_feature_csv, write_feature_csv
 from .version import SPEC_VERSION
@@ -45,8 +45,8 @@ def write_store(
     and the paths of the files read (the EDF files read, the summaries and
     the demographics table).
     """
-    if task not in ("detection", "prediction"):
-        raise ConfigError(f"task must be detection or prediction, got {task!r}")
+    if task not in TASKS:
+        raise ConfigError(f"task must be {' or '.join(TASKS)}, got {task!r}")
     params = {"epoch_len_s": epoch_len_s, "horizon_s": horizon_s, "highpass_hz": highpass_hz}
     check_params("ingest", params, DOMAINS)
     if not Path(edf_dir).is_dir():

@@ -11,7 +11,7 @@ from seizurekit.cli import FLAG_ONLY, OPTIONS, main
 
 
 def _settable(command):
-    return sorted(k for k, (kind, _) in OPTIONS[command].items() if kind is not FLAG_ONLY)
+    return sorted(k for k, (kind, *_) in OPTIONS[command].items() if kind is not FLAG_ONLY)
 
 
 _FILE_FLAGS = {
@@ -45,7 +45,7 @@ def _wrong_value(kind):
 
 @pytest.mark.parametrize(
     "command, key, kind",
-    [(c, k, kind) for c, table in OPTIONS.items() for k, (kind, _) in table.items()],
+    [(c, k, kind) for c, table in OPTIONS.items() for k, (kind, *_) in table.items()],
 )
 def test_a_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, command, key, kind):
     assert main(_argv(tmp_path, command, {key: _wrong_value(kind)})) == 1

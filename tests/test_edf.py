@@ -203,6 +203,42 @@ def test_non_numeric_field_reports_its_own_offset(name, signal):
     assert err.value.offset == at
 
 
+@pytest.mark.parametrize("text", [b"0_1", b"1_00"])
+@pytest.mark.parametrize(
+    "name, signal",
+    [*((name, None) for name in _NUMERIC_HEADER), *((n, i) for n in _NUMERIC_SIGNAL for i in (0, 1))],
+)
+def test_a_digit_separator_in_a_numeric_field_is_refused(name, signal, text):
+    # int() and float() read 0_1 as 1 and 1_00 as 100; EDF numbers have no separators.
+    raw = two_channel_edf()
+    at = field_start(2, name, signal)
+    width = dict(edf._HEADER_FIELDS if signal is None else edf._SIGNAL_FIELDS)[name]
+    raw[at : at + width] = text.ljust(width)
+    qualified = name if signal is None else f"{name}[{signal}]"
+    with pytest.raises(EdfParseError, match=re.escape(f"field {qualified!r} is not")) as err:
+        parse_edf(bytes(raw))
+    assert err.value.offset == at
+
+
+def test_a_one_record_count_spelled_with_a_separator_is_refused():
+    raw = two_channel_edf()
+    at = field_start(2, "num_records")
+    raw[at : at + 8] = b"1".ljust(8)
+    assert parse_edf(bytes(raw)).num_records == 1
+    raw[at : at + 8] = b"0_1".ljust(8)
+    with pytest.raises(EdfParseError, match="field 'num_records' is not an integer: '0_1'"):
+        parse_edf(bytes(raw))
+
+
+@pytest.mark.parametrize("name, at, byte", [("version", 0, 0xFF), ("reserved", 200, 0x00)])
+def test_fixed_header_version_and_reserved_must_be_printable_ascii(name, at, byte):
+    raw = two_channel_edf()
+    raw[at] = byte
+    with pytest.raises(EdfParseError, match=f"field '{name}' contains non-ASCII byte") as err:
+        parse_edf(bytes(raw))
+    assert err.value.offset == field_start(2, name) == {"version": 0, "reserved": 192}[name]
+
+
 # (physical_min, physical_max) whose gain over -32768..32767 is NaN,
 # infinite or zero: every sample would read as NaN or as one constant.
 UNUSABLE_GAINS = [

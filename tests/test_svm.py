@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from seizurekit import ConfigError, DataError
 from seizurekit.cli import main
 from seizurekit.models import (
+    MODELS,
     LogRegConfig,
     logreg_fit,
     rbf_kernel,
@@ -195,6 +196,32 @@ def test_bad_input_rejected():
 def test_gamma_and_tol_must_be_finite_and_positive(bad):
     with pytest.raises(ConfigError, match=next(iter(bad))):
         svm_fit_smo(XOR_X, XOR_Y, **bad)
+
+
+def test_default_gamma_is_one_over_the_feature_count():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(50, 7))
+    y = (X[:, 0] - X[:, 3] > 0).astype(int)
+    auto, explicit = svm_fit_smo(X, y), svm_fit_smo(X, y, gamma=1 / 7)
+    assert auto.gamma == 1 / 7
+    for name in ("support_vectors", "alphas", "labels"):
+        assert getattr(auto, name).tobytes() == getattr(explicit, name).tobytes()
+    assert (auto.bias, auto.n_iters, auto.converged) == (
+        explicit.bias, explicit.n_iters, explicit.converged
+    )
+
+
+@pytest.mark.parametrize("X", [np.zeros((4, 0)), np.zeros(4)], ids=["no-columns", "1-d"])
+def test_rows_without_feature_columns_are_a_data_error(X):
+    # gamma None divides by the feature count.
+    with pytest.raises(DataError, match="feature column"):
+        svm_fit_smo(X, XOR_Y)
+
+
+def test_the_registry_takes_its_svm_defaults_from_svm_fit_smo():
+    assert MODELS["svm"].defaults == {"C": 1.0, "gamma": None, "tol": 1e-3, "max_passes": 50}
+    assert list(MODELS["svm"].defaults) == ["C", "gamma", "tol", "max_passes"]
+    assert MODELS["svm"].domains == svm.DOMAINS and None in svm.DOMAINS["gamma"]
 
 
 def test_model_records_steps_and_convergence():
