@@ -1,9 +1,13 @@
-"""k-nearest-neighbors classification by brute-force Euclidean distance.
+"""k-nearest-neighbors classification by exact Euclidean distance.
 
-Vote ties are broken by the class of the single nearest neighbor; exact
-distance ties rank the lower training-row index first. Optional class
-weights scale each neighbor's vote, which trades accuracy for recall on
-imbalanced data. ``nearest`` is the one neighbour search, shared with SMOTE.
+``nearest`` is the one neighbour search, shared with SMOTE. A BLAS matmul
+screens every training row by the expansion |a|^2 - 2a.b + |b|^2, and only
+the rows that its rounding bound cannot rule out are ranked by the exact
+sqrt(sum((a - b)**2)). The neighbours, their order and their ties are
+therefore those of the exact distance alone: exact distance ties rank the
+lower training-row index first. Vote ties are broken by the class of the
+single nearest neighbor. Optional class weights scale each neighbor's vote,
+which trades accuracy for recall on imbalanced data.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import numpy as np
 from ..domains import Domain, check_params
 from ..errors import DataError
 
-# Bytes of (A row, B row, column) differences held at once by ``nearest``.
+# Bytes of each block of ``nearest``: its (A rows, B rows) screen, and the
+# (pairs, columns) differences of its exact re-rank.
 _BLOCK_BYTES = 1 << 20
 
 DOMAINS = {"k": Domain(int, 1)}
@@ -34,12 +39,19 @@ class KnnModel:
 def nearest(A, B, k: int, exclude_self: bool = False) -> np.ndarray:
     """(len(A), k) indices of each A row's k nearest B rows, nearest first.
 
-    Distances are the exact sqrt(sum((a - b)**2)) of each pair, never the
-    |a|^2 - 2ab + |b|^2 expansion, which moves exact ties; ties rank the
-    lower B index first. With exclude_self, A is B and row i's own index
-    is dropped before the k are taken, so a duplicate of row i can still
-    be its nearest neighbour. A rows are processed in blocks whose
-    differences fit in _BLOCK_BYTES, so memory does not grow with len(A).
+    The ranking is by the exact sqrt(sum((a - b)**2)) of each pair, with
+    ties to the lower B index. The |a|^2 - 2ab + |b|^2 expansion, one
+    matmul per block of A rows, only screens: a B row is kept when its
+    screened value less its rounding bound is at most the k-th smallest of
+    the screened values plus their bounds, and a row whose screen is not
+    finite (squares that overflow) is always kept. Every row the screen
+    drops is exactly farther than at least k kept rows, so ranking the kept
+    rows by the exact formula, with a stable sort over ascending indices,
+    gives the same neighbours, order and ties as ranking all of them, at any
+    BLAS thread count. With exclude_self, A is B and row i's own index is
+    dropped before the k are taken, so a duplicate of row i can still be its
+    nearest neighbour. A block's screen holds about _BLOCK_BYTES, so memory
+    does not grow with len(A).
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -49,15 +61,49 @@ def nearest(A, B, k: int, exclude_self: bool = False) -> np.ndarray:
     if k > len(B) - exclude_self:
         raise DataError(f"k={k} exceeds the {len(B) - exclude_self} rows to search")
 
+    # Both the screen and the exact formula are within (d + 2) eps N of the
+    # true squared distance, N = |a|^2 + |b|^2, in any summation order and
+    # so at any BLAS thread count (Higham 2002, section 3.1); rounding the
+    # square root may merge values a further 4 eps N apart. 8 (d + 2) eps N
+    # covers the sum with room to spare, and the smallest normal float in N
+    # covers products that underflow.
+    slack = 8 * (B.shape[1] + 2) * np.finfo(np.float64).eps
+    tiny = np.finfo(np.float64).tiny
+    b2 = np.einsum("ij,ij->i", B, B)
+    # A row-major B.T costs one copy of B and makes the matmuls of a few
+    # A rows against many B rows about twice as fast.
+    B_t = np.ascontiguousarray(B.T)
     out = np.empty((len(A), k), dtype=np.int64)
-    step = max(1, _BLOCK_BYTES // max(1, B.nbytes))
+    step = max(1, _BLOCK_BYTES // (8 * len(B)))
+    pairs = max(1, _BLOCK_BYTES // (8 * max(1, B.shape[1])))
     for start in range(0, len(A), step):
-        diff = A[start:start + step, None, :] - B[None, :, :]
-        order = np.argsort(np.sqrt((diff * diff).sum(axis=2)), axis=1, kind="stable")
+        block = A[start:start + step]
+        a2 = np.einsum("ij,ij->i", block, block)[:, None]
+        screen = block @ B_t
+        screen *= -2
+        screen += a2
+        screen += b2
+        bound = slack * (a2 + b2 + tiny)
+        hi = screen + bound
+        lo = np.subtract(screen, bound, out=bound)
+        wild = ~np.isfinite(screen)  # squares that overflowed, or NaN inputs
+        lo[wild] = -np.inf
+        hi[wild] = np.inf
+        own = (np.arange(len(block)), np.arange(start, start + len(block)))
         if exclude_self:
-            own = np.arange(start, start + len(order))[:, None]
-            order = order[order != own].reshape(len(order), -1)
-        out[start:start + len(order)] = order[:, :k]
+            hi[own] = np.inf
+        keep = lo <= np.partition(hi, k - 1, axis=1)[:, k - 1:k]
+        if exclude_self:
+            keep[own] = False
+
+        rows, cols = np.nonzero(keep)
+        dist = np.empty(len(rows))
+        for p in range(0, len(rows), pairs):
+            diff = block[rows[p:p + pairs]] - B[cols[p:p + pairs]]
+            dist[p:p + pairs] = np.sqrt((diff * diff).sum(axis=1))
+        order = np.lexsort((cols, dist, rows))
+        first = np.searchsorted(rows, np.arange(len(block)))
+        out[start:start + len(block)] = cols[order[first[:, None] + np.arange(k)]]
     return out
 
 

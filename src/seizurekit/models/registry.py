@@ -93,8 +93,11 @@ def _fit_knn(X, y, p, seed, val):
 
 def _knn_from_doc(doc):
     params, config = doc["params"], doc["config"]
+    train_X = np.array(params["train_X"], dtype=np.float64)
+    if not np.isfinite(train_X).all():
+        raise DataError("knn train_X contains non-finite values")
     return knn.KnnModel(
-        train_X=np.array(params["train_X"], dtype=np.float64),
+        train_X=train_X,
         train_y=np.array(params["train_y"], dtype=np.int64),
         k=int(config["k"]),
         # JSON turned the int class keys into strings.

@@ -923,6 +923,24 @@ def test_feature_count_mismatch_exits_2(two_channel_run, tmp_path, capsys, name,
     assert capsys.readouterr().err.startswith("data error:")
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_a_knn_file_with_a_non_finite_training_value_exits_2(
+    two_channel_run, synth_dir, tmp_path, capsys, command, value
+):
+    # The knn model was fitted on synth_dir's features, so only the edit fails it.
+    doc = json.loads((two_channel_run / "knn" / "model.json").read_text(encoding="utf-8"))
+    doc["params"]["train_X"][3][1] = value
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")  # json writes NaN and Infinity
+    rc = main([
+        command, "--features", str(synth_dir / "features.csv"),
+        "--model", str(model), "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    assert f"{model}: knn train_X contains non-finite values" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- ingest / featurize
 
 

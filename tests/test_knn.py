@@ -1,5 +1,6 @@
 """Nearest-neighbor voting, tie-breaking, and class weighting."""
 
+import importlib
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seizurekit import ConfigError, DataError
+from seizurekit import ConfigError, DataError, SmoteConfig, smote
 from seizurekit.models import knn, knn_vote
 from seizurekit.models.knn import nearest
 
@@ -165,3 +166,62 @@ def test_nearest_rejects_bad_shapes_and_k():
         nearest(np.zeros((3, 2)), np.zeros((3, 2)), 3, exclude_self=True)
     with pytest.raises(ConfigError):
         nearest(np.zeros((3, 2)), np.zeros((3, 2)), 0)
+
+
+@st.composite
+def screen_cases(draw):
+    """Rows where the matmul screen is hardest to trust: integer grids full
+    of exact ties and planted duplicates, a cancelling offset, norms whose
+    squares overflow (1e154 and up) or underflow, and blocks small enough
+    that the queries and the re-ranked pairs span several of them."""
+    d = draw(st.integers(0, 12))  # numpy sums 8 or more columns pairwise
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = rng.integers(-3, 4, size=(draw(st.integers(1, 6)), d)).astype(np.float64)
+    if draw(st.booleans()):
+        grid += rng.normal(size=grid.shape)  # ties only between duplicates
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e150, 1e154, 1e155]))
+    offset = draw(st.sampled_from([0.0, 1e8]))
+    n_b = draw(st.integers(1, 30))
+    B = offset + scale * grid[rng.integers(len(grid), size=n_b)]  # repeats are duplicate rows
+    exclude_self = n_b > 1 and draw(st.booleans())
+    A = B if exclude_self else offset + scale * grid[rng.integers(len(grid), size=draw(st.integers(0, 20)))]
+    top = n_b - exclude_self
+    k = draw(st.sampled_from([1, top]) | st.integers(1, top))
+    # 8 * n_b bytes hold one query's screen; the smallest budgets also split
+    # the re-rank into pairs of rows.
+    budget = draw(st.sampled_from([8 * n_b, 16 * n_b, 1 << 20]))
+    return A, B, k, exclude_self, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(screen_cases())
+def test_the_screened_search_matches_the_former_exact_searches(case):
+    A, B, k, exclude_self, budget = case
+    with mock.patch.object(knn, "_BLOCK_BYTES", budget), np.errstate(all="ignore"):
+        got = nearest(A, B, k, exclude_self=exclude_self)
+        if exclude_self:
+            want = _reference_minority_neighbors(B, k)
+        else:
+            want = _reference_query_neighbors(B, A, k)
+    assert got.shape == (len(A), k)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("fixed_lambda", [0.5, None])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_smote_output_equals_the_output_from_the_former_search(fixed_lambda, seed):
+    rng = np.random.default_rng(seed)
+    minority = rng.normal(size=(60, 92))
+    minority[1::3] = minority[:-1:3]  # every third row duplicates the row before it
+    X = np.vstack([minority, rng.normal(loc=3, size=(200, 92))])
+    y = np.array([1] * 60 + [0] * 200)
+    cfg = SmoteConfig(k_neighbors=5, seed=seed)
+    got = smote(X, y, cfg, fixed_lambda=fixed_lambda)
+
+    def former(A, B, k, exclude_self):
+        return _reference_minority_neighbors(B, k)
+
+    with mock.patch.object(importlib.import_module("seizurekit.smote"), "nearest", former):
+        want = smote(X, y, cfg, fixed_lambda=fixed_lambda)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
