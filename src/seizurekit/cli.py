@@ -30,7 +30,9 @@ from .errors import ConfigError, DataError, LeakageError, json_text, write_json
 from .evaluation import FOLD_DOMAINS, assert_patient_disjoint
 from .features import extract_features, read_feature_csv, scaler_doc, write_feature_csv
 from .models import MODELS, load_model, save_model, spec_for
-from .pipeline import PipelineConfig, holdout_split, run_cv, run_holdout, score_features
+from .pipeline import (
+    PipelineConfig, holdout_split, run_cv, run_holdout, score_features, scoring_point, window_length
+)
 from .synthetic import SynthConfig, generate_synthetic
 from .version import SPEC_VERSION
 
@@ -272,11 +274,15 @@ def _pipeline_config(opts: dict, given: set, seed: int) -> PipelineConfig:
     if "split_ratios" in opts:
         fields["split_ratios"] = tuple(opts["split_ratios"])
     cfg = PipelineConfig(**fields, seed=seed)
-    if "sequence_length" in given and not cfg.spec.sequential:
-        raise ConfigError(f"{cfg.model} models read rows and take no sequence_length")
+    if "sequence_length" in given:
+        window_length(cfg.spec, opts["sequence_length"])  # a row model takes none
     unused = sorted(given & {"smote_k", "smote_ratio"})
     if unused and not cfg.use_smote:
         raise ConfigError(f"{' and '.join(unused)} given but smote is off")
+    lists = sorted(k for k in given if k.endswith("_patients") and opts[k] is not None)
+    dropped = [k for k in ("split_ratios", "allow_leaky_split") if k in given and opts[k]]
+    if lists and dropped:
+        raise ConfigError(f"{dropped[0]} given with {lists[0]}: the patient lists fix the split")
     return cfg
 
 
@@ -309,19 +315,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _window_length(model, explicit: int | None, model_file) -> int:
-    """The window length to score a sequence model with: the one its file
-    records, which an explicit value must equal; else the explicit value,
-    else the option's default."""
-    recorded = model.sequence_length
-    if recorded is not None and explicit not in (None, recorded):
-        raise ConfigError(
-            f"sequence_length {explicit} differs from the {recorded} "
-            f"that the model in {model_file} was trained with"
-        )
-    return recorded or explicit or PipelineConfig.sequence_length
-
-
 def cmd_eval(args) -> int:
     opts, given = _options(args)
     model, scaler, fit_patients = load_model(args.model_file)
@@ -332,9 +325,11 @@ def cmd_eval(args) -> int:
             f"in {args.model_file}"
         )
     opts["model"] = name
-    if spec_for(model).sequential:
-        explicit = opts["sequence_length"] if "sequence_length" in given else None
-        opts["sequence_length"] = _window_length(model, explicit, args.model_file)
+    threshold, T = scoring_point(
+        model, args.model_file, opts["model_params"].get("threshold"),
+        opts["sequence_length"] if "sequence_length" in given else None,
+    )
+    opts["sequence_length"] = T or opts["sequence_length"]
     cfg = _pipeline_config(opts, given, args.seed)
     fitting = sorted(set(cfg.model_params) - {"threshold"})
     if fitting:
@@ -346,7 +341,7 @@ def cmd_eval(args) -> int:
     assert_patient_disjoint(fm.patients[rows["train"]], fm.patients[test_idx])
 
     data, _, _, report = score_features(
-        model, scaler, fm.take(test_idx), labels[test_idx], cfg.sequence_length, cfg.threshold
+        model, scaler, fm.take(test_idx), labels[test_idx], cfg.sequence_length, threshold
     )
     # Scoring first makes a file of another feature layout a DataError, not a name clash.
     fitted_on = sorted(set(fit_patients) & set(map(str, fm.patients[test_idx])))
@@ -414,17 +409,9 @@ def cmd_cv(args) -> int:
 def cmd_predict(args) -> int:
     opts, _ = _options(args)
     model, scaler, _ = load_model(args.model_file)
-    spec = spec_for(model)
-    # A threshold given must lie in the model's domain; a model without one names it unknown.
-    if opts["threshold"] is None:
-        opts["threshold"] = spec.defaults.get("threshold")
-    else:
-        check_params(spec.name, {"threshold": opts["threshold"]}, spec.domains)
-    if spec.sequential:
-        opts["sequence_length"] = _window_length(model, opts["sequence_length"], args.model_file)
-    elif opts["sequence_length"] is not None:
-        raise ConfigError(f"{spec.name} models take no sequence_length")
-
+    opts["threshold"], opts["sequence_length"] = scoring_point(
+        model, args.model_file, opts["threshold"], opts["sequence_length"]
+    )
     # --scaler only restates the scaler that the model file carries.
     if args.scaler_file and Path(args.scaler_file).read_bytes() != json_text(scaler_doc(scaler)).encode():
         raise DataError(f"{args.scaler_file} is not the scaler in {args.model_file}; drop --scaler")

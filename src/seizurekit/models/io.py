@@ -5,13 +5,18 @@ A model file is the whole trained artefact: every document carries
 `fit_patients`, the sorted patients of the training and validation rows.
 The other fields come from the model's registry entry (`params` and
 `config` for the tabular models, `dims`, `weights` and `config` for the
-LSTM). Floats are written with full round-trip precision, so save -> load
-reproduces parameters exactly.
+LSTM). A model that takes a decision threshold (`logreg`, `lstm`) records
+it as `config.threshold`, and only when it differs from the registry
+default of 0.5; a file without one scores at 0.5, and a recorded threshold
+that is not a finite number makes the document malformed. Floats are
+written with full round-trip precision, so save -> load reproduces
+parameters exactly.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,7 +30,10 @@ from .registry import MODELS, spec_for
 def model_to_dict(model) -> dict:
     """Serialize any registered model to its JSON document."""
     spec = spec_for(model)
-    return {"model_type": spec.name, **spec.to_doc(model), "spec_version": SPEC_VERSION}
+    doc = {"model_type": spec.name, **spec.to_doc(model), "spec_version": SPEC_VERSION}
+    if "threshold" in spec.defaults and model.threshold != spec.defaults["threshold"]:
+        doc["config"]["threshold"] = model.threshold
+    return doc
 
 
 def model_from_dict(doc: dict):
@@ -37,7 +45,13 @@ def model_from_dict(doc: dict):
     if spec is None:
         raise DataError(f"unknown model_type {mtype!r}")
     try:
-        return spec.from_doc(doc)
+        if "threshold" not in spec.defaults:
+            return spec.from_doc(doc)
+        config = {**doc["config"]}
+        threshold = config.pop("threshold", spec.defaults["threshold"])
+        if threshold not in spec.domains["threshold"]:
+            raise ValueError(f"threshold must be {spec.domains['threshold']}, got {threshold!r}")
+        return replace(spec.from_doc({**doc, "config": config}), threshold=float(threshold))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {mtype} model document: {exc!r}") from None
 

@@ -37,6 +37,7 @@ class LogRegModel:
     config: LogRegConfig
     n_iters: int = 0
     converged: bool = False
+    threshold: float = 0.5  # class 1 for a probability >= threshold
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -42,6 +42,7 @@ class LstmParams:
     w_out: np.ndarray  # (h,)
     b_out: float
     sequence_length: int | None = None  # the window length T it was trained on, if known
+    threshold: float = 0.5  # class 1 for a probability >= threshold
 
     @property
     def hidden_dim(self) -> int:

@@ -8,6 +8,10 @@ scores into classes, and `to_doc`/`from_doc` convert it to and from
 its JSON document. Config validation, the pipeline, model persistence and
 the CLI's `--model` choices all read `MODELS`.
 
+A model whose `defaults` name a `threshold` carries the one it was fitted
+with as its `threshold` attribute; models/io.py records it in the model
+file, so `to_doc`/`from_doc` never see it.
+
 Entries call model functions through their module at call time (for
 example `forest.rf_scores`), never through a reference captured at import,
 so a wrapper installed on a module attribute sees every call.
@@ -129,7 +133,8 @@ def _fit_logreg(X, y, p, seed, val):
         class_weights=resolve_class_weights(p["class_weights"], y),
         seed=seed,
     )
-    return _with_convergence(logistic.logreg_fit(X, y, cfg))
+    model = logistic.logreg_fit(X, y, cfg)
+    return _with_convergence(replace(model, threshold=float(p["threshold"])))
 
 
 def _score_logreg(m, X, threshold):
@@ -291,7 +296,7 @@ def _fit_lstm(X, y, p, seed, val):
     train_cfg = lstm.LstmTrainConfig(**_typed(p, domains_of(lstm.LstmTrainConfig)), seed=seed)
     best, history = lstm.lstm_train((X, y), val, train_cfg, params=params)
     report = {"epochs_run": len(history["train_loss"]), **history}
-    return replace(best, sequence_length=X.shape[1]), report
+    return replace(best, sequence_length=X.shape[1], threshold=float(p["threshold"])), report
 
 
 def _lstm_from_doc(doc):

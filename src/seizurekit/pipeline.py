@@ -5,7 +5,8 @@ training rows only, scale all splits, oversample the training split if
 asked, then fit the model. Models come from the registry in
 models/registry.py, and score_features scores every model, fresh or
 loaded from its file, on raw feature rows; a sequence model reads
-build_sequences windows where the others read rows.
+build_sequences windows where the others read rows, and scoring_point
+decides the threshold and window length a saved model scores at.
 A patient-disjointness gate guards every evaluation; the only way around
 it is the explicit allow_leaky_split switch, which exists to demonstrate
 how optimistic row-level splits are.
@@ -86,6 +87,42 @@ class PipelineConfig:
     def threshold(self) -> float:
         """Decision threshold for the models that take one; others ignore it."""
         return float(self.params.get("threshold", 0.5))
+
+
+def window_length(spec: ModelSpec, given: int | None) -> int | None:
+    """The window length a model of spec reads: the one given, else 10, for
+    a sequence model; None for a row model, which a given length makes a
+    ConfigError."""
+    if spec.sequential:
+        return given or PipelineConfig.sequence_length
+    if given is not None:
+        raise ConfigError(f"{spec.name} models read rows and take no sequence_length")
+    return None
+
+
+def scoring_point(model, model_file, threshold=None, sequence_length=None):
+    """The (threshold, window length) a loaded model scores at, given the
+    threshold and window length asked for, if any.
+
+    A threshold given must lie in the model's domain, so one given to a
+    model without a threshold is an unknown parameter; it overrides the one
+    the model was fitted with. A sequence model reads windows of the length
+    its file records, which a length given must equal (window_length rules
+    on a file that records none). Either is None where the model has none.
+    """
+    spec = spec_for(model)
+    if threshold is not None:
+        check_params(spec.name, {"threshold": threshold}, spec.domains)
+        threshold = float(threshold)
+    elif "threshold" in spec.defaults:
+        threshold = model.threshold
+    recorded = model.sequence_length if spec.sequential else None
+    if recorded is not None and sequence_length not in (None, recorded):
+        raise ConfigError(
+            f"sequence_length {sequence_length} differs from the {recorded} "
+            f"that the model in {model_file} was trained with"
+        )
+    return threshold, window_length(spec, recorded or sequence_length)
 
 
 def stratified_cap(y, cap: int, seed: int) -> np.ndarray:
