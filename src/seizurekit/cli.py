@@ -230,9 +230,11 @@ def _keyed_by_name(paths) -> dict:
 
 
 def cmd_ingest(args) -> int:
-    opts, _ = _options(args)
+    opts, given = _options(args)
     if not opts["edf_dir"]:
         raise ConfigError("ingest needs --edf-dir (or edf_dir in the config file)")
+    if "horizon_s" in given and opts["task"] == "detection":
+        raise ConfigError("horizon_s given but task is detection; only prediction uses it")
     out = Path(args.out)
     counts, failures, inputs = store.write_store(
         out, **opts, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr)
@@ -325,7 +327,7 @@ def cmd_eval(args) -> int:
             f"in {args.model_file}"
         )
     opts["model"] = name
-    threshold, T = scoring_point(
+    model, _, T = scoring_point(
         model, args.model_file, opts["model_params"].get("threshold"),
         opts["sequence_length"] if "sequence_length" in given else None,
     )
@@ -340,9 +342,7 @@ def cmd_eval(args) -> int:
     test_idx = rows["test"]
     assert_patient_disjoint(fm.patients[rows["train"]], fm.patients[test_idx])
 
-    data, _, _, report = score_features(
-        model, scaler, fm.take(test_idx), labels[test_idx], cfg.sequence_length, threshold
-    )
+    data, _, _, report = score_features(model, scaler, fm.take(test_idx), labels[test_idx])
     # Scoring first makes a file of another feature layout a DataError, not a name clash.
     fitted_on = sorted(set(fit_patients) & set(map(str, fm.patients[test_idx])))
     if fitted_on:
@@ -409,16 +409,14 @@ def cmd_cv(args) -> int:
 def cmd_predict(args) -> int:
     opts, _ = _options(args)
     model, scaler, _ = load_model(args.model_file)
-    opts["threshold"], opts["sequence_length"] = scoring_point(
+    model, opts["threshold"], opts["sequence_length"] = scoring_point(
         model, args.model_file, opts["threshold"], opts["sequence_length"]
     )
     # --scaler only restates the scaler that the model file carries.
     if args.scaler_file and Path(args.scaler_file).read_bytes() != json_text(scaler_doc(scaler)).encode():
         raise DataError(f"{args.scaler_file} is not the scaler in {args.model_file}; drop --scaler")
     fm, _ = read_feature_csv(args.features)
-    data, classes, scores, _ = score_features(
-        model, scaler, fm, None, opts["sequence_length"], opts["threshold"]
-    )
+    data, classes, scores, _ = score_features(model, scaler, fm, None)
     rows = zip(data.patients, data.files, data.starts, scores, classes)
 
     out = _out_dir(args)

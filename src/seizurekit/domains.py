@@ -9,15 +9,18 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 
 
 def has_type(value, kind) -> bool:
-    """isinstance, except that an int passes for a float and a bool is not a number."""
+    """isinstance, except that an int passes for a float it fits in and a bool is not a number."""
     if isinstance(value, bool):
         return kind is bool
+    if kind is float and isinstance(value, numbers.Integral):
+        return abs(value) <= sys.float_info.max
     return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
 
 
@@ -42,11 +45,6 @@ class Domain:
             )
         if not has_type(value, self.kind):
             return False
-        if self.kind is float:
-            try:
-                value = float(value)
-            except OverflowError:  # an int too large for a float
-                return False
         return (
             (self.kind is int or math.isfinite(value))
             and (self.lo < value if self.lo_open else self.lo <= value)

@@ -8,7 +8,8 @@ The other fields come from the model's registry entry (`params` and
 LSTM). A model that takes a decision threshold (`logreg`, `lstm`) records
 it as `config.threshold`, and only when it differs from the registry
 default of 0.5; a file without one scores at 0.5, and a recorded threshold
-that is not a finite number makes the document malformed. Floats are
+that is not a finite number makes the document malformed. A number under
+`params` or `weights` that is not a finite float is a DataError. Floats are
 written with full round-trip precision, so save -> load reproduces
 parameters exactly.
 """
@@ -16,6 +17,8 @@ parameters exactly.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +39,18 @@ def model_to_dict(model) -> dict:
     return doc
 
 
+def _finite(value) -> bool:
+    """Whether every number in a parsed JSON value is finite as a float;
+    strings and nulls are from_doc's to judge."""
+    if isinstance(value, (dict, list)):
+        items = [*value.values()] if isinstance(value, dict) else value
+        try:
+            return all(map(math.isfinite, items))  # a list of numbers, fast
+        except (OverflowError, TypeError):  # a huge int, a string, a null, a list or an object
+            return all(map(_finite, items))
+    return not isinstance(value, (int, float)) or abs(value) <= sys.float_info.max
+
+
 def model_from_dict(doc: dict):
     """Rebuild a model object from its JSON document."""
     if not isinstance(doc, dict) or "model_type" not in doc:
@@ -45,6 +60,9 @@ def model_from_dict(doc: dict):
     if spec is None:
         raise DataError(f"unknown model_type {mtype!r}")
     try:
+        for key, value in {**doc.get("params", {}), **doc.get("weights", {})}.items():
+            if not _finite(value):
+                raise DataError(f"{mtype} {key} contains non-finite values")
         if "threshold" not in spec.defaults:
             return spec.from_doc(doc)
         config = {**doc["config"]}
@@ -52,7 +70,7 @@ def model_from_dict(doc: dict):
         if threshold not in spec.domains["threshold"]:
             raise ValueError(f"threshold must be {spec.domains['threshold']}, got {threshold!r}")
         return replace(spec.from_doc({**doc, "config": config}), threshold=float(threshold))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {mtype} model document: {exc!r}") from None
 
 

@@ -315,12 +315,10 @@ def lstm_train(
     return best, history
 
 
-def lstm_predict(
-    p: LstmParams, seqs, threshold: float = 0.5
-) -> tuple[np.ndarray, np.ndarray]:
-    """(classes, probabilities); class 1 iff probability >= threshold."""
+def lstm_predict(p: LstmParams, seqs) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, probabilities); class 1 iff probability >= p.threshold."""
     seqs = _as_windows(seqs, "sequences")
     if len(seqs) == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
     probs = _scores(p, seqs)
-    return (probs >= threshold).astype(np.int64), probs
+    return (probs >= p.threshold).astype(np.int64), probs

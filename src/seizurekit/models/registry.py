@@ -2,15 +2,16 @@
 
 Each `ModelSpec` entry is the only definition of a model. The keys of its
 `defaults` are the model's allowed `model_params` and `domains` the values
-each may take; `fit` trains it on scaled inputs, `score` gives (classes,
-ranking scores) in one pass and is the only rule that turns a model's
-scores into classes, and `to_doc`/`from_doc` convert it to and from
-its JSON document. Config validation, the pipeline, model persistence and
+each may take; `fit` trains it on scaled inputs, `score(model, X)` gives
+(classes, ranking scores) in one pass and is the only rule that turns a
+model's scores into classes, and `to_doc`/`from_doc` convert it to and
+from its JSON document. Config validation, the pipeline, model persistence and
 the CLI's `--model` choices all read `MODELS`.
 
 A model whose `defaults` name a `threshold` carries the one it was fitted
-with as its `threshold` attribute; models/io.py records it in the model
-file, so `to_doc`/`from_doc` never see it.
+with as its `threshold` attribute, and `score` classifies at it;
+models/io.py records it in the model file, so `to_doc`/`from_doc` never
+see it.
 
 Entries call model functions through their module at call time (for
 example `forest.rf_scores`), never through a reference captured at import,
@@ -48,7 +49,7 @@ class ModelSpec:
     defaults: dict  # allowed model_params and their default values
     domains: dict  # model_params -> the Domain of its values
     fit: Callable  # (X, y, params, seed, val) -> (model, extra report fields)
-    score: Callable  # (model, X, threshold) -> (classes, ranking scores)
+    score: Callable  # (model, X) -> (classes, ranking scores)
     to_doc: Callable  # model -> JSON document fields besides model_type/spec_version
     from_doc: Callable  # JSON document -> model
     sequential: bool = False  # inputs are build_sequences windows, not rows
@@ -95,32 +96,24 @@ def _fit_knn(X, y, p, seed, val):
     return model, {}
 
 
-def _knn_from_doc(doc):
-    params, config = doc["params"], doc["config"]
-    train_X = np.array(params["train_X"], dtype=np.float64)
-    if not np.isfinite(train_X).all():
-        raise DataError("knn train_X contains non-finite values")
-    return knn.KnnModel(
-        train_X=train_X,
-        train_y=np.array(params["train_y"], dtype=np.int64),
-        k=int(config["k"]),
-        # JSON turned the int class keys into strings.
-        class_weights=resolve_class_weights(config.get("class_weights"), None),
-    )
-
-
 _KNN = ModelSpec(
     name="knn",
     cls=knn.KnnModel,
     defaults={"k": 2, "class_weights": None},
     domains={**knn.DOMAINS, "class_weights": CLASS_WEIGHTS},
     fit=_fit_knn,
-    score=lambda m, X, threshold: knn.knn_vote(m.train_X, m.train_y, X, m.k, m.class_weights),
+    score=lambda m, X: knn.knn_vote(m.train_X, m.train_y, X, m.k, m.class_weights),
     to_doc=lambda m: {
         "params": {"train_X": m.train_X.tolist(), "train_y": m.train_y.tolist()},
         "config": {"k": m.k, "class_weights": m.class_weights},
     },
-    from_doc=_knn_from_doc,
+    from_doc=lambda doc: knn.KnnModel(
+        train_X=np.array(doc["params"]["train_X"], dtype=np.float64),
+        train_y=np.array(doc["params"]["train_y"], dtype=np.int64),
+        k=int(doc["config"]["k"]),
+        # JSON turned the int class keys into strings.
+        class_weights=resolve_class_weights(doc["config"].get("class_weights"), None),
+    ),
 )
 
 
@@ -137,9 +130,9 @@ def _fit_logreg(X, y, p, seed, val):
     return _with_convergence(replace(model, threshold=float(p["threshold"])))
 
 
-def _score_logreg(m, X, threshold):
+def _score_logreg(m, X):
     proba = logistic.logreg_predict_proba(m, X)
-    return (proba >= threshold).astype(np.int64), proba
+    return (proba >= m.threshold).astype(np.int64), proba
 
 
 def _logreg_from_doc(doc):
@@ -188,7 +181,7 @@ def _fit_rf(X, y, p, seed, val):
     return forest.rf_fit(X, y, cfg), {}
 
 
-def _score_rf(m, X, threshold):
+def _score_rf(m, X):
     # Class 1 on a majority of trees; a share of exactly 0.5 goes to class 0.
     # share > 0.5 is exactly votes > n_trees / 2 for any n_trees < 2**52.
     scores = forest.rf_scores(m, X)
@@ -243,7 +236,7 @@ def _fit_svm(X, y, p, seed, val):
     return _with_convergence(svm.svm_fit_smo(X, y, **_typed(p, svm.DOMAINS)))
 
 
-def _score_svm(m, X, threshold):
+def _score_svm(m, X):
     # Class 1 for a margin >= 0.
     margins = svm.svm_decision(m, X)
     return (margins >= 0).astype(np.int64), margins
@@ -314,7 +307,7 @@ _LSTM = ModelSpec(
     defaults={"hidden_dim": 64, **defaults_of(lstm.LstmTrainConfig), "threshold": 0.5},
     domains={**domains_of(lstm.LstmTrainConfig), **lstm.INIT_DOMAINS, "threshold": THRESHOLD},
     fit=_fit_lstm,
-    score=lambda m, X, threshold: lstm.lstm_predict(m, X, threshold),
+    score=lambda m, X: lstm.lstm_predict(m, X),
     to_doc=lambda m: {
         "dims": {"input_dim": m.input_dim, "hidden_dim": m.hidden_dim},
         "weights": {name: np.asarray(getattr(m, name)).tolist() for name in lstm._FIELDS},
@@ -334,7 +327,7 @@ _CONSTANT = ModelSpec(
     defaults={"class": 0},
     domains=baseline.DOMAINS,
     fit=lambda X, y, p, seed, val: (baseline.ConstantModel(constant_class=int(p["class"])), {}),
-    score=lambda m, X, threshold: (
+    score=lambda m, X: (
         np.full(len(X), m.constant_class, dtype=np.int64),
         np.full(len(X), float(m.constant_class)),
     ),

@@ -5,8 +5,8 @@ training rows only, scale all splits, oversample the training split if
 asked, then fit the model. Models come from the registry in
 models/registry.py, and score_features scores every model, fresh or
 loaded from its file, on raw feature rows; a sequence model reads
-build_sequences windows where the others read rows, and scoring_point
-decides the threshold and window length a saved model scores at.
+build_sequences windows where the others read rows, each at the threshold
+and window length the model carries (see scoring_point).
 A patient-disjointness gate guards every evaluation; the only way around
 it is the explicit allow_leaky_split switch, which exists to demonstrate
 how optimistic row-level splits are.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,11 +83,6 @@ class PipelineConfig:
         """model_params over the model's registry defaults."""
         return {**self.spec.defaults, **self.model_params}
 
-    @property
-    def threshold(self) -> float:
-        """Decision threshold for the models that take one; others ignore it."""
-        return float(self.params.get("threshold", 0.5))
-
 
 def window_length(spec: ModelSpec, given: int | None) -> int | None:
     """The window length a model of spec reads: the one given, else 10, for
@@ -101,8 +96,8 @@ def window_length(spec: ModelSpec, given: int | None) -> int | None:
 
 
 def scoring_point(model, model_file, threshold=None, sequence_length=None):
-    """The (threshold, window length) a loaded model scores at, given the
-    threshold and window length asked for, if any.
+    """A loaded model re-pointed at the threshold and window length asked
+    for, if any, and the (threshold, window length) it then scores at.
 
     A threshold given must lie in the model's domain, so one given to a
     model without a threshold is an unknown parameter; it overrides the one
@@ -113,16 +108,16 @@ def scoring_point(model, model_file, threshold=None, sequence_length=None):
     spec = spec_for(model)
     if threshold is not None:
         check_params(spec.name, {"threshold": threshold}, spec.domains)
-        threshold = float(threshold)
-    elif "threshold" in spec.defaults:
-        threshold = model.threshold
+        model = replace(model, threshold=float(threshold))
     recorded = model.sequence_length if spec.sequential else None
     if recorded is not None and sequence_length not in (None, recorded):
         raise ConfigError(
             f"sequence_length {sequence_length} differs from the {recorded} "
             f"that the model in {model_file} was trained with"
         )
-    return threshold, window_length(spec, recorded or sequence_length)
+    T = window_length(spec, recorded or sequence_length)
+    model = replace(model, sequence_length=T) if spec.sequential else model
+    return model, getattr(model, "threshold", None), T
 
 
 def stratified_cap(y, cap: int, seed: int) -> np.ndarray:
@@ -163,7 +158,7 @@ def model_inputs(
     )
 
 
-def score_features(model, scaler, fm: FeatureMatrix, labels, sequence_length: int, threshold):
+def score_features(model, scaler, fm: FeatureMatrix, labels):
     """Score raw feature rows with a trained model and the scaler fitted with it.
 
     Returns the model_inputs scored, the classes, the ranking scores, and a
@@ -172,8 +167,9 @@ def score_features(model, scaler, fm: FeatureMatrix, labels, sequence_length: in
     """
     spec = spec_for(model)
     y = np.zeros(fm.n_rows, dtype=np.int64) if labels is None else labels
-    data = model_inputs(spec, scaler, fm, y, sequence_length)
-    classes, scores = spec.score(model, data.inputs, threshold)
+    T = window_length(spec, getattr(model, "sequence_length", None))
+    data = model_inputs(spec, scaler, fm, y, T)
+    classes, scores = spec.score(model, data.inputs)
     if labels is None:
         return data, classes, scores, None
     report = compute_metrics(data.y, classes).to_dict()
@@ -265,9 +261,7 @@ def evaluate_split(
         else:
             counts = {"n_train_rows_used": int(len(X_tr)), "n_synthetic_train_rows": n_synth}
         model, fit_report = spec.fit(X_tr, y_tr, cfg.params, cfg.seed, val)
-    test, _, _, report = score_features(
-        model, scaler, fm.take(test_idx), labels[test_idx], T, cfg.threshold
-    )
+    test, _, _, report = score_features(model, scaler, fm.take(test_idx), labels[test_idx])
     if spec.sequential:
         counts["n_test_sequences"] = int(len(test))
 

@@ -128,6 +128,32 @@ def test_rejected_config(runs, tmp_path, capsys, command, config, named):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, key, config",
+    [
+        ("synth", "prevalence", {"prevalence": 10**400}),
+        ("train", "smote_ratio", {"smote": True, "smote_ratio": 10**400}),
+        ("train", "split_ratios", {"split_ratios": [0.5, 10**400, 0.25]}),
+    ],
+)
+def test_an_int_too_large_for_a_float_exits_1(tmp_path, capsys, command, key, config):
+    assert main(_argv(tmp_path, command, config)) == 1
+    assert _one_error_line(capsys.readouterr().err).startswith(f"error: {key} must be ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [({}, ["--horizon", "60"]), ({"horizon_s": 60}, []), ({"task": "detection", "horizon_s": 300}, [])],
+)
+def test_a_horizon_given_with_the_detection_task_exits_1(tmp_path, capsys, config, flags):
+    # The EDF directory does not exist: reading it would exit 2.
+    config = {"edf_dir": str(tmp_path / "missing"), **config}
+    assert main([*_argv(tmp_path, "ingest", config), *flags]) == 1
+    assert "horizon_s" in _one_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_rejects_a_patient_count_that_is_not_an_int(tmp_path, capsys):
     assert main(_argv(tmp_path, "synth", {"patients": "x"})) == 1
     assert "patients" in _one_error_line(capsys.readouterr().err)
@@ -146,6 +172,21 @@ def test_predict_rejects_a_malformed_scaler_file(runs, tmp_path, capsys, text):
     scaler.write_text(text, encoding="utf-8")
     assert _run(runs, tmp_path, "predict", flags=["--scaler", str(scaler)]) == 2
     assert "scaler" in _one_error_line(capsys.readouterr().err, "data error:")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_a_model_file_number_that_is_not_finite_exits_2(runs, tmp_path, capsys, command, value):
+    root, features = runs
+    doc = json.loads((root / "rf" / "model.json").read_text(encoding="utf-8"))
+    doc["params"]["trees"][0]["threshold"] = value  # json writes NaN and Infinity
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [command, "--features", str(features), "--model", str(model), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    line = _one_error_line(capsys.readouterr().err, "data error:")
+    assert line == f"data error: {model}: rf trees contains non-finite values"
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_records_explicit_patient_lists_in_its_manifest(runs, tmp_path):

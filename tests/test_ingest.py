@@ -102,8 +102,10 @@ def library_store(edf_dir: Path, task: str, highpass_hz, tmp_path: Path) -> tupl
 def test_ingest_store_equals_the_library_path(edf_dir, tmp_path, capsys, task, highpass_hz):
     argv = [
         "ingest", "--edf-dir", str(edf_dir), "--summary", str(edf_dir / "summary.txt"),
-        "--task", task, "--horizon", str(HORIZON_S), "--out", str(tmp_path / "store"),
+        "--task", task, "--out", str(tmp_path / "store"),
     ]
+    if task == "prediction":
+        argv += ["--horizon", str(HORIZON_S)]
     if highpass_hz is not None:
         argv += ["--highpass", str(highpass_hz)]
     assert main(argv) == 0

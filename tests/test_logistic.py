@@ -190,7 +190,7 @@ def test_threshold_boundary_is_class_one():
     model = logreg_fit(
         np.array([[-1.0], [1.0]]), np.array([0, 1]), LogRegConfig(max_iters=0)
     )
-    assert classify(model, np.array([[0.0]]), threshold=0.5)[0] == 1
+    assert classify(model, np.array([[0.0]]))[0] == 1
 
 
 def test_bad_config_rejected():

@@ -1,12 +1,16 @@
 """JSON serialization round-trips for every model family."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seizurekit import DataError, SPEC_VERSION, Scaler
 from seizurekit.models import (
+    MODELS,
     ConstantModel,
     KnnModel,
     LogRegConfig,
@@ -84,7 +88,7 @@ def test_knn_round_trip_preserves_votes(tmp_path):
     back, _, _ = load_model(path)
     q = rng.normal(size=(8, 2))
     score = spec_for(model).score
-    assert np.array_equal(score(model, q, 0.5)[0], score(back, q, 0.5)[0])
+    assert np.array_equal(score(model, q)[0], score(back, q)[0])
     assert back.class_weights == {0: 1.0, 1: 2.0}  # JSON keys restored to ints
     assert back.k == 3
 
@@ -137,3 +141,86 @@ def test_bad_documents_rejected(tmp_path):
 def test_unsupported_object_rejected():
     with pytest.raises(DataError):
         model_to_dict(object())
+
+
+# ---------------------------------------------------------------- numbers a model file may not hold
+
+
+def _numbers(value, path=()):
+    """The path of every number (not bool) in a parsed JSON value, and whether it is a float."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        if isinstance(item, (int, float)) and not isinstance(item, bool):
+            yield (*path, key), isinstance(item, float)
+        yield from _numbers(item, (*path, key))
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """Each model type -> (the document of a small fitted model, the path of
+    each number under its fitted sections with whether it is a float, a
+    file to write edited copies to)."""
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(24, 2))
+    y = (X[:, 0] > 0).astype(int)
+    models = [
+        KnnModel(train_X=X, train_y=y, k=3, class_weights=None),
+        replace(logreg_fit(X, y, LogRegConfig(max_iters=5)), threshold=0.3),
+        rf_fit(X, y, RFConfig(n_trees=2, max_depth=2, seed=0)),
+        svm_fit_smo(X, y, C=1.0, gamma=0.5, max_passes=2, seed=0),
+        init_params(2, hidden_dim=2, seed=0),
+        ConstantModel(constant_class=1),
+    ]
+    root = tmp_path_factory.mktemp("numbers")
+    out = {}
+    for model in models:
+        name = spec_for(model).name
+        save_model(model, SCALER, ["P01"], root / f"{name}.json")
+        doc = json.loads((root / f"{name}.json").read_text(encoding="utf-8"))
+        numbers = [
+            ((section, *path), is_float)
+            for section in ("params", "weights") if section in doc
+            for path, is_float in _numbers(doc[section])
+        ]
+        out[name] = doc, numbers, root / f"edited_{name}.json"
+    return out
+
+
+def _write_with(doc, where, literal, to):
+    """Write doc to the file to, with the number at the path where spelled as literal."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = "@"
+    to.write_text(json.dumps(doc).replace('"@"', literal), encoding="utf-8")
+
+
+_NOT_FINITE = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(MODELS)), literal=st.sampled_from(_NOT_FINITE))
+def test_a_number_in_a_model_file_that_is_not_a_finite_float_is_a_data_error(
+    saved, data, name, literal
+):
+    doc, numbers, path = saved[name]
+    where, _ = data.draw(st.sampled_from(numbers))
+    _write_with(doc, where, literal, path)
+    with pytest.raises(DataError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: {name} {where[1]} contains non-finite values"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(sorted(set(MODELS) - {"constant"})),  # a constant model holds no float
+    value=st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_a_finite_float_in_place_of_a_fitted_float_still_loads(saved, data, name, value):
+    doc, numbers, path = saved[name]
+    where = data.draw(st.sampled_from([w for w, is_float in numbers if is_float]))
+    _write_with(doc, where, repr(value), path)
+    model, _, fit_patients = load_model(path)
+    assert spec_for(model).name == name and fit_patients == ["P01"]

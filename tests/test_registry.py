@@ -1,6 +1,7 @@
 """The model registry: one definition per model and one scoring path."""
 
 import argparse
+import inspect
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from seizurekit.models import (
     RFConfig,
     knn_vote,
     load_model,
+    lstm_predict,
     model_from_dict,
     model_to_dict,
     rf_fit,
@@ -29,9 +31,9 @@ from seizurekit.pipeline import PipelineConfig, run_holdout, score_features
 from seizurekit.synthetic import SynthConfig, generate_synthetic
 
 
-def classify(model, X, threshold=0.5):
+def classify(model, X):
     """The classes that the model's registry entry gives X."""
-    return spec_for(model).score(model, X, threshold)[0]
+    return spec_for(model).score(model, X)[0]
 
 
 # Small settings so that every model trains in well under a second.
@@ -64,11 +66,8 @@ def test_every_model_scores_the_same_after_save_and_load(name, data, tmp_path):
     assert np.array_equal(scaler.std, result.scaler.std)
     assert fit_patients == result.fit_patients
 
-    T, threshold = cfg.sequence_length, cfg.threshold
-    inputs, classes, scores, _ = score_features(
-        result.model, result.scaler, fm, labels, T, threshold
-    )
-    _, classes_back, scores_back, _ = score_features(back, scaler, fm, labels, T, threshold)
+    inputs, classes, scores, _ = score_features(result.model, result.scaler, fm, labels)
+    _, classes_back, scores_back, _ = score_features(back, scaler, fm, labels)
     assert np.array_equal(classes, classes_back)
     assert np.array_equal(scores, scores_back)
     assert classes.dtype == np.int64
@@ -78,6 +77,30 @@ def test_every_model_scores_the_same_after_save_and_load(name, data, tmp_path):
     again = tmp_path / "again.json"
     save_model(back, scaler, fit_patients, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["logreg", "lstm"])
+def test_a_model_scores_at_the_threshold_it_carries(name, data, tmp_path):
+    fm, labels = data
+    params = {**SMALL_PARAMS[name], "threshold": 0.1}
+    result = run_holdout(fm, labels, PipelineConfig(model=name, model_params=params, seed=0))
+    path = tmp_path / "model.json"
+    save_model(result.model, result.scaler, result.fit_patients, path)
+    back, scaler, _ = load_model(path)
+    for model in (result.model, back):
+        assert model.threshold == 0.1
+        inputs, classes, scores, _ = score_features(model, scaler, fm, labels)
+        assert np.array_equal(classes, (scores >= 0.1).astype(np.int64))
+        assert np.array_equal(spec_for(model).score(model, inputs.inputs)[0], classes)
+        if name == "lstm":
+            assert np.array_equal(lstm_predict(model, inputs.inputs)[0], classes)
+        assert ((scores >= 0.1) & (scores < 0.5)).any()  # 0.1 and 0.5 give other classes
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_score_takes_only_the_model_and_its_inputs(name):
+    params = inspect.signature(MODELS[name].score).parameters.values()
+    assert [p.default for p in params] == [inspect.Parameter.empty] * 2
 
 
 def test_model_choices_are_the_registry_names():
@@ -112,7 +135,7 @@ def test_scores_match_the_model_functions():
     q = rng.normal(size=(25, 3))
 
     rf = rf_fit(X, y, RFConfig(n_trees=4, max_depth=2, seed=0))
-    classes, scores = spec_for(rf).score(rf, q, 0.5)
+    classes, scores = spec_for(rf).score(rf, q)
     assert np.array_equal(classes, (rf_scores(rf, q) > 0.5).astype(np.int64))
     assert np.array_equal(scores, rf_scores(rf, q))
     # An even forest ties on some rows; a tie goes to class 0.
@@ -120,7 +143,7 @@ def test_scores_match_the_model_functions():
     assert np.array_equal(classes, (votes * 2 > 4).astype(np.int64))
 
     svm = svm_fit_smo(X, y, C=1.0, gamma=0.5, seed=0)
-    classes, scores = spec_for(svm).score(svm, q, 0.5)
+    classes, scores = spec_for(svm).score(svm, q)
     assert np.array_equal(classes, (svm_decision(svm, q) >= 0).astype(np.int64))
     assert np.array_equal(scores, svm_decision(svm, q))
 
@@ -179,6 +202,6 @@ def test_one_pass_knn_matches_per_row_reference(case):
     ]
     assert scores.tolist() == _reference_scores(train_X, train_y, queries, k, class_weights)
     model = KnnModel(train_X, train_y, k, class_weights)
-    registry_classes, registry_scores = spec_for(model).score(model, queries, 0.5)
+    registry_classes, registry_scores = spec_for(model).score(model, queries)
     assert np.array_equal(registry_classes, classes)
     assert np.array_equal(registry_scores, scores)
