@@ -5,10 +5,10 @@ A model file is the whole trained artefact: every document carries
 `fit_patients`, the sorted patients of the training and validation rows.
 The other fields come from the model's registry entry (`params` and
 `config` for the tabular models, `dims`, `weights` and `config` for the
-LSTM). A model that takes a decision threshold (`logreg`, `lstm`) records
-it as `config.threshold`, and only when it differs from the registry
-default of 0.5; a file without one scores at 0.5, and a recorded threshold
-that is not a finite number makes the document malformed. A number under
+LSTM). Only this module writes and reads `threshold` (`logreg`, `lstm`)
+and `sequence_length` (`lstm`) in `config`, each when it differs from the
+model class's default. A `config` entry outside its registry domain (or
+`seed`'s), or with none, makes the document malformed. A number under
 `params` or `weights` that is not a finite float is a DataError. Floats are
 written with full round-trip precision, so save -> load reproduces
 parameters exactly.
@@ -19,23 +19,28 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
-from ..domains import Domain
+from ..domains import Domain, check_params
+from ..epochs import SEQUENCE_LENGTH
 from ..errors import DataError, read_utf8, write_json
 from ..features import Scaler
 from ..version import SPEC_VERSION
-from .registry import MODELS, spec_for
+from .registry import MODELS, THRESHOLD, spec_for
+
+# Attributes a model class may carry in `config` beside to_doc's, and their domains.
+_CARRIED = {"threshold": THRESHOLD, "sequence_length": SEQUENCE_LENGTH}
 
 
 def model_to_dict(model) -> dict:
     """Serialize any registered model to its JSON document."""
     spec = spec_for(model)
     doc = {"model_type": spec.name, **spec.to_doc(model), "spec_version": SPEC_VERSION}
-    if "threshold" in spec.defaults and model.threshold != spec.defaults["threshold"]:
-        doc["config"]["threshold"] = model.threshold
+    for f in fields(spec.cls):
+        if f.name in _CARRIED and getattr(model, f.name) != f.default:
+            doc["config"][f.name] = getattr(model, f.name)
     return doc
 
 
@@ -63,13 +68,11 @@ def model_from_dict(doc: dict):
         for key, value in {**doc.get("params", {}), **doc.get("weights", {})}.items():
             if not _finite(value):
                 raise DataError(f"{mtype} {key} contains non-finite values")
-        if "threshold" not in spec.defaults:
-            return spec.from_doc(doc)
         config = {**doc["config"]}
-        threshold = config.pop("threshold", spec.defaults["threshold"])
-        if threshold not in spec.domains["threshold"]:
-            raise ValueError(f"threshold must be {spec.domains['threshold']}, got {threshold!r}")
-        return replace(spec.from_doc({**doc, "config": config}), threshold=float(threshold))
+        carried = {f.name: _CARRIED[f.name] for f in fields(spec.cls) if f.name in _CARRIED}
+        check_params(mtype, config, {**spec.domains, "seed": Domain(int), **carried})
+        values = {k: domain.kind(config.pop(k)) for k, domain in carried.items() if k in config}
+        return replace(spec.from_doc({**doc, "config": config}), **values)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {mtype} model document: {exc!r}") from None
 

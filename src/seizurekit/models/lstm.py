@@ -73,6 +73,14 @@ _FIELDS = (*(f"W_{n}" for n, *_ in _GATES), *(f"b_{n}" for n, *_ in _GATES), "w_
 _BLOCK_BYTES = 2 << 20
 
 
+def field_shapes(input_dim: int, hidden_dim: int) -> dict:
+    """The shape of each parameter in _FIELDS, in that order."""
+    return {
+        k: (hidden_dim, input_dim + hidden_dim) if k[0] == "W" else () if k == "b_out" else (hidden_dim,)
+        for k in _FIELDS
+    }
+
+
 def init_params(input_dim: int, hidden_dim: int = 64, seed: int = 0) -> LstmParams:
     """Uniform(-s, s) init with s = 1/sqrt(h), drawn in _FIELDS order; the
     forget-gate bias starts at 1 (open, so early gradients flow) and draws nothing."""
@@ -82,8 +90,7 @@ def init_params(input_dim: int, hidden_dim: int = 64, seed: int = 0) -> LstmPara
     rng = np.random.default_rng(seed)
     s = 1.0 / np.sqrt(hidden_dim)
     w = {}
-    for k in _FIELDS:
-        shape = (hidden_dim, input_dim + hidden_dim) if k[0] == "W" else () if k == "b_out" else (hidden_dim,)
+    for k, shape in field_shapes(input_dim, hidden_dim).items():
         w[k] = np.ones(shape) if k == "b_f" else rng.uniform(-s, s, size=shape)
     return LstmParams(**{**w, "b_out": float(w["b_out"])})
 

@@ -9,9 +9,10 @@ from its JSON document. Config validation, the pipeline, model persistence and
 the CLI's `--model` choices all read `MODELS`.
 
 A model whose `defaults` name a `threshold` carries the one it was fitted
-with as its `threshold` attribute, and `score` classifies at it;
-models/io.py records it in the model file, so `to_doc`/`from_doc` never
-see it.
+with as its `threshold` attribute, and `score` classifies at it; an lstm
+carries its window length as `sequence_length`. Only models/io.py writes
+and reads both, and it checks `config` against `domains`, so `from_doc`
+sees neither. A `from_doc` raises ValueError on fields of unequal shapes.
 
 Entries call model functions through their module at call time (for
 example `forest.rf_scores`), never through a reference captured at import,
@@ -27,7 +28,6 @@ from typing import Callable
 import numpy as np
 
 from ..domains import Domain, check_params, defaults_of, domains_of
-from ..epochs import SEQUENCE_LENGTH
 from ..errors import DataError
 from . import baseline, forest, knn, logistic, lstm, svm
 
@@ -96,6 +96,21 @@ def _fit_knn(X, y, p, seed, val):
     return model, {}
 
 
+def _knn_from_doc(doc):
+    model = knn.KnnModel(
+        train_X=np.array(doc["params"]["train_X"], dtype=np.float64),
+        train_y=np.array(doc["params"]["train_y"], dtype=np.int64),
+        k=doc["config"]["k"],
+        # JSON turned the int class keys into strings.
+        class_weights=resolve_class_weights(doc["config"].get("class_weights"), None),
+    )
+    if model.train_X.ndim != 2 or model.train_y.shape != model.train_X.shape[:1]:
+        raise ValueError(f"train_X of shape {model.train_X.shape}, train_y {model.train_y.shape}")
+    if model.k > len(model.train_y):
+        raise ValueError(f"k={model.k} exceeds the {len(model.train_y)} training rows")
+    return model
+
+
 _KNN = ModelSpec(
     name="knn",
     cls=knn.KnnModel,
@@ -107,13 +122,7 @@ _KNN = ModelSpec(
         "params": {"train_X": m.train_X.tolist(), "train_y": m.train_y.tolist()},
         "config": {"k": m.k, "class_weights": m.class_weights},
     },
-    from_doc=lambda doc: knn.KnnModel(
-        train_X=np.array(doc["params"]["train_X"], dtype=np.float64),
-        train_y=np.array(doc["params"]["train_y"], dtype=np.int64),
-        k=int(doc["config"]["k"]),
-        # JSON turned the int class keys into strings.
-        class_weights=resolve_class_weights(doc["config"].get("class_weights"), None),
-    ),
+    from_doc=_knn_from_doc,
 )
 
 
@@ -199,14 +208,16 @@ def _tree_to_dict(node: forest.TreeNode) -> dict:
     }
 
 
-def _tree_from_dict(doc: dict) -> forest.TreeNode:
+def _tree_from_dict(doc: dict, n_features: int) -> forest.TreeNode:
     if "counts" in doc:
         return forest.TreeNode(counts=(int(doc["counts"][0]), int(doc["counts"][1])))
+    if doc["feature"] not in range(n_features):
+        raise ValueError(f"split feature {doc['feature']!r} of a model on {n_features} features")
     return forest.TreeNode(
         feature=int(doc["feature"]),
         threshold=float(doc["threshold"]),
-        left=_tree_from_dict(doc["left"]),
-        right=_tree_from_dict(doc["right"]),
+        left=_tree_from_dict(doc["left"], n_features),
+        right=_tree_from_dict(doc["right"], n_features),
     )
 
 
@@ -222,7 +233,7 @@ _RF = ModelSpec(
         "config": asdict(m.config),
     },
     from_doc=lambda doc: forest.RFModel(
-        trees=tuple(_tree_from_dict(t) for t in doc["params"]["trees"]),
+        trees=tuple(_tree_from_dict(t, doc["params"]["n_features"]) for t in doc["params"]["trees"]),
         config=forest.RFConfig(**doc["config"]),
         n_features=int(doc["params"]["n_features"]),
     ),
@@ -244,7 +255,7 @@ def _score_svm(m, X):
 
 def _svm_from_doc(doc):
     params, config = doc["params"], doc["config"]
-    return svm.SVMModel(
+    model = svm.SVMModel(
         support_vectors=np.array(params["support_vectors"], dtype=np.float64).reshape(
             len(params["support_vectors"]), -1
         ),
@@ -256,6 +267,12 @@ def _svm_from_doc(doc):
         converged=bool(params.get("converged", True)),
         n_iters=int(params.get("n_iters", 0)),
     )
+    if not model.alphas.shape == model.labels.shape == model.support_vectors.shape[:1]:
+        raise ValueError(
+            f"{len(model.support_vectors)} support vectors, alphas of shape "
+            f"{model.alphas.shape}, labels {model.labels.shape}"
+        )
+    return model
 
 
 _SVM = ModelSpec(
@@ -293,12 +310,12 @@ def _fit_lstm(X, y, p, seed, val):
 
 
 def _lstm_from_doc(doc):
-    w = doc["weights"]
-    weights = {name: np.array(w[name], dtype=np.float64) for name in lstm._FIELDS}
-    T = doc["config"].get("sequence_length")  # absent from files that predate it
-    if T is not None:
-        check_params("lstm", {"sequence_length": T}, {"sequence_length": SEQUENCE_LENGTH})
-    return lstm.LstmParams(**{**weights, "b_out": float(w["b_out"])}, sequence_length=T)
+    dims = doc["dims"]
+    weights = {name: np.array(doc["weights"][name], dtype=np.float64) for name in lstm._FIELDS}
+    for name, shape in lstm.field_shapes(dims["input_dim"], dims["hidden_dim"]).items():
+        if weights[name].shape != shape:
+            raise ValueError(f"{name} of shape {weights[name].shape} for dims {dims}")
+    return lstm.LstmParams(**{**weights, "b_out": float(weights["b_out"])})
 
 
 _LSTM = ModelSpec(
@@ -311,7 +328,7 @@ _LSTM = ModelSpec(
     to_doc=lambda m: {
         "dims": {"input_dim": m.input_dim, "hidden_dim": m.hidden_dim},
         "weights": {name: np.asarray(getattr(m, name)).tolist() for name in lstm._FIELDS},
-        "config": {} if m.sequence_length is None else {"sequence_length": m.sequence_length},
+        "config": {},
     },
     from_doc=_lstm_from_doc,
     sequential=True,
@@ -332,7 +349,7 @@ _CONSTANT = ModelSpec(
         np.full(len(X), float(m.constant_class)),
     ),
     to_doc=lambda m: {"params": {"class": m.constant_class}, "config": {}},
-    from_doc=lambda doc: baseline.ConstantModel(constant_class=int(doc["params"]["class"])),
+    from_doc=lambda doc: baseline.ConstantModel(constant_class=doc["params"]["class"]),
 )
 
 

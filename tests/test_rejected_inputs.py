@@ -15,14 +15,21 @@ from tests.test_edf import make_channel
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """A small feature CSV plus an rf and a logreg model trained on it."""
+    """A small feature CSV plus one model of each type trained on it."""
     root = tmp_path_factory.mktemp("runs")
     assert main([
         "synth", "--patients", "6", "--epochs-per-patient", "60", "--channels", "2",
         "--seed", "0", "--out", str(root / "data"),
     ]) == 0
     features = root / "data" / "features.csv"
-    for name, params in (("rf", {"n_trees": 3, "max_depth": 3}), ("logreg", {"max_iters": 30})):
+    for name, params in (
+        ("rf", {"n_trees": 3, "max_depth": 3}),
+        ("logreg", {"max_iters": 30}),
+        ("svm", {"max_passes": 5}),
+        ("knn", {"k": 3}),
+        ("lstm", {"hidden_dim": 2, "epochs": 1}),
+        ("constant", {}),
+    ):
         cfg = root / f"{name}.json"
         cfg.write_text(json.dumps({"model": name, "model_params": params}), encoding="utf-8")
         assert main([
@@ -276,7 +283,16 @@ def test_ingest_checks_its_lengths_before_reading_any_file(tmp_path, capsys, fla
 
 
 @pytest.mark.parametrize(
-    "name, key, value", [("logreg", "tolerance", float("inf")), ("rf", "max_depth", 2.5)]
+    "name, key, value",
+    [
+        ("logreg", "tolerance", float("inf")),
+        ("rf", "max_depth", 2.5),
+        ("svm", "gamma", -1.0),
+        ("svm", "C", 0),
+        ("knn", "k", 0),
+        ("knn", "k", 2.5),
+        ("knn", "k", True),
+    ],
 )
 def test_a_model_file_outside_the_domain_is_a_data_error(runs, tmp_path, capsys, name, key, value):
     root, features = runs
@@ -289,3 +305,73 @@ def test_a_model_file_outside_the_domain_is_a_data_error(runs, tmp_path, capsys,
     ]
     assert main(argv) == 2
     assert f"malformed {name} model document" in capsys.readouterr().err
+
+
+def _assert_edited_model_is_a_data_error(runs, tmp_path, capsys, name, edit):
+    """eval and predict of the name model file, changed in place by edit,
+    each exit 2 with a data error that names the file."""
+    root, features = runs
+    doc = json.loads((root / name / "model.json").read_text(encoding="utf-8"))
+    edit(doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("eval", "predict"):
+        argv = [
+            command, "--features", str(features), "--model", str(model),
+            "--out", str(tmp_path / command),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {model}: malformed {name} model document")
+        assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize("name", ["knn", "logreg", "rf", "svm", "lstm", "constant"])
+def test_an_unknown_config_key_in_a_model_file_is_a_data_error(runs, tmp_path, capsys, name):
+    def edit(doc):
+        doc["config"]["colour"] = 1
+
+    _assert_edited_model_is_a_data_error(runs, tmp_path, capsys, name, edit)
+
+
+@pytest.mark.parametrize("name", ["knn", "rf", "svm", "constant"])
+def test_a_threshold_in_a_model_file_without_one_is_a_data_error(runs, tmp_path, capsys, name):
+    def edit(doc):
+        doc["config"]["threshold"] = 0.3
+
+    _assert_edited_model_is_a_data_error(runs, tmp_path, capsys, name, edit)
+
+
+@pytest.mark.parametrize("name", ["knn", "logreg", "rf", "svm", "constant"])
+def test_a_sequence_length_in_a_row_models_file_is_a_data_error(runs, tmp_path, capsys, name):
+    def edit(doc):
+        doc["config"]["sequence_length"] = 5
+
+    _assert_edited_model_is_a_data_error(runs, tmp_path, capsys, name, edit)
+
+
+@pytest.mark.parametrize(
+    "name, section, key, edit",
+    [
+        pytest.param("lstm", "weights", "b_i", lambda v: v + [0.0], id="lstm-b_i-longer"),
+        pytest.param("lstm", "weights", "w_out", lambda v: v[:-1], id="lstm-w_out-shorter"),
+        pytest.param("svm", "params", "alphas", lambda v: v[:-1], id="svm-alphas-shorter"),
+        pytest.param("knn", "params", "train_y", lambda v: v[:-1], id="knn-train_y-shorter"),
+        pytest.param("knn", "config", "k", lambda v: 10**6, id="knn-k-above-the-rows"),
+        pytest.param(
+            "rf", "params", "trees", lambda v: [{**v[0], "feature": 99}, *v[1:]], id="rf-feature-99"
+        ),
+        pytest.param(
+            "rf", "params", "trees", lambda v: [{**v[0], "feature": -1}, *v[1:]], id="rf-feature-negative"
+        ),
+        pytest.param("constant", "params", "class", lambda v: 0.7, id="constant-class-0.7"),
+        pytest.param("constant", "params", "class", lambda v: True, id="constant-class-true"),
+    ],
+)
+def test_a_model_file_whose_fields_disagree_is_a_data_error(
+    runs, tmp_path, capsys, name, section, key, edit
+):
+    def change(doc):
+        doc[section][key] = edit(doc[section][key])
+
+    _assert_edited_model_is_a_data_error(runs, tmp_path, capsys, name, change)
