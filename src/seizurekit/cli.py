@@ -23,6 +23,8 @@ import sys
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from . import store
 from .domains import check_params, has_type
 from .epochs import TASKS
@@ -253,8 +255,10 @@ def cmd_featurize(args) -> int:
     opts, _ = _options(args)
     if not opts["store"]:
         raise ConfigError("featurize needs --store (or store in the config file)")
-    epochs, labels = store.read_store(opts["store"])
-    fm = extract_features(epochs, pool_channels=opts["pool_channels"])
+    # extract_features works row by row, so block by block gives the same rows.
+    meta, labels, blocks = store.read_store_blocks(opts["store"])
+    values = [extract_features(b, pool_channels=opts["pool_channels"]).values for b in blocks]
+    fm = dataclasses.replace(meta, values=np.concatenate(values))
     out = _out_dir(args)
     write_feature_csv(fm, labels, out / "features.csv")
     inputs = {name: Path(opts["store"]) / name for name in (store.EPOCHS, store.META)}

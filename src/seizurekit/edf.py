@@ -10,8 +10,10 @@ that ship with CHB-MIT-style datasets.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import math
+import os
 import re
 from dataclasses import dataclass
 
@@ -216,21 +218,58 @@ def _parse_start_datetime(date_text: str, time_text: str, offset: int) -> dateti
         raise EdfParseError(f"invalid start date/time: {exc}", offset) from None
 
 
-def parse_edf(raw: bytes) -> Recording:
-    """Parse EDF bytes into a Recording with physical-unit signals.
+@dataclass(frozen=True)
+class EdfHeader:
+    """What an EDF file's header says, checked against the file's size:
+    everything parse_edf knows before it reads a sample."""
 
-    Digital samples are converted per channel via the affine calibration
-    physical = physical_min + (digital - digital_min) * gain, so digital_min
-    maps to physical_min and digital_max to physical_max exactly. Header text
-    fields come back with trailing spaces removed.
+    patient_id: str
+    recording_id: str
+    start_datetime: datetime.datetime
+    record_duration_s: float
+    num_records: int
+    channels: tuple[ChannelMeta, ...]
+    data_offset: int  # bytes before the first data record
+
+    @property
+    def sample_rate_hz(self) -> tuple[float, ...]:
+        return tuple(c.samples_per_record / self.record_duration_s for c in self.channels)
+
+    def signal(self, raw: bytes, c: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Channel c's samples in physical units, from raw, the file's
+        bytes, written into out (a contiguous float64 array of the
+        channel's length, or a new one if None) and returned.
+
+        physical = physical_min + (digital - digital_min) * gain, so
+        digital_min maps to physical_min and digital_max to physical_max
+        exactly.
+        """
+        widths = [m.samples_per_record for m in self.channels]
+        meta, col, width = self.channels[c], sum(widths[:c]), widths[c]
+        # A view of the data records in raw; slicing raw would copy them.
+        records = np.frombuffer(
+            raw, dtype="<i2", count=self.num_records * sum(widths), offset=self.data_offset
+        ).reshape(self.num_records, sum(widths))
+        if out is None:
+            out = np.empty(self.num_records * width)
+        out.reshape(self.num_records, width)[...] = records[:, col : col + width]
+        out -= meta.digital_min
+        out *= meta.gain
+        out += meta.physical_min
+        return out
+
+
+def parse_edf_header(raw: bytes, size: int) -> EdfHeader:
+    """The header of an EDF file of size bytes whose first bytes are raw;
+    raw need hold no more than the fixed and signal headers.
 
     Raises EdfParseError (with byte offset) on truncation, malformed
     fields or a record duration that is not a finite number > 0, and
     EdfCalibrationError when a channel declares an unusable digital range
     or a gain that is not a finite nonzero number.
     """
-    if len(raw) < _HEADER_BYTES:
-        raise EdfParseError(f"file too short for EDF header: {len(raw)} bytes", len(raw))
+    if size < _HEADER_BYTES:
+        raise EdfParseError(f"file too short for EDF header: {size} bytes", size)
 
     head, at, pos = {}, {}, 0  # fixed-header values and byte offsets by name
     for name, width in _HEADER_FIELDS:
@@ -256,10 +295,9 @@ def parse_edf(raw: bytes) -> Recording:
             f"field 'header_bytes' is {head['header_bytes']}, expected {expected_header}",
             at["header_bytes"],
         )
-    if len(raw) < expected_header:
+    if size < expected_header:
         raise EdfParseError(
-            f"truncated signal headers: have {len(raw)} bytes, need {expected_header}",
-            len(raw),
+            f"truncated signal headers: have {size} bytes, need {expected_header}", size
         )
 
     # Signal headers store each field contiguously across all signals.
@@ -272,9 +310,8 @@ def parse_edf(raw: bytes) -> Recording:
     del columns["reserved"]
     channels = tuple(ChannelMeta(**dict(zip(columns, row))) for row in zip(*columns.values()))
 
-    samples_per_record = sum(c.samples_per_record for c in channels)
-    record_bytes = samples_per_record * 2
-    data_len = len(raw) - expected_header
+    record_bytes = sum(c.samples_per_record for c in channels) * 2
+    data_len = size - expected_header
 
     num_records = head["num_records"]
     if num_records == -1:
@@ -296,32 +333,46 @@ def parse_edf(raw: bytes) -> Recording:
             f"need {num_records * record_bytes}",
             expected_header + data_len,
         )
-
-    signals: list[np.ndarray] = []
-    if num_records > 0 and num_signals > 0:
-        # A view of the data records in raw; slicing raw would copy them.
-        flat = np.frombuffer(
-            raw, dtype="<i2", count=num_records * samples_per_record, offset=expected_header
-        ).reshape(num_records, samples_per_record)
-        col = 0
-        for meta in channels:
-            digital = flat[:, col : col + meta.samples_per_record].reshape(-1)
-            col += meta.samples_per_record
-            physical = meta.physical_min + (
-                digital.astype(np.float64) - meta.digital_min
-            ) * meta.gain
-            signals.append(physical)
-    else:
-        signals = [np.zeros(0) for _ in channels]
-
-    return Recording(
+    return EdfHeader(
         patient_id=head["patient_id"],
+        recording_id=head["recording_id"],
         start_datetime=start,
         record_duration_s=record_duration,
         num_records=num_records,
         channels=channels,
-        signals=tuple(signals),
-        recording_id=head["recording_id"],
+        data_offset=expected_header,
+    )
+
+
+def read_edf_header(path) -> EdfHeader:
+    """The header of the EDF file at path, checked as parse_edf checks it,
+    from the header bytes and the file's size without reading a sample."""
+    with open(path, "rb") as fh:
+        raw = fh.read(_HEADER_BYTES)
+        # The signal count, to read the signal headers by; parse_edf_header
+        # checks the field again and reports it with its offset.
+        with contextlib.suppress(ValueError):
+            raw += fh.read(max(0, int(raw[_HEADER_BYTES - 4 :])) * _SIGNAL_BYTES)
+        return parse_edf_header(raw, os.fstat(fh.fileno()).st_size)
+
+
+def parse_edf(raw: bytes) -> Recording:
+    """Parse EDF bytes into a Recording with physical-unit signals.
+
+    The header is checked by parse_edf_header, which raises what this
+    raises, and each channel is converted to physical units by
+    EdfHeader.signal. Header text fields come back with trailing spaces
+    removed.
+    """
+    h = parse_edf_header(raw, len(raw))
+    return Recording(
+        patient_id=h.patient_id,
+        start_datetime=h.start_datetime,
+        record_duration_s=h.record_duration_s,
+        num_records=h.num_records,
+        channels=h.channels,
+        signals=tuple(h.signal(raw, c) for c in range(len(h.channels))),
+        recording_id=h.recording_id,
     )
 
 

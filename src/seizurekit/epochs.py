@@ -255,6 +255,72 @@ def label_prediction(
     return LabeledEpochSet(epochs=epochs.take(kept), labels=labels, task="prediction")
 
 
+@dataclass(frozen=True)
+class EpochPlan:
+    """Which windows of one recording become epochs, and their labels,
+    found from the recording's length and rates before any sample is read.
+    Window i covers samples [i * window, (i + 1) * window) of every
+    channel and starts at ``starts[i]`` seconds."""
+
+    window: int  # samples per epoch
+    starts: np.ndarray  # (n,) every whole window's start
+    kept: np.ndarray  # (n,) bool, the windows that become epochs
+    labels: np.ndarray  # (kept,) int64
+    task: str
+    epoch_len_s: float
+    highpass_hz: float | None
+
+    @property
+    def n_kept(self) -> int:
+        return len(self.labels)
+
+    def windows(self, x: np.ndarray, fs: float, out: np.ndarray) -> np.ndarray:
+        """Write one channel's kept epochs into out, a (kept, window) array,
+        from its samples x at fs Hz: high-passed over the whole channel, as
+        denoise filters it, then cut into windows. Returns the filtered
+        channel (x itself without a filter), which the caller may reuse."""
+        if self.highpass_hz is not None:
+            x = _highpass_scan(x, _highpass_alpha(self.highpass_hz, fs))
+        n = len(self.starts)
+        np.compress(self.kept, x[: n * self.window].reshape(n, self.window), axis=0, out=out)
+        return x
+
+    def labeled(self, samples: np.ndarray, patient: str, file_name: str) -> LabeledEpochSet:
+        """The kept epochs with these (kept, channels, window) samples."""
+        epochs = Epochs(
+            samples=samples,
+            patients=np.full(self.n_kept, patient, dtype=object),
+            files=np.full(self.n_kept, file_name, dtype=object),
+            starts=self.starts[self.kept],
+            duration_s=self.epoch_len_s,
+        )
+        return LabeledEpochSet(epochs=epochs, labels=self.labels, task=self.task)
+
+
+def plan_epochs(
+    n_samples: int,
+    rates,
+    seizures: list[SeizureInterval],
+    task: str = "detection",
+    *,
+    epoch_len_s: float = 2.0,
+    horizon_s: float = 300.0,
+    highpass_hz: float | None = None,
+) -> EpochPlan:
+    """The EpochPlan of a recording whose channels hold n_samples samples
+    each at ``rates[c]`` Hz: the epochs and labels that
+    ``label_<task>(slice_epochs(denoise(r, highpass_hz), epoch_len_s), seizures)``
+    gives. Raises the same ConfigError and DataError as that path."""
+    check_params("ingest", {"epoch_len_s": epoch_len_s, "highpass_hz": highpass_hz}, DOMAINS)
+    window = _window_len(rates, epoch_len_s) if len(rates) else 0
+    starts = np.arange(n_samples // window if window else 0) * float(epoch_len_s)
+    if task == "prediction":
+        kept, labels = _prediction_labels(starts, epoch_len_s, seizures, horizon_s)
+    else:
+        kept, labels = np.ones(len(starts), dtype=bool), _detection_labels(starts, epoch_len_s, seizures)
+    return EpochPlan(window, starts, kept, labels, task, epoch_len_s, highpass_hz)
+
+
 def stream_labeled_epochs(
     signals: list,
     rates,
@@ -272,40 +338,27 @@ def stream_labeled_epochs(
     file_name), seizures)`` for a recording r of patient ``patient`` whose
     channel c holds ``signals[c]`` at ``rates[c]`` Hz.
 
-    Each sample is copied about once. The kept epochs and their labels
-    come from the epoch starts before any sample is read; then channel c is
-    filtered, cut into windows, its kept windows go into one channel-major
-    (channels, kept, window) float64 buffer, and ``signals[c]`` is set to
-    None, so that a caller holding no other reference frees each channel
-    as the buffer fills. ``samples`` is that buffer seen as
-    (kept, channels, window). The same ConfigError and DataError as the
-    library path come before any channel is touched.
+    Each sample is copied about once. plan_epochs finds the kept epochs
+    and their labels before any sample is read; then each channel's kept
+    windows (EpochPlan.windows) go into one channel-major (channels, kept,
+    window) float64 buffer, and ``signals[c]`` is set to None, so that a
+    caller holding no other reference frees each channel as the buffer
+    fills. ``samples`` is that buffer seen as (kept, channels, window).
+    The same ConfigError and DataError as the library path come before any
+    channel is touched.
     """
-    check_params("ingest", {"epoch_len_s": epoch_len_s, "highpass_hz": highpass_hz}, DOMAINS)
-    window = _window_len(rates, epoch_len_s) if signals else 0
-    n = len(signals[0]) // window if signals else 0
-    starts = np.arange(n) * float(epoch_len_s)
-    if task == "prediction":
-        kept, labels = _prediction_labels(starts, epoch_len_s, seizures, horizon_s)
-    else:
-        kept, labels = np.ones(n, dtype=bool), _detection_labels(starts, epoch_len_s, seizures)
+    n_samples = len(signals[0]) if signals else 0
+    plan = plan_epochs(
+        n_samples, rates if signals else (), seizures, task,
+        epoch_len_s=epoch_len_s, horizon_s=horizon_s, highpass_hz=highpass_hz,
+    )
     # Channel-major: a channel's pages are first touched as it is written,
     # while the parsed channels before it are already freed.
-    buffer = np.empty((len(signals), int(kept.sum()), window))
+    buffer = np.empty((len(signals), plan.n_kept, plan.window))
     for c, fs in enumerate(rates):
         x, signals[c] = signals[c], None
-        if highpass_hz is not None:
-            x = _highpass_scan(x, _highpass_alpha(highpass_hz, fs))
-        buffer[c] = x[: n * window].reshape(n, window)[kept]
-    n_kept = buffer.shape[1]
-    epochs = Epochs(
-        samples=buffer.transpose(1, 0, 2),
-        patients=np.full(n_kept, patient, dtype=object),
-        files=np.full(n_kept, file_name, dtype=object),
-        starts=starts[kept],
-        duration_s=epoch_len_s,
-    )
-    return LabeledEpochSet(epochs=epochs, labels=labels, task=task)
+        plan.windows(x, fs, out=buffer[c])
+    return plan.labeled(buffer.transpose(1, 0, 2), patient, file_name)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,10 @@ A model whose `defaults` name a `threshold` carries the one it was fitted
 with as its `threshold` attribute, and `score` classifies at it; an lstm
 carries its window length as `sequence_length`. Only models/io.py writes
 and reads both, and it checks `config` against `domains`, so `from_doc`
-sees neither. A `from_doc` raises ValueError on fields of unequal shapes.
+sees neither. A `from_doc` raises ValueError on fields of unequal shapes
+and on a field that disagrees with `config` or holds a value the model
+cannot use (an rf tree count other than `n_trees`, a knn label other than
+0 or 1).
 
 Entries call model functions through their module at call time (for
 example `forest.rf_scores`), never through a reference captured at import,
@@ -97,6 +100,8 @@ def _fit_knn(X, y, p, seed, val):
 
 
 def _knn_from_doc(doc):
+    if not all(y in baseline.DOMAINS["class"] for y in doc["params"]["train_y"]):
+        raise ValueError("train_y holds a label other than 0 or 1")
     model = knn.KnnModel(
         train_X=np.array(doc["params"]["train_X"], dtype=np.float64),
         train_y=np.array(doc["params"]["train_y"], dtype=np.int64),
@@ -221,6 +226,17 @@ def _tree_from_dict(doc: dict, n_features: int) -> forest.TreeNode:
     )
 
 
+def _rf_from_doc(doc):
+    model = forest.RFModel(
+        trees=tuple(_tree_from_dict(t, doc["params"]["n_features"]) for t in doc["params"]["trees"]),
+        config=forest.RFConfig(**doc["config"]),
+        n_features=int(doc["params"]["n_features"]),
+    )
+    if len(model.trees) != model.config.n_trees:
+        raise ValueError(f"{len(model.trees)} trees for n_trees={model.config.n_trees}")
+    return model
+
+
 _RF = ModelSpec(
     name="rf",
     cls=forest.RFModel,
@@ -232,11 +248,7 @@ _RF = ModelSpec(
         "params": {"trees": [_tree_to_dict(t) for t in m.trees], "n_features": m.n_features},
         "config": asdict(m.config),
     },
-    from_doc=lambda doc: forest.RFModel(
-        trees=tuple(_tree_from_dict(t, doc["params"]["n_features"]) for t in doc["params"]["trees"]),
-        config=forest.RFConfig(**doc["config"]),
-        n_features=int(doc["params"]["n_features"]),
-    ),
+    from_doc=_rf_from_doc,
 )
 
 

@@ -1,21 +1,32 @@
 """The epoch store, the directory that `ingest` writes and `featurize` reads:
 `epochs.npy` (every kept epoch as one (epochs, channels, window) float64
-array), `meta.csv` (a feature CSV with no feature columns: each epoch's
-patient, file, start and label), `store_info.json` and, when a demographics
-table is given, `demographics.csv`. No other module knows these files.
+array in C order, in numpy's .npy format), `meta.csv` (a feature CSV with
+no feature columns: each epoch's patient, file, start and label),
+`store_info.json` and, when a demographics table is given,
+`demographics.csv`. No other module knows these files.
+
+Neither side holds a whole store in memory. `write_store` checks every
+EDF file from its header and size, writes the .npy header for the total
+count of kept epochs, then reads one EDF file at a time and writes its
+kept windows, a few channels at a time, to their places in the
+epoch-major file. `read_store_blocks` reads `epochs.npy` a few MB at a
+time with plain file reads.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 from collections import Counter
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .domains import Domain, check_params
-from .edf import parse_edf, parse_seizure_summary
-from .epochs import DOMAINS, TASKS, Epochs, LabeledEpochSet, stream_labeled_epochs
+from .edf import EdfHeader, parse_edf_header, parse_seizure_summary, read_edf_header
+from .epochs import DOMAINS, TASKS, EpochPlan, Epochs, plan_epochs
 from .errors import ConfigError, DataError, read_utf8, write_json
 from .features import FeatureMatrix, read_feature_csv, write_feature_csv
 from .version import SPEC_VERSION
@@ -24,8 +35,20 @@ EPOCHS, META, INFO, DEMOGRAPHICS = "epochs.npy", "meta.csv", "store_info.json", 
 
 _AGE = Domain(float, 0)
 
-# Bytes of epochs that _save_epochs copies out of a strided view at a time.
-_WRITE_BLOCK = 4 << 20
+# Bytes of one file's kept windows that write_store gathers before writing
+# them: as many channels as fit, at least one.
+_WRITE_BLOCK = 16 << 20
+# Bytes of epochs that read_store_blocks reads at a time.
+_READ_BLOCK = 4 << 20
+
+
+class _Source(NamedTuple):
+    """One EDF file to ingest, checked from its header."""
+
+    path: Path
+    header: EdfHeader
+    plan: EpochPlan
+    patient: str
 
 
 def write_store(
@@ -38,7 +61,9 @@ def write_store(
     summary files. A file that fails with a DataError is skipped and passed
     to warn, as is a summary entry for a file that edf_dir lacks. The task,
     the ingest parameters, edf_dir, the summaries, the demographics table
-    and every file's epochs are all checked before out is created.
+    and every file's epochs are all checked before out is created; a file
+    is checked from its header and size, and its samples are read once,
+    while its epochs are written.
 
     Returns (counts, failures, inputs): each file read's name -> (kept,
     positive) epochs, in file order; each failed file's name -> its error;
@@ -65,24 +90,24 @@ def write_store(
                 warn(f"summary references missing file {fname!r}; intervals ignored")
     demographics_rows = _demographics_rows(Path(demographics)) if demographics else None
 
-    sets = []  # one LabeledEpochSet per file that has epochs
+    sources = []  # the files that have epochs
     counts, failures = {}, {}
     for path in edf_paths:
         try:
-            labeled = _labeled_epochs(path, intervals[path.name], task=task, **params)
+            source = _source(path, intervals[path.name], task=task, **params)
         except DataError as exc:
             failures[path.name] = str(exc)
             warn(f"{path.name}: {exc}")
             continue
-        if len(labeled.epochs):
-            sets.append(labeled)
-        counts[path.name] = (len(labeled.epochs), int(labeled.labels.sum()))
-    if not sets:
+        if source.plan.n_kept:
+            sources.append(source)
+        counts[path.name] = (source.plan.n_kept, int(source.plan.labels.sum()))
+    if not sources:
         raise DataError(
             "every EDF file failed to ingest: "
             + "; ".join(f"{k}: {v}" for k, v in sorted(failures.items()))
         )
-    shapes = {s.epochs.samples.shape[1:] for s in sets}
+    shapes = {(len(s.header.channels), s.plan.window) for s in sources}
     if len(shapes) > 1:
         raise DataError(
             f"recordings disagree on channel count or rate: epoch shapes {sorted(shapes)}"
@@ -90,12 +115,15 @@ def write_store(
 
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    labels = np.concatenate([s.labels for s in sets])
-    fields = ("patients", "files", "starts")
-    meta = {f: np.concatenate([getattr(s.epochs, f) for s in sets]) for f in fields}
-    write_feature_csv(FeatureMatrix(np.zeros((len(labels), 0)), **meta), labels, out / META)
-    _save_epochs(out / EPOCHS, [s.epochs.samples for s in sets])
+    meta = FeatureMatrix(
+        np.zeros((sum(s.plan.n_kept for s in sources), 0)),
+        patients=np.concatenate([np.full(s.plan.n_kept, s.patient, dtype=object) for s in sources]),
+        files=np.concatenate([np.full(s.plan.n_kept, s.path.name, dtype=object) for s in sources]),
+        starts=np.concatenate([s.plan.starts[s.plan.kept] for s in sources]),
+    )
+    write_feature_csv(meta, np.concatenate([s.plan.labels for s in sources]), out / META)
     n_channels, window = shapes.pop()
+    _write_epochs(out / EPOCHS, sources, n_channels, window)
     info = {
         "epoch_len_s": epoch_len_s,
         "task": task,
@@ -112,17 +140,16 @@ def write_store(
     return counts, failures, inputs + ([Path(demographics)] if demographics else [])
 
 
-def _labeled_epochs(path: Path, seizures, **params) -> LabeledEpochSet:
-    """One EDF file's labeled epochs. A recording with a blank patient
-    header takes the file-name prefix as its patient (`chb05_17.edf` ->
-    `chb05`)."""
-    rec = parse_edf(path.read_bytes())
-    signals, rates = list(rec.signals), rec.sample_rate_hz
-    patient = rec.patient_id if rec.patient_id.strip() else path.stem.split("_")[0] or path.stem
-    del rec  # signals now holds the only reference to each parsed channel
-    return stream_labeled_epochs(
-        signals, rates, seizures, patient=patient, file_name=path.name, **params
-    )
+def _source(path: Path, seizures, *, task, **params) -> _Source:
+    """One EDF file, checked from its header and size as parse_edf would
+    check its bytes, with the epochs it gives. A recording with a blank
+    patient header takes the file-name prefix as its patient
+    (`chb05_17.edf` -> `chb05`)."""
+    header = read_edf_header(path)
+    n_samples = header.num_records * header.channels[0].samples_per_record if header.channels else 0
+    plan = plan_epochs(n_samples, header.sample_rate_hz, seizures, task, **params)
+    patient = header.patient_id if header.patient_id.strip() else path.stem.split("_")[0] or path.stem
+    return _Source(path, header, plan, patient)
 
 
 def _demographics_rows(path: Path) -> list[str]:
@@ -153,26 +180,79 @@ def _demographics_rows(path: Path) -> list[str]:
     )
 
 
-def _save_epochs(path: Path, parts) -> None:
-    """Write the file that np.save(path, np.concatenate(parts)) writes, for
-    float64 (n, channels, window) arrays that share their trailing shape,
-    without the concatenated copy: one .npy header, then the C-order bytes
-    of each part a few MB at a time."""
-    shape = (sum(len(p) for p in parts), *parts[0].shape[1:])
+def _write_epochs(path: Path, sources, n_channels: int, window: int) -> None:
+    """Write the file that np.save writes for the (epochs, channels, window)
+    float64 array of every source's kept epochs in order, one source at a
+    time."""
+    total = sum(s.plan.n_kept for s in sources)
     descr = np.lib.format.dtype_to_descr(np.dtype(np.float64))
-    header = {"descr": descr, "fortran_order": False, "shape": shape}
+    header = {"descr": descr, "fortran_order": False, "shape": (total, n_channels, window)}
     with open(path, "wb") as fh:
         np.lib.format.write_array_header_1_0(fh, header)
-        for part in parts:
-            step = max(1, _WRITE_BLOCK // part[0].nbytes)
-            for i in range(0, len(part), step):
-                fh.write(np.ascontiguousarray(part[i : i + step], dtype=np.float64).data)
+        fh.flush()
+        at = fh.tell()
+        for s in sources:
+            _write_source(fh.fileno(), s, at, n_channels, window)
+            at += s.plan.n_kept * n_channels * window * 8
+
+
+def _write_source(fd: int, s: _Source, at: int, n_channels: int, window: int) -> None:
+    """Write one source's kept epochs as the rows, from byte at of fd on, of
+    an epoch-major float64 (epochs, n_channels, window) array, holding the
+    EDF file's bytes and a group of channels' kept windows at a time.
+
+    Each channel is converted and filtered whole (EdfHeader.signal, then
+    EpochPlan.windows), so every sample is the one the library path gives.
+    A group of channels fills a (kept, channels in group, window) buffer of
+    about _WRITE_BLOCK bytes; each epoch's part of it is one contiguous
+    stretch of the file, written at its place.
+    """
+    raw = s.path.read_bytes()
+    if parse_edf_header(raw, len(raw)) != s.header:
+        raise DataError(f"{s.path}: changed while ingest read it")
+    rates, k, window_bytes = s.header.sample_rate_hz, s.plan.n_kept, window * 8
+    group = min(n_channels, max(1, _WRITE_BLOCK // (k * window_bytes)))
+    buffer = np.empty((k, group, window))
+    rows = memoryview(buffer).cast("B")
+    # Each channel is converted into the last one's filtered samples: no
+    # channel-sized array is allocated, and so none is faulted in, per channel.
+    x = None
+    for c0 in range(0, n_channels, group):
+        channels = range(c0, min(c0 + group, n_channels))
+        for j, c in enumerate(channels):
+            x = s.plan.windows(s.header.signal(raw, c, out=x), rates[c], out=buffer[:, j])
+        step, width = group * window_bytes, len(channels) * window_bytes
+        for i in range(k):
+            _pwrite(fd, rows[i * step : i * step + width], at + (i * n_channels + c0) * window_bytes)
+
+
+def _pwrite(fd: int, data: memoryview, at: int) -> None:
+    """Write all of data's bytes at offset at of fd."""
+    while data:
+        written = os.pwrite(fd, data, at)
+        data, at = data[written:], at + written
 
 
 def read_store(store_dir) -> tuple[Epochs, np.ndarray]:
-    """The epochs and labels of the store in store_dir. A missing or
-    malformed file, or files that disagree on the number of epochs, is a
-    DataError."""
+    """The epochs and labels of the store in store_dir, read whole, after
+    the checks read_store_blocks makes."""
+    _, labels, blocks = read_store_blocks(store_dir, block_bytes=math.inf)
+    return next(blocks), labels
+
+
+def read_store_blocks(
+    store_dir, block_bytes: float = _READ_BLOCK
+) -> tuple[FeatureMatrix, np.ndarray, Iterator[Epochs]]:
+    """The meta.csv rows (a FeatureMatrix with no columns), the labels and
+    the epochs of the store in store_dir, the epochs as consecutive blocks
+    of about block_bytes each, read as the iterator is consumed; a store
+    of no epochs gives one empty block.
+
+    A missing or malformed file, or files that disagree on the number of
+    epochs, is a DataError raised before any epoch is read. epochs.npy must
+    be a 3-d numeric array in C order whose header agrees with the file's
+    size.
+    """
     epochs_path, meta_path, info_path = (Path(store_dir) / n for n in (EPOCHS, META, INFO))
     for p in (epochs_path, meta_path, info_path):
         if not p.is_file():
@@ -190,15 +270,51 @@ def read_store(store_dir) -> tuple[Epochs, np.ndarray]:
     meta, labels = read_feature_csv(meta_path)
     if meta.n_dims:
         raise DataError(f"{meta_path}: unexpected feature columns in the header")
-    try:
-        stack = np.load(epochs_path)
-    except (ValueError, EOFError) as exc:
-        raise DataError(f"{epochs_path}: not a readable .npy array: {exc}") from None
-    if stack.ndim != 3 or stack.dtype.kind not in "fiu":
+    shape, dtype, offset = _npy_layout(epochs_path)
+    if shape[0] != meta.n_rows:
+        raise DataError(f"store mismatch: {shape[0]} epochs vs {meta.n_rows} meta rows")
+
+    n, row_bytes = shape[0], math.prod(shape[1:]) * dtype.itemsize
+    rows = max(1, n if n * row_bytes <= block_bytes else block_bytes // row_bytes)
+
+    def blocks():
+        with open(epochs_path, "rb") as fh:
+            fh.seek(offset)
+            for start in range(0, max(n, 1), rows):
+                stop = min(n, start + rows)
+                samples = np.empty((stop - start, *shape[1:]), dtype)
+                if fh.readinto(samples) != samples.nbytes:
+                    raise DataError(f"{epochs_path}: changed while it was read")
+                part = meta.take(slice(start, stop))
+                yield Epochs(samples, part.patients, part.files, part.starts, duration_s=epoch_len_s)
+
+    return meta, labels, blocks()
+
+
+def _npy_layout(path: Path) -> tuple[tuple, np.dtype, int]:
+    """The shape, dtype and data offset of the .npy file at path, checked
+    against its size; DataError unless it is a C-order 3-d numeric array."""
+    fmt = np.lib.format
+    with open(path, "rb") as fh:
+        try:
+            version = fmt.read_magic(fh)
+            read_header = {(1, 0): fmt.read_array_header_1_0, (2, 0): fmt.read_array_header_2_0}
+            if version not in read_header:
+                raise ValueError(f"format version {version} is not read")
+            shape, fortran_order, dtype = read_header[version](fh)
+        except (ValueError, EOFError) as exc:
+            raise DataError(f"{path}: not a readable .npy array: {exc}") from None
+        offset, size = fh.tell(), os.fstat(fh.fileno()).st_size
+    if dtype.hasobject:
+        raise DataError(f"{path}: not a readable .npy array: it holds Python objects")
+    if len(shape) != 3 or dtype.kind not in "fiu":
+        raise DataError(f"{path}: expected a 3-d numeric array, got {dtype} {shape}")
+    if fortran_order:
+        raise DataError(f"{path}: a Fortran-order array is not read; ingest writes C order")
+    need = math.prod(shape) * dtype.itemsize
+    if min(shape) < 0 or size - offset != need:
         raise DataError(
-            f"{epochs_path}: expected a 3-d numeric array, got {stack.dtype} {stack.shape}"
+            f"{path}: not a readable .npy array: {size - offset} data bytes, "
+            f"but a {dtype} array of shape {shape} needs {need}"
         )
-    if len(stack) != meta.n_rows:
-        raise DataError(f"store mismatch: {len(stack)} epochs vs {meta.n_rows} meta rows")
-    epochs = Epochs(stack, meta.patients, meta.files, meta.starts, duration_s=epoch_len_s)
-    return epochs, labels
+    return shape, dtype, offset

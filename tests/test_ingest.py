@@ -26,7 +26,8 @@ from seizurekit.epochs import (
     slice_epochs,
     stream_labeled_epochs,
 )
-from seizurekit.store import read_store, write_store
+from seizurekit import store
+from seizurekit.store import read_store, read_store_blocks, write_store
 from tests.test_cli import make_edf_bytes
 from tests.test_edf import UNUSABLE_GAINS, make_channel, make_recording, with_physical_range
 
@@ -148,6 +149,22 @@ def test_read_store_gives_back_the_library_epochs(edf_dir, tmp_path, task, highp
     assert epochs.duration_s == 2.0
     assert labels.dtype == np.int64
     assert np.array_equal(labels, np.concatenate([s.labels for s in kept]))
+
+
+@pytest.mark.parametrize("task", ["detection", "prediction"])
+@pytest.mark.parametrize(
+    "write_block", [1, 2 * 24 * 16 * 8, 1 << 30], ids=["1-channel", "2-channels", "whole"]
+)
+def test_a_store_written_a_group_of_channels_at_a_time_equals_the_library_path(
+    edf_dir, tmp_path, monkeypatch, task, write_block
+):
+    """The files' 3 channels go out one, two (a.edf keeps 24 epochs of 16
+    samples) or three at a time; the bytes written do not change."""
+    monkeypatch.setattr(store, "_WRITE_BLOCK", write_block)
+    _write_store(edf_dir, tmp_path / "store", task=task)
+    epochs_npy, meta_csv = library_store(edf_dir, task, 0.5, tmp_path)
+    assert (tmp_path / "store" / "epochs.npy").read_bytes() == epochs_npy
+    assert (tmp_path / "store" / "meta.csv").read_bytes() == meta_csv
 
 
 @pytest.mark.parametrize(
@@ -314,3 +331,143 @@ def test_ingest_peak_memory_is_about_one_copy_of_the_kept_epochs(tmp_path):
         f"ingest rose {rise:.1f} MB: {(rise - edf_mb) / kept_mb:.2f} x the kept "
         f"epochs' {kept_mb:.1f} MB beyond the EDF's {edf_mb:.1f} MB"
     )
+
+
+# ingest of three 10-min, 23-channel, 256 Hz files may peak this many MB
+# above ingest of one of them: it holds one file's bytes and a bounded group
+# of channels at a time, so its memory does not grow with the store.
+# Measured: 0.2-0.4 MB (Linux, Python 3.11, numpy 2.4), against about 56 MB
+# when every file's epochs are held until epochs.npy is written.
+INGEST_SLACK_MB = 2.0
+# featurize of that 81 MB store may peak this many MB above a bare
+# `import seizurekit.cli`: two read blocks, extract_features' temporaries
+# and the feature rows. Measured: 12.1 MB on the same machine.
+FEATURIZE_SLACK_MB = 16.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux's ru_maxrss in KiB")
+def test_ingest_and_featurize_peak_memory_does_not_grow_with_the_store(tmp_path):
+    for name, count in (("one", 1), ("three", 3)):
+        (tmp_path / name).mkdir()
+        for i in range(count):
+            raw = make_edf_bytes(f"p0{i}", 600, rate_hz=256, n_channels=23, seed=i)
+            (tmp_path / name / f"p0{i}.edf").write_bytes(raw)
+
+    def ingest(name):
+        return (
+            "from seizurekit.cli import main; raise SystemExit(main(['ingest', '--edf-dir', "
+            f"'{name}', '--highpass', '0.5', '--out', 'store_{name}']))"
+        )
+
+    one, three = _child_peak_mb(ingest("one"), tmp_path), _child_peak_mb(ingest("three"), tmp_path)
+    assert three <= one + INGEST_SLACK_MB, f"ingest of three files peaked {three - one:.1f} MB above one"
+
+    featurize = (
+        "from seizurekit.cli import main; raise SystemExit(main(['featurize', '--store', "
+        "'store_three', '--out', 'features']))"
+    )
+    rise = _child_peak_mb(featurize, tmp_path) - _child_peak_mb("import seizurekit.cli", tmp_path)
+    store_mb = (tmp_path / "store_three" / "epochs.npy").stat().st_size / 2**20
+    assert rise <= FEATURIZE_SLACK_MB, f"featurize rose {rise:.1f} MB on a {store_mb:.0f} MB store"
+
+
+@pytest.fixture(scope="module")
+def wide_store(tmp_path_factory):
+    """A store of 100 epochs of 23 channels at 256 Hz: 94 KB an epoch, so
+    that a 4 MB read block holds 44 epochs and the last block 12."""
+    root = tmp_path_factory.mktemp("wide")
+    (root / "edf").mkdir()
+    (root / "edf" / "p01.edf").write_bytes(make_edf_bytes("p01", 200, rate_hz=256, n_channels=23))
+    argv = ["ingest", "--edf-dir", str(root / "edf"), "--highpass", "0.5", "--out", str(root / "store")]
+    assert main(argv) == 0
+    return root / "store"
+
+
+@pytest.mark.parametrize("pool_channels", [False, True])
+def test_featurize_in_blocks_equals_featurizing_the_whole_store(
+    wide_store, tmp_path, monkeypatch, pool_channels
+):
+    calls = []
+
+    def counted(epochs, **kwargs):
+        calls.append(len(epochs))
+        return seizurekit.extract_features(epochs, **kwargs)
+
+    monkeypatch.setattr(seizurekit.cli, "extract_features", counted)
+    argv = ["featurize", "--store", str(wide_store), "--out", str(tmp_path / "feat")]
+    assert main(argv + (["--pool-channels"] if pool_channels else [])) == 0
+    assert calls == [44, 44, 12]
+
+    epochs, labels = read_store(wide_store)
+    fm = seizurekit.extract_features(epochs, pool_channels=pool_channels)
+    write_feature_csv(fm, labels, tmp_path / "whole.csv")
+    assert (tmp_path / "feat" / "features.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, 100, 1000])
+def test_store_blocks_are_the_store_in_order(wide_store, rows):
+    epochs, labels = read_store(wide_store)
+    meta, block_labels, blocks = read_store_blocks(wide_store, block_bytes=rows * 23 * 512 * 8 + 5)
+    blocks = list(blocks)
+    assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1) and 0 < len(blocks[-1]) <= rows
+    assert np.array_equal(np.concatenate([b.samples for b in blocks]), epochs.samples)
+    for field in ("patients", "files", "starts"):
+        got = np.concatenate([getattr(b, field) for b in blocks])
+        assert np.array_equal(got, getattr(epochs, field))
+        assert np.array_equal(getattr(meta, field), getattr(epochs, field))
+    assert {b.duration_s for b in blocks} == {epochs.duration_s}
+    assert np.array_equal(block_labels, labels)
+
+
+def _store_with_epochs(wide_store, tmp_path, epochs_bytes: bytes) -> Path:
+    store = tmp_path / "store"
+    store.mkdir()
+    for name in ("meta.csv", "store_info.json"):
+        (store / name).write_bytes((wide_store / name).read_bytes())
+    (store / "epochs.npy").write_bytes(epochs_bytes)
+    return store
+
+
+def _negative_shape(good: bytes) -> bytes:
+    """A header whose two negative dimensions multiply to one epoch's size, and that epoch."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {"descr": "<f8", "fortran_order": False, "shape": (-1, -23, 512)})
+    return buf.getvalue() + bytes(23 * 512 * 8)
+
+
+@pytest.mark.parametrize(
+    "edit", [lambda b: b[:-8], lambda b: b + b"\0" * 8, _negative_shape], ids=["short", "long", "negative"]
+)
+def test_the_file_size_is_checked_before_any_block_is_read(wide_store, tmp_path, edit):
+    store = _store_with_epochs(wide_store, tmp_path, edit((wide_store / "epochs.npy").read_bytes()))
+    with pytest.raises(DataError, match="not a readable .npy array") as raised:
+        read_store_blocks(store)  # raises before the first block is asked for
+    assert str(store / "epochs.npy") in str(raised.value)
+
+
+def _npy(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def test_a_fortran_order_epochs_file_is_refused(wide_store, tmp_path, capsys):
+    epochs, _ = read_store(wide_store)
+    store = _store_with_epochs(wide_store, tmp_path, _npy(np.asfortranarray(epochs.samples)))
+    rc = main(["featurize", "--store", str(store), "--out", str(tmp_path / "feat")])
+    assert rc == 2
+    assert f"{store / 'epochs.npy'}: a Fortran-order array is not read" in capsys.readouterr().err
+    assert not (tmp_path / "feat" / "features.csv").exists()
+
+
+@pytest.mark.parametrize("dtype", [">f8", "<f4", "<i2"])
+def test_featurize_reads_any_numeric_epochs_file(wide_store, tmp_path, dtype):
+    epochs, labels = read_store(wide_store)
+    samples = (epochs.samples * 100).astype(dtype)
+    store = _store_with_epochs(wide_store, tmp_path, _npy(samples))
+    assert main(["featurize", "--store", str(store), "--out", str(tmp_path / "feat")]) == 0
+    got, _ = read_store(store)
+    assert got.samples.dtype == np.dtype(dtype) and np.array_equal(got.samples, samples)
+    want = seizurekit.extract_features(got)
+    write_feature_csv(want, labels, tmp_path / "whole.csv")
+    assert (tmp_path / "feat" / "features.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()

@@ -375,3 +375,26 @@ def test_a_model_file_whose_fields_disagree_is_a_data_error(
         doc[section][key] = edit(doc[section][key])
 
     _assert_edited_model_is_a_data_error(runs, tmp_path, capsys, name, change)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda v: [], id="no-trees"),
+        pytest.param(lambda v: v[:-1], id="one-tree-fewer"),
+        pytest.param(lambda v: v + v[:1], id="one-tree-more"),
+    ],
+)
+def test_an_rf_file_whose_tree_count_is_not_n_trees_is_a_data_error(runs, tmp_path, capsys, edit):
+    def change(doc):
+        doc["params"]["trees"] = edit(doc["params"]["trees"])
+
+    _assert_edited_model_is_a_data_error(runs, tmp_path, capsys, "rf", change)
+
+
+@pytest.mark.parametrize("label", [7, -1, 0.5, 1.0, True, None, "1"])
+def test_a_knn_file_with_a_label_other_than_0_or_1_is_a_data_error(runs, tmp_path, capsys, label):
+    def change(doc):
+        doc["params"]["train_y"][0] = label
+
+    _assert_edited_model_is_a_data_error(runs, tmp_path, capsys, "knn", change)
