@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -256,8 +257,11 @@ def cmd_featurize(args) -> int:
     if not opts["store"]:
         raise ConfigError("featurize needs --store (or store in the config file)")
     # extract_features works row by row, so block by block gives the same rows.
+    # map lets go of each block before it asks for the next, so one block is
+    # held at a time; a comprehension's loop variable would keep two.
     meta, labels, blocks = store.read_store_blocks(opts["store"])
-    values = [extract_features(b, pool_channels=opts["pool_channels"]).values for b in blocks]
+    featurize = functools.partial(extract_features, pool_channels=opts["pool_channels"])
+    values = [fm.values for fm in map(featurize, blocks)]
     fm = dataclasses.replace(meta, values=np.concatenate(values))
     out = _out_dir(args)
     write_feature_csv(fm, labels, out / "features.csv")

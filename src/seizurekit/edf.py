@@ -235,24 +235,30 @@ class EdfHeader:
     def sample_rate_hz(self) -> tuple[float, ...]:
         return tuple(c.samples_per_record / self.record_duration_s for c in self.channels)
 
-    def signal(self, raw: bytes, c: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Channel c's samples in physical units, from raw, the file's
-        bytes, written into out (a contiguous float64 array of the
-        channel's length, or a new one if None) and returned.
+    @property
+    def record_bytes(self) -> int:
+        """Bytes of one data record: every channel's samples, two bytes each."""
+        return 2 * sum(c.samples_per_record for c in self.channels)
+
+    def signal(self, records, c: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Channel c's samples in physical units over a run of data
+        records, from records, their bytes (any bytes-like object holding
+        a whole number of records), written into out (a contiguous float64
+        array of the channel's samples in those records, or a new one if
+        None) and returned.
 
         physical = physical_min + (digital - digital_min) * gain, so
         digital_min maps to physical_min and digital_max to physical_max
         exactly.
         """
         widths = [m.samples_per_record for m in self.channels]
-        meta, col, width = self.channels[c], sum(widths[:c]), widths[c]
-        # A view of the data records in raw; slicing raw would copy them.
-        records = np.frombuffer(
-            raw, dtype="<i2", count=self.num_records * sum(widths), offset=self.data_offset
-        ).reshape(self.num_records, sum(widths))
+        meta, col, width, total = self.channels[c], sum(widths[:c]), widths[c], sum(widths)
+        n_records = len(records) // self.record_bytes
+        # A view of the records' bytes; slicing them would copy.
+        digital = np.frombuffer(records, dtype="<i2", count=n_records * total)
         if out is None:
-            out = np.empty(self.num_records * width)
-        out.reshape(self.num_records, width)[...] = records[:, col : col + width]
+            out = np.empty(n_records * width)
+        out.reshape(n_records, width)[...] = digital.reshape(n_records, total)[:, col : col + width]
         out -= meta.digital_min
         out *= meta.gain
         out += meta.physical_min
@@ -365,13 +371,14 @@ def parse_edf(raw: bytes) -> Recording:
     removed.
     """
     h = parse_edf_header(raw, len(raw))
+    records = memoryview(raw)[h.data_offset : h.data_offset + h.num_records * h.record_bytes]
     return Recording(
         patient_id=h.patient_id,
         start_datetime=h.start_datetime,
         record_duration_s=h.record_duration_s,
         num_records=h.num_records,
         channels=h.channels,
-        signals=tuple(h.signal(raw, c) for c in range(len(h.channels))),
+        signals=tuple(h.signal(records, c) for c in range(len(h.channels))),
         recording_id=h.recording_id,
     )
 

@@ -9,6 +9,7 @@ hold epochs consecutive in time within one file; a gap ends a window.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -110,7 +111,7 @@ def denoise(r: Recording, highpass_hz: float | None = None) -> Recording:
     if highpass_hz is None:
         return r
     filtered = tuple(
-        _highpass_scan(x, _highpass_alpha(highpass_hz, fs))
+        _highpass_scan(x, _highpass_alpha(highpass_hz, fs))[0]
         for x, fs in zip(r.signals, r.sample_rate_hz)
     )
     return Recording(
@@ -134,34 +135,67 @@ def _highpass_alpha(highpass_hz: float, fs: float) -> float:
 # Block length of the high-pass scan: long enough that the per-block carry
 # pass is short, small enough that the B x B matmul stays cheap.
 _SCAN_BLOCK = 128
+# The fewest blocks in a piece of a channel that the scan may filter on its
+# own and still give the whole-channel scan's samples. A row of the blocks @
+# kernel.T product is the same however many rows share the product only
+# when at least 10 do: with OpenBLAS 0.3.31 (SkylakeX kernels) at one and at
+# two threads, products of 8 or 9 rows differed from the whole product in
+# the last bits of nearly every row, and products of 10 to 257 rows in none
+# (random blocks, 300 to 5,000 rows). 64 leaves a wide margin.
+_MIN_SCAN_BLOCKS = 64
 
 
-def _highpass_scan(x: np.ndarray, alpha: float) -> np.ndarray:
+def _highpass_scan(
+    x: np.ndarray, alpha: float, state: tuple | None = None
+) -> tuple[np.ndarray, tuple]:
     """Solve y[n] = alpha * y[n-1] + u[n] for u[0] = x[0] and
-    u[n] = alpha * (x[n] - x[n-1]), in blocks of _SCAN_BLOCK samples."""
+    u[n] = alpha * (x[n] - x[n-1]), in blocks of _SCAN_BLOCK samples.
+
+    A channel may be filtered in pieces: state is what the piece before x
+    left, (its last sample, the true output at the end of its last block),
+    or None at the channel's start, and the state after x is returned with
+    y. The pieces then give the whole channel's y bit for bit, provided
+    every piece but the last is a whole number of blocks and each holds at
+    least _MIN_SCAN_BLOCKS blocks (or is the whole channel).
+    """
     n = len(x)
     if n == 0:
-        return np.empty(0)
+        return np.empty(0), state
     n_blocks = -(-n // _SCAN_BLOCK)
     u = np.zeros(n_blocks * _SCAN_BLOCK)
-    u[0] = x[0]
     np.subtract(x[1:], x[:-1], out=u[1:n])
-    u[1:n] *= alpha
+    if state is None:
+        u[0], carry = x[0], 0.0
+        u[1:n] *= alpha
+    else:
+        u[0], carry = x[0] - state[0], state[1]
+        u[:n] *= alpha
     blocks = u.reshape(n_blocks, _SCAN_BLOCK)
-
-    k = np.arange(_SCAN_BLOCK)
-    # kernel[i, j] = alpha**(i - j) for j <= i, else 0.
-    kernel = np.tril(alpha ** np.abs(np.subtract.outer(k, k)))
+    kernel, powers = _scan_kernel(alpha)
     y = blocks @ kernel.T
 
-    # carry[b] is the true output at the end of block b - 1 (0 before block 0).
+    # carries[b] is the true output at the end of block b - 1 (the state's
+    # before block 0), and carries[n_blocks] the state's after x.
     alpha_block = alpha**_SCAN_BLOCK
-    carry = [0.0] * n_blocks
-    for b, end in enumerate(y[:-1, -1].tolist(), start=1):
-        carry[b] = end + alpha_block * carry[b - 1]
+    carries = [carry]
+    for end in y[:, -1].tolist():
+        carries.append(end + alpha_block * carries[-1])
     # The input blocks are no longer needed; reuse them for the carry term.
-    y += np.multiply.outer(carry, alpha ** (k + 1), out=blocks)
-    return y.reshape(-1)[:n]
+    y += np.multiply.outer(carries[:-1], powers, out=blocks)
+    return y.reshape(-1)[:n], (float(x[-1]), carries[-1])
+
+
+@functools.lru_cache(maxsize=16)
+def _scan_kernel(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scan's (kernel, powers) for alpha, read-only: kernel[i, j] =
+    alpha**(i - j) for j <= i, else 0, and powers[k] = alpha**(k + 1).
+    Cached: a channel filtered in chunks needs them once per chunk, and
+    building them takes as long as the matmul of about 250 blocks."""
+    k = np.arange(_SCAN_BLOCK)
+    kernel = np.tril(alpha ** np.abs(np.subtract.outer(k, k)))
+    powers = alpha ** (k + 1)
+    kernel.flags.writeable = powers.flags.writeable = False
+    return kernel, powers
 
 
 def slice_epochs(r: Recording, epoch_len_s: float = 2.0, file_name: str = "") -> Epochs:
@@ -274,16 +308,26 @@ class EpochPlan:
     def n_kept(self) -> int:
         return len(self.labels)
 
-    def windows(self, x: np.ndarray, fs: float, out: np.ndarray) -> np.ndarray:
-        """Write one channel's kept epochs into out, a (kept, window) array,
-        from its samples x at fs Hz: high-passed over the whole channel, as
-        denoise filters it, then cut into windows. Returns the filtered
-        channel (x itself without a filter), which the caller may reuse."""
+    def windows(
+        self, x: np.ndarray, fs: float, out: np.ndarray, first: int = 0, state: tuple | None = None
+    ) -> tuple | None:
+        """Write the kept epochs among windows first, first + 1, ... into
+        out, a (kept among them, window) array, from x, one channel's
+        samples at fs Hz from window first's start on: high-passed as
+        denoise filters the whole channel, then cut into windows. A part
+        window at the end of x is filtered but not kept.
+
+        A channel may come in pieces that each start at a window's start
+        (first = 0 and state = None for the first or only piece): state is
+        the high-pass scan's state after the previous piece, and the state
+        after x is returned (None without a filter). Pieces other than the
+        whole channel follow _highpass_scan's rule on piece lengths."""
         if self.highpass_hz is not None:
-            x = _highpass_scan(x, _highpass_alpha(self.highpass_hz, fs))
-        n = len(self.starts)
-        np.compress(self.kept, x[: n * self.window].reshape(n, self.window), axis=0, out=out)
-        return x
+            x, state = _highpass_scan(x, _highpass_alpha(self.highpass_hz, fs), state)
+        n = len(x) // self.window
+        kept = self.kept[first : first + n]
+        np.compress(kept, x[: n * self.window].reshape(n, self.window), axis=0, out=out)
+        return state
 
     def labeled(self, samples: np.ndarray, patient: str, file_name: str) -> LabeledEpochSet:
         """The kept epochs with these (kept, channels, window) samples."""

@@ -7,11 +7,12 @@ The other fields come from the model's registry entry (`params` and
 `config` for the tabular models, `dims`, `weights` and `config` for the
 LSTM). Only this module writes and reads `threshold` (`logreg`, `lstm`)
 and `sequence_length` (`lstm`) in `config`, each when it differs from the
-model class's default. A `config` entry outside its registry domain (or
-`seed`'s), or with none, makes the document malformed. A number under
-`params` or `weights` that is not a finite float is a DataError. Floats are
-written with full round-trip precision, so save -> load reproduces
-parameters exactly.
+model class's default. A `config` key that neither the model type's
+`to_doc` writes (its registry entry's `config_keys`) nor the model
+carries, or an entry outside its registry domain (or `seed`'s), makes the
+document malformed. A number under `params` or `weights` that is not a
+finite float is a DataError. Floats are written with full round-trip
+precision, so save -> load reproduces parameters exactly.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def model_from_dict(doc: dict):
                 raise DataError(f"{mtype} {key} contains non-finite values")
         config = {**doc["config"]}
         carried = {f.name: _CARRIED[f.name] for f in fields(spec.cls) if f.name in _CARRIED}
-        check_params(mtype, config, {**spec.domains, "seed": Domain(int), **carried})
+        domains = {**spec.domains, "seed": Domain(int)}
+        check_params(mtype, config, {**{k: domains[k] for k in spec.config_keys}, **carried})
         values = {k: domain.kind(config.pop(k)) for k, domain in carried.items() if k in config}
         return replace(spec.from_doc({**doc, "config": config}), **values)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

@@ -11,11 +11,12 @@ the CLI's `--model` choices all read `MODELS`.
 A model whose `defaults` name a `threshold` carries the one it was fitted
 with as its `threshold` attribute, and `score` classifies at it; an lstm
 carries its window length as `sequence_length`. Only models/io.py writes
-and reads both, and it checks `config` against `domains`, so `from_doc`
-sees neither. A `from_doc` raises ValueError on fields of unequal shapes
-and on a field that disagrees with `config` or holds a value the model
-cannot use (an rf tree count other than `n_trees`, a knn label other than
-0 or 1).
+and reads both. It allows in a file's `config` only `config_keys` and
+those two, and checks each against `domains` (`seed` against its own), so
+`from_doc` sees neither. A `from_doc` raises ValueError on fields of
+unequal shapes and on a field that disagrees with `config` or holds a
+value the model cannot use (an rf tree count other than `n_trees`, a knn
+label other than 0 or 1).
 
 Entries call model functions through their module at call time (for
 example `forest.rf_scores`), never through a reference captured at import,
@@ -25,7 +26,7 @@ so a wrapper installed on a module attribute sees every call.
 from __future__ import annotations
 
 import inspect
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -55,6 +56,7 @@ class ModelSpec:
     score: Callable  # (model, X) -> (classes, ranking scores)
     to_doc: Callable  # model -> JSON document fields besides model_type/spec_version
     from_doc: Callable  # JSON document -> model
+    config_keys: tuple = ()  # the keys of the `config` that to_doc writes
     sequential: bool = False  # inputs are build_sequences windows, not rows
     train_cap: int | None = None  # max_train_rows when the config sets none
 
@@ -128,6 +130,7 @@ _KNN = ModelSpec(
         "config": {"k": m.k, "class_weights": m.class_weights},
     },
     from_doc=_knn_from_doc,
+    config_keys=("k", "class_weights"),
 )
 
 
@@ -184,6 +187,7 @@ _LOGREG = ModelSpec(
         "config": asdict(m.config),
     },
     from_doc=_logreg_from_doc,
+    config_keys=tuple(f.name for f in fields(logistic.LogRegConfig)),
 )
 
 
@@ -249,6 +253,7 @@ _RF = ModelSpec(
         "config": asdict(m.config),
     },
     from_doc=_rf_from_doc,
+    config_keys=tuple(f.name for f in fields(forest.RFConfig)),
 )
 
 
@@ -306,6 +311,7 @@ _SVM = ModelSpec(
         "config": {"C": m.C, "gamma": m.gamma},
     },
     from_doc=_svm_from_doc,
+    config_keys=("C", "gamma"),
     train_cap=DEFAULT_SVM_TRAIN_CAP,
 )
 

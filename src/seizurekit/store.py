@@ -5,12 +5,13 @@ no feature columns: each epoch's patient, file, start and label),
 `store_info.json` and, when a demographics table is given,
 `demographics.csv`. No other module knows these files.
 
-Neither side holds a whole store in memory. `write_store` checks every
-EDF file from its header and size, writes the .npy header for the total
-count of kept epochs, then reads one EDF file at a time and writes its
-kept windows, a few channels at a time, to their places in the
-epoch-major file. `read_store_blocks` reads `epochs.npy` a few MB at a
-time with plain file reads.
+Neither side holds a whole store, or a whole EDF file, in memory.
+`write_store` checks every EDF file from its header and size, writes the
+.npy header for the total count of kept epochs, then reads each EDF file
+one chunk of data records at a time: a chunk's kept epochs, all channels
+converted and high-passed, are one contiguous stretch of the epoch-major
+file, written at its place. `read_store_blocks` reads `epochs.npy` a few
+MB at a time with plain file reads.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ import numpy as np
 
 from .domains import Domain, check_params
 from .edf import EdfHeader, parse_edf_header, parse_seizure_summary, read_edf_header
-from .epochs import DOMAINS, TASKS, EpochPlan, Epochs, plan_epochs
+from .epochs import (
+    _MIN_SCAN_BLOCKS, _SCAN_BLOCK, DOMAINS, TASKS, EpochPlan, Epochs, plan_epochs
+)
 from .errors import ConfigError, DataError, read_utf8, write_json
 from .features import FeatureMatrix, read_feature_csv, write_feature_csv
 from .version import SPEC_VERSION
@@ -35,9 +38,9 @@ EPOCHS, META, INFO, DEMOGRAPHICS = "epochs.npy", "meta.csv", "store_info.json", 
 
 _AGE = Domain(float, 0)
 
-# Bytes of one file's kept windows that write_store gathers before writing
-# them: as many channels as fit, at least one.
-_WRITE_BLOCK = 16 << 20
+# Bytes of epochs, over all channels, in one chunk of an EDF file that
+# write_store reads, converts, filters and writes at a time (_chunk_bounds).
+_WRITE_BLOCK = 4 << 20
 # Bytes of epochs that read_store_blocks reads at a time.
 _READ_BLOCK = 4 << 20
 
@@ -198,32 +201,65 @@ def _write_epochs(path: Path, sources, n_channels: int, window: int) -> None:
 
 def _write_source(fd: int, s: _Source, at: int, n_channels: int, window: int) -> None:
     """Write one source's kept epochs as the rows, from byte at of fd on, of
-    an epoch-major float64 (epochs, n_channels, window) array, holding the
-    EDF file's bytes and a group of channels' kept windows at a time.
+    an epoch-major float64 (epochs, n_channels, window) array, reading the
+    EDF file one chunk of data records at a time (_chunk_bounds).
 
-    Each channel is converted and filtered whole (EdfHeader.signal, then
-    EpochPlan.windows), so every sample is the one the library path gives.
-    A group of channels fills a (kept, channels in group, window) buffer of
-    about _WRITE_BLOCK bytes; each epoch's part of it is one contiguous
-    stretch of the file, written at its place.
+    Each channel of a chunk is converted (EdfHeader.signal) and filtered
+    (EpochPlan.windows, which carries the channel's high-pass state from
+    one chunk to the next) into a (kept, channels, window) buffer, so that
+    every sample is the one the library path gives. The buffer is one
+    contiguous stretch of the file, written with one pwrite. The file's
+    header is read again and must still be s.header, and every chunk must
+    be there in full, or the file changed while ingest read it.
     """
-    raw = s.path.read_bytes()
-    if parse_edf_header(raw, len(raw)) != s.header:
-        raise DataError(f"{s.path}: changed while ingest read it")
-    rates, k, window_bytes = s.header.sample_rate_hz, s.plan.n_kept, window * 8
-    group = min(n_channels, max(1, _WRITE_BLOCK // (k * window_bytes)))
-    buffer = np.empty((k, group, window))
-    rows = memoryview(buffer).cast("B")
-    # Each channel is converted into the last one's filtered samples: no
-    # channel-sized array is allocated, and so none is faulted in, per channel.
-    x = None
-    for c0 in range(0, n_channels, group):
-        channels = range(c0, min(c0 + group, n_channels))
-        for j, c in enumerate(channels):
-            x = s.plan.windows(s.header.signal(raw, c, out=x), rates[c], out=buffer[:, j])
-        step, width = group * window_bytes, len(channels) * window_bytes
-        for i in range(k):
-            _pwrite(fd, rows[i * step : i * step + width], at + (i * n_channels + c0) * window_bytes)
+    changed = DataError(f"{s.path}: changed while ingest read it")
+    rates, record_bytes = s.header.sample_rate_hz, s.header.record_bytes
+    spr = s.header.channels[0].samples_per_record
+    bounds = _chunk_bounds(s.header.num_records * spr, n_channels, window, spr)
+    longest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    raw = memoryview(bytearray(longest // spr * record_bytes))
+    x = np.empty(longest)  # one channel of a chunk, converted
+    buffer = np.empty(longest // window * n_channels * window)
+    states = [None] * n_channels  # each channel's high-pass state
+    with open(s.path, "rb") as fh:
+        head = fh.read(s.header.data_offset)
+        if parse_edf_header(head, os.fstat(fh.fileno()).st_size) != s.header:
+            raise changed
+        for lo, hi in zip(bounds, bounds[1:]):
+            records = raw[: (hi - lo) // spr * record_bytes]
+            if fh.readinto(records) != len(records):
+                raise changed
+            first = lo // window
+            k = np.count_nonzero(s.plan.kept[first : hi // window])
+            epochs = buffer[: k * n_channels * window].reshape(k, n_channels, window)
+            for c, fs in enumerate(rates):
+                signal = s.header.signal(records, c, out=x[: hi - lo])
+                states[c] = s.plan.windows(signal, fs, epochs[:, c], first, states[c])
+            if k:  # a chunk inside a seizure keeps no epoch for prediction
+                _pwrite(fd, memoryview(epochs).cast("B"), at)
+                at += epochs.nbytes
+
+
+def _chunk_bounds(n: int, n_channels: int, window: int, spr: int) -> list[int]:
+    """The samples [0, ..., n] at which _write_source cuts each channel of
+    n samples, spr to a data record, into chunks.
+
+    A chunk is a whole number of records, windows and high-pass scan
+    blocks, and holds about _WRITE_BLOCK bytes of epochs over n_channels
+    channels, but at least _MIN_SCAN_BLOCKS scan blocks, so that the scan
+    carried from chunk to chunk gives the whole channel's samples
+    (epochs._highpass_scan). The last chunk runs to sample n: it is the
+    remainder if that holds _MIN_SCAN_BLOCKS blocks, else the remainder
+    joined to the chunk before it. A channel shorter than one chunk is one
+    chunk, so when lcm(_SCAN_BLOCK, window, spr) is longer than the file,
+    memory is bounded by the file, not by _WRITE_BLOCK.
+    """
+    unit, least = math.lcm(_SCAN_BLOCK, window, spr), _MIN_SCAN_BLOCKS * _SCAN_BLOCK
+    size = unit * max(-(-least // unit), _WRITE_BLOCK // (8 * n_channels * unit))
+    starts = list(range(0, n, size)) or [0]
+    if len(starts) > 1 and n - starts[-1] < least:
+        starts.pop()
+    return starts + [n]
 
 
 def _pwrite(fd: int, data: memoryview, at: int) -> None:
@@ -246,7 +282,9 @@ def read_store_blocks(
     """The meta.csv rows (a FeatureMatrix with no columns), the labels and
     the epochs of the store in store_dir, the epochs as consecutive blocks
     of about block_bytes each, read as the iterator is consumed; a store
-    of no epochs gives one empty block.
+    of no epochs gives one empty block. The iterator keeps no block it has
+    given out, so a caller that lets go of each block before it asks for
+    the next holds one block at a time.
 
     A missing or malformed file, or files that disagree on the number of
     epochs, is a DataError raised before any epoch is read. epochs.npy must
@@ -287,6 +325,7 @@ def read_store_blocks(
                     raise DataError(f"{epochs_path}: changed while it was read")
                 part = meta.take(slice(start, stop))
                 yield Epochs(samples, part.patients, part.files, part.starts, duration_s=epoch_len_s)
+                del samples  # the caller's reference is now the block's only one
 
     return meta, labels, blocks()
 

@@ -20,7 +20,7 @@ from seizurekit import (
     label_prediction,
     slice_epochs,
 )
-from seizurekit.epochs import _SCAN_BLOCK
+from seizurekit.epochs import _MIN_SCAN_BLOCKS, _SCAN_BLOCK, _highpass_scan
 from tests.test_edf import make_channel
 
 
@@ -319,6 +319,35 @@ def test_denoise_matches_reference_loop(case):
         if len(x):
             assert y[0] == x[0]
             assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@st.composite
+def scan_pieces(draw):
+    """A channel cut into pieces as ingest cuts it: every piece but the last
+    a whole number of scan blocks, and each at least _MIN_SCAN_BLOCKS
+    blocks long; the last of any length that holds that many blocks."""
+    blocks = draw(st.lists(st.integers(_MIN_SCAN_BLOCKS, _MIN_SCAN_BLOCKS + 40), max_size=3))
+    least = (_MIN_SCAN_BLOCKS - 1) * _SCAN_BLOCK + 1
+    last = draw(st.sampled_from([least, _MIN_SCAN_BLOCKS * _SCAN_BLOCK]) | st.integers(least, 2 * least))
+    return [b * _SCAN_BLOCK for b in blocks] + [last]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    scan_pieces(),
+    st.floats(0, 1, exclude_min=True) | st.sampled_from([1.0, 0.5, 1 - 2**-40]),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_scan_in_pieces_equals_one_scan_of_the_whole_channel(pieces, alpha, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1e3, 1e3) + rng.uniform(1e-3, 1e2) * rng.standard_normal(sum(pieces)).cumsum()
+    whole, _ = _highpass_scan(x, alpha)
+    parts, state, at = [], None, 0
+    for length in pieces:
+        y, state = _highpass_scan(x[at : at + length], alpha, state)
+        parts.append(y)
+        at += length
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 def fm(values, patients, files, starts):

@@ -8,6 +8,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +68,9 @@ def edf_dir(tmp_path_factory):
     return d
 
 
-def library_sets(edf_dir: Path, task: str, highpass_hz) -> dict:
+def library_sets(edf_dir: Path, task: str, highpass_hz, summary: str = SUMMARY) -> dict:
     """Each parsed file's labeled epochs, as the library functions, one after the other, give them."""
-    seizures = parse_seizure_summary(SUMMARY)
+    seizures = parse_seizure_summary(summary)
     sets = {}
     for path in sorted(edf_dir.glob("*.edf")):
         try:
@@ -84,9 +85,11 @@ def library_sets(edf_dir: Path, task: str, highpass_hz) -> dict:
     return sets
 
 
-def library_store(edf_dir: Path, task: str, highpass_hz, tmp_path: Path) -> tuple[bytes, bytes]:
+def library_store(
+    edf_dir: Path, task: str, highpass_hz, tmp_path: Path, summary: str = SUMMARY
+) -> tuple[bytes, bytes]:
     """epochs.npy and meta.csv as the library functions, one after the other, give them."""
-    sets = [s for s in library_sets(edf_dir, task, highpass_hz).values() if len(s.epochs)]
+    sets = [s for s in library_sets(edf_dir, task, highpass_hz, summary).values() if len(s.epochs)]
     buf = io.BytesIO()
     np.save(buf, np.concatenate([s.epochs.samples for s in sets]))
     labels = np.concatenate([s.labels for s in sets])
@@ -163,6 +166,109 @@ def test_a_store_written_a_group_of_channels_at_a_time_equals_the_library_path(
     monkeypatch.setattr(store, "_WRITE_BLOCK", write_block)
     _write_store(edf_dir, tmp_path / "store", task=task)
     epochs_npy, meta_csv = library_store(edf_dir, task, 0.5, tmp_path)
+    assert (tmp_path / "store" / "epochs.npy").read_bytes() == epochs_npy
+    assert (tmp_path / "store" / "meta.csv").read_bytes() == meta_csv
+
+
+# At 8 Hz, 2-s epochs and one-second records, the smallest chunk is
+# _MIN_SCAN_BLOCKS scan blocks: 8,192 samples, 1,024 s. Each seizure or
+# preictal stretch below crosses a chunk edge at 1,024, 2,048 or 3,072 s,
+# and h.edf's seizure covers its second chunk, which so keeps no epoch for
+# prediction.
+LONG_SUMMARY = """\
+File Name: e.edf
+Number of Seizures in File: 2
+Seizure 1 Start Time: 1015 seconds
+Seizure 1 End Time: 1033 seconds
+Seizure 2 Start Time: 2041 seconds
+Seizure 2 End Time: 2057 seconds
+
+File Name: f.edf
+Number of Seizures in File: 2
+Seizure 1 Start Time: 2040 seconds
+Seizure 1 End Time: 2061 seconds
+Seizure 2 Start Time: 3080 seconds
+Seizure 2 End Time: 3101 seconds
+
+File Name: h.edf
+Number of Seizures in File: 1
+Seizure 1 Start Time: 1020 seconds
+Seizure 1 End Time: 2060 seconds
+"""
+
+
+@pytest.fixture(scope="module")
+def long_edf_dir(tmp_path_factory):
+    """Files of 3 channels at 8 Hz: e, f and h run over three, four and
+    three of the smallest chunks, g fits in one."""
+    d = tmp_path_factory.mktemp("long")
+    files = (("e.edf", 3500, 5), ("f.edf", 4100, 6), ("g.edf", 300, 7), ("h.edf", 3100, 8))
+    for name, seconds, seed in files:
+        (d / name).write_bytes(make_edf_bytes("chb05", seconds, n_channels=3, seed=seed))
+    (d / "summary.txt").write_text(LONG_SUMMARY, encoding="utf-8")
+    return d
+
+
+@pytest.mark.parametrize(
+    "n, write_block, bounds",
+    [
+        # The smallest chunk; 3,424 samples are left after three, too few for
+        # a chunk of their own, so the last chunk takes them.
+        (28_000, 1, [0, 8192, 16384, 28_000]),
+        (32_800, 1, [0, 8192, 16384, 24576, 32_800]),
+        # Chunks of 16,384 samples; the 11,616 left are a chunk of their own.
+        (28_000, 2 * 8192 * 3 * 8, [0, 16384, 28_000]),
+        (32_800, 2 * 8192 * 3 * 8, [0, 16384, 32_800]),
+        # A file shorter than one chunk is one chunk.
+        (2_400, 1, [0, 2_400]),
+        (28_000, 1 << 30, [0, 28_000]),
+    ],
+)
+def test_chunks_are_whole_records_windows_and_scan_blocks(monkeypatch, n, write_block, bounds):
+    monkeypatch.setattr(store, "_WRITE_BLOCK", write_block)
+    assert store._chunk_bounds(n, n_channels=3, window=16, spr=8) == bounds
+
+
+# lcm(128, 96, 48) is 384 samples, and 8,192 round up to 22 of them;
+# lcm(128, 500, 250) is 16,000 samples, more than 8,192.
+@pytest.mark.parametrize("window, spr, size", [(96, 48, 22 * 384), (500, 250, 16_000)])
+def test_a_chunk_is_a_multiple_of_the_lcm_that_holds_the_fewest_scan_blocks(
+    monkeypatch, window, spr, size
+):
+    monkeypatch.setattr(store, "_WRITE_BLOCK", 1)
+    bounds = store._chunk_bounds(10 * size, n_channels=23, window=window, spr=spr)
+    assert bounds == list(range(0, 10 * size + 1, size))
+
+
+@pytest.mark.parametrize("task", ["detection", "prediction"])
+@pytest.mark.parametrize("highpass_hz", [None, 0.5])
+@pytest.mark.parametrize(
+    "write_block, chunks",
+    [(1, 3 + 4 + 1 + 3), (2 * 8192 * 3 * 8, 2 + 2 + 1 + 2), (1 << 30, 4)],
+    ids=["smallest", "middle", "whole"],
+)
+def test_a_store_written_a_chunk_at_a_time_equals_the_library_path(
+    long_edf_dir, tmp_path, monkeypatch, task, highpass_hz, write_block, chunks
+):
+    """e.edf, f.edf, g.edf and h.edf are read in chunks of 8,192 or 16,384
+    samples, or whole, with one write per chunk that keeps epochs; the
+    bytes written do not change."""
+    calls = []
+
+    def counted(fd, data, at):
+        calls.append(len(data))
+        return pwrite(fd, data, at)
+
+    pwrite = store._pwrite
+    monkeypatch.setattr(store, "_pwrite", counted)
+    monkeypatch.setattr(store, "_WRITE_BLOCK", write_block)
+    (_, failures, _), _ = _write_store(
+        long_edf_dir, tmp_path / "store", task=task, highpass_hz=highpass_hz,
+        summaries=[long_edf_dir / "summary.txt"],
+    )
+    empty = 1 if (task, write_block) == ("prediction", 1) else 0  # h.edf's second chunk
+    assert not failures and len(calls) == chunks - empty and all(calls)
+    epochs_npy, meta_csv = library_store(long_edf_dir, task, highpass_hz, tmp_path, LONG_SUMMARY)
     assert (tmp_path / "store" / "epochs.npy").read_bytes() == epochs_npy
     assert (tmp_path / "store" / "meta.csv").read_bytes() == meta_csv
 
@@ -371,6 +477,38 @@ def test_ingest_and_featurize_peak_memory_does_not_grow_with_the_store(tmp_path)
     assert rise <= FEATURIZE_SLACK_MB, f"featurize rose {rise:.1f} MB on a {store_mb:.0f} MB store"
 
 
+# ingest of a 40-min, 23-channel, 256 Hz file may peak this many MB above
+# ingest of a 10-min one: it reads, converts, filters and writes a chunk of
+# records at a time. Measured (Linux, Python 3.11, numpy 2.4): 40.6 and
+# 42.3 MB (the 40-min file's last chunk also takes the 24 s left over), and
+# 40.8 MB for 60 min, against 61.4, 94.9 and 118.1 MB when each file was
+# read and filtered whole.
+INGEST_LENGTH_SLACK_MB = 3.0
+
+
+def _repeated(raw: bytes, times: int) -> bytes:
+    """The EDF file raw with its data records repeated times over."""
+    header_bytes = int(raw[184:192])
+    num_records = str(int(raw[236:244]) * times).ljust(8).encode("ascii")
+    return raw[:236] + num_records + raw[244:header_bytes] + raw[header_bytes:] * times
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux's ru_maxrss in KiB")
+def test_ingest_peak_memory_does_not_grow_with_the_recording_length(tmp_path):
+    raw = make_edf_bytes("p01", 600, rate_hz=256, n_channels=23)
+    peaks = {}
+    for minutes in (10, 40):
+        (tmp_path / f"m{minutes}").mkdir()
+        (tmp_path / f"m{minutes}" / "p01.edf").write_bytes(_repeated(raw, minutes // 10))
+        peaks[minutes] = _child_peak_mb(
+            "from seizurekit.cli import main; raise SystemExit(main(['ingest', '--edf-dir', "
+            f"'m{minutes}', '--highpass', '0.5', '--out', 'store{minutes}']))",
+            tmp_path,
+        )
+    assert np.load(tmp_path / "store40" / "epochs.npy", mmap_mode="r").shape == (1200, 23, 512)
+    assert peaks[40] <= peaks[10] + INGEST_LENGTH_SLACK_MB, f"ingest peaked at {peaks} MB"
+
+
 @pytest.fixture(scope="module")
 def wide_store(tmp_path_factory):
     """A store of 100 epochs of 23 channels at 256 Hz: 94 KB an epoch, so
@@ -402,6 +540,30 @@ def test_featurize_in_blocks_equals_featurizing_the_whole_store(
     fm = seizurekit.extract_features(epochs, pool_channels=pool_channels)
     write_feature_csv(fm, labels, tmp_path / "whole.csv")
     assert (tmp_path / "feat" / "features.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+# featurize's heap may peak this many MB above one read block plus the
+# feature rows (twice: the rows of each block, then all of them as one
+# array): extract_features' temporaries. Measured: 1.1 MB on a 4 MB block,
+# where holding the previous block through the next read measured 4.0 MB.
+FEATURIZE_HEAP_SLACK_MB = 2.0
+
+
+def test_featurize_holds_one_read_block_at_a_time(wide_store, tmp_path):
+    epoch_bytes = 23 * 512 * 8
+    block_mb = store._READ_BLOCK // epoch_bytes * epoch_bytes / 2**20
+    rows_mb = 2 * 100 * 23 * 4 * 8 / 2**20
+    argv = ["featurize", "--store", str(wide_store), "--out", str(tmp_path / "feat")]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        rise = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert rise <= block_mb + rows_mb + FEATURIZE_HEAP_SLACK_MB, (
+        f"featurize's heap rose {rise:.2f} MB on {block_mb:.2f} MB blocks"
+    )
 
 
 @pytest.mark.parametrize("rows", [1, 3, 7, 100, 1000])

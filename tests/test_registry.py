@@ -79,6 +79,14 @@ def test_every_model_scores_the_same_after_save_and_load(name, data, tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("name", list(MODELS))
+def test_config_keys_are_the_keys_of_the_config_to_doc_writes(name, data):
+    fm, labels = data
+    cfg = PipelineConfig(model=name, model_params=SMALL_PARAMS.get(name, {}), seed=1)
+    model = run_holdout(fm, labels, cfg).model
+    assert set(MODELS[name].to_doc(model)["config"]) == set(MODELS[name].config_keys)
+
+
 @pytest.mark.parametrize("name", ["logreg", "lstm"])
 def test_a_model_scores_at_the_threshold_it_carries(name, data, tmp_path):
     fm, labels = data

@@ -9,6 +9,7 @@ import pytest
 
 from seizurekit import Recording
 from seizurekit.cli import main
+from seizurekit.models import MODELS
 
 from tests.test_edf import make_channel
 
@@ -348,6 +349,43 @@ def test_a_sequence_length_in_a_row_models_file_is_a_data_error(runs, tmp_path, 
         doc["config"]["sequence_length"] = 5
 
     _assert_edited_model_is_a_data_error(runs, tmp_path, capsys, name, edit)
+
+
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        ("svm", "tol", 0.5),
+        ("svm", "max_passes", 1),
+        ("lstm", "epochs", 99),
+        ("lstm", "learning_rate", 0.5),
+        ("lstm", "hidden_dim", 2),
+        ("constant", "class", 1),
+        ("svm", "seed", 0),
+        ("lstm", "seed", 0),
+        ("knn", "seed", 0),
+        ("constant", "seed", 0),
+    ],
+)
+def test_a_training_key_the_model_file_does_not_write_is_a_data_error(
+    runs, tmp_path, capsys, name, key, value
+):
+    """A model file's config holds only what its type's to_doc writes, plus
+    the carried threshold and sequence_length; a training parameter it
+    would silently ignore is refused."""
+    def edit(doc):
+        doc["config"][key] = value
+
+    _assert_edited_model_is_a_data_error(runs, tmp_path, capsys, name, edit)
+
+
+@pytest.mark.parametrize("name", ["logreg", "rf"])
+def test_logreg_and_rf_files_keep_their_seed_and_training_keys(runs, tmp_path, name):
+    root, features = runs
+    model = root / name / "model.json"
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    assert set(doc["config"]) == {*MODELS[name].defaults, "seed"} - {"threshold"}
+    argv = ["predict", "--features", str(features), "--model", str(model), "--out", str(tmp_path / "p")]
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize(
