@@ -51,7 +51,7 @@ from .features import (
     read_feature_csv,
     write_feature_csv,
 )
-from .pipeline import PipelineConfig, RunResult, evaluate_split, run_cv, run_holdout
+from .pipeline import PipelineConfig, RunResult, evaluate_split, run_cv, run_eval, run_holdout
 from .smote import SmoteConfig, smote
 from .synthetic import SynthConfig, generate_synthetic, generate_synthetic_recordings
 from .version import SPEC_VERSION
@@ -100,6 +100,7 @@ __all__ = [
     "read_feature_csv",
     "roc_auc",
     "run_cv",
+    "run_eval",
     "run_holdout",
     "slice_epochs",
     "smote",

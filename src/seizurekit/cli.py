@@ -29,12 +29,13 @@ import numpy as np
 from . import store
 from .domains import check_params, has_type
 from .epochs import TASKS
-from .errors import ConfigError, DataError, LeakageError, json_text, write_json
-from .evaluation import FOLD_DOMAINS, assert_patient_disjoint
+from .errors import ConfigError, DataError, LeakageError, json_text, write_csv, write_json
+from .evaluation import FOLD_DOMAINS
 from .features import extract_features, read_feature_csv, scaler_doc, write_feature_csv
 from .models import MODELS, load_model, save_model, spec_for
 from .pipeline import (
-    PipelineConfig, holdout_split, run_cv, run_holdout, score_features, scoring_point, window_length
+    FOLD_METRICS, PipelineConfig, run_cv, run_eval, run_holdout, score_features, scoring_point,
+    window_length,
 )
 from .synthetic import SynthConfig, generate_synthetic
 from .version import SPEC_VERSION
@@ -191,11 +192,11 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_roc_csv(path: Path, points) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("fpr,tpr\n")
-        for fpr, tpr in points:
-            fh.write(f"{repr(float(fpr))},{repr(float(tpr))}\n")
+def _write_report(path: Path, report: dict) -> None:
+    """Write report to path, but its ROC points, if any, to roc.csv beside it."""
+    if "roc_points" in report:
+        write_csv(path.parent / "roc.csv", "fpr,tpr", list(zip(*report.pop("roc_points"))))
+    write_json(path, report)
 
 
 # ---------------------------------------------------------------- synth
@@ -312,9 +313,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     save_model(result.model, result.scaler, result.fit_patients, out / "model.json")
     write_json(out / "scaler.json", scaler_doc(result.scaler))
-    if "roc_points" in result.report:
-        _write_roc_csv(out / "roc.csv", result.report.pop("roc_points"))
-    write_json(out / "report.json", result.report)
+    _write_report(out / "report.json", result.report)
     _write_manifest(out, "train", opts, cfg.seed, {"features.csv": args.features})
     acc = result.report.get("accuracy")
     rec = result.report.get("recall")
@@ -345,22 +344,11 @@ def cmd_eval(args) -> int:
     if fitting:
         raise ConfigError(f"model_params {fitting} only apply when fitting; eval takes threshold")
     fm, labels = read_feature_csv(args.features)
-
-    rows, split = holdout_split(fm, cfg, _explicit_split(opts))
-    test_idx = rows["test"]
-    assert_patient_disjoint(fm.patients[rows["train"]], fm.patients[test_idx])
-
-    data, _, _, report = score_features(model, scaler, fm.take(test_idx), labels[test_idx])
-    # Scoring first makes a file of another feature layout a DataError, not a name clash.
-    fitted_on = sorted(set(fit_patients) & set(map(str, fm.patients[test_idx])))
-    if fitted_on:
-        raise LeakageError(f"test patient(s) {fitted_on} helped fit the model in {args.model_file}")
+    report = run_eval(
+        fm, labels, model, scaler, fit_patients, cfg, _explicit_split(opts), args.model_file
+    )
     out = _out_dir(args)
-    if "roc_points" in report:
-        _write_roc_csv(out / "roc.csv", report.pop("roc_points"))
-    report["n_test_rows"] = int(len(data))
-    report["test_patients"] = split["test_patients"]
-    write_json(out / "metrics.json", report)
+    _write_report(out / "metrics.json", report)
     _write_manifest(
         out, "eval", opts, cfg.seed, {"features.csv": args.features, "model.json": args.model_file}
     )
@@ -382,29 +370,13 @@ def cmd_cv(args) -> int:
     for report in result["folds"]:
         report.pop("roc_points", None)
         write_json(out / f"fold_{report['fold']}.json", report)
-    summary = {
-        "k": opts["k"],
-        "seed": cfg.seed,
-        "metrics": result["summary"],
-        "formatted": {
-            name: (
-                f"{stats['mean'] * 100:.2f}% (±{stats['std'] * 100:.2f}%)"
-                if name != "auc"
-                else f"{stats['mean']:.4f} (±{stats['std']:.4f})"
-            )
-            for name, stats in sorted(result["summary"].items())
-        },
-    }
-    write_json(out / "summary.json", summary)
-    with open(out / "folds.csv", "w", encoding="utf-8", newline="\n") as fh:
-        metric_names = ["accuracy", "precision", "recall", "f1", "auc"]
-        fh.write("fold," + ",".join(metric_names) + "\n")
-        for report in result["folds"]:
-            cells = [str(report["fold"])]
-            cells += [repr(float(report[m])) if m in report else "" for m in metric_names]
-            fh.write(",".join(cells) + "\n")
+    write_json(out / "summary.json", {
+        "k": result["k"], "seed": result["seed"], "metrics": result["summary"], "formatted": result["formatted"],
+    })
+    columns = ("fold", *FOLD_METRICS)
+    write_csv(out / "folds.csv", ",".join(columns), [[r.get(c) for r in result["folds"]] for c in columns])
     _write_manifest(out, "cv", opts, cfg.seed, {"features.csv": args.features})
-    acc = summary["formatted"].get("accuracy", "n/a")
+    acc = result["formatted"].get("accuracy", "n/a")
     print(
         f"cv[{cfg.model}{'+smote' if cfg.use_smote else ''}, k={opts['k']}]: "
         f"accuracy {acc} -> {out}"
@@ -425,15 +397,12 @@ def cmd_predict(args) -> int:
         raise DataError(f"{args.scaler_file} is not the scaler in {args.model_file}; drop --scaler")
     fm, _ = read_feature_csv(args.features)
     data, classes, scores, _ = score_features(model, scaler, fm, None)
-    rows = zip(data.patients, data.files, data.starts, scores, classes)
-
     out = _out_dir(args)
-    with open(out / "predictions.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("patient,file,start_s,score,class\n")
-        for patient, fname, start, score, cls in rows:
-            fh.write(
-                f"{patient},{fname},{repr(float(start))},{repr(float(score))},{int(cls)}\n"
-            )
+    write_csv(
+        out / "predictions.csv",
+        "patient,file,start_s,score,class",
+        [data.patients, data.files, data.starts, scores, classes],
+    )
     inputs = {"features.csv": args.features, "model.json": args.model_file}
     if args.scaler_file:
         inputs["scaler.json"] = args.scaler_file

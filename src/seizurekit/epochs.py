@@ -300,8 +300,6 @@ class EpochPlan:
     starts: np.ndarray  # (n,) every whole window's start
     kept: np.ndarray  # (n,) bool, the windows that become epochs
     labels: np.ndarray  # (kept,) int64
-    task: str
-    epoch_len_s: float
     highpass_hz: float | None
 
     @property
@@ -329,17 +327,6 @@ class EpochPlan:
         np.compress(kept, x[: n * self.window].reshape(n, self.window), axis=0, out=out)
         return state
 
-    def labeled(self, samples: np.ndarray, patient: str, file_name: str) -> LabeledEpochSet:
-        """The kept epochs with these (kept, channels, window) samples."""
-        epochs = Epochs(
-            samples=samples,
-            patients=np.full(self.n_kept, patient, dtype=object),
-            files=np.full(self.n_kept, file_name, dtype=object),
-            starts=self.starts[self.kept],
-            duration_s=self.epoch_len_s,
-        )
-        return LabeledEpochSet(epochs=epochs, labels=self.labels, task=self.task)
-
 
 def plan_epochs(
     n_samples: int,
@@ -362,47 +349,7 @@ def plan_epochs(
         kept, labels = _prediction_labels(starts, epoch_len_s, seizures, horizon_s)
     else:
         kept, labels = np.ones(len(starts), dtype=bool), _detection_labels(starts, epoch_len_s, seizures)
-    return EpochPlan(window, starts, kept, labels, task, epoch_len_s, highpass_hz)
-
-
-def stream_labeled_epochs(
-    signals: list,
-    rates,
-    seizures: list[SeizureInterval],
-    task: str = "detection",
-    *,
-    epoch_len_s: float = 2.0,
-    horizon_s: float = 300.0,
-    highpass_hz: float | None = None,
-    patient: str = "",
-    file_name: str = "",
-) -> LabeledEpochSet:
-    """One recording's labeled epochs, as the library path gives them:
-    ``label_<task>(slice_epochs(denoise(r, highpass_hz), epoch_len_s,
-    file_name), seizures)`` for a recording r of patient ``patient`` whose
-    channel c holds ``signals[c]`` at ``rates[c]`` Hz.
-
-    Each sample is copied about once. plan_epochs finds the kept epochs
-    and their labels before any sample is read; then each channel's kept
-    windows (EpochPlan.windows) go into one channel-major (channels, kept,
-    window) float64 buffer, and ``signals[c]`` is set to None, so that a
-    caller holding no other reference frees each channel as the buffer
-    fills. ``samples`` is that buffer seen as (kept, channels, window).
-    The same ConfigError and DataError as the library path come before any
-    channel is touched.
-    """
-    n_samples = len(signals[0]) if signals else 0
-    plan = plan_epochs(
-        n_samples, rates if signals else (), seizures, task,
-        epoch_len_s=epoch_len_s, horizon_s=horizon_s, highpass_hz=highpass_hz,
-    )
-    # Channel-major: a channel's pages are first touched as it is written,
-    # while the parsed channels before it are already freed.
-    buffer = np.empty((len(signals), plan.n_kept, plan.window))
-    for c, fs in enumerate(rates):
-        x, signals[c] = signals[c], None
-        plan.windows(x, fs, out=buffer[c])
-    return plan.labeled(buffer.transpose(1, 0, 2), patient, file_name)
+    return EpochPlan(window, starts, kept, labels, highpass_hz)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
-"""Exception types shared across the toolkit, and the UTF-8 reader and JSON
-writer that every module uses.
+"""Exception types shared across the toolkit, and the UTF-8 reader and the
+JSON and CSV writers that every module uses.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 LeakageError -> 3.
 """
 
 import json
+import re
 from pathlib import Path
 
 
@@ -46,3 +47,41 @@ def write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, **_JSON_LAYOUT)
         fh.write("\n")
+
+
+# Characters a CSV text cell cannot hold.
+_FIELD_BREAK = re.compile("[,\n\r]")
+
+
+def _cell(value) -> str:
+    """The text of one CSV cell (see write_csv)."""
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def write_csv(path, header, columns) -> None:
+    """Write a table to path as CSV, UTF-8 with LF line ends: the header
+    line, then one line per row. Each column is a sequence of cells, or a
+    2-D numeric array that stands for its columns.
+
+    The one cell rule: a float is written as repr(), the shortest decimal
+    that parses back to the same float; an int or a str as str(); a missing
+    value (None) as an empty cell. A text cell that holds a comma or a line
+    break is a DataError, raised before the file is opened.
+    """
+    cells = []  # each column's text, made row by row as the rows are written
+    for column in columns:
+        if getattr(column, "ndim", 1) == 2:
+            if column.shape[1]:  # a block of no columns adds no cell
+                # tolist gives ints and floats, whose repr is _cell's text.
+                cells.append(",".join(map(repr, row.tolist())) for row in column)
+            continue
+        for text in dict.fromkeys(column):
+            if isinstance(text, str) and _FIELD_BREAK.search(text):
+                raise DataError(f"{path}: name {str(text)!r} holds a comma or line break")
+        cells.append(map(_cell, column))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in zip(*cells):
+            fh.write(",".join(row) + "\n")

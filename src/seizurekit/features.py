@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .epochs import Epochs
-from .errors import DataError, read_utf8
+from .errors import DataError, read_utf8, write_csv
 from .version import SPEC_VERSION
 
 
@@ -140,35 +140,18 @@ def csv_header(n_dims: int) -> str:
     return ",".join(["patient", "file", "start_s", "label", *(f"f{i}" for i in range(n_dims))])
 
 
-# Characters the feature CSV cannot carry inside a patient or file name.
-_FIELD_BREAK = re.compile("[,\n\r]")
-
-
 def write_feature_csv(m: FeatureMatrix, labels: np.ndarray, path) -> None:
-    """Write rows as `patient,file,start_s,label,f0..f{d-1}`, UTF-8 with LF.
-
-    Floats are written as repr(), the shortest decimal that parses back to
-    the same float. A patient or file name holding a comma or a line break
-    is a DataError, raised before the file is opened.
+    """Write rows as `patient,file,start_s,label,f0..f{d-1}` with
+    errors.write_csv: start_s and the features as floats, a label as an
+    int. A patient or file name holding a comma or a line break is a
+    DataError, raised before the file is opened.
     """
     labels = np.asarray(labels)
     if len(labels) != m.n_rows:
         raise DataError(f"{len(labels)} labels for {m.n_rows} rows")
-    for name in dict.fromkeys(itertools.chain(m.patients, m.files)):
-        if _FIELD_BREAK.search(str(name)):
-            raise DataError(f"{path}: name {str(name)!r} holds a comma or line break")
-    rows = zip(
-        m.patients,
-        m.files,
-        m.starts.astype(np.float64, copy=False).tolist(),
-        labels.tolist(),
-        m.values.astype(np.float64, copy=False),
-    )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_header(m.n_dims) + "\n")
-        for patient, file, start, label, values in rows:
-            cells = [str(patient), str(file), repr(start), str(int(label)), *map(repr, values.tolist())]
-            fh.write(",".join(cells) + "\n")
+    starts, values = (a.astype(np.float64, copy=False) for a in (m.starts, m.values))
+    columns = [m.patients, m.files, starts, labels.astype(np.int64), values]
+    write_csv(path, csv_header(m.n_dims), columns)
 
 
 # np.loadtxt's message for a number it cannot parse; row counts from 0 over

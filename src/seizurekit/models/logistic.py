@@ -44,7 +44,7 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function, overflow-safe for any finite input."""
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))  # exp(-z) for z >= 0, exp(z) below, never above 1
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _sample_weights(y: np.ndarray, class_weights: dict | None) -> np.ndarray:

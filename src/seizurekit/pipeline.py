@@ -7,9 +7,11 @@ models/registry.py, and score_features scores every model, fresh or
 loaded from its file, on raw feature rows; a sequence model reads
 build_sequences windows where the others read rows, each at the threshold
 and window length the model carries (see scoring_point).
-A patient-disjointness gate guards every evaluation; the only way around
-it is the explicit allow_leaky_split switch, which exists to demonstrate
-how optimistic row-level splits are.
+A patient-disjointness gate guards every evaluation: run_holdout, run_cv
+and run_eval, which scores a saved model and also refuses a test patient
+that helped fit it. The only way around the gate is run_holdout's
+allow_leaky_split switch, which exists to demonstrate how optimistic
+row-level splits are.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .domains import Domain, check_params, domains_of, param
 from .epochs import SEQUENCE_LENGTH, SequenceDataset, build_sequences
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, LeakageError
 from .evaluation import (
     assert_patient_disjoint,
     check_split_ratios,
@@ -335,10 +337,50 @@ def run_holdout(
     return result
 
 
+def run_eval(
+    fm: FeatureMatrix,
+    labels: np.ndarray,
+    model,
+    scaler: Scaler,
+    fit_patients,
+    cfg: PipelineConfig,
+    explicit=None,
+    model_file=None,
+) -> dict:
+    """The report of a trained model, as load_model returns it (model,
+    scaler, fit_patients), scored on the test rows of holdout_split's split.
+
+    The leakage gate has two parts: the split's train and test patients
+    must be disjoint, and no test patient may be among fit_patients, the
+    patients that helped fit the model (in model_file, which the message
+    names). The rows are scored before the second part, so that a file of
+    another feature layout is a DataError, not a name clash.
+    """
+    if cfg.allow_leaky_split:
+        raise ConfigError("eval does not support the leaky split")
+    rows, split = holdout_split(fm, cfg, explicit)
+    test_idx = rows["test"]
+    assert_patient_disjoint(fm.patients[rows["train"]], fm.patients[test_idx])
+    data, _, _, report = score_features(model, scaler, fm.take(test_idx), labels[test_idx])
+    fitted_on = sorted(set(fit_patients) & set(map(str, fm.patients[test_idx])))
+    if fitted_on:
+        where = f" in {model_file}" if model_file else ""
+        raise LeakageError(f"test patient(s) {fitted_on} helped fit the model{where}")
+    report["n_test_rows"] = int(len(data))
+    report["test_patients"] = split["test_patients"]
+    return report
+
+
+# The metrics run_cv summarizes over the folds, in the order folds.csv lists them.
+FOLD_METRICS = ("accuracy", "precision", "recall", "f1", "auc")
+
+
 def run_cv(
     fm: FeatureMatrix, labels: np.ndarray, cfg: PipelineConfig, k: int = 5
 ) -> dict:
-    """Patient-wise k-fold CV: per-fold reports plus mean/std summary."""
+    """Patient-wise k-fold CV: per-fold reports, the mean/std summary of
+    each of FOLD_METRICS, and that summary as text (`formatted`): a
+    percentage, or the AUC to four places."""
     if cfg.allow_leaky_split:
         raise ConfigError("cross-validation does not support the leaky split")
     folds = kfold_patients(sorted(set(fm.patients)), k=k, seed=cfg.seed)
@@ -351,14 +393,13 @@ def run_cv(
         report["fold"] = i
         report["test_patients"] = list(test_p)
         fold_reports.append(report)
-    summary = summarize_folds(
-        [
-            {
-                key: r[key]
-                for key in ("accuracy", "precision", "recall", "f1", "auc")
-                if key in r
-            }
-            for r in fold_reports
-        ]
-    )
-    return {"folds": fold_reports, "summary": summary, "k": k, "seed": cfg.seed}
+    summary = summarize_folds([{m: r[m] for m in FOLD_METRICS if m in r} for r in fold_reports])
+    formatted = {
+        name: (
+            f"{stats['mean'] * 100:.2f}% (±{stats['std'] * 100:.2f}%)"
+            if name != "auc"
+            else f"{stats['mean']:.4f} (±{stats['std']:.4f})"
+        )
+        for name, stats in summary.items()
+    }
+    return {"folds": fold_reports, "summary": summary, "formatted": formatted, "k": k, "seed": cfg.seed}

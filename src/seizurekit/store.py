@@ -30,7 +30,7 @@ from .edf import EdfHeader, parse_edf_header, parse_seizure_summary, read_edf_he
 from .epochs import (
     _MIN_SCAN_BLOCKS, _SCAN_BLOCK, DOMAINS, TASKS, EpochPlan, Epochs, plan_epochs
 )
-from .errors import ConfigError, DataError, read_utf8, write_json
+from .errors import ConfigError, DataError, read_utf8, write_csv, write_json
 from .features import FeatureMatrix, read_feature_csv, write_feature_csv
 from .version import SPEC_VERSION
 
@@ -91,7 +91,7 @@ def write_store(
                 intervals[fname].extend(ivs)
             else:
                 warn(f"summary references missing file {fname!r}; intervals ignored")
-    demographics_rows = _demographics_rows(Path(demographics)) if demographics else None
+    demographics_table = _demographics_table(Path(demographics)) if demographics else None
 
     sources = []  # the files that have epochs
     counts, failures = {}, {}
@@ -136,9 +136,8 @@ def write_store(
         "spec_version": SPEC_VERSION,
     }
     write_json(out / INFO, info)
-    if demographics_rows:
-        with open(out / DEMOGRAPHICS, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(demographics_rows) + "\n")
+    if demographics_table is not None:
+        write_csv(out / DEMOGRAPHICS, "kind,key,count", demographics_table)
     inputs = [p for p in edf_paths if p.name in counts] + [Path(s) for s in summaries]
     return counts, failures, inputs + ([Path(demographics)] if demographics else [])
 
@@ -155,9 +154,10 @@ def _source(path: Path, seizures, *, task, **params) -> _Source:
     return _Source(path, header, plan, patient)
 
 
-def _demographics_rows(path: Path) -> list[str]:
-    """The lines of demographics.csv for a patient,age,gender table: the
-    count of each gender, then of each decade of age."""
+def _demographics_table(path: Path) -> list[tuple]:
+    """The kind, key and count columns of demographics.csv for a
+    patient,age,gender table: the count of each gender, then of each decade
+    of age."""
     lines = read_utf8(path).splitlines()
     if not lines or lines[0].strip().lower() != "patient,age,gender":
         raise DataError(f"{path}: expected header 'patient,age,gender'")
@@ -176,11 +176,9 @@ def _demographics_rows(path: Path) -> list[str]:
             raise DataError(f"{path}:{ln}: age {cells[1]!r} must be {_AGE}")
         genders[cells[2] or "unknown"] += 1
         decades[int(age // 10) * 10] += 1
-    return (
-        ["kind,key,count"]
-        + [f"gender,{g},{genders[g]}" for g in sorted(genders)]
-        + [f"age,{lo}-{lo + 9},{decades[lo]}" for lo in sorted(decades)]
-    )
+    rows = [("gender", g, n) for g, n in sorted(genders.items())]
+    rows += [("age", f"{lo}-{lo + 9}", n) for lo, n in sorted(decades.items())]
+    return list(zip(*rows))
 
 
 def _write_epochs(path: Path, sources, n_channels: int, window: int) -> None:

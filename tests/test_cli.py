@@ -352,6 +352,25 @@ def test_lstm_train_and_predict_reruns_are_byte_identical(tmp_path, synth_dir):
     assert a == b
 
 
+def test_eval_and_cv_reruns_are_byte_identical(tmp_path, synth_dir, trained_dir):
+    cfg = tmp_path / "cv.json"
+    cfg.write_text(json.dumps({"model": "logreg", "model_params": {"max_iters": 40}}), encoding="utf-8")
+    features = str(synth_dir / "features.csv")
+    for name in ("a", "b"):
+        assert main([
+            "eval", "--features", features, "--model", str(trained_dir / "model.json"),
+            "--out", str(tmp_path / name / "eval"),
+        ]) == 0
+        assert main([
+            "cv", "--features", features, "--config", str(cfg), "--k", "3", "--seed", "2",
+            "--out", str(tmp_path / name / "cv"),
+        ]) == 0
+    a, b = _tree_bytes(tmp_path / "a"), _tree_bytes(tmp_path / "b")
+    # eval: metrics, roc, manifest; cv: 3 folds, folds.csv, summary, manifest
+    assert len(a) == 9
+    assert a == b
+
+
 def test_contaminated_explicit_split_exits_3(tmp_path, synth_dir, capsys):
     cfg = tmp_path / "leaky.json"
     cfg.write_text(

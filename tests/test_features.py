@@ -24,6 +24,7 @@ from seizurekit import (
     write_feature_csv,
 )
 from seizurekit import features
+from seizurekit.errors import write_csv
 from seizurekit.features import csv_header
 
 
@@ -354,6 +355,25 @@ def test_csv_names_with_comma_or_line_break_are_refused(tmp_path, field, name):
     path = tmp_path / "bad.csv"
     with pytest.raises(DataError, match="comma or line break"):
         write_feature_csv(FeatureMatrix(**{**vars(m), field: names}), np.array([0, 1]), path)
+    assert not path.exists()
+
+
+def test_write_csv_cell_rule(tmp_path):
+    # A float as repr, an int or a str as str, None as an empty cell; a 2-D
+    # block stands for its columns, and one of no columns adds no cell.
+    path = tmp_path / "t.csv"
+    columns = [
+        np.array(["P1", "P2"], dtype=object), [1, np.int64(2)], [np.float64(0.1), None],
+        np.array([[1.0, 2.5], [1e-300, -0.0]]), np.zeros((2, 0)),
+    ]
+    write_csv(path, "p,n,x,a,b", columns)
+    assert path.read_bytes() == b"p,n,x,a,b\nP1,1,0.1,1.0,2.5\nP2,2,,1e-300,-0.0\n"
+
+
+def test_write_csv_refuses_a_text_cell_with_a_break_before_opening(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(DataError, match=re.escape(r"'a\rb' holds a comma or line break")):
+        write_csv(path, "x,p", [[1.5, 2.5], ["ok", "a\rb"]])
     assert not path.exists()
 
 

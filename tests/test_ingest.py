@@ -24,8 +24,8 @@ from seizurekit.epochs import (
     denoise,
     label_detection,
     label_prediction,
+    plan_epochs,
     slice_epochs,
-    stream_labeled_epochs,
 )
 from seizurekit import store
 from seizurekit.store import read_store, read_store_blocks, write_store
@@ -361,25 +361,28 @@ def test_streamed_epochs_equal_the_library_path(case, task):
             return label_detection(epochs, seizures)
         return label_prediction(epochs, seizures, horizon_s=HORIZON_S)
 
-    signals = list(rec.signals)
-    got = _outcome(
-        lambda: stream_labeled_epochs(
-            signals, rec.sample_rate_hz, seizures, task, epoch_len_s=epoch_len_s,
-            horizon_s=HORIZON_S, highpass_hz=highpass_hz, patient=rec.patient_id, file_name="f.edf",
+    def streamed():
+        # store._write_source's calls: the plan, then each channel's kept windows.
+        n_samples = len(rec.signals[0]) if rec.signals else 0
+        plan = plan_epochs(
+            n_samples, rec.sample_rate_hz, seizures, task, epoch_len_s=epoch_len_s,
+            horizon_s=HORIZON_S, highpass_hz=highpass_hz,
         )
-    )
+        samples = np.empty((plan.n_kept, len(rec.signals), plan.window))
+        for c, fs in enumerate(rec.sample_rate_hz):
+            plan.windows(rec.signals[c], fs, out=samples[:, c])
+        return {"plan": plan, "samples": samples}
+
+    got = _outcome(streamed)
     want = _outcome(library)
     if isinstance(want, tuple):
         assert got == want
         return
-    assert got.task == want.task
-    assert np.array_equal(got.labels, want.labels) and got.labels.dtype == want.labels.dtype
-    assert got.epochs.samples.shape == want.epochs.samples.shape
-    assert np.array_equal(got.epochs.samples, want.epochs.samples)
-    for field in ("patients", "files", "starts"):
-        assert np.array_equal(getattr(got.epochs, field), getattr(want.epochs, field))
-    assert got.epochs.duration_s == want.epochs.duration_s
-    assert signals == [None] * len(signals)  # each parsed channel was let go
+    plan, samples = got["plan"], got["samples"]
+    assert np.array_equal(plan.labels, want.labels) and plan.labels.dtype == want.labels.dtype
+    assert samples.shape == want.epochs.samples.shape
+    assert np.array_equal(samples, want.epochs.samples)
+    assert np.array_equal(plan.starts[plan.kept], want.epochs.starts)
 
 
 # Runs argv[1] in a child and prints its exit code and ru_maxrss (KiB).

@@ -14,6 +14,7 @@ from seizurekit import (
     evaluate_split,
     generate_synthetic,
     run_cv,
+    run_eval,
     run_holdout,
 )
 from seizurekit.pipeline import (
@@ -235,6 +236,31 @@ def test_cv_folds_partition_patients(small_data):
     assert out["summary"]["accuracy"]["std"] == pytest.approx(np.std(accs, ddof=1))
     for r in out["folds"]:
         assert "fold" in r and "auc" in r
+
+
+def test_run_eval_scores_a_trained_model_on_its_own_test_split(small_data):
+    fm, y = small_data
+    result = run_holdout(fm, y, config())
+    report = run_eval(fm, y, result.model, result.scaler, result.fit_patients, config())
+    assert report["test_patients"] == result.report["split"]["test_patients"]
+    for key in ("accuracy", "recall", "auc", "n_test_rows"):
+        assert report[key] == result.report[key]
+
+
+def test_run_eval_gates_leakage_without_the_cli(small_data):
+    fm, y = small_data
+    result = run_holdout(fm, y, config())
+    trained = (result.model, result.scaler, result.fit_patients)
+    fitted, tested = result.fit_patients[0], result.report["split"]["test_patients"]
+    # A test patient helped fit the model.
+    with pytest.raises(LeakageError, match=rf"\['{fitted}'\] helped fit the model in m.json"):
+        run_eval(fm, y, *trained, config(), explicit=((), (), (fitted,)), model_file="m.json")
+    # An explicit split puts one patient on both sides.
+    both = ((tested[0],), (), tuple(tested))
+    with pytest.raises(LeakageError, match=rf"\['{tested[0]}'\] appear in both train and test"):
+        run_eval(fm, y, *trained, config(), explicit=both)
+    with pytest.raises(ConfigError, match="leaky split"):
+        run_eval(fm, y, *trained, config(allow_leaky_split=True))
 
 
 def test_cv_rejects_leaky_mode(small_data):
