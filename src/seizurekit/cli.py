@@ -30,13 +30,7 @@ from . import store
 from .domains import check_params, has_type
 from .epochs import TASKS
 from .errors import ConfigError, DataError, LeakageError, json_text, write_csv, write_json
-from .evaluation import FOLD_DOMAINS
 from .features import extract_features, read_feature_csv, scaler_doc, write_feature_csv
-from .models import MODELS, load_model, save_model, spec_for
-from .pipeline import (
-    FOLD_METRICS, PipelineConfig, run_cv, run_eval, run_holdout, score_features, scoring_point,
-    window_length,
-)
 from .synthetic import SynthConfig, generate_synthetic
 from .version import SPEC_VERSION
 
@@ -56,14 +50,19 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out: Path, command: str, config: dict, seed: int, inputs: dict) -> None:
+def _write_manifest(
+    out: Path, command: str, config: dict, seed: int, inputs: dict, hashed: dict | None = None
+) -> None:
+    """Write the manifest; inputs maps each input's name to its path, hashed
+    to the SHA-256 of an input that was hashed as it was read."""
+    digests = {name: _sha256(Path(p)) for name, p in inputs.items()} | (hashed or {})
     write_json(
         out / "manifest.json",
         {
             "command": command,
             "config": config,
             "seed": seed,
-            "inputs": {name: _sha256(Path(p)) for name, p in sorted(inputs.items())},
+            "inputs": dict(sorted(digests.items())),
             "spec_version": SPEC_VERSION,
         },
     )
@@ -96,25 +95,14 @@ FLAG_ONLY = "flag"
 # The flag of a key spelled with dashes: --epochs-per-patient sets epochs_per_patient.
 DASHED = "--"
 
-_MODEL = {"model": (str, PipelineConfig.model, DASHED), "model_params": (dict, {}, None),
-          "sequence_length": (int, PipelineConfig.sequence_length, None)}
-_TRAINING = {
-    "smote": (bool, PipelineConfig.use_smote, DASHED),
-    "smote_k": (int, PipelineConfig.smote_k, None),
-    "smote_ratio": (float, PipelineConfig.smote_ratio, None),
-    "max_train_rows": (int, PipelineConfig.max_train_rows, None),
-}
-_SPLIT = {
-    "split_ratios": (list[float], list(PipelineConfig.split_ratios), None),
-    **{f"{side}_patients": (list[str], None, None) for side in ("train", "val", "test")},
-}
-
 # Every option of every command: config key -> (type, default, flag). A
 # default of None also admits null. build_parser makes each flag, which
 # overrides the config file: None for a key only the config file sets.
-# Each command runs with the dict _options resolves from this table, and
-# its manifest records that dict as `config`.
-OPTIONS = {
+# Each command runs with the dict _options resolves from its entry, and
+# its manifest records that dict as `config`. The entries of the commands
+# that run no model are here; _model_options holds the others, and OPTIONS
+# is all seven.
+_DATA_OPTIONS = {
     "synth": {
         "patients": (int, SynthConfig.n_patients, DASHED),
         "epochs_per_patient": (int, SynthConfig.epochs_per_patient, DASHED),
@@ -133,18 +121,59 @@ OPTIONS = {
         "demographics": (str, None, DASHED),
     },
     "featurize": {"store": (str, None, DASHED), "pool_channels": (bool, False, DASHED)},
-    "train": {
-        **_MODEL, **_TRAINING, **_SPLIT, "allow_leaky_split": (FLAG_ONLY, False, DASHED)
-    },
-    "cv": {**_MODEL, **_TRAINING, "k": (int, 5, DASHED)},
-    # eval takes the model type from the model file; its --model names that file.
-    "eval": {**_MODEL, "model": (str, None, None), **_SPLIT},
-    # None until the model file shows whether the model uses them.
-    "predict": {"threshold": (float, None, DASHED), "sequence_length": (int, None, None)},
 }
 
-# The values a flag may take where its type admits others, and the flags' help texts.
-_CHOICES = {"model": tuple(MODELS), "task": TASKS}
+
+@functools.cache
+def _model_options() -> tuple[dict, tuple]:
+    """The OPTIONS entries of train, cv, eval and predict, and the values
+    --model may take. They come from PipelineConfig and the model registry,
+    so a command imports the model stack only when it needs these."""
+    from .models import MODELS
+    from .pipeline import PipelineConfig
+
+    model = {"model": (str, PipelineConfig.model, DASHED), "model_params": (dict, {}, None),
+             "sequence_length": (int, PipelineConfig.sequence_length, None)}
+    training = {
+        "smote": (bool, PipelineConfig.use_smote, DASHED),
+        "smote_k": (int, PipelineConfig.smote_k, None),
+        "smote_ratio": (float, PipelineConfig.smote_ratio, None),
+        "max_train_rows": (int, PipelineConfig.max_train_rows, None),
+    }
+    split = {
+        "split_ratios": (list[float], list(PipelineConfig.split_ratios), None),
+        **{f"{side}_patients": (list[str], None, None) for side in ("train", "val", "test")},
+    }
+    tables = {
+        "train": {
+            **model, **training, **split, "allow_leaky_split": (FLAG_ONLY, False, DASHED)
+        },
+        "cv": {**model, **training, "k": (int, 5, DASHED)},
+        # eval takes the model type from the model file; its --model names that file.
+        "eval": {**model, "model": (str, None, None), **split},
+        # None until the model file shows whether the model uses them.
+        "predict": {"threshold": (float, None, DASHED), "sequence_length": (int, None, None)},
+    }
+    return tables, tuple(MODELS)
+
+
+def _table(command: str) -> dict:
+    """command's OPTIONS entry."""
+    return _DATA_OPTIONS[command] if command in _DATA_OPTIONS else _model_options()[0][command]
+
+
+def __getattr__(name: str):
+    # OPTIONS is built, and then kept, when an importer first asks for it;
+    # the CLI reads _table.
+    if name == "OPTIONS":
+        globals()["OPTIONS"] = {**_DATA_OPTIONS, **_model_options()[0]}
+        return OPTIONS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# The values a flag may take where its type admits others (--model's are
+# _model_options'), and the flags' help texts.
+_CHOICES = {"task": TASKS}
 _HELP = {
     "summaries": "seizure summary file (repeatable)",
     "highpass_hz": "optional high-pass cutoff in Hz",
@@ -174,7 +203,7 @@ def _options(args) -> tuple[dict, set]:
     """The options args.command runs with: its OPTIONS defaults, then the
     config file's keys, then the flags given, each checked for its type;
     and the keys that the config file or a flag gave."""
-    table = OPTIONS[args.command]
+    table = _table(args.command)
     settable = {key for key, (kind, *_) in table.items() if kind is not FLAG_ONLY}
     given = _load_config_file(args.config, settable)
     given.update((k, v) for k, v in vars(args).items() if k in table and v is not None)
@@ -260,14 +289,17 @@ def cmd_featurize(args) -> int:
     # extract_features works row by row, so block by block gives the same rows.
     # map lets go of each block before it asks for the next, so one block is
     # held at a time; a comprehension's loop variable would keep two.
-    meta, labels, blocks = store.read_store_blocks(opts["store"])
+    epochs_sha = hashlib.sha256()
+    meta, labels, blocks = store.read_store_blocks(opts["store"], sha256=epochs_sha)
     featurize = functools.partial(extract_features, pool_channels=opts["pool_channels"])
     values = [fm.values for fm in map(featurize, blocks)]
     fm = dataclasses.replace(meta, values=np.concatenate(values))
     out = _out_dir(args)
     write_feature_csv(fm, labels, out / "features.csv")
-    inputs = {name: Path(opts["store"]) / name for name in (store.EPOCHS, store.META)}
-    _write_manifest(out, "featurize", opts, args.seed, inputs)
+    _write_manifest(
+        out, "featurize", opts, args.seed, {store.META: Path(opts["store"]) / store.META},
+        {store.EPOCHS: epochs_sha.hexdigest()},
+    )
     print(f"featurize: {fm.n_rows} rows x {fm.n_dims} dims -> {out / 'features.csv'}")
     return 0
 
@@ -278,6 +310,8 @@ def _pipeline_config(opts: dict, given: set, seed: int) -> PipelineConfig:
     """The PipelineConfig a run's options describe; the fields a command
     has no option for keep their defaults. An option given that the run
     would not use is a ConfigError."""
+    from .pipeline import PipelineConfig, window_length
+
     names = {f.name for f in dataclasses.fields(PipelineConfig)}
     fields = {k: v for k, v in opts.items() if k in names}
     if "smote" in opts:
@@ -305,6 +339,9 @@ def _explicit_split(opts: dict):
 
 
 def cmd_train(args) -> int:
+    from .models import save_model
+    from .pipeline import run_holdout
+
     opts, given = _options(args)
     cfg = _pipeline_config(opts, given, args.seed)
     fm, labels = read_feature_csv(args.features)
@@ -325,6 +362,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .models import load_model, spec_for
+    from .pipeline import run_eval, scoring_point
+
     opts, given = _options(args)
     model, scaler, fit_patients = load_model(args.model_file)
     name = spec_for(model).name
@@ -360,6 +400,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    from .evaluation import FOLD_DOMAINS
+    from .pipeline import FOLD_METRICS, run_cv
+
     opts, given = _options(args)
     cfg = _pipeline_config(opts, given, args.seed)
     check_params("cv", {"k": opts["k"]}, FOLD_DOMAINS)
@@ -387,6 +430,9 @@ def cmd_cv(args) -> int:
 # ---------------------------------------------------------------- predict
 
 def cmd_predict(args) -> int:
+    from .models import load_model
+    from .pipeline import score_features, scoring_point
+
     opts, _ = _options(args)
     model, scaler, _ = load_model(args.model_file)
     model, opts["threshold"], opts["sequence_length"] = scoring_point(
@@ -425,21 +471,27 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser. Only command's subparser gets its arguments, or
+    every subparser when command is None."""
     parser = _Parser(prog="seizurekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (fn, about) in _COMMANDS.items():
-        p = sub.add_parser(command, help=about)
+    for name, (fn, about) in _COMMANDS.items():
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(func=fn)
+        if command not in (None, name):
+            continue
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=0, help="master random seed")
         p.add_argument("--out", required=True, help="output directory")
-        if command in ("train", "eval", "cv", "predict"):
+        if name in ("train", "eval", "cv", "predict"):
             p.add_argument("--features", required=True, help="feature CSV path")
-        if command in ("eval", "predict"):
+        if name in ("eval", "predict"):
             p.add_argument("--model", required=True, dest="model_file", help="model JSON")
-        if command == "predict":
+        if name == "predict":
             p.add_argument("--scaler", dest="scaler_file", help="must equal train's scaler.json")
-        for key, (kind, default, flag) in OPTIONS[command].items():
+        table = _table(name)
+        for key, (kind, default, flag) in table.items():
             if flag is None:
                 continue
             flag = "--" + key.replace("_", "-") if flag == DASHED else flag
@@ -449,16 +501,18 @@ def build_parser() -> argparse.ArgumentParser:
             elif typing.get_origin(kind) is list:
                 how = {"action": "append"}
             else:
-                how = {"type": kind, "choices": _CHOICES.get(key)}
+                choices = _model_options()[1] if key == "model" else _CHOICES.get(key)
+                how = {"type": kind, "choices": choices}
             p.add_argument(flag, dest=key, help=_HELP.get(key), **how)
-        if "smote" in OPTIONS[command]:
+        if "smote" in table:
             p.add_argument("--no-smote", action="store_true", dest="no_smote")
-        p.set_defaults(func=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # The parser of the command argv names loads only the modules that command's options need.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -275,14 +275,16 @@ def read_store(store_dir) -> tuple[Epochs, np.ndarray]:
 
 
 def read_store_blocks(
-    store_dir, block_bytes: float = _READ_BLOCK
+    store_dir, block_bytes: float = _READ_BLOCK, sha256=None
 ) -> tuple[FeatureMatrix, np.ndarray, Iterator[Epochs]]:
     """The meta.csv rows (a FeatureMatrix with no columns), the labels and
     the epochs of the store in store_dir, the epochs as consecutive blocks
     of about block_bytes each, read as the iterator is consumed; a store
     of no epochs gives one empty block. The iterator keeps no block it has
     given out, so a caller that lets go of each block before it asks for
-    the next holds one block at a time.
+    the next holds one block at a time. A hashlib object given as sha256
+    is fed epochs.npy's header and then each block as it is read, so once
+    the iterator is spent it holds the digest of the bytes featurized.
 
     A missing or malformed file, or files that disagree on the number of
     epochs, is a DataError raised before any epoch is read. epochs.npy must
@@ -315,12 +317,16 @@ def read_store_blocks(
 
     def blocks():
         with open(epochs_path, "rb") as fh:
-            fh.seek(offset)
+            header = fh.read(offset)
+            if sha256 is not None:
+                sha256.update(header)
             for start in range(0, max(n, 1), rows):
                 stop = min(n, start + rows)
                 samples = np.empty((stop - start, *shape[1:]), dtype)
                 if fh.readinto(samples) != samples.nbytes:
                     raise DataError(f"{epochs_path}: changed while it was read")
+                if sha256 is not None:
+                    sha256.update(samples)
                 part = meta.take(slice(start, stop))
                 yield Epochs(samples, part.patients, part.files, part.starts, duration_s=epoch_len_s)
                 del samples  # the caller's reference is now the block's only one

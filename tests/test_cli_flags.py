@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from seizurekit import ConfigError
 from seizurekit.cli import DASHED, FLAG_ONLY, OPTIONS, _options, build_parser, main
 
 from tests.test_cli_options import _FILE_FLAGS, _settable
@@ -84,3 +85,35 @@ def test_the_readme_config_key_table_matches_options():
     assert {command: sorted(keys) for command, keys in table.items()} == {
         command: _settable(command) for command in OPTIONS
     }
+
+
+# Per command, a flag given a value its parser refuses.
+_BAD_VALUE = {
+    "synth": ["--patients", "x"],
+    "ingest": ["--task", "nope"],
+    "featurize": ["--pool-channels", "yes"],
+    "train": ["--model", "nope"],
+    "eval": ["--seed", "1.5"],
+    "cv": ["--k", "x"],
+    "predict": ["--threshold", "x"],
+}
+
+
+@pytest.mark.parametrize("command", list(OPTIONS))
+def test_main_parses_with_the_full_parsers_help_and_errors(command, capsys):
+    """main builds only the named command's arguments; its help text, error
+    and exit code are the full parser's."""
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args([command, "--help"])
+    want = capsys.readouterr()
+    with pytest.raises(SystemExit) as got:
+        main([command, "--help"])
+    assert capsys.readouterr() == want and got.value.code == full.value.code == 0
+
+    argv = [command, *_BAD_VALUE[command], "--out", "unused"]
+    argv += ["--features", "unused.csv"] if command in ("train", "eval", "cv", "predict") else []
+    argv += ["--model", "unused.json"] if command in ("eval", "predict") else []
+    with pytest.raises(ConfigError) as error:
+        build_parser().parse_args(argv)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {error.value}\n"

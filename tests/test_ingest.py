@@ -4,7 +4,9 @@ for byte, and its peak memory is about one copy of the kept epochs.
 `store.write_store` and `store.read_store` are checked against the same
 oracle without the CLI."""
 
+import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -543,6 +545,37 @@ def test_featurize_in_blocks_equals_featurizing_the_whole_store(
     fm = seizurekit.extract_features(epochs, pool_channels=pool_channels)
     write_feature_csv(fm, labels, tmp_path / "whole.csv")
     assert (tmp_path / "feat" / "features.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_featurize_hashes_epochs_npy_from_the_bytes_it_featurizes(wide_store, tmp_path, monkeypatch):
+    """The manifest's digest of epochs.npy is taken in the pass that reads
+    the epochs: the file is opened for the header check and for that pass,
+    not a third time to hash it."""
+    epochs_path = wide_store / store.EPOCHS
+    opened = []
+    real_open = open
+
+    def counted_open(file, *args, **kwargs):
+        if str(file) == str(epochs_path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counted_open)
+    assert main(["featurize", "--store", str(wide_store), "--out", str(tmp_path / "feat")]) == 0
+    monkeypatch.undo()
+    assert len(opened) == 2
+    inputs = json.loads((tmp_path / "feat" / "manifest.json").read_text(encoding="utf-8"))["inputs"]
+    assert inputs == {
+        name: hashlib.sha256((wide_store / name).read_bytes()).hexdigest()
+        for name in (store.EPOCHS, store.META)
+    }
+
+
+def test_a_digest_fed_by_read_store_blocks_covers_the_whole_file(wide_store):
+    digest = hashlib.sha256()
+    _, _, blocks = read_store_blocks(wide_store, block_bytes=23 * 512 * 8 * 30, sha256=digest)
+    assert len(list(blocks)) == 4
+    assert digest.hexdigest() == hashlib.sha256((wide_store / store.EPOCHS).read_bytes()).hexdigest()
 
 
 # featurize's heap may peak this many MB above one read block plus the
