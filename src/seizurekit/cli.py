@@ -51,11 +51,11 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(
-    out: Path, command: str, config: dict, seed: int, inputs: dict, hashed: dict | None = None
+    out: Path, command: str, config: dict, seed: int, inputs: dict, hashed: dict
 ) -> None:
     """Write the manifest; inputs maps each input's name to its path, hashed
     to the SHA-256 of an input that was hashed as it was read."""
-    digests = {name: _sha256(Path(p)) for name, p in inputs.items()} | (hashed or {})
+    digests = {name: _sha256(Path(p)) for name, p in inputs.items()} | hashed
     write_json(
         out / "manifest.json",
         {
@@ -230,8 +230,7 @@ def _write_report(path: Path, report: dict) -> None:
 
 # ---------------------------------------------------------------- synth
 
-def cmd_synth(args) -> int:
-    opts, _ = _options(args)
+def cmd_synth(args, opts: dict, given: set) -> tuple[dict, dict]:
     cfg = SynthConfig(
         n_patients=opts["patients"],
         epochs_per_patient=opts["epochs_per_patient"],
@@ -244,12 +243,11 @@ def cmd_synth(args) -> int:
     out = _out_dir(args)
     fm, labels = generate_synthetic(cfg)
     write_feature_csv(fm, labels, out / "features.csv")
-    _write_manifest(out, "synth", opts, cfg.seed, {})
     print(
         f"synth: wrote {fm.n_rows} rows ({int(labels.sum())} positive, "
         f"{fm.n_dims} feature dims) to {out / 'features.csv'}"
     )
-    return 0
+    return {}, {}
 
 
 # ---------------------------------------------------------------- ingest / featurize
@@ -262,28 +260,24 @@ def _keyed_by_name(paths) -> dict:
     return {p.name if names.count(p.name) == 1 else str(p): p for p in paths}
 
 
-def cmd_ingest(args) -> int:
-    opts, given = _options(args)
+def cmd_ingest(args, opts: dict, given: set) -> tuple[dict, dict]:
     if not opts["edf_dir"]:
         raise ConfigError("ingest needs --edf-dir (or edf_dir in the config file)")
     if "horizon_s" in given and opts["task"] == "detection":
         raise ConfigError("horizon_s given but task is detection; only prediction uses it")
-    out = Path(args.out)
     counts, failures, inputs = store.write_store(
-        out, **opts, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr)
+        args.out, **opts, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr)
     )
     for name, (kept, positive) in counts.items():
         print(f"{name}: {kept} epochs, {positive} positive")
-    _write_manifest(out, "ingest", opts, args.seed, _keyed_by_name(inputs))
     print(
         f"ingest: {sum(k for k, _ in counts.values())} epochs from {len(counts)} file(s), "
         f"{sum(p for _, p in counts.values())} positive; {len(failures)} failure(s)"
     )
-    return 0
+    return _keyed_by_name(inputs), {}
 
 
-def cmd_featurize(args) -> int:
-    opts, _ = _options(args)
+def cmd_featurize(args, opts: dict, given: set) -> tuple[dict, dict]:
     if not opts["store"]:
         raise ConfigError("featurize needs --store (or store in the config file)")
     # extract_features works row by row, so block by block gives the same rows.
@@ -296,12 +290,8 @@ def cmd_featurize(args) -> int:
     fm = dataclasses.replace(meta, values=np.concatenate(values))
     out = _out_dir(args)
     write_feature_csv(fm, labels, out / "features.csv")
-    _write_manifest(
-        out, "featurize", opts, args.seed, {store.META: Path(opts["store"]) / store.META},
-        {store.EPOCHS: epochs_sha.hexdigest()},
-    )
     print(f"featurize: {fm.n_rows} rows x {fm.n_dims} dims -> {out / 'features.csv'}")
-    return 0
+    return {store.META: Path(opts["store"]) / store.META}, {store.EPOCHS: epochs_sha.hexdigest()}
 
 
 # ---------------------------------------------------------------- train / eval / cv
@@ -338,11 +328,10 @@ def _explicit_split(opts: dict):
     return tuple(tuple(group or ()) for group in lists)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, opts: dict, given: set) -> tuple[dict, dict]:
     from .models import save_model
     from .pipeline import run_holdout
 
-    opts, given = _options(args)
     cfg = _pipeline_config(opts, given, args.seed)
     fm, labels = read_feature_csv(args.features)
     result = run_holdout(fm, labels, cfg, _explicit_split(opts))
@@ -351,21 +340,20 @@ def cmd_train(args) -> int:
     save_model(result.model, result.scaler, result.fit_patients, out / "model.json")
     write_json(out / "scaler.json", scaler_doc(result.scaler))
     _write_report(out / "report.json", result.report)
-    _write_manifest(out, "train", opts, cfg.seed, {"features.csv": args.features})
     acc = result.report.get("accuracy")
     rec = result.report.get("recall")
     print(
         f"train[{cfg.model}{'+smote' if cfg.use_smote else ''}]: "
         f"test accuracy {acc:.4f}, recall {rec:.4f} -> {out}"
     )
-    return 0
+    return {"features.csv": args.features}, {}
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, opts: dict, given: set) -> tuple[dict, dict]:
+    """Records in opts the model type and window length it resolves."""
     from .models import load_model, spec_for
     from .pipeline import run_eval, scoring_point
 
-    opts, given = _options(args)
     model, scaler, fit_patients = load_model(args.model_file)
     name = spec_for(model).name
     if opts["model"] not in (None, name):
@@ -389,21 +377,17 @@ def cmd_eval(args) -> int:
     )
     out = _out_dir(args)
     _write_report(out / "metrics.json", report)
-    _write_manifest(
-        out, "eval", opts, cfg.seed, {"features.csv": args.features, "model.json": args.model_file}
-    )
     print(
         f"eval[{Path(args.model_file).name}]: accuracy {report['accuracy']:.4f}, "
         f"recall {report['recall']:.4f} -> {out}"
     )
-    return 0
+    return {"features.csv": args.features, "model.json": args.model_file}, {}
 
 
-def cmd_cv(args) -> int:
+def cmd_cv(args, opts: dict, given: set) -> tuple[dict, dict]:
     from .evaluation import FOLD_DOMAINS
     from .pipeline import FOLD_METRICS, run_cv
 
-    opts, given = _options(args)
     cfg = _pipeline_config(opts, given, args.seed)
     check_params("cv", {"k": opts["k"]}, FOLD_DOMAINS)
     fm, labels = read_feature_csv(args.features)
@@ -418,22 +402,21 @@ def cmd_cv(args) -> int:
     })
     columns = ("fold", *FOLD_METRICS)
     write_csv(out / "folds.csv", ",".join(columns), [[r.get(c) for r in result["folds"]] for c in columns])
-    _write_manifest(out, "cv", opts, cfg.seed, {"features.csv": args.features})
     acc = result["formatted"].get("accuracy", "n/a")
     print(
         f"cv[{cfg.model}{'+smote' if cfg.use_smote else ''}, k={opts['k']}]: "
         f"accuracy {acc} -> {out}"
     )
-    return 0
+    return {"features.csv": args.features}, {}
 
 
 # ---------------------------------------------------------------- predict
 
-def cmd_predict(args) -> int:
+def cmd_predict(args, opts: dict, given: set) -> tuple[dict, dict]:
+    """Records in opts the threshold and window length it scores at."""
     from .models import load_model
     from .pipeline import score_features, scoring_point
 
-    opts, _ = _options(args)
     model, scaler, _ = load_model(args.model_file)
     model, opts["threshold"], opts["sequence_length"] = scoring_point(
         model, args.model_file, opts["threshold"], opts["sequence_length"]
@@ -452,22 +435,23 @@ def cmd_predict(args) -> int:
     inputs = {"features.csv": args.features, "model.json": args.model_file}
     if args.scaler_file:
         inputs["scaler.json"] = args.scaler_file
-    _write_manifest(out, "predict", opts, args.seed, inputs)
     print(f"predict: {len(classes)} rows -> {out / 'predictions.csv'}")
-    return 0
+    return inputs, {}
 
 
 # ---------------------------------------------------------------- parser
 
-# Each command's function and help line, in the order --help lists them.
+# Each command's help line, in the order --help lists them. main runs a
+# command as cmd_<command>(args, opts, given), which writes its outputs and
+# returns the manifest's (inputs, hashed).
 _COMMANDS = {
-    "synth": (cmd_synth, "generate the synthetic validation dataset"),
-    "ingest": (cmd_ingest, "read EDF files + seizure summaries into an epoch store"),
-    "featurize": (cmd_featurize, "turn an epoch store into a feature CSV"),
-    "train": (cmd_train, "train on a feature CSV"),
-    "eval": (cmd_eval, "eval on a feature CSV"),
-    "cv": (cmd_cv, "cv on a feature CSV"),
-    "predict": (cmd_predict, "apply a saved model to a feature CSV"),
+    "synth": "generate the synthetic validation dataset",
+    "ingest": "read EDF files + seizure summaries into an epoch store",
+    "featurize": "turn an epoch store into a feature CSV",
+    "train": "train on a feature CSV",
+    "eval": "eval on a feature CSV",
+    "cv": "cv on a feature CSV",
+    "predict": "apply a saved model to a feature CSV",
 }
 
 
@@ -476,9 +460,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     every subparser when command is None."""
     parser = _Parser(prog="seizurekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, about) in _COMMANDS.items():
+    for name, about in _COMMANDS.items():
         p = sub.add_parser(name, help=about)
-        p.set_defaults(func=fn)
         if command not in (None, name):
             continue
         p.add_argument("--config", help="JSON config file")
@@ -515,7 +498,12 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        opts, given = _options(args)
+        # Looked up when called, so a wrapper set on the module attribute sees every run.
+        inputs, hashed = globals()[f"cmd_{args.command}"](args, opts, given)
+        # The command may have recorded in opts what it resolved.
+        _write_manifest(Path(args.out), args.command, opts, args.seed, inputs, hashed)
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

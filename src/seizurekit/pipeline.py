@@ -213,15 +213,14 @@ def evaluate_split(
     test_idx: np.ndarray,
     cfg: PipelineConfig,
     val_idx: np.ndarray | None = None,
-    skip_gate: bool = False,
 ) -> RunResult:
     """Scale, oversample, fit, and score one train/test assignment.
 
     Row indices select from fm/labels. The patient-disjointness gate runs
-    on row metadata unless skip_gate (set only by the leaky-split path).
+    on row metadata unless cfg.allow_leaky_split (holdout_split's row split).
     """
     labels = np.asarray(labels)
-    if not skip_gate:
+    if not cfg.allow_leaky_split:
         assert_patient_disjoint(fm.patients[train_idx], fm.patients[test_idx])
         if val_idx is not None and len(val_idx):
             assert_patient_disjoint(fm.patients[train_idx], fm.patients[val_idx])
@@ -289,10 +288,13 @@ def holdout_split(
     explicit is a (train, val, test) tuple of patient lists, each of which
     must be in the data; without it, split_patients draws the groups from
     split_ratios and the seed, or allow_leaky_split splits the rows at
-    random. A split with no test rows is a DataError, raised before any fit.
+    random. A split with no test rows is a DataError, raised before any fit;
+    patient lists with allow_leaky_split are a ConfigError.
     """
     sides = ("train", "val", "test")
-    if explicit is None and cfg.allow_leaky_split:
+    if explicit is not None and cfg.allow_leaky_split:
+        raise ConfigError("allow_leaky_split given with patient lists: the lists fix the split")
+    if cfg.allow_leaky_split:
         # A row-level split that ignores patients; only for the optimism demo.
         order = np.random.default_rng(cfg.seed).permutation(fm.n_rows)
         n_train, n_val = (math.floor(r * fm.n_rows + 0.5) for r in cfg.split_ratios[:2])
@@ -329,10 +331,7 @@ def run_holdout(
     """Holdout on holdout_split's rows; the leakage gate is skipped only
     for the leaky row split."""
     rows, entry = holdout_split(fm, cfg, explicit)
-    result = evaluate_split(
-        fm, labels, rows["train"], rows["test"], cfg, val_idx=rows["val"],
-        skip_gate="leaky_row_level" in entry,
-    )
+    result = evaluate_split(fm, labels, rows["train"], rows["test"], cfg, val_idx=rows["val"])
     result.report["split"] = entry
     return result
 

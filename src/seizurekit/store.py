@@ -10,7 +10,7 @@ Neither side holds a whole store, or a whole EDF file, in memory.
 .npy header for the total count of kept epochs, then reads each EDF file
 one chunk of data records at a time: a chunk's kept epochs, all channels
 converted and high-passed, are one contiguous stretch of the epoch-major
-file, written at its place. `read_store_blocks` reads `epochs.npy` a few
+file, appended in order. `read_store_blocks` reads `epochs.npy` a few
 MB at a time with plain file reads.
 """
 
@@ -190,23 +190,20 @@ def _write_epochs(path: Path, sources, n_channels: int, window: int) -> None:
     header = {"descr": descr, "fortran_order": False, "shape": (total, n_channels, window)}
     with open(path, "wb") as fh:
         np.lib.format.write_array_header_1_0(fh, header)
-        fh.flush()
-        at = fh.tell()
         for s in sources:
-            _write_source(fh.fileno(), s, at, n_channels, window)
-            at += s.plan.n_kept * n_channels * window * 8
+            _write_source(fh, s, n_channels, window)
 
 
-def _write_source(fd: int, s: _Source, at: int, n_channels: int, window: int) -> None:
-    """Write one source's kept epochs as the rows, from byte at of fd on, of
-    an epoch-major float64 (epochs, n_channels, window) array, reading the
+def _write_source(out, s: _Source, n_channels: int, window: int) -> None:
+    """Append one source's kept epochs to the open file out, as the next rows
+    of an epoch-major float64 (epochs, n_channels, window) array, reading the
     EDF file one chunk of data records at a time (_chunk_bounds).
 
     Each channel of a chunk is converted (EdfHeader.signal) and filtered
     (EpochPlan.windows, which carries the channel's high-pass state from
     one chunk to the next) into a (kept, channels, window) buffer, so that
     every sample is the one the library path gives. The buffer is one
-    contiguous stretch of the file, written with one pwrite. The file's
+    contiguous stretch of the file, appended with one write. The file's
     header is read again and must still be s.header, and every chunk must
     be there in full, or the file changed while ingest read it.
     """
@@ -234,8 +231,7 @@ def _write_source(fd: int, s: _Source, at: int, n_channels: int, window: int) ->
                 signal = s.header.signal(records, c, out=x[: hi - lo])
                 states[c] = s.plan.windows(signal, fs, epochs[:, c], first, states[c])
             if k:  # a chunk inside a seizure keeps no epoch for prediction
-                _pwrite(fd, memoryview(epochs).cast("B"), at)
-                at += epochs.nbytes
+                out.write(epochs)
 
 
 def _chunk_bounds(n: int, n_channels: int, window: int, spr: int) -> list[int]:
@@ -258,13 +254,6 @@ def _chunk_bounds(n: int, n_channels: int, window: int, spr: int) -> list[int]:
     if len(starts) > 1 and n - starts[-1] < least:
         starts.pop()
     return starts + [n]
-
-
-def _pwrite(fd: int, data: memoryview, at: int) -> None:
-    """Write all of data's bytes at offset at of fd."""
-    while data:
-        written = os.pwrite(fd, data, at)
-        data, at = data[written:], at + written
 
 
 def read_store(store_dir) -> tuple[Epochs, np.ndarray]:

@@ -232,6 +232,31 @@ def test_synth_outputs_and_manifest(synth_dir, capsys):
     assert manifest["config"]["channels"] == 3
 
 
+def test_main_calls_the_command_set_on_the_module_and_writes_its_manifest(tmp_path, monkeypatch):
+    """main looks cmd_<command> up when it runs, so a wrapper set on the module
+    sees the call, and the manifest records the inputs the command returns."""
+    from seizurekit import cli
+
+    calls = []
+
+    def wrapped(args, opts, given):
+        calls.append((opts["patients"], given))
+        inputs, hashed = cmd_synth(args, opts, given)
+        return {**inputs, "extra.txt": extra}, hashed
+
+    extra = tmp_path / "extra.txt"
+    extra.write_text("x", encoding="utf-8")
+    cmd_synth = cli.cmd_synth
+    monkeypatch.setattr(cli, "cmd_synth", wrapped)
+    out = tmp_path / "out"
+    argv = ["synth", "--patients", "3", "--epochs-per-patient", "40", "--channels", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert calls == [(3, {"patients", "epochs_per_patient", "channels"})]
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["command"] == "synth" and manifest["config"]["patients"] == 3
+    assert manifest["inputs"] == {"extra.txt": hashlib.sha256(b"x").hexdigest()}
+
+
 def test_synth_rerun_is_byte_identical(tmp_path):
     args = ["synth", "--patients", "3", "--epochs-per-patient", "40", "--channels", "2", "--seed", "7"]
     a, b = tmp_path / "a", tmp_path / "b"
@@ -1293,6 +1318,8 @@ def test_ingest_patient_name_with_comma_exits_2(tmp_path, capsys):
     assert "'Smith, J' holds a comma" in capsys.readouterr().err
     assert not (out / "meta.csv").exists()
     assert not (out / "epochs.npy").exists()
+    # out exists by then; main writes the manifest only after the command returns.
+    assert out.is_dir() and not (out / "manifest.json").exists()
 
 
 def test_ingest_config_file_only(tmp_path):

@@ -257,12 +257,21 @@ def test_a_store_written_a_chunk_at_a_time_equals_the_library_path(
     bytes written do not change."""
     calls = []
 
-    def counted(fd, data, at):
-        calls.append(len(data))
-        return pwrite(fd, data, at)
+    class Counted:
+        """The file _write_source appends to, counting the bytes of each write."""
 
-    pwrite = store._pwrite
-    monkeypatch.setattr(store, "_pwrite", counted)
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            calls.append(memoryview(data).nbytes)
+            return self.fh.write(data)
+
+    def counted(out, *args):
+        return write_source(Counted(out), *args)
+
+    write_source = store._write_source
+    monkeypatch.setattr(store, "_write_source", counted)
     monkeypatch.setattr(store, "_WRITE_BLOCK", write_block)
     (_, failures, _), _ = _write_store(
         long_edf_dir, tmp_path / "store", task=task, highpass_hz=highpass_hz,

@@ -269,6 +269,15 @@ def test_cv_rejects_leaky_mode(small_data):
         run_cv(fm, y, config(allow_leaky_split=True), k=3)
 
 
+def test_holdout_refuses_patient_lists_with_the_leaky_split(small_data):
+    """The lists fix a patient split, so the row-level switch cannot also apply."""
+    fm, y = small_data
+    patients = sorted(set(fm.patients))
+    lists = (tuple(patients[:4]), tuple(patients[4:6]), tuple(patients[6:]))
+    with pytest.raises(ConfigError, match="allow_leaky_split given with patient lists"):
+        run_holdout(fm, y, config(allow_leaky_split=True), lists)
+
+
 def test_smote_clamp_warning_reaches_the_report(small_data):
     fm, y = small_data
     with warnings.catch_warnings():
