@@ -32,20 +32,56 @@ def read_utf8(path) -> str:
         raise DataError(f"{path}:{line}: not UTF-8: byte {data[exc.start]:#04x}") from None
 
 
-# The layout of every JSON file the toolkit writes.
-_JSON_LAYOUT = {"indent": 2, "sort_keys": True}
+def _json_key(key) -> str:
+    """A dict key as json writes it: a str as it is, a number, bool or None as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_chunks(value, level=0):
+    """The text of json.dumps(value, indent=2, sort_keys=True), the layout
+    of every JSON file the toolkit writes, in pieces. A list of only ints
+    and floats is one piece of their reprs, which is json's text for them
+    unless a float is not finite; scalars go to json."""
+    if not isinstance(value, (list, tuple, dict)) or not value:
+        yield json.dumps(value)
+        return
+    inner = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level + ("}" if isinstance(value, dict) else "]")
+    if isinstance(value, dict):
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            yield sep + json.dumps(_json_key(key)) + ": "
+            yield from _json_chunks(item, level + 1)
+            sep = "," + inner
+        yield close
+        return
+    if set(map(type, value)) <= {int, float}:
+        text = ("," + inner).join(map(repr, value))
+        if "n" not in text:  # repr gives "nan" and "inf" where json writes NaN and Infinity
+            yield "[" + inner + text + close
+            return
+    sep = "[" + inner
+    for item in value:
+        yield sep
+        yield from _json_chunks(item, level + 1)
+        sep = "," + inner
+    yield close
 
 
 def json_text(doc) -> str:
     """The text write_json writes for doc: keys sorted, two-space indents, a final newline."""
-    return json.dumps(doc, **_JSON_LAYOUT) + "\n"
+    return "".join(_json_chunks(doc)) + "\n"
 
 
 def write_json(path, doc) -> None:
-    """Write json_text(doc) to path as UTF-8 with LF line ends. json.dump
-    streams the text, so a large model file is never held whole in memory."""
+    """Write json_text(doc) to path as UTF-8 with LF line ends, a piece at a
+    time, so a large model file is never held whole in memory."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, **_JSON_LAYOUT)
+        fh.writelines(_json_chunks(doc))
         fh.write("\n")
 
 

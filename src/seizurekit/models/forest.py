@@ -3,12 +3,16 @@
 Each tree trains on a bootstrap resample with a per-tree sub-seed and
 considers floor(sqrt(d)) randomly chosen features at every node. Trees
 grow on row indices into the one training matrix, copying neither the
-resample nor a node's rows; a node gathers only its candidate columns of
-its rows. Split thresholds are midpoints of consecutive distinct sorted values, scored by
-weighted Gini impurity. All boundaries of a feature are scored at once as
-arrays, with the same arithmetic and tie rules as a scan in order: the
-first feature, then the first boundary, of equal impurity wins. Prediction
-is a majority vote over trees; a tied vote goes to class 0.
+resample nor a node's rows; a node gathers its candidate columns of its
+rows a block of fixed byte size at a time. Split thresholds are midpoints
+of consecutive distinct sorted values, scored by weighted Gini impurity
+(Breiman et al., 1984). The split found is the one a scan in order finds:
+the first feature, then the first boundary, of equal impurity wins. The
+search needs neither a stable sort nor libm's pow at every boundary: a
+boundary's split does not depend on the order of equal values, and an
+exact integer-count proxy ranks the boundaries, so pow runs only on those
+whose proxy lies within a rounding bound of the best (see best_split).
+Prediction is a majority vote over trees; a tied vote goes to class 0.
 """
 
 from __future__ import annotations
@@ -72,45 +76,97 @@ def _square(x: np.ndarray) -> np.ndarray:
     return np.float_power(x, 2.0)
 
 
-def best_split(X, y, candidate_features):
+# A node's candidate columns are scored this many (row, column) cells at a
+# time, 64 KB per float64 array, so the search's memory does not grow with
+# max_features.
+_BLOCK_CELLS = 1 << 13
+# With u = 2**-53, S computed from the integer counts is within 4u*n of its
+# exact value (S <= n), and the scan's weighted Gini within 8u of its exact
+# value. A boundary the scan ranks lowest computes no higher than the one of
+# largest S, so its exact S is at most 2 * 8u*n below that one's, and its
+# computed S at most 2 * (4 + 8)u*n = 24u*n below the largest. The search
+# keeps every boundary within n * _NEAR = 512u*n.
+_NEAR = 2.0**-44
+
+
+def best_split(X, y, candidate_features, rows=None):
     """Lowest weighted-Gini split over the candidate features, or None.
 
     For each feature the thresholds tried are midpoints between consecutive
     distinct sorted values. Returns (feature, threshold, gini_gain); None
-    when no split strictly reduces impurity (pure nodes included).
+    when no split strictly reduces impurity (pure nodes included). With
+    rows, the split is that of X[rows], y holding those rows' labels.
+
+    The result is bit for bit that of a scan over each feature's stably
+    sorted values that computes the weighted Gini with ``_square`` at every
+    boundary and keeps the first minimum in (feature, boundary) order:
+
+    - Any sort order gives the same splits. A boundary between distinct
+      values reads only the sorted values and the count of class-1 rows at
+      or below it, and neither depends on the order of equal values.
+    - Boundaries are ranked by S = (a**2 + b**2) / n_l + (c**2 + d**2) / n_r,
+      which equals n * (1 - weighted Gini) exactly (a, b: the class-1 and
+      class-0 rows left of the boundary; c, d: right of it). Only the
+      boundaries whose S lies within the rounding bound ``_NEAR`` of the
+      largest S of their block of columns are scored with the scan's
+      arithmetic, and these hold every boundary that scores lowest in it.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n = len(y)
     if n < 2:
         return None
-    parent = gini(np.bincount(y, minlength=2))
+    counts = np.bincount(y, minlength=2)
+    parent = gini(counts)
     if parent == 0.0:
         return None
 
+    features = np.array(candidate_features, dtype=np.intp)
+    if rows is None:
+        rows = np.arange(n)
+    total = int(counts[1])
+    weights = y.astype(np.float64)
+    # Rows left and right of the boundary after each sorted position.
+    n_l = np.arange(1, n, dtype=np.float64)
+    n_r = n - n_l
+    width = max(1, _BLOCK_CELLS // n)
     best = None  # (weighted_gini, feature, threshold)
-    for f in candidate_features:
-        f = int(f)
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        # Prefix counts of class 1 score every boundary at once.
-        ones = np.cumsum(y[order])
-        boundaries = np.flatnonzero(xs[1:] > xs[:-1]) + 1
-        if len(boundaries) == 0:
+    for start in range(0, len(features), width):
+        block = features[start : start + width, None]
+        cols = X.T[block, rows]
+        order = cols.argsort(axis=1)
+        xs = np.sort(cols, axis=1)
+        # The class counts a, b, c, d as exact float64 integers, then S in place.
+        a = np.add.accumulate(weights[order], axis=1)[:, :-1]
+        b = n_l - a
+        c = total - a
+        d = n_r - c
+        score = a * a
+        score += np.square(b, out=b)
+        score /= n_l
+        c *= c
+        c += np.square(d, out=d)
+        c /= n_r
+        score += c
+        score *= xs[:, 1:] > xs[:, :-1]  # S > 0 at a boundary, 0 between equal values
+        top = np.maximum.reduce(score, axis=None)
+        if top == 0.0:
             continue
-        n_l = boundaries
-        n_r = n - n_l
-        ones_l = ones[boundaries - 1]
-        ones_r = ones[-1] - ones_l
-        g_l = 1.0 - (_square(ones_l / n_l) + _square((n_l - ones_l) / n_l))
-        g_r = 1.0 - (_square(ones_r / n_r) + _square((n_r - ones_r) / n_r))
-        weighted = (n_l * g_l + n_r * g_r) / n
-        # argmin keeps the first boundary of a tie and the strict < the
-        # first feature, as a scan over boundaries in order would.
-        i = int(np.argmin(weighted))
-        if best is None or weighted[i] < best[0]:
-            b = boundaries[i]
-            best = (float(weighted[i]), f, (xs[b - 1] + xs[b]) / 2.0)
+        # Near-best boundaries in (feature, boundary) order, scored as the
+        # scan scores them; argmin keeps the first of a tie and the strict <
+        # the earlier block.
+        k, i = np.nonzero(score >= top - n * _NEAR)
+        ones_l = a[k, i]
+        ones_r = total - ones_l
+        left = i + 1
+        right = n - left
+        g_l = 1.0 - (_square(ones_l / left) + _square((left - ones_l) / left))
+        g_r = 1.0 - (_square(ones_r / right) + _square((right - ones_r) / right))
+        weighted = (left * g_l + right * g_r) / n
+        j = weighted.argmin()
+        if best is None or weighted[j] < best[0]:
+            kj, ij = k[j], i[j]
+            best = (float(weighted[j]), int(block[kj, 0]), (xs[kj, ij] + xs[kj, ij + 1]) / 2.0)
     if best is None:
         return None
     gain = parent - best[0]
@@ -133,11 +189,10 @@ def _grow(X, y, rows, rng, config: RFConfig, max_features: int, depth: int) -> T
         return leaf
     d = X.shape[1]
     candidates = rng.choice(d, size=min(max_features, d), replace=False)
-    split = best_split(X[np.ix_(rows, candidates)], y_node, range(len(candidates)))
+    split = best_split(X, y_node, candidates, rows)
     if split is None:
         return leaf
-    k, threshold, _ = split
-    f = int(candidates[k])
+    f, threshold, _ = split
     mask = X[rows, f] <= threshold
     left = _grow(X, y, rows[mask], rng, config, max_features, depth + 1)
     right = _grow(X, y, rows[~mask], rng, config, max_features, depth + 1)
@@ -154,6 +209,9 @@ def rf_fit(X, y, config: RFConfig = RFConfig()) -> RFModel:
         raise DataError(f"{len(y)} labels for {len(X)} rows")
     if not np.isin(y, (0, 1)).all():
         raise DataError("labels must be 0 or 1")
+    # min and max propagate NaN and reach any inf, with no mask of X's size.
+    if X.size and not (np.isfinite(X.min()) and np.isfinite(X.max())):
+        raise DataError("training features contain non-finite values")
 
     d = X.shape[1]
     max_features = (

@@ -144,6 +144,8 @@ def svm_fit_smo(
         raise DataError(f"X must be 2-D with at least one feature column, got shape {X.shape}")
     if len(y) != len(X):
         raise DataError(f"{len(y)} labels for {len(X)} rows")
+    if not np.isfinite(X).all():
+        raise DataError("training features contain non-finite values")
     check_params("svm", {"C": C, "gamma": gamma, "tol": tol, "max_passes": max_passes}, DOMAINS)
     if np.isin(y, (0, 1)).all():
         y = 2.0 * y - 1.0

@@ -1,6 +1,8 @@
 """Random forest: Gini splitting, bootstrap determinism, voting rules."""
 
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -256,9 +258,22 @@ _POW_CASE = (
 )
 
 
+# 8 rows, 2 of class 1. Feature 0's only boundary leaves 2 rows of class 0
+# on its left, feature 1's 2 rows of which 1 is class 1. Both weighted Ginis
+# are 1/3 exactly; libm's arithmetic gives feature 1 the lower one
+# (0.33333333333333326 against 0.3333333333333333), while the proxy S ranks
+# feature 0 higher (5.333333333333334 against 5.333333333333333).
+_NEAR_TIE_CASE = (
+    np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 1.0]] + [[1.0, 1.0]] * 4),
+    np.array([1, 1, 0, 0, 0, 0, 0, 0]),
+    [0, 1],
+)
+
+
 @settings(deadline=None, max_examples=300)
 @given(split_cases())
 @example(_POW_CASE)
+@example(_NEAR_TIE_CASE)
 def test_best_split_matches_reference_scan(case):
     X, y, features = case
     got = best_split(X, y, features)
@@ -396,3 +411,57 @@ def test_fit_memory_does_not_grow_with_the_feature_count():
         tracemalloc.stop()
     # A copied bootstrap resample alone would be 8 MB at d = 256.
     assert peaks[256] <= 1.2 * peaks[16], peaks
+
+
+def _reference_scan_fit(X, y, config: RFConfig) -> tuple[TreeNode, ...]:
+    """rf_fit's trees grown on copies, every split by ``_reference_best_split``."""
+    with mock.patch.object(sys.modules[__name__], "best_split", _reference_best_split):
+        return _reference_copying_fit(X, y, config)
+
+
+@settings(deadline=None)
+@given(
+    split_cases(),
+    st.integers(0, 20),
+    st.integers(1, 3),
+    st.none() | st.integers(1, 4),
+    st.none() | st.integers(1, 6),
+    st.integers(0, 2**16),
+)
+@example(_NEAR_TIE_CASE, 0, 1, None, 2, 3)
+def test_rf_fit_trees_equal_trees_grown_with_the_reference_scan(
+    case, duplicates, n_trees, max_depth, max_features, seed
+):
+    X, y, _ = case
+    dup = np.random.default_rng(seed).integers(0, len(X), size=duplicates)
+    X, y = np.vstack([X, X[dup]]), np.concatenate([y, y[dup]])
+    if max_features is not None:
+        max_features = min(max_features, X.shape[1])
+    config = RFConfig(n_trees=n_trees, max_depth=max_depth, max_features=max_features, seed=seed)
+    got = rf_fit(X, y, config).trees
+    want = _reference_scan_fit(X, y, config)
+    assert [_bits(t) for t in got] == [_bits(t) for t in want]
+
+
+def test_fit_memory_does_not_grow_with_max_features():
+    n = 20_000
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(n, 16))
+    y = (rng.random(n) < 0.3).astype(np.int64)
+    peaks = {}
+    for max_features in (1, 9):
+        config = RFConfig(n_trees=2, max_depth=2, max_features=max_features, seed=1)
+        tracemalloc.start()
+        rf_fit(X, y, config)
+        peaks[max_features] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    # Gathering all 9 candidate columns of the root's rows at once would be 1.4 MB.
+    assert peaks[9] <= 1.2 * peaks[1], peaks
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_training_features_rejected(bad):
+    X = np.arange(8.0).reshape(4, 2)
+    X[2, 1] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        rf_fit(X, np.array([0, 1, 0, 1]), RFConfig(n_trees=1))

@@ -5,10 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seizurekit import DataError, SPEC_VERSION, Scaler
+from seizurekit.errors import json_text, write_json
 from seizurekit.models import (
     MODELS,
     ConstantModel,
@@ -224,3 +225,30 @@ def test_a_finite_float_in_place_of_a_fitted_float_still_loads(saved, data, name
     _write_with(doc, where, repr(value), path)
     model, _, fit_patients = load_model(path)
     assert spec_for(model).name == name and fit_patients == ["P01"]
+
+
+# Lists of ints and floats take write_json's fast path; st.floats() draws NaN
+# and ±Infinity, st.text() non-ASCII characters.
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.lists(st.floats()) | st.lists(st.integers() | st.floats())
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner)
+    | st.dictionaries(st.integers(), inner),
+    max_leaves=20,
+)
+
+
+@settings(deadline=None)
+@given(doc=_JSON_DOCS)
+@example(doc={"é": [], "t": (True, None), "n": {10: {}, 2: [[1.5, -0.0], [float("nan")], [-float("inf"), 3]]}})
+def test_written_json_is_json_dumps_text(tmp_path_factory, doc):
+    want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert json_text(doc) == want
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    write_json(path, doc)
+    assert path.read_bytes() == want.encode("utf-8")

@@ -198,6 +198,14 @@ def test_gamma_and_tol_must_be_finite_and_positive(bad):
         svm_fit_smo(XOR_X, XOR_Y, **bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_training_features_rejected(bad):
+    X = XOR_X.astype(np.float64)
+    X[2, 1] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        svm_fit_smo(X, XOR_Y)
+
+
 def test_default_gamma_is_one_over_the_feature_count():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(50, 7))
