@@ -26,12 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import store
 from .domains import check_params, has_type
 from .epochs import TASKS
 from .errors import ConfigError, DataError, LeakageError, json_text, write_csv, write_json
 from .features import extract_features, read_feature_csv, scaler_doc, write_feature_csv
-from .synthetic import SynthConfig, generate_synthetic
 from .version import SPEC_VERSION
 
 
@@ -99,18 +97,11 @@ DASHED = "--"
 # default of None also admits null. build_parser makes each flag, which
 # overrides the config file: None for a key only the config file sets.
 # Each command runs with the dict _options resolves from its entry, and
-# its manifest records that dict as `config`. The entries of the commands
-# that run no model are here; _model_options holds the others, and OPTIONS
-# is all seven.
+# its manifest records that dict as `config`. The entries of ingest and
+# featurize are here; _synth_options and _model_options build the others
+# on first use, so that a command imports only the modules it runs, and
+# OPTIONS is all seven.
 _DATA_OPTIONS = {
-    "synth": {
-        "patients": (int, SynthConfig.n_patients, DASHED),
-        "epochs_per_patient": (int, SynthConfig.epochs_per_patient, DASHED),
-        "prevalence": (float, SynthConfig.seizure_prevalence, DASHED),
-        "channels": (int, SynthConfig.n_channels, DASHED),
-        "separation": (float, SynthConfig.class_separation, DASHED),
-        "patient_effect": (float, SynthConfig.patient_effect_scale, DASHED),
-    },
     "ingest": {
         "edf_dir": (str, None, DASHED),
         "summaries": (list[str], [], "--summary"),
@@ -122,6 +113,21 @@ _DATA_OPTIONS = {
     },
     "featurize": {"store": (str, None, DASHED), "pool_channels": (bool, False, DASHED)},
 }
+
+
+@functools.cache
+def _synth_options() -> dict:
+    """The OPTIONS entry of synth, whose defaults are SynthConfig's."""
+    from .synthetic import SynthConfig
+
+    return {
+        "patients": (int, SynthConfig.n_patients, DASHED),
+        "epochs_per_patient": (int, SynthConfig.epochs_per_patient, DASHED),
+        "prevalence": (float, SynthConfig.seizure_prevalence, DASHED),
+        "channels": (int, SynthConfig.n_channels, DASHED),
+        "separation": (float, SynthConfig.class_separation, DASHED),
+        "patient_effect": (float, SynthConfig.patient_effect_scale, DASHED),
+    }
 
 
 @functools.cache
@@ -159,6 +165,8 @@ def _model_options() -> tuple[dict, tuple]:
 
 def _table(command: str) -> dict:
     """command's OPTIONS entry."""
+    if command == "synth":
+        return _synth_options()
     return _DATA_OPTIONS[command] if command in _DATA_OPTIONS else _model_options()[0][command]
 
 
@@ -166,7 +174,7 @@ def __getattr__(name: str):
     # OPTIONS is built, and then kept, when an importer first asks for it;
     # the CLI reads _table.
     if name == "OPTIONS":
-        globals()["OPTIONS"] = {**_DATA_OPTIONS, **_model_options()[0]}
+        globals()["OPTIONS"] = {"synth": _synth_options(), **_DATA_OPTIONS, **_model_options()[0]}
         return OPTIONS
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -231,6 +239,8 @@ def _write_report(path: Path, report: dict) -> None:
 # ---------------------------------------------------------------- synth
 
 def cmd_synth(args, opts: dict, given: set) -> tuple[dict, dict]:
+    from .synthetic import SynthConfig, generate_synthetic
+
     cfg = SynthConfig(
         n_patients=opts["patients"],
         epochs_per_patient=opts["epochs_per_patient"],
@@ -261,6 +271,8 @@ def _keyed_by_name(paths) -> dict:
 
 
 def cmd_ingest(args, opts: dict, given: set) -> tuple[dict, dict]:
+    from . import store
+
     if not opts["edf_dir"]:
         raise ConfigError("ingest needs --edf-dir (or edf_dir in the config file)")
     if "horizon_s" in given and opts["task"] == "detection":
@@ -278,6 +290,8 @@ def cmd_ingest(args, opts: dict, given: set) -> tuple[dict, dict]:
 
 
 def cmd_featurize(args, opts: dict, given: set) -> tuple[dict, dict]:
+    from . import store
+
     if not opts["store"]:
         raise ConfigError("featurize needs --store (or store in the config file)")
     # extract_features works row by row, so block by block gives the same rows.
@@ -333,7 +347,8 @@ def cmd_train(args, opts: dict, given: set) -> tuple[dict, dict]:
     from .pipeline import run_holdout
 
     cfg = _pipeline_config(opts, given, args.seed)
-    fm, labels = read_feature_csv(args.features)
+    features_sha = hashlib.sha256()
+    fm, labels = read_feature_csv(args.features, features_sha)
     result = run_holdout(fm, labels, cfg, _explicit_split(opts))
 
     out = _out_dir(args)
@@ -346,7 +361,7 @@ def cmd_train(args, opts: dict, given: set) -> tuple[dict, dict]:
         f"train[{cfg.model}{'+smote' if cfg.use_smote else ''}]: "
         f"test accuracy {acc:.4f}, recall {rec:.4f} -> {out}"
     )
-    return {"features.csv": args.features}, {}
+    return {}, {"features.csv": features_sha.hexdigest()}
 
 
 def cmd_eval(args, opts: dict, given: set) -> tuple[dict, dict]:
@@ -354,7 +369,8 @@ def cmd_eval(args, opts: dict, given: set) -> tuple[dict, dict]:
     from .models import load_model, spec_for
     from .pipeline import run_eval, scoring_point
 
-    model, scaler, fit_patients = load_model(args.model_file)
+    model_sha, features_sha = hashlib.sha256(), hashlib.sha256()
+    model, scaler, fit_patients = load_model(args.model_file, model_sha)
     name = spec_for(model).name
     if opts["model"] not in (None, name):
         raise ConfigError(
@@ -371,7 +387,7 @@ def cmd_eval(args, opts: dict, given: set) -> tuple[dict, dict]:
     fitting = sorted(set(cfg.model_params) - {"threshold"})
     if fitting:
         raise ConfigError(f"model_params {fitting} only apply when fitting; eval takes threshold")
-    fm, labels = read_feature_csv(args.features)
+    fm, labels = read_feature_csv(args.features, features_sha)
     report = run_eval(
         fm, labels, model, scaler, fit_patients, cfg, _explicit_split(opts), args.model_file
     )
@@ -381,7 +397,7 @@ def cmd_eval(args, opts: dict, given: set) -> tuple[dict, dict]:
         f"eval[{Path(args.model_file).name}]: accuracy {report['accuracy']:.4f}, "
         f"recall {report['recall']:.4f} -> {out}"
     )
-    return {"features.csv": args.features, "model.json": args.model_file}, {}
+    return {}, {"features.csv": features_sha.hexdigest(), "model.json": model_sha.hexdigest()}
 
 
 def cmd_cv(args, opts: dict, given: set) -> tuple[dict, dict]:
@@ -390,7 +406,8 @@ def cmd_cv(args, opts: dict, given: set) -> tuple[dict, dict]:
 
     cfg = _pipeline_config(opts, given, args.seed)
     check_params("cv", {"k": opts["k"]}, FOLD_DOMAINS)
-    fm, labels = read_feature_csv(args.features)
+    features_sha = hashlib.sha256()
+    fm, labels = read_feature_csv(args.features, features_sha)
     result = run_cv(fm, labels, cfg, k=opts["k"])
 
     out = _out_dir(args)
@@ -407,7 +424,7 @@ def cmd_cv(args, opts: dict, given: set) -> tuple[dict, dict]:
         f"cv[{cfg.model}{'+smote' if cfg.use_smote else ''}, k={opts['k']}]: "
         f"accuracy {acc} -> {out}"
     )
-    return {"features.csv": args.features}, {}
+    return {}, {"features.csv": features_sha.hexdigest()}
 
 
 # ---------------------------------------------------------------- predict
@@ -417,14 +434,15 @@ def cmd_predict(args, opts: dict, given: set) -> tuple[dict, dict]:
     from .models import load_model
     from .pipeline import score_features, scoring_point
 
-    model, scaler, _ = load_model(args.model_file)
+    model_sha, features_sha = hashlib.sha256(), hashlib.sha256()
+    model, scaler, _ = load_model(args.model_file, model_sha)
     model, opts["threshold"], opts["sequence_length"] = scoring_point(
         model, args.model_file, opts["threshold"], opts["sequence_length"]
     )
     # --scaler only restates the scaler that the model file carries.
     if args.scaler_file and Path(args.scaler_file).read_bytes() != json_text(scaler_doc(scaler)).encode():
         raise DataError(f"{args.scaler_file} is not the scaler in {args.model_file}; drop --scaler")
-    fm, _ = read_feature_csv(args.features)
+    fm, _ = read_feature_csv(args.features, features_sha)
     data, classes, scores, _ = score_features(model, scaler, fm, None)
     out = _out_dir(args)
     write_csv(
@@ -432,11 +450,9 @@ def cmd_predict(args, opts: dict, given: set) -> tuple[dict, dict]:
         "patient,file,start_s,score,class",
         [data.patients, data.files, data.starts, scores, classes],
     )
-    inputs = {"features.csv": args.features, "model.json": args.model_file}
-    if args.scaler_file:
-        inputs["scaler.json"] = args.scaler_file
     print(f"predict: {len(classes)} rows -> {out / 'predictions.csv'}")
-    return inputs, {}
+    inputs = {"scaler.json": args.scaler_file} if args.scaler_file else {}
+    return inputs, {"features.csv": features_sha.hexdigest(), "model.json": model_sha.hexdigest()}
 
 
 # ---------------------------------------------------------------- parser

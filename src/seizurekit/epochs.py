@@ -17,10 +17,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .domains import Domain, check_params
-from .edf import Recording, SeizureInterval
 from .errors import ConfigError, DataError
 
 if TYPE_CHECKING:
+    from .edf import Recording, SeizureInterval
     from .features import FeatureMatrix
 
 # The ingest parameters; None for highpass_hz turns the filter off.
@@ -107,6 +107,8 @@ def denoise(r: Recording, highpass_hz: float | None = None) -> Recording:
 
     Raises ConfigError unless ``highpass_hz`` is None or a finite number > 0.
     """
+    from .edf import Recording  # here, so that importing epochs loads no EDF code
+
     check_params("denoise", {"highpass_hz": highpass_hz}, DOMAINS)
     if highpass_hz is None:
         return r

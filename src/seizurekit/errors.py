@@ -22,9 +22,12 @@ class LeakageError(RuntimeError):
     """A patient appears on both sides of a train/test boundary."""
 
 
-def read_utf8(path) -> str:
-    """The text of a UTF-8 input file; any other byte is a DataError naming path:line."""
+def read_utf8(path, sha256=None) -> str:
+    """The text of a UTF-8 input file; any other byte is a DataError naming
+    path:line. A hashlib object given as sha256 is fed the file's bytes."""
     data = Path(path).read_bytes()
+    if sha256 is not None:
+        sha256.update(data)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -8,6 +8,7 @@ with zero training variance scale to 0 rather than NaN.
 
 from __future__ import annotations
 
+import io
 import itertools
 import re
 from dataclasses import dataclass
@@ -159,15 +160,30 @@ def write_feature_csv(m: FeatureMatrix, labels: np.ndarray, path) -> None:
 _NOT_A_NUMBER = re.compile(r"(could not convert string .*) at row (\d+), column (\d+)")
 
 
-def read_feature_csv(path) -> tuple[FeatureMatrix, np.ndarray]:
+def read_feature_csv(path, sha256=None) -> tuple[FeatureMatrix, np.ndarray]:
     """Read the CSV written by write_feature_csv back into memory.
 
     The file is UTF-8 text; blank lines are skipped. A label is 0 or 1.
-    start_s and the feature values are decimal floats, parsed by one
-    np.loadtxt pass as the lines stream in: no digit separators (`1_0`),
-    hexadecimal or non-ASCII digits, which float() would accept. A
-    malformed line is a DataError naming path:line.
+    start_s and the feature values are decimal floats: no digit separators
+    (`1_0`), hexadecimal or non-ASCII digits, which float() would accept.
+    A malformed line is a DataError naming path:line.
+
+    After the header, one np.loadtxt pass over the open file reads every
+    row into a structured array: patient, file and label as text, kept
+    exactly, start_s and the features as floats. The labels are then
+    checked at once. A file that this pass rejects is read again line by
+    line, only to find the bad line and raise its message. A hashlib
+    object given as sha256 is fed each byte of the file once, as the
+    first pass reads it, so on return it holds the file's digest.
     """
+    with open(path, "rb") as fh:
+        hashed = _Hashed(fh, sha256)
+        text = io.TextIOWrapper(io.BufferedReader(hashed, 1 << 20), encoding="utf-8")
+        try:
+            return _load_feature_rows(text, path)
+        except ValueError:  # loadtxt's, a label's or UnicodeDecodeError
+            while hashed.read(1 << 20):  # the rest of the bytes, should the line reader pass them
+                pass
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return _parse_feature_lines(fh, path)
@@ -176,7 +192,24 @@ def read_feature_csv(path) -> tuple[FeatureMatrix, np.ndarray]:
         raise
 
 
-def _parse_feature_lines(fh, path) -> tuple[FeatureMatrix, np.ndarray]:
+class _Hashed(io.RawIOBase):
+    """The binary file fh, whose bytes feed sha256 (if not None) as they are read."""
+
+    def __init__(self, fh, sha256):
+        self.fh, self.sha256 = fh, sha256
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        n = self.fh.readinto(b)
+        if self.sha256 is not None:
+            self.sha256.update(memoryview(b)[:n])
+        return n
+
+
+def _read_header(fh, path) -> int:
+    """The number of feature columns that the header line of fh names."""
     first = fh.readline()
     if not first:
         raise DataError(f"{path}: empty feature file")
@@ -187,6 +220,37 @@ def _parse_feature_lines(fh, path) -> tuple[FeatureMatrix, np.ndarray]:
     d = len(header) - 4
     if header[4:] != [f"f{i}" for i in range(d)]:
         raise DataError(f"{path}: unexpected feature column names")
+    return d
+
+
+def _load_feature_rows(fh, path) -> tuple[FeatureMatrix, np.ndarray]:
+    """read_feature_csv's single pass; ValueError for a row it cannot read."""
+    d = _read_header(fh, path)
+    text, number = np.dtype(object), np.dtype(np.float64)
+    dtype = np.dtype([("patient", text), ("file", text), ("start_s", number),
+                      ("label", text), ("values", number, (d,))])
+    table = np.zeros(0, dtype)
+    for first in fh:
+        if first != "\n":  # loadtxt warns on input without rows
+            rows = itertools.chain([first], fh)
+            table = np.loadtxt(rows, dtype, delimiter=",", comments=None, ndmin=1)
+            break
+    labels = table["label"]
+    ones = labels == "1"
+    if not (ones | (labels == "0")).all():
+        raise ValueError("a label other than 0 or 1")
+    m = FeatureMatrix(
+        values=np.ascontiguousarray(table["values"]),
+        patients=table["patient"].copy(),
+        files=table["file"].copy(),
+        starts=table["start_s"].copy(),
+    )
+    return m, ones.astype(np.int64)
+
+
+def _parse_feature_lines(fh, path) -> tuple[FeatureMatrix, np.ndarray]:
+    """read_feature_csv's line reader, which checks each line as it goes."""
+    d = _read_header(fh, path)
     line_numbers, patients, files, labels = [], [], [], []
 
     def checked_rows():

@@ -18,12 +18,13 @@ Prediction is a majority vote over trees; a tied vote goes to class 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ..domains import Domain, check_params, domains_of, param
+from ..domains import Domain, check_params, defaults_of, domains_of, param
 from ..errors import DataError
+from .registry import ModelSpec, typed
 
 
 @dataclass(frozen=True)
@@ -249,3 +250,69 @@ def rf_scores(model: RFModel, X) -> np.ndarray:
                 left = X[idx, node.feature] <= node.threshold
                 stack += [(node.left, idx[left]), (node.right, idx[~left])]
     return votes / len(model.trees)
+
+
+# ---------------------------------------------------------------- registry entry
+
+
+def _fit(X, y, p, seed, val):
+    cfg = RFConfig(**typed(p, domains_of(RFConfig)), seed=seed)
+    return rf_fit(X, y, cfg), {}
+
+
+def _score(m, X):
+    # Class 1 on a majority of trees; a share of exactly 0.5 goes to class 0.
+    # share > 0.5 is exactly votes > n_trees / 2 for any n_trees < 2**52.
+    scores = rf_scores(m, X)
+    return (scores > 0.5).astype(np.int64), scores
+
+
+def _tree_to_dict(node: TreeNode) -> dict:
+    if node.is_leaf:
+        return {"counts": list(node.counts)}
+    return {
+        "feature": node.feature,
+        "threshold": node.threshold,
+        "left": _tree_to_dict(node.left),
+        "right": _tree_to_dict(node.right),
+    }
+
+
+def _tree_from_dict(doc: dict, n_features: int) -> TreeNode:
+    if "counts" in doc:
+        return TreeNode(counts=(int(doc["counts"][0]), int(doc["counts"][1])))
+    if doc["feature"] not in range(n_features):
+        raise ValueError(f"split feature {doc['feature']!r} of a model on {n_features} features")
+    return TreeNode(
+        feature=int(doc["feature"]),
+        threshold=float(doc["threshold"]),
+        left=_tree_from_dict(doc["left"], n_features),
+        right=_tree_from_dict(doc["right"], n_features),
+    )
+
+
+def _from_doc(doc):
+    model = RFModel(
+        trees=tuple(_tree_from_dict(t, doc["params"]["n_features"]) for t in doc["params"]["trees"]),
+        config=RFConfig(**doc["config"]),
+        n_features=int(doc["params"]["n_features"]),
+    )
+    if len(model.trees) != model.config.n_trees:
+        raise ValueError(f"{len(model.trees)} trees for n_trees={model.config.n_trees}")
+    return model
+
+
+SPEC = ModelSpec(
+    name="rf",
+    cls=RFModel,
+    defaults=defaults_of(RFConfig),
+    domains=domains_of(RFConfig),
+    fit=_fit,
+    score=_score,
+    to_doc=lambda m: {
+        "params": {"trees": [_tree_to_dict(t) for t in m.trees], "n_features": m.n_features},
+        "config": asdict(m.config),
+    },
+    from_doc=_from_doc,
+    config_keys=tuple(f.name for f in fields(RFConfig)),
+)

@@ -98,10 +98,12 @@ def save_model(model, scaler: Scaler, fit_patients, path) -> None:
     write_json(path, doc)
 
 
-def load_model(path):
-    """(model, scaler, fit_patients) from a file save_model wrote; DataError names the file."""
+def load_model(path, sha256=None):
+    """(model, scaler, fit_patients) from a file save_model wrote; DataError
+    names the file. A hashlib object given as sha256 is fed the file's bytes
+    as they are read."""
     try:
-        doc = json.loads(read_utf8(path))
+        doc = json.loads(read_utf8(path, sha256))
     except ValueError as exc:  # JSONDecodeError, or an integer too long for int()
         raise DataError(f"{path}: invalid model JSON: {exc}") from None
     try:

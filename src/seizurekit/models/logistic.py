@@ -9,12 +9,13 @@ norm drops below the tolerance or, with a warning, when max_iters is reached.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from ..domains import Domain, check_params, domains_of, param
+from ..domains import Domain, check_params, defaults_of, domains_of, param
 from ..errors import DataError
+from .registry import CLASS_WEIGHTS, THRESHOLD, ModelSpec, resolve_class_weights, typed, with_convergence
 
 
 @dataclass(frozen=True)
@@ -129,3 +130,56 @@ def logreg_predict_proba(model: LogRegModel, X) -> np.ndarray:
             f"model dimension {len(model.weights)}"
         )
     return sigmoid(X @ model.weights + model.bias)
+
+
+# ---------------------------------------------------------------- registry entry
+
+
+def _fit(X, y, p, seed, val):
+    cfg = LogRegConfig(
+        **typed(p, domains_of(LogRegConfig)),
+        class_weights=resolve_class_weights(p["class_weights"], y),
+        seed=seed,
+    )
+    model = logreg_fit(X, y, cfg)
+    return with_convergence(replace(model, threshold=float(p["threshold"])))
+
+
+def _score(m, X):
+    proba = logreg_predict_proba(m, X)
+    return (proba >= m.threshold).astype(np.int64), proba
+
+
+def _from_doc(doc):
+    params, config = doc["params"], doc["config"]
+    return LogRegModel(
+        weights=np.array(params["weights"], dtype=np.float64),
+        bias=float(params["bias"]),
+        # JSON turned the int class keys into strings.
+        config=LogRegConfig(
+            **{**config, "class_weights": resolve_class_weights(config["class_weights"], None)}
+        ),
+        n_iters=int(params.get("n_iters", 0)),
+        converged=bool(params.get("converged", False)),
+    )
+
+
+SPEC = ModelSpec(
+    name="logreg",
+    cls=LogRegModel,
+    defaults={**defaults_of(LogRegConfig), "class_weights": None, "threshold": 0.5},
+    domains={**domains_of(LogRegConfig), "class_weights": CLASS_WEIGHTS, "threshold": THRESHOLD},
+    fit=_fit,
+    score=_score,
+    to_doc=lambda m: {
+        "params": {
+            "weights": m.weights.tolist(),
+            "bias": m.bias,
+            "n_iters": m.n_iters,
+            "converged": m.converged,
+        },
+        "config": asdict(m.config),
+    },
+    from_doc=_from_doc,
+    config_keys=tuple(f.name for f in fields(LogRegConfig)),
+)

@@ -23,10 +23,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..domains import Domain, check_params, domains_of, param
+from ..domains import Domain, check_params, defaults_of, domains_of, param
 from ..epochs import Windows
 from ..errors import ConfigError, DataError
 from .logistic import sigmoid
+from .registry import THRESHOLD, ModelSpec, typed
 
 
 @dataclass(frozen=True)
@@ -329,3 +330,40 @@ def lstm_predict(p: LstmParams, seqs) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
     probs = _scores(p, seqs)
     return (probs >= p.threshold).astype(np.int64), probs
+
+
+# ---------------------------------------------------------------- registry entry
+
+
+def _fit(X, y, p, seed, val):
+    params = init_params(X.shape[2], hidden_dim=int(p["hidden_dim"]), seed=seed)
+    train_cfg = LstmTrainConfig(**typed(p, domains_of(LstmTrainConfig)), seed=seed)
+    best, history = lstm_train((X, y), val, train_cfg, params=params)
+    report = {"epochs_run": len(history["train_loss"]), **history}
+    return replace(best, sequence_length=X.shape[1], threshold=float(p["threshold"])), report
+
+
+def _from_doc(doc):
+    dims = doc["dims"]
+    weights = {name: np.array(doc["weights"][name], dtype=np.float64) for name in _FIELDS}
+    for name, shape in field_shapes(dims["input_dim"], dims["hidden_dim"]).items():
+        if weights[name].shape != shape:
+            raise ValueError(f"{name} of shape {weights[name].shape} for dims {dims}")
+    return LstmParams(**{**weights, "b_out": float(weights["b_out"])})
+
+
+SPEC = ModelSpec(
+    name="lstm",
+    cls=LstmParams,
+    defaults={"hidden_dim": 64, **defaults_of(LstmTrainConfig), "threshold": 0.5},
+    domains={**domains_of(LstmTrainConfig), **INIT_DOMAINS, "threshold": THRESHOLD},
+    fit=_fit,
+    score=lambda m, X: lstm_predict(m, X),
+    to_doc=lambda m: {
+        "dims": {"input_dim": m.input_dim, "hidden_dim": m.hidden_dim},
+        "weights": {name: np.asarray(getattr(m, name)).tolist() for name in _FIELDS},
+        "config": {},
+    },
+    from_doc=_from_doc,
+    sequential=True,
+)

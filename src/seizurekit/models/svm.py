@@ -23,6 +23,7 @@ inputs, whatever n is.
 
 from __future__ import annotations
 
+import inspect
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ import numpy as np
 
 from ..domains import Domain, check_params
 from ..errors import DataError
+from .registry import DEFAULT_SVM_TRAIN_CAP, ModelSpec, typed, with_convergence
 
 # Curvature used in place of K_ii + K_jj - 2 K_ij <= 0 (LIBSVM's TAU).
 _TAU = 1e-12
@@ -151,7 +153,7 @@ def svm_fit_smo(
         y = 2.0 * y - 1.0
     if not np.isin(y, (-1, 1)).all():
         raise DataError("labels must be 0/1 or -1/+1")
-    if len(np.unique(y)) < 2:
+    if (y == y[0]).all():
         raise DataError("need both classes to fit an SVM")
     if gamma is None:
         gamma = 1.0 / X.shape[1]
@@ -233,3 +235,58 @@ def svm_decision(model: SVMModel, X) -> np.ndarray:
         return np.full(len(X), model.bias)
     coef = model.alphas * model.labels
     return _margins(model.support_vectors, coef, X, model.gamma) + model.bias
+
+
+# ---------------------------------------------------------------- registry entry
+
+
+def _score(m, X):
+    # Class 1 for a margin >= 0.
+    margins = svm_decision(m, X)
+    return (margins >= 0).astype(np.int64), margins
+
+
+def _from_doc(doc):
+    params, config = doc["params"], doc["config"]
+    model = SVMModel(
+        support_vectors=np.array(params["support_vectors"], dtype=np.float64).reshape(
+            len(params["support_vectors"]), -1
+        ),
+        alphas=np.array(params["alphas"], dtype=np.float64),
+        labels=np.array(params["labels"], dtype=np.float64),
+        bias=float(params["bias"]),
+        gamma=float(config["gamma"]),
+        C=float(config["C"]),
+        converged=bool(params.get("converged", True)),
+        n_iters=int(params.get("n_iters", 0)),
+    )
+    if not model.alphas.shape == model.labels.shape == model.support_vectors.shape[:1]:
+        raise ValueError(
+            f"{len(model.support_vectors)} support vectors, alphas of shape "
+            f"{model.alphas.shape}, labels {model.labels.shape}"
+        )
+    return model
+
+
+SPEC = ModelSpec(
+    name="svm",
+    cls=SVMModel,
+    defaults={k: inspect.signature(svm_fit_smo).parameters[k].default for k in DOMAINS},
+    domains=DOMAINS,
+    fit=lambda X, y, p, seed, val: with_convergence(svm_fit_smo(X, y, **typed(p, DOMAINS))),
+    score=_score,
+    to_doc=lambda m: {
+        "params": {
+            "support_vectors": m.support_vectors.tolist(),
+            "alphas": m.alphas.tolist(),
+            "labels": m.labels.tolist(),
+            "bias": m.bias,
+            "n_iters": m.n_iters,
+            "converged": m.converged,
+        },
+        "config": {"C": m.C, "gamma": m.gamma},
+    },
+    from_doc=_from_doc,
+    config_keys=("C", "gamma"),
+    train_cap=DEFAULT_SVM_TRAIN_CAP,
+)

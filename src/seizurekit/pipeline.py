@@ -130,7 +130,7 @@ def stratified_cap(y, cap: int, seed: int) -> np.ndarray:
         return np.arange(n)
     rng = np.random.default_rng(seed)
     keep: list[np.ndarray] = []
-    classes = np.unique(y)
+    classes, _ = np.unique(y, return_counts=True)  # a bare np.unique loads numpy.ma on numpy 2
     for c in classes:
         idx = np.flatnonzero(y == c)
         quota = max(1, math.floor(cap * len(idx) / n))
@@ -175,7 +175,7 @@ def score_features(model, scaler, fm: FeatureMatrix, labels):
     if labels is None:
         return data, classes, scores, None
     report = compute_metrics(data.y, classes).to_dict()
-    if len(np.unique(data.y)) == 2:
+    if len(np.unique(data.y, return_counts=True)[0]) == 2:  # as in stratified_cap
         points, report["auc"] = roc_auc(data.y, scores)
         report["roc_points"] = [[float(a), float(b)] for a, b in points]
     return data, classes, scores, report

@@ -1526,3 +1526,51 @@ def test_featurize_empty_meta_exits_2(edf_store, tmp_path, capsys):
     rc = main(["featurize", "--store", str(store), "--out", str(tmp_path / "feat")])
     assert rc == 2
     assert "empty feature file" in capsys.readouterr().err
+
+
+# Ways to end the lines of one features file; each reads as the same rows.
+_LINE_ENDS = {
+    "lf": lambda data: data,
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+    "trailing_blank_lines": lambda data: data + b"\n\n\n",
+    "no_final_newline": lambda data: data.rstrip(b"\n"),
+}
+
+
+@pytest.mark.parametrize("ending", _LINE_ENDS)
+def test_manifests_hold_the_digest_of_every_byte_of_the_inputs(tmp_path, synth_dir, ending):
+    # The model commands hash features.csv and model.json as they read them.
+    features = tmp_path / "features.csv"
+    features.write_bytes(_LINE_ENDS[ending]((synth_dir / "features.csv").read_bytes()))
+    cfg = tmp_path / "rf.json"
+    cfg.write_text(json.dumps({"model": "rf", "model_params": {"n_trees": 2, "max_depth": 2}}), encoding="utf-8")
+    f = ["--features", str(features)]
+    model = ["--model", str(tmp_path / "train" / "model.json")]
+    runs = {
+        "train": ["train", *f, "--config", str(cfg)],
+        "cv": ["cv", *f, "--config", str(cfg), "--k", "2"],
+        "eval": ["eval", *f, *model],
+        "predict": ["predict", *f, *model],
+    }
+    for command, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / command)]) == 0
+    model_sha = hashlib.sha256((tmp_path / "train" / "model.json").read_bytes()).hexdigest()
+    for command in runs:
+        inputs = json.loads((tmp_path / command / "manifest.json").read_text(encoding="utf-8"))["inputs"]
+        assert inputs["features.csv"] == hashlib.sha256(features.read_bytes()).hexdigest(), command
+        if command in ("eval", "predict"):
+            assert inputs["model.json"] == model_sha, command
+
+
+def test_a_features_file_rejected_mid_read_leaves_no_manifest(tmp_path, synth_dir, trained_dir, capsys):
+    lines = (synth_dir / "features.csv").read_bytes().split(b"\n")
+    lines[len(lines) // 2] = lines[len(lines) // 2].replace(b",", b",x,", 1)
+    features = tmp_path / "features.csv"
+    features.write_bytes(b"\n".join(lines))
+    f = ["--features", str(features)]
+    model = ["--model", str(trained_dir / "model.json")]
+    for argv in (["train", *f], ["cv", *f], ["eval", *f, *model], ["predict", *f, *model]):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"{features}:{len(lines) // 2 + 1}: expected" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()

@@ -1,6 +1,8 @@
 """Per-epoch statistics, train-only scaling, and the feature CSV format."""
 
+import hashlib
 import io
+import itertools
 import re
 import tempfile
 import warnings
@@ -24,7 +26,7 @@ from seizurekit import (
     write_feature_csv,
 )
 from seizurekit import features
-from seizurekit.errors import write_csv
+from seizurekit.errors import read_utf8, write_csv
 from seizurekit.features import csv_header
 
 
@@ -460,3 +462,138 @@ def test_csv_round_trip_is_bit_exact_on_any_float(case):
     assert list(back.patients) == list(m.patients) == ref_patients
     assert list(back.files) == list(m.files) == ref_files
     assert np.array_equal(back_labels, labels) and np.array_equal(back_labels, ref_labels)
+
+
+# ---------------------------------------------------------------- the single pass against a line reader
+
+
+_NOT_A_NUMBER = re.compile(r"(could not convert string .*) at row (\d+), column (\d+)")
+
+
+def line_reader(path):
+    """The reader read_feature_csv's single pass replaced: each line is
+    checked (field count, then label) as np.loadtxt asks for it, and
+    loadtxt parses start_s and the features of the lines it is given."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = fh.readline()
+            if not first:
+                raise DataError(f"{path}: empty feature file")
+            first = first.rstrip("\n")
+            header = first.split(",")
+            if header[:4] != ["patient", "file", "start_s", "label"]:
+                raise DataError(f"{path}: unexpected header {first!r}")
+            d = len(header) - 4
+            if header[4:] != [f"f{i}" for i in range(d)]:
+                raise DataError(f"{path}: unexpected feature column names")
+            line_numbers, patients, files, labels = [], [], [], []
+
+            def checked_rows():
+                for ln, line in enumerate(fh, start=2):
+                    line = line.rstrip("\n")
+                    if not line:
+                        continue
+                    if line.count(",") != 3 + d:
+                        raise DataError(f"{path}:{ln}: expected {4 + d} fields, got {line.count(',') + 1}")
+                    patient, file, _, label = line.split(",", 4)[:4]
+                    if label not in ("0", "1"):
+                        raise DataError(f"{path}:{ln}: label {label!r} is not 0 or 1")
+                    line_numbers.append(ln)
+                    patients.append(patient)
+                    files.append(file)
+                    labels.append(label == "1")
+                    yield line
+
+            rows = checked_rows()
+            row = next(rows, None)
+            numbers = np.zeros((0, 1 + d))
+            if row is not None:
+                try:
+                    numbers = np.loadtxt(
+                        itertools.chain([row], rows), delimiter=",", comments=None,
+                        usecols=[2, *range(4, 4 + d)], ndmin=2,
+                    )
+                except ValueError as exc:
+                    bad = _NOT_A_NUMBER.search(str(exc))
+                    if bad is None:
+                        raise
+                    raise DataError(f"{path}:{line_numbers[int(bad[2])]}: {bad[1]} in field {bad[3]}") from None
+    except UnicodeDecodeError:
+        read_utf8(path)
+        raise
+    m = FeatureMatrix(
+        values=np.ascontiguousarray(numbers[:, 1:]),
+        patients=np.array(patients, dtype=object),
+        files=np.array(files, dtype=object),
+        starts=numbers[:, 0].copy(),
+    )
+    return m, np.array(labels, dtype=np.int64)
+
+
+def _outcome(reader, path):
+    """The DataError's message, or every array read with its dtype and bytes."""
+    try:
+        m, labels = reader(path)
+    except DataError as exc:
+        return str(exc)
+    arrays = (m.values, m.starts, labels)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays], list(m.patients), list(m.files), m.patients.dtype
+
+
+_NUMBERS = ["x", "1_0", "0x1p3", "nan", "inf"]
+
+
+@st.composite
+def mutated_csv(draw):
+    """A valid feature CSV's lines, then one line (or the line ends) mutated."""
+    d = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 40) | st.integers(300, 400))  # the longer pass the reader's first 8 KiB
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = [csv_header(d)] + [
+        ",".join([f"P{i % 3}", f"f{i % 2}.edf", repr(2.0 * i), str(int(rng.integers(2))),
+                  *(repr(float(v)) for v in rng.normal(size=d) * 10.0 ** rng.integers(-5, 5))])
+        for i in range(n)
+    ]
+    lines = [line.encode() for line in lines]
+    newline = b"\n"
+    i = draw(st.integers(1, n))  # a data line
+    fields = lines[i].split(b",")
+    kind = draw(st.sampled_from(["drop_comma", "add_comma", "label", "number", "blank", "byte", "crlf", "header_only"]))
+    if kind == "drop_comma":
+        j = draw(st.integers(0, len(fields) - 2))
+        fields[j:j + 2] = [fields[j] + fields[j + 1]]
+    elif kind == "add_comma":
+        j = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:j] + b"," + lines[i][j:]
+    elif kind == "label":
+        fields[3] = draw(st.sampled_from([b"2", b" 1", b""]))
+    elif kind == "number":
+        j = draw(st.sampled_from([2, *range(4, 4 + d)]))
+        fields[j] = draw(st.sampled_from(_NUMBERS)).encode()
+    elif kind == "blank":
+        lines.insert(draw(st.integers(1, n + 1)), draw(st.sampled_from([b" ", b"\t", b" \t "])))
+    elif kind == "byte":
+        j = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:j] + draw(st.sampled_from([b"\xff", b"\xe9", b"\x80"])) + lines[i][j:]
+    elif kind == "crlf":
+        newline = b"\r\n"
+    else:
+        lines = lines[:1]
+    if kind in ("drop_comma", "label", "number"):
+        lines[i] = b",".join(fields)
+    return newline.join(lines) + newline
+
+
+@settings(deadline=None, max_examples=300)
+@given(mutated_csv())
+def test_read_feature_csv_agrees_with_the_line_reader_on_a_mutated_file(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        path.write_bytes(data)
+        sha = hashlib.sha256()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(lambda p: read_feature_csv(p, sha), path)
+        assert got == _outcome(line_reader, path)
+    if not isinstance(got, str):
+        assert sha.hexdigest() == hashlib.sha256(data).hexdigest()

@@ -1,7 +1,8 @@
 """A module loads when something uses it. A public name of `seizurekit` or
 `seizurekit.models` imports its home module on first use, and `synth`,
 `ingest` and `featurize` run without the model stack: no model, pipeline,
-evaluation or SMOTE module is imported by them."""
+evaluation or SMOTE module is imported by them. `train`, `cv`, `eval` and
+`predict` import no ingest code and only the model they run."""
 
 import importlib
 import os
@@ -96,3 +97,41 @@ def test_cli_options_is_one_dict_of_the_seven_commands():
 
     assert cli.OPTIONS is cli.OPTIONS
     assert list(cli.OPTIONS) == ["synth", "ingest", "featurize", "train", "cv", "eval", "predict"]
+
+
+_MODEL_MODULES = {f"seizurekit.models.{m}" for m in ("baseline", "forest", "knn", "logistic", "lstm", "svm")}
+# pipeline imports smote, which imports knn's neighbour search.
+_SMOTE_IMPORTS = {"seizurekit.models.knn"}
+
+
+def _loaded(argv, cwd) -> set[str]:
+    """sys.modules once `seizurekit argv` has run in a fresh interpreter.
+    (-X importtime lists no module that importlib.import_module loads, as
+    MODELS and the packages' public names do, so sys.modules is read.)"""
+    code = "import sys\nfrom seizurekit.cli import main\nassert main(sys.argv[1:]) == 0\nprint(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=ENV, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_a_model_command_loads_no_ingest_code_and_only_the_model_it_runs(tmp_path):
+    _loaded(["synth", "--patients", "6", "--epochs-per-patient", "60", "--channels", "2", "--out", "s"], tmp_path)
+    (tmp_path / "lr.json").write_text('{"model": "logreg", "model_params": {"max_iters": 20}, "smote": true}')
+    (tmp_path / "rf.json").write_text('{"model": "rf", "model_params": {"n_trees": 2, "max_depth": 2}}')
+    f = ["--features", "s/features.csv"]
+    runs = [  # argv, the model module it runs
+        (["train", *f, "--config", "lr.json", "--out", "lr"], "logistic"),
+        (["train", *f, "--config", "rf.json", "--out", "rf"], "forest"),
+        (["cv", *f, "--config", "lr.json", "--k", "2", "--out", "cv"], "logistic"),
+        (["eval", *f, "--model", "rf/model.json", "--out", "eval"], "forest"),
+        (["predict", *f, "--model", "lr/model.json", "--out", "predict"], "logistic"),
+    ]
+    bare = subprocess.run([sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+                          env=ENV, capture_output=True, text=True).stdout.split()
+    for argv, model in runs:
+        modules = _loaded(argv, tmp_path)
+        assert not {"seizurekit.edf", "seizurekit.store", "seizurekit.synthetic"} & modules, argv
+        assert modules & _MODEL_MODULES == {f"seizurekit.models.{model}"} | _SMOTE_IMPORTS, argv
+        # numpy 1.x loads numpy.ma with numpy; numpy 2's plain np.unique does too.
+        assert "numpy.ma" not in modules or bare == ["True"], argv
+
