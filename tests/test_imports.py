@@ -134,4 +134,3 @@ def test_a_model_command_loads_no_ingest_code_and_only_the_model_it_runs(tmp_pat
         assert modules & _MODEL_MODULES == {f"seizurekit.models.{model}"} | _SMOTE_IMPORTS, argv
         # numpy 1.x loads numpy.ma with numpy; numpy 2's plain np.unique does too.
         assert "numpy.ma" not in modules or bare == ["True"], argv
-
