@@ -20,9 +20,13 @@ from ..domains import Domain, check_params
 from ..errors import DataError
 from .registry import CLASS_WEIGHTS, ModelSpec, resolve_class_weights
 
-# Bytes of each block of ``nearest``: its (A rows, B rows) screen, and the
-# (pairs, columns) differences of its exact re-rank.
+# Bytes of each block of ``nearest``. Its screen holds three float arrays and
+# three byte masks of its (A rows, B rows) pairs, 27 bytes a pair; its exact
+# re-rank holds two (pairs, columns) float arrays at a time. A block has 8 A
+# rows at least: against 27,000 B rows, one-row blocks took twice as long as
+# 8-row ones, their fixed costs outweighing the screen.
 _BLOCK_BYTES = 1 << 20
+_MIN_BLOCK_ROWS = 8
 
 DOMAINS = {"k": Domain(int, 1)}
 
@@ -51,8 +55,9 @@ def nearest(A, B, k: int, exclude_self: bool = False) -> np.ndarray:
     gives the same neighbours, order and ties as ranking all of them, at any
     BLAS thread count. With exclude_self, A is B and row i's own index is
     dropped before the k are taken, so a duplicate of row i can still be its
-    nearest neighbour. A block's screen holds about _BLOCK_BYTES, so memory
-    does not grow with len(A).
+    nearest neighbour. A block's whole screen, bounds and masks included,
+    holds about _BLOCK_BYTES (for _MIN_BLOCK_ROWS A rows at least), and so
+    does its exact re-rank, so memory does not grow with len(A).
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -69,43 +74,58 @@ def nearest(A, B, k: int, exclude_self: bool = False) -> np.ndarray:
     # covers the sum with room to spare, and the smallest normal float in N
     # covers products that underflow.
     slack = 8 * (B.shape[1] + 2) * np.finfo(np.float64).eps
-    tiny = np.finfo(np.float64).tiny
     b2 = np.einsum("ij,ij->i", B, B)
     # A row-major B.T costs one copy of B and makes the matmuls of a few
     # A rows against many B rows about twice as fast.
     B_t = np.ascontiguousarray(B.T)
     out = np.empty((len(A), k), dtype=np.int64)
-    step = max(1, _BLOCK_BYTES // (8 * len(B)))
-    pairs = max(1, _BLOCK_BYTES // (8 * max(1, B.shape[1])))
+    step = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (27 * len(B)))
     for start in range(0, len(A), step):
         block = A[start:start + step]
-        a2 = np.einsum("ij,ij->i", block, block)[:, None]
-        screen = block @ B_t
-        screen *= -2
-        screen += a2
-        screen += b2
-        bound = slack * (a2 + b2 + tiny)
-        hi = screen + bound
-        lo = np.subtract(screen, bound, out=bound)
-        wild = ~np.isfinite(screen)  # squares that overflowed, or NaN inputs
-        lo[wild] = -np.inf
-        hi[wild] = np.inf
-        own = (np.arange(len(block)), np.arange(start, start + len(block)))
-        if exclude_self:
-            hi[own] = np.inf
-        keep = lo <= np.partition(hi, k - 1, axis=1)[:, k - 1:k]
-        if exclude_self:
-            keep[own] = False
-
-        rows, cols = np.nonzero(keep)
-        dist = np.empty(len(rows))
-        for p in range(0, len(rows), pairs):
-            diff = block[rows[p:p + pairs]] - B[cols[p:p + pairs]]
-            dist[p:p + pairs] = np.sqrt((diff * diff).sum(axis=1))
-        order = np.lexsort((cols, dist, rows))
+        rows, cols = _screen(block, start, B_t, b2, k, exclude_self, slack)
+        order = np.lexsort((cols, _distances(block, B, rows, cols), rows))
         first = np.searchsorted(rows, np.arange(len(block)))
         out[start:start + len(block)] = cols[order[first[:, None] + np.arange(k)]]
     return out
+
+
+def _screen(block, start: int, B_t, b2, k: int, exclude_self: bool, slack: float) -> tuple:
+    """The (block row, B row) pairs, in row-major order, that nearest's
+    screen keeps for the A rows ``block``, the first of them A row start."""
+    a2 = np.einsum("ij,ij->i", block, block)[:, None]
+    screen = block @ B_t
+    screen *= -2
+    screen += a2
+    screen += b2
+    bound = a2 + b2
+    bound += np.finfo(np.float64).tiny
+    bound *= slack
+    hi = screen + bound
+    lo = np.subtract(screen, bound, out=bound)
+    wild = ~np.isfinite(screen)  # squares that overflowed, or NaN inputs
+    del screen
+    lo[wild] = -np.inf
+    hi[wild] = np.inf
+    own = (np.arange(len(block)), np.arange(start, start + len(block)))
+    if exclude_self:
+        hi[own] = np.inf
+    hi.partition(k - 1, axis=1)
+    keep = lo <= hi[:, k - 1:k]
+    if exclude_self:
+        keep[own] = False
+    return np.nonzero(keep)
+
+
+def _distances(block, B, rows, cols) -> np.ndarray:
+    """The exact sqrt(sum((a - b)**2)) of each (block[rows], B[cols]) pair."""
+    pairs = max(1, _BLOCK_BYTES // (16 * max(1, B.shape[1])))
+    dist = np.empty(len(rows))
+    for p in range(0, len(rows), pairs):
+        diff = block[rows[p:p + pairs]]
+        diff -= B[cols[p:p + pairs]]
+        diff *= diff
+        dist[p:p + pairs] = np.sqrt(diff.sum(axis=1))
+    return dist
 
 
 def _vote(classes: np.ndarray, weights: dict | None) -> int:

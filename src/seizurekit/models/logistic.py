@@ -41,11 +41,13 @@ class LogRegModel:
     threshold: float = 0.5  # class 1 for a probability >= threshold
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function, overflow-safe for any finite input."""
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function, overflow-safe for any finite input; out may be z itself."""
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))  # exp(-z) for z >= 0, exp(z) below, never above 1
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    p = np.maximum(e, z >= 0, out=out)  # 1 for z >= 0, else e; NaN stays NaN
+    p /= 1.0 + e
+    return p
 
 
 def _sample_weights(y: np.ndarray, class_weights: dict | None) -> np.ndarray:

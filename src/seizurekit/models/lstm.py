@@ -10,9 +10,12 @@ clipped by global norm before each SGD step.
 Windows arrive as ``epochs.Windows`` (feature rows plus a row-index matrix)
 or as an (N, T, d) array, which is viewed as N*T rows indexed by
 arange(N*T).reshape(N, T); either way step t reads ``rows[idx[:, t]]``.
-Only backprop keeps each step's activations. A pass that only scores
-windows runs over consecutive blocks of about _BLOCK_BYTES of step input
-and holds the running h and c of one block of windows.
+Each step writes its four gate products into one (4, N, h) buffer, adds
+the biases once and runs the three sigmoid gates through one call; backprop
+forms the four gate derivatives in one such buffer. Only backprop keeps
+each step's activations. A pass that only scores windows runs over
+consecutive blocks of about _BLOCK_BYTES of step input and allocates one
+block's step input, gate buffer, c, tanh(c) and h once, for all its steps.
 """
 
 from __future__ import annotations
@@ -56,22 +59,23 @@ class LstmParams:
 
 INIT_DOMAINS = {"hidden_dim": Domain(int, 1)}  # init_params' hidden_dim
 
-# An activation, and the gradient of its input from the gradient dy of its output y.
-_SIGMOID = (sigmoid, lambda dy, y: dy * y * (1.0 - y))
-_TANH = (np.tanh, lambda dy, y: dy * (1.0 - y**2))
-# The cell's gates in parameter order: (name, activation, its gradient).
-_GATES = (("i", *_SIGMOID), ("f", *_SIGMOID), ("o", *_SIGMOID), ("g", *_TANH))
-_FIELDS = (*(f"W_{n}" for n, *_ in _GATES), *(f"b_{n}" for n, *_ in _GATES), "w_out", "b_out")
+# The cell's gates in parameter order: i, f and o take a sigmoid, g a tanh.
+_GATES = ("i", "f", "o", "g")
+_FIELDS = (*(f"W_{n}" for n in _GATES), *(f"b_{n}" for n in _GATES), "w_out", "b_out")
 
 # The most bytes of (N, d + h) step input that one block of a scoring pass
 # holds; the last block, which also takes the remainder, holds up to twice
-# that. A block's windows are a power of two, 8 at least, as svm._margins'
-# query rows are, and no product has fewer rows than a block. With one
-# OpenBLAS thread such blocks give the probabilities of one whole-set pass
-# bit for bit. Smaller products can take another kernel and differ in the
-# last bits: a short last block did so for SVM margins, and 1 MB blocks
-# (512 windows) did at d = 127, h = 2.
-_BLOCK_BYTES = 2 << 20
+# that. With the gathered rows, gate buffer, c, tanh(c), h and the
+# sigmoid's temporaries, a block holds about three times its step input at
+# d = 92, h = 16, and more where h is large against d. A block's windows
+# are a power of two, 8 at least, and at least _MIN_GATE_CELLS / h, and no
+# product has fewer rows than a block. With one OpenBLAS thread such blocks
+# give the probabilities of one whole-set pass bit for bit. Smaller
+# products can take another kernel and differ in the last bits: a short
+# last block did so for SVM margins, and gate products of fewer than 2,048
+# cells did at d = 127, h = 2 (512 windows) and d = 92, h = 16 (64 windows).
+_BLOCK_BYTES = 512 << 10
+_MIN_GATE_CELLS = 2048
 
 
 def field_shapes(input_dim: int, hidden_dim: int) -> dict:
@@ -110,29 +114,41 @@ def _as_windows(seqs, what: str) -> Windows:
 def _forward_batch(p: LstmParams, w: Windows, keep: bool):
     """Run the recurrence over windows; (probabilities, cache).
 
-    With keep, the cache holds every step's activations for backprop;
-    without, it is None and only the running h and c are held.
+    With keep, the cache holds every step's activations for backprop: its
+    "gates" are each step's (4, N, h) gate buffer, in _GATES order, and "i",
+    "f", "o" and "g" are views of it. Without, it is None, and one step
+    input, gate buffer, c, tanh(c) and h are allocated once and reused.
     """
     N, T, d = w.shape
     h_dim = p.hidden_dim
     if d != p.input_dim:
         raise DataError(f"input dim {d} does not match parameters ({p.input_dim})")
+    weights = [getattr(p, f"W_{n}").T for n in _GATES]
+    biases = np.stack([getattr(p, f"b_{n}") for n in _GATES])[:, None, :]  # (4, 1, h)
     h = np.zeros((N, h_dim))
     c = np.zeros((N, h_dim))
     cache = None
     if keep:
-        cache = {key: [] for key in ("z", *(n for n, *_ in _GATES), "c", "tanh_c")} | {"h": [h]}
-    # Each step replaces one gate at a time, so at most one extra gate array is alive.
-    gate = {}
+        cache = {key: [] for key in ("z", "gates", *_GATES, "c", "tanh_c")} | {"h": [h]}
     for t in range(T):
-        z = np.concatenate([w.rows[w.idx[:, t]], h], axis=1)  # (N, d + h)
-        for n, act, _ in _GATES:
-            gate[n] = act(z @ getattr(p, f"W_{n}").T + getattr(p, f"b_{n}"))
-        c = gate["f"] * c + gate["i"] * gate["g"]
-        tanh_c = np.tanh(c)
-        h = gate["o"] * tanh_c
+        if keep or t == 0:
+            z = np.empty((N, d + h_dim))
+            gates = np.empty((4, N, h_dim))
+            c_next, tanh_c, h_next = np.empty((3, N, h_dim)) if keep else (c, np.empty_like(c), h)
+        z[:, :d] = w.rows[w.idx[:, t]]
+        z[:, d:] = h
+        for W, out in zip(weights, gates):
+            np.matmul(z, W, out=out)
+        gates += biases
+        sigmoid(gates[:3], out=gates[:3])
+        np.tanh(gates[3], out=gates[3])
+        i, f, o, g = gates
+        # c = f*c + i*g and h = o*tanh(c), each product rounded as written.
+        np.multiply(f, c, out=c_next)
+        c_next += i * g
+        c, h = c_next, np.multiply(o, np.tanh(c_next, out=tanh_c), out=h_next)
         if keep:
-            for key, val in (("z", z), *gate.items(), ("c", c), ("tanh_c", tanh_c), ("h", h)):
+            for key, val in (("z", z), ("gates", gates), *zip(_GATES, gates), ("c", c), ("tanh_c", tanh_c), ("h", h)):
                 cache[key].append(val)
     logits = h @ p.w_out + p.b_out
     probs = sigmoid(logits)
@@ -183,34 +199,40 @@ def lstm_grad(
         raise DataError(f"non-finite loss at sequence index {bad}")
     loss = float(per_seq.mean())
 
-    grads = {f"{k}_{n}": np.zeros_like(getattr(p, f"{k}_{n}")) for k in "Wb" for n, *_ in _GATES}
+    # The bias gradients are rows of one (4, h) sum, in _FIELDS order.
+    d_biases = np.zeros((4, p.hidden_dim))
+    grads = {f"W_{n}": np.zeros_like(getattr(p, f"W_{n}")) for n in _GATES}
+    grads |= {f"b_{n}": db for n, db in zip(_GATES, d_biases)}
     # d(mean BCE)/d(logit) = (p - y) / N; the head feeds h_T.
     dlogits = (probs - labels) / N  # (N,)
     grads["w_out"] = dlogits @ cache["h"][-1]
     grads["b_out"] = float(dlogits.sum())
 
-    h_dim = p.hidden_dim
     dh = dlogits[:, None] * p.w_out[None, :]  # (N, h)
-    dc = np.zeros((N, h_dim))
-    da = {}  # each gate's pre-activation gradient at step t
+    dc = np.zeros((N, p.hidden_dim))
+    d_gates = np.empty((4, N, p.hidden_dim))  # each gate's pre-activation gradient at step t
     for t in range(T - 1, -1, -1):
         z = cache["z"][t]
-        gate = {n: cache[n][t] for n, *_ in _GATES}
+        gates = cache["gates"][t]
+        i, f, o, g = gates
         tanh_c = cache["tanh_c"][t]
-        c_prev = cache["c"][t - 1] if t > 0 else np.zeros((N, h_dim))
+        c_prev = cache["c"][t - 1] if t > 0 else np.zeros((N, p.hidden_dim))
 
-        dc = dc + dh * gate["o"] * (1.0 - tanh_c**2)
+        dc = dc + dh * o * (1.0 - tanh_c**2)
         # A gate's output gradient is that of the product it feeds
-        # (c = f*c_prev + i*g, h = o*tanh(c)) times its partner there.
-        feeds = {"i": (dc, gate["g"]), "f": (dc, c_prev), "o": (dh, tanh_c), "g": (dc, gate["i"])}
-        for n, _, dact in _GATES:
-            dout, partner = feeds[n]
-            da[n] = dact(dout * partner, gate[n])
-            grads[f"W_{n}"] += da[n].T @ z
-            grads[f"b_{n}"] += da[n].sum(axis=0)
-        dz = functools.reduce(operator.iadd, (da[n] @ getattr(p, f"W_{n}") for n, *_ in _GATES))
+        # (c = f*c_prev + i*g, h = o*tanh(c)) times its partner there,
+        # then times its activation's slope: y*(1 - y), or 1 - y**2 for tanh.
+        for da, dout, partner in zip(d_gates, (dc, dc, dh, dc), (g, c_prev, tanh_c, i)):
+            np.multiply(dout, partner, out=da)
+        d_gates[:3] *= gates[:3]
+        d_gates[:3] *= 1.0 - gates[:3]
+        d_gates[3] *= 1.0 - g**2
+        d_biases += d_gates.sum(axis=1)
+        for n, da in zip(_GATES, d_gates):
+            grads[f"W_{n}"] += da.T @ z
+        dz = functools.reduce(operator.iadd, (da @ getattr(p, f"W_{n}") for n, da in zip(_GATES, d_gates)))
         dh = dz[:, d:]
-        dc = dc * gate["f"]
+        dc = dc * f
 
     if clip_norm is not None:
         norm = np.sqrt(sum(
@@ -237,7 +259,8 @@ class LstmTrainConfig:
 
 def _scores(p: LstmParams, w: Windows) -> np.ndarray:
     """The probabilities of _forward_batch(p, w, keep=False), computed block by block."""
-    step = 1 << max(3, (_BLOCK_BYTES // (8 * (w.shape[2] + p.hidden_dim))).bit_length() - 1)
+    fits = (_BLOCK_BYTES // (8 * (w.shape[2] + p.hidden_dim))).bit_length() - 1
+    step = 1 << max(3, fits, (-(-_MIN_GATE_CELLS // p.hidden_dim) - 1).bit_length())
     # Whole blocks from the start; the last one also takes the remainder.
     edges = [*range(0, max(len(w) - step, 0) + 1, step), len(w)]
     probs = np.empty(len(w))

@@ -16,9 +16,10 @@ The n x n kernel is never built. Rows of K are computed when a step needs
 them and kept in a least-recently-used cache of at most _ROW_CACHE_BYTES
 (Chang & Lin, ACM TIST 2011). The recomputed F and the decision function
 sum over the support vectors through blocks of query rows, each at most
-_BLOCK_BYTES of kernel. The cache is emptied before F is recomputed, so a
-fit holds about the larger of _ROW_CACHE_BYTES and _BLOCK_BYTES beyond its
-inputs, whatever n is.
+_BLOCK_BYTES of kernel, from one copy of 2 * sv made before the first
+block. The cache is emptied before F is recomputed, so a fit holds about
+the larger of _ROW_CACHE_BYTES and _BLOCK_BYTES beyond its inputs, plus
+2 * sv or the model's support vectors, whatever n is.
 """
 
 from __future__ import annotations
@@ -38,13 +39,16 @@ from .registry import DEFAULT_SVM_TRAIN_CAP, ModelSpec, typed, with_convergence
 _TAU = 1e-12
 
 # The most bytes of kernel rows the SMO solver keeps between steps.
-_ROW_CACHE_BYTES = 8 << 20
+_ROW_CACHE_BYTES = 2 << 20
 
 # The most bytes of kernel that one block of margins holds (one query row at
 # least). Its rows are a power of two: with one OpenBLAS thread, such blocks
-# gave the margins of one whole-query product bit for bit, except in a last
-# block of a few rows, where blocks of 1,000 or 777 rows did not.
-_BLOCK_BYTES = 8 << 20
+# gave the margins of one whole-query product bit for bit, except in a short
+# last block, where blocks of 1,000 or 777 rows did not. The last bits of a
+# short last block's margins can differ (seen in last blocks of up to 191
+# rows, 100 to 1,836 support vectors, d 92), so a new budget can change the
+# margins of a query's last rows.
+_BLOCK_BYTES = 2 << 20
 
 # The domain of each svm_fit_smo parameter; C = inf (a hard margin) is
 # refused, and gamma None means 1 / n_features.
@@ -72,12 +76,12 @@ def rbf_kernel(A, B, gamma: float) -> np.ndarray:
     """K[i, j] = exp(-gamma * ||A_i - B_j||^2), built in one (n, m) buffer."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
-    return _rbf(A, (A * A).sum(axis=1), B, (B * B).sum(axis=1), gamma)
+    return _rbf(2.0 * A, (A * A).sum(axis=1), B, (B * B).sum(axis=1), gamma)
 
 
-def _rbf(A, sq_A, B, sq_B, gamma: float) -> np.ndarray:
-    """rbf_kernel(A, B, gamma) given the rows' squared norms."""
-    K = 2.0 * A @ B.T
+def _rbf(twice_A, sq_A, B, sq_B, gamma: float) -> np.ndarray:
+    """rbf_kernel(A, B, gamma) given 2 * A and the rows' squared norms."""
+    K = twice_A @ B.T
     np.subtract(sq_A[:, None], K, out=K)
     K += sq_B[None, :]
     np.maximum(K, 0.0, out=K)
@@ -85,16 +89,16 @@ def _rbf(A, sq_A, B, sq_B, gamma: float) -> np.ndarray:
     return np.exp(K, out=K)
 
 
-def _margins(sv, coef, X, gamma: float) -> np.ndarray:
-    """coef @ rbf_kernel(sv, X, gamma), through blocks of query rows."""
-    sq_sv = (sv * sv).sum(axis=1)
+def _margins(twice_sv, sq_sv, coef, X, gamma: float) -> np.ndarray:
+    """coef @ rbf_kernel(sv, X, gamma), through blocks of query rows, given
+    2 * sv and the support vectors' squared norms."""
     # The largest power of two of rows whose kernel fits in _BLOCK_BYTES.
-    step = 1 << max(0, (_BLOCK_BYTES // (8 * max(1, len(sv)))).bit_length() - 1)
+    step = 1 << max(0, (_BLOCK_BYTES // (8 * max(1, len(twice_sv)))).bit_length() - 1)
     out = np.empty(len(X))
     for start in range(0, len(X), step):
         block = X[start : start + step]
-        K = _rbf(sv, sq_sv, block, (block * block).sum(axis=1), gamma)
-        out[start : start + len(block)] = coef @ K
+        # Unnamed, so that one block's kernel is freed before the next is built.
+        out[start : start + len(block)] = coef @ _rbf(twice_sv, sq_sv, block, (block * block).sum(axis=1), gamma)
     return out
 
 
@@ -114,7 +118,7 @@ class _KernelRows:
             return row
         if len(self.rows) == self.capacity:
             self.rows.popitem(last=False)
-        row = _rbf(self.X[i : i + 1], self.sq[i : i + 1], self.X, self.sq, self.gamma)[0]
+        row = _rbf(2.0 * self.X[i : i + 1], self.sq[i : i + 1], self.X, self.sq, self.gamma)[0]
         self.rows[i] = row
         return row
 
@@ -181,7 +185,7 @@ def svm_fit_smo(
             # the margins' blocks.
             K.rows.clear()
             sv = np.flatnonzero(alphas)
-            F = y - _margins(X[sv], alphas[sv] * y[sv], X, gamma)
+            F = y - _margins(2.0 * X[sv], sq[sv], alphas[sv] * y[sv], X, gamma)
             fresh = True
             continue
         if converged or steps == budget:
@@ -213,9 +217,9 @@ def svm_fit_smo(
     bias = float(F[free].mean()) if free.any() else float(hi + lo) / 2.0
     support = alphas > 0
     return SVMModel(
-        support_vectors=X[support].copy(),
-        alphas=alphas[support].copy(),
-        labels=y[support].copy(),
+        support_vectors=X[support],  # a mask's index copies
+        alphas=alphas[support],
+        labels=y[support],
         bias=bias,
         gamma=gamma,
         C=C,
@@ -233,8 +237,9 @@ def svm_decision(model: SVMModel, X) -> np.ndarray:
         )
     if len(model.support_vectors) == 0:
         return np.full(len(X), model.bias)
+    sv = model.support_vectors
     coef = model.alphas * model.labels
-    return _margins(model.support_vectors, coef, X, model.gamma) + model.bias
+    return _margins(2.0 * sv, (sv * sv).sum(axis=1), coef, X, model.gamma) + model.bias
 
 
 # ---------------------------------------------------------------- registry entry

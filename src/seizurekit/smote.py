@@ -18,7 +18,6 @@ import numpy as np
 from .domains import Domain, check_params, domains_of, param
 from .errors import DataError
 from .features import FeatureMatrix
-from .models.knn import nearest
 
 
 @dataclass(frozen=True)
@@ -71,6 +70,8 @@ def smote(
 
     n_target = math.floor(cfg.target_ratio * n_maj)
     n_synth = max(0, n_target - n_min)
+
+    from .models.knn import nearest  # here, so that a run without SMOTE loads no kNN code
 
     rng = np.random.default_rng(cfg.seed)
     minority = values[minority_idx]

@@ -2,7 +2,8 @@
 `seizurekit.models` imports its home module on first use, and `synth`,
 `ingest` and `featurize` run without the model stack: no model, pipeline,
 evaluation or SMOTE module is imported by them. `train`, `cv`, `eval` and
-`predict` import no ingest code and only the model they run."""
+`predict` import no ingest code and only the model they run, plus kNN's
+neighbour search when SMOTE runs."""
 
 import importlib
 import os
@@ -64,15 +65,14 @@ def test_a_bare_import_loads_no_submodule_until_one_is_used():
 _MODEL_STACK = ("seizurekit.models", "seizurekit.pipeline", "seizurekit.evaluation", "seizurekit.smote")
 
 
-def _imported(argv, cwd) -> set[str]:
-    """The seizurekit modules that `python -m seizurekit argv` imports."""
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "seizurekit", *argv],
-        cwd=cwd, env=ENV, capture_output=True, text=True,
-    )
+def _loaded(argv, cwd) -> set[str]:
+    """sys.modules once `seizurekit argv` has run in a fresh interpreter.
+    (-X importtime lists no module that importlib.import_module loads, as
+    MODELS and the packages' public names do, so sys.modules is read.)"""
+    code = "import sys\nfrom seizurekit.cli import main\nassert main(sys.argv[1:]) == 0\nprint(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=ENV, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-500:]
-    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if "|" in line}
-    return {name for name in names if name.startswith("seizurekit")}
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 def test_synth_ingest_and_featurize_import_no_model_code_and_train_does(tmp_path):
@@ -84,11 +84,11 @@ def test_synth_ingest_and_featurize_import_no_model_code_and_train_does(tmp_path
         "featurize": ["--store", "store", "--out", "feat"],
     }
     for command, argv in runs.items():
-        modules = _imported([command, *argv], tmp_path)
+        modules = {m for m in _loaded([command, *argv], tmp_path) if m.startswith("seizurekit")}
         assert "seizurekit.cli" in modules
         assert not {m for m in modules if m.startswith(_MODEL_STACK)}, (command, sorted(modules))
 
-    train = _imported(["train", "--features", "synth/features.csv", "--model", "knn", "--out", "t"], tmp_path)
+    train = _loaded(["train", "--features", "synth/features.csv", "--model", "knn", "--out", "t"], tmp_path)
     assert set(_MODEL_STACK) <= train
 
 
@@ -100,18 +100,6 @@ def test_cli_options_is_one_dict_of_the_seven_commands():
 
 
 _MODEL_MODULES = {f"seizurekit.models.{m}" for m in ("baseline", "forest", "knn", "logistic", "lstm", "svm")}
-# pipeline imports smote, which imports knn's neighbour search.
-_SMOTE_IMPORTS = {"seizurekit.models.knn"}
-
-
-def _loaded(argv, cwd) -> set[str]:
-    """sys.modules once `seizurekit argv` has run in a fresh interpreter.
-    (-X importtime lists no module that importlib.import_module loads, as
-    MODELS and the packages' public names do, so sys.modules is read.)"""
-    code = "import sys\nfrom seizurekit.cli import main\nassert main(sys.argv[1:]) == 0\nprint(*sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=ENV, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr[-500:]
-    return set(proc.stdout.splitlines()[-1].split())
 
 
 def test_a_model_command_loads_no_ingest_code_and_only_the_model_it_runs(tmp_path):
@@ -119,18 +107,19 @@ def test_a_model_command_loads_no_ingest_code_and_only_the_model_it_runs(tmp_pat
     (tmp_path / "lr.json").write_text('{"model": "logreg", "model_params": {"max_iters": 20}, "smote": true}')
     (tmp_path / "rf.json").write_text('{"model": "rf", "model_params": {"n_trees": 2, "max_depth": 2}}')
     f = ["--features", "s/features.csv"]
-    runs = [  # argv, the model module it runs
-        (["train", *f, "--config", "lr.json", "--out", "lr"], "logistic"),
-        (["train", *f, "--config", "rf.json", "--out", "rf"], "forest"),
-        (["cv", *f, "--config", "lr.json", "--k", "2", "--out", "cv"], "logistic"),
-        (["eval", *f, "--model", "rf/model.json", "--out", "eval"], "forest"),
-        (["predict", *f, "--model", "lr/model.json", "--out", "predict"], "logistic"),
+    runs = [  # argv, the model module it runs, and whether SMOTE (which runs kNN's search) runs
+        (["train", *f, "--config", "lr.json", "--out", "lr"], "logistic", True),
+        (["train", *f, "--config", "rf.json", "--out", "rf"], "forest", False),
+        (["cv", *f, "--config", "lr.json", "--k", "2", "--out", "cv"], "logistic", True),
+        (["eval", *f, "--model", "rf/model.json", "--out", "eval"], "forest", False),
+        (["predict", *f, "--model", "lr/model.json", "--out", "predict"], "logistic", False),
     ]
     bare = subprocess.run([sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
                           env=ENV, capture_output=True, text=True).stdout.split()
-    for argv, model in runs:
+    for argv, model, smote in runs:
         modules = _loaded(argv, tmp_path)
         assert not {"seizurekit.edf", "seizurekit.store", "seizurekit.synthetic"} & modules, argv
-        assert modules & _MODEL_MODULES == {f"seizurekit.models.{model}"} | _SMOTE_IMPORTS, argv
+        want = {f"seizurekit.models.{model}"} | ({"seizurekit.models.knn"} if smote else set())
+        assert modules & _MODEL_MODULES == want, argv
         # numpy 1.x loads numpy.ma with numpy; numpy 2's plain np.unique does too.
         assert "numpy.ma" not in modules or bare == ["True"], argv

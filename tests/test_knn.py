@@ -1,6 +1,6 @@
 """Nearest-neighbor voting, tie-breaking, and class weighting."""
 
-import importlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -187,8 +187,8 @@ def screen_cases(draw):
     A = B if exclude_self else offset + scale * grid[rng.integers(len(grid), size=draw(st.integers(0, 20)))]
     top = n_b - exclude_self
     k = draw(st.sampled_from([1, top]) | st.integers(1, top))
-    # 8 * n_b bytes hold one query's screen; the smallest budgets also split
-    # the re-rank into pairs of rows.
+    # The smallest budgets give blocks of knn._MIN_BLOCK_ROWS queries and
+    # split the re-rank into pairs of rows.
     budget = draw(st.sampled_from([8 * n_b, 16 * n_b, 1 << 20]))
     return A, B, k, exclude_self, budget
 
@@ -221,7 +221,21 @@ def test_smote_output_equals_the_output_from_the_former_search(fixed_lambda, see
     def former(A, B, k, exclude_self):
         return _reference_minority_neighbors(B, k)
 
-    with mock.patch.object(importlib.import_module("seizurekit.smote"), "nearest", former):
+    with mock.patch.object(knn, "nearest", former):
         want = smote(X, y, cfg, fixed_lambda=fixed_lambda)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+
+
+def test_a_search_holds_about_one_block_budget_beyond_its_inputs():
+    # The benchmark's knn: 1,725 test rows against 1,000 training rows.
+    rng = np.random.default_rng(4)
+    A, B = rng.normal(size=(1725, 92)), rng.normal(size=(1000, 92))
+    tracemalloc.start()
+    try:
+        out = nearest(A, B, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A row-major copy of B, then one block's screen or re-rank at a time.
+    assert peak - out.nbytes <= 2 * knn._BLOCK_BYTES, (peak - out.nbytes) / knn._BLOCK_BYTES

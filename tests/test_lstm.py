@@ -1,5 +1,7 @@
 """LSTM recurrence, exact BPTT gradients, training, and prediction."""
 
+import functools
+import operator
 import os
 import subprocess
 import sys
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import seizurekit
 from seizurekit import ConfigError, DataError, Windows
@@ -20,8 +24,8 @@ from seizurekit.models import (
     lstm_predict,
     lstm_train,
 )
-from seizurekit.models import lstm
-from seizurekit.models.lstm import _FIELDS, _bce, _forward_batch, _mean_loss
+from seizurekit.models import lstm, sigmoid
+from seizurekit.models.lstm import _FIELDS, _as_windows, _bce, _forward_batch, _mean_loss
 from seizurekit.pipeline import _balance_by_duplication
 
 
@@ -334,9 +338,10 @@ def test_forward_batch_replaces_a_steps_gates_one_at_a_time():
 
 def block_windows(d: int, h: int) -> int:
     """Windows in a scoring block: the largest power of two, 8 at least,
-    whose (N, d + h) step input fits in lstm._BLOCK_BYTES."""
+    whose (N, d + h) step input fits in lstm._BLOCK_BYTES, or else the
+    smallest whose gate products have lstm._MIN_GATE_CELLS cells."""
     n = 8
-    while 2 * n * (d + h) * 8 <= lstm._BLOCK_BYTES:
+    while 2 * n * (d + h) * 8 <= lstm._BLOCK_BYTES or n * h < lstm._MIN_GATE_CELLS:
         n *= 2
     return n
 
@@ -361,8 +366,9 @@ def blocked_scoring_mismatches(d: int, h: int) -> list:
     return bad
 
 
-# (d, h) with 32,768 and 2,048 windows in a block.
-BLOCKED_SHAPES = [(3, 5), (92, 16)]
+# (d, h) with 8,192 and 512 windows in a block, and 1,024, where the
+# smallest gate product sets the block.
+BLOCKED_SHAPES = [(3, 5), (92, 16), (127, 2)]
 
 
 @pytest.mark.parametrize("d, h", BLOCKED_SHAPES)
@@ -446,3 +452,163 @@ def test_train_rejects_mismatched_labels_and_windows(train_labels, val):
 def test_grad_rejects_labels_that_would_broadcast():
     with pytest.raises(DataError, match=r"shape \(2, 1\)"):
         lstm_grad(zero_params(), np.zeros((2, 2, 3)), np.zeros((2, 1)))
+
+
+# The step as it was before the gates shared one buffer: each gate its own
+# product, bias and activation, and its own backward product and bias sum.
+_REF_SIGMOID = (sigmoid, lambda dy, y: dy * y * (1.0 - y))
+_REF_TANH = (np.tanh, lambda dy, y: dy * (1.0 - y**2))
+_REF_GATES = (("i", *_REF_SIGMOID), ("f", *_REF_SIGMOID), ("o", *_REF_SIGMOID), ("g", *_REF_TANH))
+
+
+def _reference_forward_batch(p, w, keep):
+    N, T, d = w.shape
+    h_dim = p.hidden_dim
+    h = np.zeros((N, h_dim))
+    c = np.zeros((N, h_dim))
+    cache = None
+    if keep:
+        cache = {key: [] for key in ("z", *(n for n, *_ in _REF_GATES), "c", "tanh_c")} | {"h": [h]}
+    gate = {}
+    for t in range(T):
+        z = np.concatenate([w.rows[w.idx[:, t]], h], axis=1)
+        for n, act, _ in _REF_GATES:
+            gate[n] = act(z @ getattr(p, f"W_{n}").T + getattr(p, f"b_{n}"))
+        c = gate["f"] * c + gate["i"] * gate["g"]
+        tanh_c = np.tanh(c)
+        h = gate["o"] * tanh_c
+        if keep:
+            for key, val in (("z", z), *gate.items(), ("c", c), ("tanh_c", tanh_c), ("h", h)):
+                cache[key].append(val)
+    return sigmoid(h @ p.w_out + p.b_out), cache
+
+
+def _reference_lstm_grad(p, seqs, labels, clip_norm=5.0):
+    seqs = _as_windows(seqs, "batch")
+    labels = np.asarray(labels, dtype=np.float64)
+    N, T, d = seqs.shape
+    probs, cache = _reference_forward_batch(p, seqs, keep=True)
+    loss = float(_bce(probs, labels).mean())
+    grads = {f"{k}_{n}": np.zeros_like(getattr(p, f"{k}_{n}")) for k in "Wb" for n, *_ in _REF_GATES}
+    dlogits = (probs - labels) / N
+    grads["w_out"] = dlogits @ cache["h"][-1]
+    grads["b_out"] = float(dlogits.sum())
+    h_dim = p.hidden_dim
+    dh = dlogits[:, None] * p.w_out[None, :]
+    dc = np.zeros((N, h_dim))
+    da = {}
+    for t in range(T - 1, -1, -1):
+        z = cache["z"][t]
+        gate = {n: cache[n][t] for n, *_ in _REF_GATES}
+        tanh_c = cache["tanh_c"][t]
+        c_prev = cache["c"][t - 1] if t > 0 else np.zeros((N, h_dim))
+        dc = dc + dh * gate["o"] * (1.0 - tanh_c**2)
+        feeds = {"i": (dc, gate["g"]), "f": (dc, c_prev), "o": (dh, tanh_c), "g": (dc, gate["i"])}
+        for n, _, dact in _REF_GATES:
+            dout, partner = feeds[n]
+            da[n] = dact(dout * partner, gate[n])
+            grads[f"W_{n}"] += da[n].T @ z
+            grads[f"b_{n}"] += da[n].sum(axis=0)
+        dz = functools.reduce(operator.iadd, (da[n] @ getattr(p, f"W_{n}") for n, *_ in _REF_GATES))
+        dh = dz[:, d:]
+        dc = dc * gate["f"]
+    if clip_norm is not None:
+        norm = np.sqrt(sum(float(g**2) if k == "b_out" else float((g * g).sum()) for k, g in grads.items()))
+        if norm > clip_norm:
+            grads = {k: g * (clip_norm / norm) for k, g in grads.items()}
+    return grads, loss
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def kernel_differences(N, T, d, h, seed, as_windows, clip_norm) -> list:
+    """What _forward_batch (keep False and True, with every cached step) and
+    lstm_grad give that differs in any bit from the reference step."""
+    rng = np.random.default_rng(seed)
+    p = init_params(d, hidden_dim=h, seed=seed)
+    scale = rng.choice([0.1, 1.0, 30.0])  # 30 saturates the gates
+    if as_windows:  # overlapping windows over shared rows, in shuffled order
+        rows = scale * rng.normal(size=(N + T, d))
+        seqs = Windows(rows, rng.permutation(N)[:, None] + np.arange(T))
+    else:
+        seqs = scale * rng.normal(size=(N, T, d))
+    labels = (rng.random(N) < 0.4).astype(np.float64)
+    w = _as_windows(seqs, "windows")
+    bad = []
+    for keep in (False, True):
+        got, cache = _forward_batch(p, w, keep)
+        want, ref_cache = _reference_forward_batch(p, w, keep)
+        if not same_bits(got, want):
+            bad.append(("probs", keep))
+        for key in ref_cache or {}:
+            if not all(same_bits(g, r) for g, r in zip(cache[key], ref_cache[key], strict=True)):
+                bad.append(("cache", key))
+    grads, loss = lstm_grad(p, seqs, labels, clip_norm=clip_norm)
+    ref_grads, ref_loss = _reference_lstm_grad(p, seqs, labels, clip_norm=clip_norm)
+    if loss != ref_loss:
+        bad.append("loss")
+    bad += [k for k in _FIELDS if not same_bits(grads[k], ref_grads[k])]
+    return bad
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    N=st.integers(1, 70),
+    T=st.integers(1, 6),
+    d=st.integers(1, 20),
+    h=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    as_windows=st.booleans(),
+    clip_norm=st.sampled_from([None, 5.0, 1e-3]),
+)
+@example(N=1, T=1, d=1, h=1, seed=0, as_windows=False, clip_norm=None)
+@example(N=1, T=1, d=92, h=16, seed=1, as_windows=True, clip_norm=5.0)
+@example(N=64, T=10, d=92, h=16, seed=2, as_windows=True, clip_norm=5.0)
+def test_the_stacked_step_is_bit_equal_to_the_reference_step(N, T, d, h, seed, as_windows, clip_norm):
+    assert kernel_differences(N, T, d, h, seed, as_windows, clip_norm) == []
+
+
+# (N, T, d, h): one window and one step, the benchmark's batch, and wide gates.
+KERNEL_SHAPES = [(1, 1, 3, 2), (7, 3, 5, 1), (64, 10, 92, 16), (32, 4, 92, 64)]
+
+
+def kernel_mismatches() -> list:
+    return [
+        (shape, as_windows, bad)
+        for shape in KERNEL_SHAPES
+        for as_windows in (False, True)
+        if (bad := kernel_differences(*shape, sum(shape), as_windows, 5.0))
+    ]
+
+
+def test_the_stacked_step_is_bit_equal_to_the_reference_step_with_one_blas_thread():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(Path(seizurekit.__file__).parents[1]), str(root)]),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+    )
+    code = "from tests.test_lstm import kernel_mismatches as m; print(m())"
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_a_scoring_block_holds_about_three_times_its_step_input():
+    # The benchmark's shape. The (4, N, h) gate buffer, c, tanh(c) and h are
+    # allocated once a block; the gathered rows and the sigmoid's temporaries
+    # come and go with each step.
+    d, h, T = 92, 16, 10
+    n = block_windows(d, h)
+    p = init_params(d, hidden_dim=h, seed=0)
+    windows = Windows(np.ones((n + T, d)), np.arange(n)[:, None] + np.arange(T))
+    tracemalloc.start()
+    lstm_predict(p, windows)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    step_input = n * (d + h) * 8
+    assert peak <= 3 * step_input, peak / step_input

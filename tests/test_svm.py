@@ -554,6 +554,22 @@ def test_a_3000_row_fit_holds_far_less_than_the_whole_kernel(tmp_path):
     assert rise < 0.4 * kernel_mb, f"a 3000-row fit rose {rise:.1f} MB; the whole kernel is {kernel_mb:.1f} MB"
 
 
+def test_a_3000_row_fit_holds_at_most_twice_its_larger_budget_beyond_its_inputs():
+    rng = np.random.default_rng(0)
+    y = (rng.random(3000) < 0.3).astype(int)
+    X = rng.normal(size=(3000, 92)) + 0.3 * y[:, None]
+    tracemalloc.start()
+    try:
+        model = svm_fit_smo(X, y, C=0.1, gamma=1 / 92, max_passes=30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.converged and len(model.alphas) > 1000  # 2 * sv is more than half a kernel block
+    budget = max(svm._ROW_CACHE_BYTES, svm._BLOCK_BYTES)
+    # The row cache and the model's support vectors, or 2 * sv and one block of margins.
+    assert peak <= 2 * budget, peak / budget
+
+
 def test_default_size_holdout_svm_reports_its_steps(default_size_svm_run):
     doc = json.loads((default_size_svm_run / "a" / "model.json").read_text(encoding="utf-8"))
     report = json.loads((default_size_svm_run / "a" / "report.json").read_text(encoding="utf-8"))
