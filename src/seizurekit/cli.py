@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import json
 import sys
 import typing
 from pathlib import Path
@@ -28,7 +27,7 @@ import numpy as np
 
 from .domains import check_params, has_type
 from .epochs import TASKS
-from .errors import ConfigError, DataError, LeakageError, json_text, write_csv, write_json
+from .errors import ConfigError, DataError, LeakageError, json_text, read_json, write_csv, write_json
 from .features import extract_features, read_feature_csv, scaler_doc, write_feature_csv
 from .version import SPEC_VERSION
 
@@ -72,10 +71,7 @@ def _load_config_file(path: str | None, allowed: set) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    doc = read_json(p, ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = set(doc) - allowed

@@ -17,6 +17,8 @@ from .errors import ConfigError
 
 def has_type(value, kind) -> bool:
     """isinstance, except that an int passes for a float it fits in and a bool is not a number."""
+    if type(value) is kind:  # the common case, before the abstract checks below
+        return True
     if isinstance(value, bool):
         return kind is bool
     if kind is float and isinstance(value, numbers.Integral):
@@ -28,7 +30,7 @@ def has_type(value, kind) -> bool:
 class Domain:
     """The values one parameter may take; `value in domain` tests one."""
 
-    kind: type  # int, float, or dict: 'balanced' or {class 0 or 1: a weight in the bounds}
+    kind: type  # int, float, bool, or dict: 'balanced' or {class 0 or 1: a weight in the bounds}
     lo: float = -math.inf
     hi: float = math.inf
     lo_open: bool = False
@@ -52,7 +54,7 @@ class Domain:
         )
 
     def __str__(self) -> str:
-        what = "an int" if self.kind is int else "a finite number"
+        what = {int: "an int", bool: "a bool"}.get(self.kind, "a finite number")
         if self.hi < math.inf:
             left, right = "(" if self.lo_open else "[", ")" if self.hi_open else "]"
             what += f" in {left}{self.lo:g}, {self.hi:g}{right}"

@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the UTF-8 reader and the
-JSON and CSV writers that every module uses.
+"""Exception types shared across the toolkit, and the UTF-8 and JSON
+readers and the JSON and CSV writers that every module uses.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 LeakageError -> 3.
@@ -33,6 +33,15 @@ def read_utf8(path, sha256=None) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}:{line}: not UTF-8: byte {data[exc.start]:#04x}") from None
+
+
+def read_json(path, error_class, sha256=None, what="JSON", **options):
+    """The value of the UTF-8 JSON file at path, parsed by json.loads with options; any other
+    file, nested too deep to parse included, is an error_class naming it. sha256: see read_utf8."""
+    try:
+        return json.loads(read_utf8(path, sha256), **options)
+    except (DataError, RecursionError, ValueError) as exc:
+        raise error_class(f"{path}: invalid {what}: {exc}") from None
 
 
 def _json_key(key) -> str:

@@ -63,12 +63,6 @@ class Scaler:
     mean: np.ndarray
     std: np.ndarray
 
-    def __post_init__(self):
-        if self.mean.shape != self.std.shape or self.mean.ndim != 1:
-            raise DataError("scaler mean/std must be matching 1-D arrays")
-        if (self.std < 0).any():
-            raise DataError("scaler std must be nonnegative")
-
 
 def scaler_doc(s: Scaler) -> dict:
     """The document of scaler.json: `mean`, `std` and `spec_version`."""

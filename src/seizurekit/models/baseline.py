@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..domains import Domain, check_params
-from .registry import ModelSpec
+from .registry import ModelSpec, Scalar
 
 DOMAINS = {"class": Domain(int, 0, 1)}
 
@@ -40,6 +40,5 @@ SPEC = ModelSpec(
         np.full(len(X), m.constant_class, dtype=np.int64),
         np.full(len(X), float(m.constant_class)),
     ),
-    to_doc=lambda m: {"params": {"class": m.constant_class}, "config": {}},
-    from_doc=lambda doc: ConstantModel(constant_class=doc["params"]["class"]),
+    layout={"params": {"class": Scalar(DOMAINS["class"], attr="constant_class")}, "config": {}},
 )

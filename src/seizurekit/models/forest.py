@@ -18,13 +18,13 @@ Prediction is a majority vote over trees; a tied vote goes to class 0.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..domains import Domain, check_params, defaults_of, domains_of, param
+from ..domains import Domain, check_params, defaults_of, domains_of, has_type, param
 from ..errors import DataError
-from .registry import ModelSpec, typed
+from .registry import Converted, ModelSpec, Scalar, typed
 
 
 @dataclass(frozen=True)
@@ -279,27 +279,23 @@ def _tree_to_dict(node: TreeNode) -> dict:
 
 
 def _tree_from_dict(doc: dict, n_features: int) -> TreeNode:
+    """A tree of leaves of two counts and splits on a feature of the model at a number."""
     if "counts" in doc:
-        return TreeNode(counts=(int(doc["counts"][0]), int(doc["counts"][1])))
-    if doc["feature"] not in range(n_features):
-        raise ValueError(f"split feature {doc['feature']!r} of a model on {n_features} features")
-    return TreeNode(
-        feature=int(doc["feature"]),
-        threshold=float(doc["threshold"]),
-        left=_tree_from_dict(doc["left"], n_features),
-        right=_tree_from_dict(doc["right"], n_features),
-    )
+        counts = doc["counts"]
+        if type(counts) is not list or [has_type(c, int) and c >= 0 for c in counts] != [True, True]:
+            raise ValueError(f"leaf counts {counts!r} are not two ints >= 0")
+        return TreeNode(counts=tuple(counts))
+    feature, threshold = doc["feature"], doc["threshold"]
+    if not (has_type(feature, int) and 0 <= feature < n_features and has_type(threshold, float)):
+        raise ValueError(f"split {feature!r} at {threshold!r} of a model on {n_features} features")
+    left, right = (_tree_from_dict(doc[side], n_features) for side in ("left", "right"))
+    return TreeNode(feature=feature, threshold=float(threshold), left=left, right=right)
 
 
-def _from_doc(doc):
-    model = RFModel(
-        trees=tuple(_tree_from_dict(t, doc["params"]["n_features"]) for t in doc["params"]["trees"]),
-        config=RFConfig(**doc["config"]),
-        n_features=int(doc["params"]["n_features"]),
-    )
-    if len(model.trees) != model.config.n_trees:
-        raise ValueError(f"{len(model.trees)} trees for n_trees={model.config.n_trees}")
-    return model
+def _trees_from_doc(trees: list, attrs: dict) -> tuple:
+    if len(trees) != attrs["config"].n_trees:
+        raise ValueError(f"{len(trees)} trees for n_trees={attrs['config'].n_trees}")
+    return tuple(_tree_from_dict(t, attrs["n_features"]) for t in trees)
 
 
 SPEC = ModelSpec(
@@ -309,10 +305,11 @@ SPEC = ModelSpec(
     domains=domains_of(RFConfig),
     fit=_fit,
     score=_score,
-    to_doc=lambda m: {
-        "params": {"trees": [_tree_to_dict(t) for t in m.trees], "n_features": m.n_features},
-        "config": asdict(m.config),
+    layout={
+        "params": {
+            "trees": Converted(lambda trees: [_tree_to_dict(t) for t in trees], _trees_from_doc),
+            "n_features": Scalar(Domain(int, 0)),
+        },
+        "config": RFConfig,
     },
-    from_doc=_from_doc,
-    config_keys=tuple(f.name for f in fields(RFConfig)),
 )

@@ -3,36 +3,34 @@
 A model file is the whole trained artefact: every document carries
 `model_type`, `spec_version`, the `scaler` fitted on the training rows and
 `fit_patients`, the sorted patients of the training and validation rows.
-The other fields come from the model's registry entry (`params` and
-`config` for the tabular models, `dims`, `weights` and `config` for the
-LSTM). Only this module writes and reads `threshold` (`logreg`, `lstm`)
-and `sequence_length` (`lstm`) in `config`, each when it differs from the
-model class's default. A `config` key that neither the model type's
-`to_doc` writes (its registry entry's `config_keys`) nor the model
-carries, or an entry outside its registry domain (or `seed`'s), makes the
-document malformed. A number under `params` or `weights` that is not a
-finite float is a DataError. Floats are written with full round-trip
-precision, so save -> load reproduces parameters exactly.
+Its other sections are the model's registry `layout`, which the one codec
+in models/registry.py writes and reads, as it does the scaler. Only this
+module writes and reads `threshold` (`logreg`, `lstm`) and
+`sequence_length` (`lstm`) in `config`, each when it differs from the
+model class's default. A number under `params` or `weights` that is not a
+finite float is a DataError naming its key, whatever else is wrong there.
+Floats are written with full round-trip precision, so save -> load
+reproduces parameters exactly.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import fields, replace
 
-import numpy as np
-
 from ..domains import Domain, check_params
 from ..epochs import SEQUENCE_LENGTH
-from ..errors import DataError, read_utf8, write_json
+from ..errors import DataError, read_json, write_json
 from ..features import Scaler
 from ..version import SPEC_VERSION
-from .registry import MODELS, THRESHOLD, spec_for
+from .registry import MODELS, THRESHOLD, Array, decode, encode, spec_for
 
-# Attributes a model class may carry in `config` beside to_doc's, and their domains.
+# Attributes a model class may carry in `config` beside its layout's, and their domains.
 _CARRIED = {"threshold": THRESHOLD, "sequence_length": SEQUENCE_LENGTH}
+_SCALER = {"scaler": {"mean": Array(float, ("d",)), "std": Array(float, ("d",), Domain(float, 0))}}
+# What the codec raises on a document it refuses.
+_MALFORMED = (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError)
 
 
 def model_to_dict(model) -> dict:
@@ -47,7 +45,7 @@ def model_to_dict(model) -> dict:
 
 def _finite(value) -> bool:
     """Whether every number in a parsed JSON value is finite as a float;
-    strings and nulls are from_doc's to judge."""
+    strings and nulls are the codec's to judge."""
     if isinstance(value, (dict, list)):
         items = [*value.values()] if isinstance(value, dict) else value
         try:
@@ -71,28 +69,20 @@ def model_from_dict(doc: dict):
                 raise DataError(f"{mtype} {key} contains non-finite values")
         config = {**doc["config"]}
         carried = {f.name: _CARRIED[f.name] for f in fields(spec.cls) if f.name in _CARRIED}
+        values = {k: config.pop(k) for k in carried if k in config}
+        check_params(mtype, values, carried)
         domains = {**spec.domains, "seed": Domain(int)}
-        check_params(mtype, config, {**{k: domains[k] for k in spec.config_keys}, **carried})
-        values = {k: domain.kind(config.pop(k)) for k, domain in carried.items() if k in config}
-        return replace(spec.from_doc({**doc, "config": config}), **values)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        model = decode(spec.layout, {**doc, "config": config}, spec.cls, domains)
+        return replace(model, **{k: carried[k].kind(v) for k, v in values.items()})
+    except _MALFORMED as exc:
         raise DataError(f"malformed {mtype} model document: {exc!r}") from None
-
-
-def _scaler_from_doc(field) -> Scaler:
-    if not isinstance(field, dict):
-        raise DataError("no scaler object; a file saved before models carried one needs retraining")
-    for key, domain in (("mean", Domain(float)), ("std", Domain(float, 0))):
-        if not (isinstance(field.get(key), list) and all(v in domain for v in field[key])):
-            raise DataError(f"scaler {key} must be a list, each entry {domain}")
-    return Scaler(*(np.array(field[key], dtype=np.float64) for key in ("mean", "std")))
 
 
 def save_model(model, scaler: Scaler, fit_patients, path) -> None:
     """Write model, the scaler its inputs need and the patients it was fitted on."""
     doc = {
         **model_to_dict(model),
-        "scaler": {"mean": scaler.mean.tolist(), "std": scaler.std.tolist()},
+        **encode(_SCALER, scaler),
         "fit_patients": sorted(map(str, fit_patients)),
     }
     write_json(path, doc)
@@ -102,15 +92,17 @@ def load_model(path, sha256=None):
     """(model, scaler, fit_patients) from a file save_model wrote; DataError
     names the file. A hashlib object given as sha256 is fed the file's bytes
     as they are read."""
-    try:
-        doc = json.loads(read_utf8(path, sha256))
-    except ValueError as exc:  # JSONDecodeError, or an integer too long for int()
-        raise DataError(f"{path}: invalid model JSON: {exc}") from None
+    doc = read_json(path, DataError, sha256, what="model JSON")
     try:
         model = model_from_dict(doc)
+        if not isinstance(doc.get("scaler"), dict):
+            raise DataError("no scaler object; a file saved before models carried one needs retraining")
+        scaler = decode(_SCALER, doc, Scaler)
         patients = doc.get("fit_patients")
         if not (isinstance(patients, list) and all(isinstance(p, str) for p in patients)):
             raise DataError("fit_patients must be a list of patient names")
-        return model, _scaler_from_doc(doc.get("scaler")), patients
+        return model, scaler, patients
+    except _MALFORMED as exc:  # the scaler's
+        raise DataError(f"{path}: malformed scaler: {exc!r}") from None
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..domains import Domain, check_params
 from ..errors import DataError
-from .registry import CLASS_WEIGHTS, ModelSpec, resolve_class_weights
+from .registry import CLASS_WEIGHTS, Array, ModelSpec, Scalar, resolve_class_weights
 
 # Bytes of each block of ``nearest``. Its screen holds three float arrays and
 # three byte masks of its (A rows, B rows) pairs, 27 bytes a pair; its exact
@@ -173,9 +173,6 @@ def knn_vote(
 
 # ---------------------------------------------------------------- registry entry
 
-_LABEL = Domain(int, 0, 1)  # a train_y entry
-
-
 def _fit(X, y, p, seed, val):
     model = KnnModel(
         train_X=np.asarray(X, dtype=np.float64),
@@ -186,23 +183,6 @@ def _fit(X, y, p, seed, val):
     return model, {}
 
 
-def _from_doc(doc):
-    if not all(y in _LABEL for y in doc["params"]["train_y"]):
-        raise ValueError("train_y holds a label other than 0 or 1")
-    model = KnnModel(
-        train_X=np.array(doc["params"]["train_X"], dtype=np.float64),
-        train_y=np.array(doc["params"]["train_y"], dtype=np.int64),
-        k=doc["config"]["k"],
-        # JSON turned the int class keys into strings.
-        class_weights=resolve_class_weights(doc["config"].get("class_weights"), None),
-    )
-    if model.train_X.ndim != 2 or model.train_y.shape != model.train_X.shape[:1]:
-        raise ValueError(f"train_X of shape {model.train_X.shape}, train_y {model.train_y.shape}")
-    if model.k > len(model.train_y):
-        raise ValueError(f"k={model.k} exceeds the {len(model.train_y)} training rows")
-    return model
-
-
 SPEC = ModelSpec(
     name="knn",
     cls=KnnModel,
@@ -210,10 +190,8 @@ SPEC = ModelSpec(
     domains={**DOMAINS, "class_weights": CLASS_WEIGHTS},
     fit=_fit,
     score=lambda m, X: knn_vote(m.train_X, m.train_y, X, m.k, m.class_weights),
-    to_doc=lambda m: {
-        "params": {"train_X": m.train_X.tolist(), "train_y": m.train_y.tolist()},
-        "config": {"k": m.k, "class_weights": m.class_weights},
+    layout={
+        "params": {"train_X": Array(float, ("n", "d")), "train_y": Array(int, ("n",), Domain(int, 0, 1))},
+        "config": {"k": Scalar(DOMAINS["k"], at_most="n"), "class_weights": Scalar(CLASS_WEIGHTS)},
     },
-    from_doc=_from_doc,
-    config_keys=("k", "class_weights"),
 )

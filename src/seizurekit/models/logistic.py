@@ -9,13 +9,14 @@ norm drops below the tolerance or, with a warning, when max_iters is reached.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..domains import Domain, check_params, defaults_of, domains_of, param
 from ..errors import DataError
-from .registry import CLASS_WEIGHTS, THRESHOLD, ModelSpec, resolve_class_weights, typed, with_convergence
+from .registry import CLASS_WEIGHTS, CONVERGENCE, THRESHOLD, Array, ModelSpec, Scalar, resolve_class_weights
+from .registry import typed, with_convergence
 
 
 @dataclass(frozen=True)
@@ -152,20 +153,6 @@ def _score(m, X):
     return (proba >= m.threshold).astype(np.int64), proba
 
 
-def _from_doc(doc):
-    params, config = doc["params"], doc["config"]
-    return LogRegModel(
-        weights=np.array(params["weights"], dtype=np.float64),
-        bias=float(params["bias"]),
-        # JSON turned the int class keys into strings.
-        config=LogRegConfig(
-            **{**config, "class_weights": resolve_class_weights(config["class_weights"], None)}
-        ),
-        n_iters=int(params.get("n_iters", 0)),
-        converged=bool(params.get("converged", False)),
-    )
-
-
 SPEC = ModelSpec(
     name="logreg",
     cls=LogRegModel,
@@ -173,15 +160,8 @@ SPEC = ModelSpec(
     domains={**domains_of(LogRegConfig), "class_weights": CLASS_WEIGHTS, "threshold": THRESHOLD},
     fit=_fit,
     score=_score,
-    to_doc=lambda m: {
-        "params": {
-            "weights": m.weights.tolist(),
-            "bias": m.bias,
-            "n_iters": m.n_iters,
-            "converged": m.converged,
-        },
-        "config": asdict(m.config),
+    layout={
+        "params": {"weights": Array(float, ("d",)), "bias": Scalar(Domain(float)), **CONVERGENCE},
+        "config": LogRegConfig,
     },
-    from_doc=_from_doc,
-    config_keys=tuple(f.name for f in fields(LogRegConfig)),
 )

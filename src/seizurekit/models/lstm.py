@@ -30,7 +30,7 @@ from ..domains import Domain, check_params, defaults_of, domains_of, param
 from ..epochs import Windows
 from ..errors import ConfigError, DataError
 from .logistic import sigmoid
-from .registry import THRESHOLD, ModelSpec, typed
+from .registry import THRESHOLD, Array, Derived, ModelSpec, Scalar, typed
 
 
 @dataclass(frozen=True)
@@ -78,14 +78,6 @@ _BLOCK_BYTES = 512 << 10
 _MIN_GATE_CELLS = 2048
 
 
-def field_shapes(input_dim: int, hidden_dim: int) -> dict:
-    """The shape of each parameter in _FIELDS, in that order."""
-    return {
-        k: (hidden_dim, input_dim + hidden_dim) if k[0] == "W" else () if k == "b_out" else (hidden_dim,)
-        for k in _FIELDS
-    }
-
-
 def init_params(input_dim: int, hidden_dim: int = 64, seed: int = 0) -> LstmParams:
     """Uniform(-s, s) init with s = 1/sqrt(h), drawn in _FIELDS order; the
     forget-gate bias starts at 1 (open, so early gradients flow) and draws nothing."""
@@ -95,7 +87,8 @@ def init_params(input_dim: int, hidden_dim: int = 64, seed: int = 0) -> LstmPara
     rng = np.random.default_rng(seed)
     s = 1.0 / np.sqrt(hidden_dim)
     w = {}
-    for k, shape in field_shapes(input_dim, hidden_dim).items():
+    for k in _FIELDS:
+        shape = (hidden_dim, input_dim + hidden_dim) if k[0] == "W" else () if k == "b_out" else (hidden_dim,)
         w[k] = np.ones(shape) if k == "b_f" else rng.uniform(-s, s, size=shape)
     return LstmParams(**{**w, "b_out": float(w["b_out"])})
 
@@ -366,15 +359,6 @@ def _fit(X, y, p, seed, val):
     return replace(best, sequence_length=X.shape[1], threshold=float(p["threshold"])), report
 
 
-def _from_doc(doc):
-    dims = doc["dims"]
-    weights = {name: np.array(doc["weights"][name], dtype=np.float64) for name in _FIELDS}
-    for name, shape in field_shapes(dims["input_dim"], dims["hidden_dim"]).items():
-        if weights[name].shape != shape:
-            raise ValueError(f"{name} of shape {weights[name].shape} for dims {dims}")
-    return LstmParams(**{**weights, "b_out": float(weights["b_out"])})
-
-
 SPEC = ModelSpec(
     name="lstm",
     cls=LstmParams,
@@ -382,11 +366,13 @@ SPEC = ModelSpec(
     domains={**domains_of(LstmTrainConfig), **INIT_DOMAINS, "threshold": THRESHOLD},
     fit=_fit,
     score=lambda m, X: lstm_predict(m, X),
-    to_doc=lambda m: {
-        "dims": {"input_dim": m.input_dim, "hidden_dim": m.hidden_dim},
-        "weights": {name: np.asarray(getattr(m, name)).tolist() for name in _FIELDS},
+    layout={
+        "dims": {"input_dim": Derived(Domain(int, 1)), "hidden_dim": Derived(Domain(int, 1))},
+        "weights": {
+            **{k: Array(float, ("h", "d+h") if k[0] == "W" else ("h",)) for k in _FIELDS[:-1]},
+            "b_out": Scalar(Domain(float)),
+        },
         "config": {},
     },
-    from_doc=_from_doc,
     sequential=True,
 )

@@ -10,20 +10,17 @@ module that defines its class. Config validation, the pipeline, model
 persistence and the CLI's `--model` choices all read `MODELS`.
 
 The keys of a spec's `defaults` are the model's allowed `model_params` and
-`domains` the values each may take; `fit` trains it on scaled inputs,
+`domains` the values each may take; `fit` trains it on scaled inputs, and
 `score(model, X)` gives (classes, ranking scores) in one pass and is the
-only rule that turns a model's scores into classes, and
-`to_doc`/`from_doc` convert it to and from its JSON document.
+only rule that turns a model's scores into classes. A model whose
+`defaults` name a `threshold` carries the one it was fitted with as its
+`threshold` attribute, and `score` classifies at it; an lstm carries its
+window length as `sequence_length`.
 
-A model whose `defaults` name a `threshold` carries the one it was fitted
-with as its `threshold` attribute, and `score` classifies at it; an lstm
-carries its window length as `sequence_length`. Only models/io.py writes
-and reads both. It allows in a file's `config` only `config_keys` and
-those two, and checks each against `domains` (`seed` against its own), so
-`from_doc` sees neither. A `from_doc` raises ValueError on fields of
-unequal shapes and on a field that disagrees with `config` or holds a
-value the model cannot use (an rf tree count other than `n_trees`, a knn
-label other than 0 or 1).
+A spec's `layout` is its model file: each section maps each key to the
+kind of value that it and the model attribute of its name hold, or is the
+model's config dataclass. `encode` and `decode` serve every layout and the
+scaler's; `decode` refuses a key or value its layout does not allow.
 
 A spec's functions call the model's functions by their module-level name
 when they run (for example `rf_scores`), never through a reference
@@ -35,8 +32,9 @@ from __future__ import annotations
 
 import importlib
 import sys
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Callable
 
 import numpy as np
@@ -55,6 +53,92 @@ CLASS_WEIGHTS = Domain(dict, 0, lo_open=True, auto=True)
 THRESHOLD = Domain(float)
 
 
+# The kinds of value that a layout key holds:
+# - Array: a float64 or int64 array (kind float or int) of JSON numbers, with
+#   one name per axis, such as ("n", "d"); a name has one length in a
+#   document, and every entry lies in entries (default: any number of kind).
+# - Scalar: one value in domain, no larger than the length of the axis
+#   at_most, held by the model attribute attr (default: the key).
+# - Derived: a model property, written from the model; on read it lies in
+#   domain and equals the model's.
+# - Converted: a value with its own converters: write(attribute) -> JSON
+#   value and read(JSON value, the attributes read before it) -> attribute.
+Array = namedtuple("Array", "kind axes entries", defaults=[None])
+Scalar = namedtuple("Scalar", "domain at_most attr", defaults=[None, None])
+Converted = namedtuple("Converted", "write read")
+
+
+class Derived(Scalar):
+    """A Scalar that a model property gives (see above)."""
+
+
+def _types(key: str, value, rank: int) -> set:
+    """The types of the entries of value, a list nested rank deep ([] has one axis only)."""
+    if type(value) is not list or rank > 1 and not value:
+        raise ValueError(f"{key} is not an array of {rank} axes")
+    return set(map(type, value)) if rank == 1 else set().union(*(_types(key, v, rank - 1) for v in value))
+
+
+def _array(key: str, value, kind: Array, axes: dict) -> np.ndarray:
+    """value read as kind; axes gains the length of each axis it names first."""
+    entries = kind.entries or Domain(kind.kind)
+    if not _types(key, value, len(kind.axes)) <= {int, kind.kind}:
+        raise ValueError(f"{key} holds an entry that is not {entries}")
+    array = np.array(value, dtype=np.float64 if kind.kind is float else np.int64)
+    if array.size and not (array.min().item() in entries and array.max().item() in entries):
+        raise ValueError(f"{key} holds an entry that is not {entries}")
+    for name, length in zip(kind.axes, array.shape):
+        if axes.setdefault(name, length) != length:
+            raise ValueError(f"{key} has {length} along axis {name}, other arrays {axes[name]}")
+    return array
+
+
+def encode(layout: dict, obj) -> dict:
+    """The sections of obj's document that layout describes."""
+    doc = {}
+    for section, keys in layout.items():
+        if is_dataclass(keys):
+            doc[section] = asdict(obj.config)
+            continue
+        doc[section] = {}
+        for key, kind in keys.items():
+            v = getattr(obj, getattr(kind, "attr", None) or key)
+            doc[section][key] = kind.write(v) if isinstance(kind, Converted) else np.asarray(v).tolist()
+    return doc
+
+
+def decode(layout: dict, doc: dict, cls: type, domains: dict | None = None):
+    """The cls object of the sections of doc that layout describes. A config
+    dataclass is read as a section of Scalars, each field in its domain."""
+    attrs, axes, items = {}, {}, []
+    for section, keys in layout.items():
+        got = doc[section]
+        if is_dataclass(keys):
+            scalars = {f.name: Scalar(domains[f.name]) for f in fields(keys)}
+            attrs["config"] = decode({section: scalars}, doc, keys)
+        elif not isinstance(got, dict) or not set(got) <= set(keys):
+            raise ValueError(f"{section} holds keys other than {sorted(keys)}")
+        else:
+            items += [(k, kind, got[k]) for k, kind in keys.items() if k in got or isinstance(kind, Derived)]
+    # Arrays first, so that every axis has its length, and converters last.
+    for key, kind, value in sorted(items, key=lambda i: (type(i[1]) is not Array, type(i[1]) is Converted)):
+        if isinstance(kind, Array):
+            attrs[key] = _array(key, value, kind, axes)
+        elif isinstance(kind, Converted):
+            attrs[key] = kind.read(value, attrs)
+        elif value not in kind.domain:
+            raise ValueError(f"{key} must be {kind.domain}, got {value!r}")
+        elif kind.at_most and value > axes[kind.at_most]:
+            raise ValueError(f"{key}={value} exceeds the {axes[kind.at_most]} along axis {kind.at_most}")
+        elif not isinstance(kind, Derived):  # class weights get back the int keys JSON made strings
+            attrs[kind.attr or key] = resolve_class_weights(value, None) if kind.domain.kind is dict else value
+    obj = cls(**attrs)
+    for key, kind, value in items:
+        if isinstance(kind, Derived) and value != getattr(obj, key):
+            raise ValueError(f"{key} {value!r} for a model of {key} {getattr(obj, key)}")
+    return obj
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     name: str
@@ -63,11 +147,18 @@ class ModelSpec:
     domains: dict  # model_params -> the Domain of its values
     fit: Callable  # (X, y, params, seed, val) -> (model, extra report fields)
     score: Callable  # (model, X) -> (classes, ranking scores)
-    to_doc: Callable  # model -> JSON document fields besides model_type/spec_version
-    from_doc: Callable  # JSON document -> model
-    config_keys: tuple = ()  # the keys of the `config` that to_doc writes
+    layout: dict  # the model file: section -> {key: kind}, or the config dataclass
     sequential: bool = False  # inputs are build_sequences windows, not rows
     train_cap: int | None = None  # max_train_rows when the config sets none
+
+    @property
+    def config_keys(self) -> tuple:  # the keys of the `config` that to_doc writes
+        config = self.layout["config"]
+        return tuple(f.name for f in fields(config)) if is_dataclass(config) else tuple(config)
+
+    def to_doc(self, model) -> dict:
+        """The model's document, besides model_type, spec_version and the carried config keys."""
+        return encode(self.layout, model)
 
 
 def resolve_class_weights(spec, y) -> dict | None:
@@ -84,6 +175,10 @@ def resolve_class_weights(spec, y) -> dict | None:
             out[c] = n / (2.0 * n_c) if n_c else 1.0
         return out
     return {int(k): float(v) for k, v in spec.items()}
+
+
+# The params of a model fitted by iterations, which with_convergence reports.
+CONVERGENCE = {"n_iters": Scalar(Domain(int, 0)), "converged": Scalar(Domain(bool))}
 
 
 def with_convergence(model):

@@ -27,13 +27,13 @@ from __future__ import annotations
 import inspect
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..domains import Domain, check_params
 from ..errors import DataError
-from .registry import DEFAULT_SVM_TRAIN_CAP, ModelSpec, typed, with_convergence
+from .registry import CONVERGENCE, DEFAULT_SVM_TRAIN_CAP, Array, ModelSpec, Scalar, typed, with_convergence
 
 # Curvature used in place of K_ii + K_jj - 2 K_ij <= 0 (LIBSVM's TAU).
 _TAU = 1e-12
@@ -251,28 +251,6 @@ def _score(m, X):
     return (margins >= 0).astype(np.int64), margins
 
 
-def _from_doc(doc):
-    params, config = doc["params"], doc["config"]
-    model = SVMModel(
-        support_vectors=np.array(params["support_vectors"], dtype=np.float64).reshape(
-            len(params["support_vectors"]), -1
-        ),
-        alphas=np.array(params["alphas"], dtype=np.float64),
-        labels=np.array(params["labels"], dtype=np.float64),
-        bias=float(params["bias"]),
-        gamma=float(config["gamma"]),
-        C=float(config["C"]),
-        converged=bool(params.get("converged", True)),
-        n_iters=int(params.get("n_iters", 0)),
-    )
-    if not model.alphas.shape == model.labels.shape == model.support_vectors.shape[:1]:
-        raise ValueError(
-            f"{len(model.support_vectors)} support vectors, alphas of shape "
-            f"{model.alphas.shape}, labels {model.labels.shape}"
-        )
-    return model
-
-
 SPEC = ModelSpec(
     name="svm",
     cls=SVMModel,
@@ -280,18 +258,12 @@ SPEC = ModelSpec(
     domains=DOMAINS,
     fit=lambda X, y, p, seed, val: with_convergence(svm_fit_smo(X, y, **typed(p, DOMAINS))),
     score=_score,
-    to_doc=lambda m: {
+    layout={
         "params": {
-            "support_vectors": m.support_vectors.tolist(),
-            "alphas": m.alphas.tolist(),
-            "labels": m.labels.tolist(),
-            "bias": m.bias,
-            "n_iters": m.n_iters,
-            "converged": m.converged,
+            "support_vectors": Array(float, ("n", "d")), "alphas": Array(float, ("n",)),
+            "labels": Array(float, ("n",)), "bias": Scalar(Domain(float)), **CONVERGENCE,
         },
-        "config": {"C": m.C, "gamma": m.gamma},
+        "config": {"C": Scalar(DOMAINS["C"]), "gamma": Scalar(replace(DOMAINS["gamma"], auto=False))},
     },
-    from_doc=_from_doc,
-    config_keys=("C", "gamma"),
     train_cap=DEFAULT_SVM_TRAIN_CAP,
 )

@@ -16,7 +16,6 @@ MB at a time with plain file reads.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections import Counter
@@ -30,7 +29,7 @@ from .edf import EdfHeader, parse_edf_header, parse_seizure_summary, read_edf_he
 from .epochs import (
     _MIN_SCAN_BLOCKS, _SCAN_BLOCK, DOMAINS, TASKS, EpochPlan, Epochs, plan_epochs
 )
-from .errors import ConfigError, DataError, read_utf8, write_csv, write_json
+from .errors import ConfigError, DataError, read_json, read_utf8, write_csv, write_json
 from .features import FeatureMatrix, read_feature_csv, write_feature_csv
 from .version import SPEC_VERSION
 
@@ -284,11 +283,8 @@ def read_store_blocks(
     for p in (epochs_path, meta_path, info_path):
         if not p.is_file():
             raise DataError(f"missing store file: {p}")
-    try:
-        # Integers parse as floats, so a huge one reads as inf, not an int.
-        info = json.loads(read_utf8(info_path), parse_int=float)
-    except ValueError as exc:
-        raise DataError(f"{info_path}: invalid JSON: {exc}") from None
+    # Integers parse as floats, so a huge one reads as inf, not an int.
+    info = read_json(info_path, DataError, parse_int=float)
     epoch_len_s = info.get("epoch_len_s") if isinstance(info, dict) else None
     if epoch_len_s not in DOMAINS["epoch_len_s"]:
         raise DataError(

@@ -1574,3 +1574,41 @@ def test_a_features_file_rejected_mid_read_leaves_no_manifest(tmp_path, synth_di
         assert main([*argv, "--out", str(out)]) == 2
         assert f"{features}:{len(lines) // 2 + 1}: expected" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+
+# ---------------------------------------------------------------- JSON nested too deep to parse
+
+_DEEP = 100_000
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+def test_a_config_nested_too_deep_exits_1(tmp_path, synth_dir, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(_nested(_DEEP), encoding="utf-8")
+    argv = ["train", "--features", str(synth_dir / "features.csv"), "--config", str(cfg)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: invalid JSON")
+
+
+def test_a_store_info_nested_too_deep_exits_2(edf_store, tmp_path, capsys):
+    store = _store_copy(edf_store, tmp_path, lambda lines: lines)
+    info = store / "store_info.json"
+    info.write_text('{"epoch_len_s": ' + _nested(_DEEP) + "}", encoding="utf-8")
+    assert main(["featurize", "--store", str(store), "--out", str(tmp_path / "feat")]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {info}: invalid JSON")
+
+
+@pytest.mark.parametrize("key", ["weights", "bias"])
+@pytest.mark.parametrize("depth", [900, _DEEP])
+def test_a_model_file_nested_too_deep_exits_2(tmp_path, synth_dir, trained_dir, capsys, depth, key):
+    doc = json.loads((trained_dir / "model.json").read_text(encoding="utf-8"))
+    doc["params"][key] = "@"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc).replace('"@"', _nested(depth)), encoding="utf-8")
+    for command in ("eval", "predict"):
+        argv = [command, "--features", str(synth_dir / "features.csv"), "--model", str(model)]
+        assert main([*argv, "--out", str(tmp_path / command)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {model}: ")

@@ -1,5 +1,6 @@
 """JSON serialization round-trips for every model family."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -15,7 +16,10 @@ from seizurekit.models import (
     ConstantModel,
     KnnModel,
     LogRegConfig,
+    LogRegModel,
     RFConfig,
+    RFModel,
+    SVMModel,
     init_params,
     load_model,
     logreg_fit,
@@ -30,6 +34,7 @@ from seizurekit.models import (
     svm_decision,
     svm_fit_smo,
 )
+from seizurekit.models.forest import TreeNode
 
 # save_model needs a scaler; these tests score the models directly, so any will do.
 SCALER = Scaler(mean=np.zeros(2), std=np.ones(2))
@@ -252,3 +257,85 @@ def test_written_json_is_json_dumps_text(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "doc.json"
     write_json(path, doc)
     assert path.read_bytes() == want.encode("utf-8")
+
+
+# ---------------------------------------------------------------- the bytes of every model file
+
+
+def _golden_models():
+    """One small model of each type, built from fixed arrays (lstm's drawn
+    by init_params), so no BLAS product touches a number."""
+    leaf = TreeNode
+    return [
+        KnnModel(
+            train_X=np.array([[0.5, -1.25], [2.0, 0.1], [-3.0, 1e-3]]),
+            train_y=np.array([0, 1, 1]),
+            k=2,
+            class_weights={0: 1.0, 1: 2.5},
+        ),
+        LogRegModel(
+            weights=np.array([0.1, -2.5]),
+            bias=0.3,
+            config=LogRegConfig(max_iters=7, class_weights={0: 1.0, 1: 3.0}, seed=4),
+            n_iters=7,
+            threshold=0.25,
+        ),
+        RFModel(
+            trees=(
+                TreeNode(feature=1, threshold=0.5, left=leaf(counts=(3, 0)), right=leaf(counts=(1, 2))),
+                leaf(counts=(2, 2)),
+            ),
+            config=RFConfig(n_trees=2, max_depth=3, seed=9),
+            n_features=2,
+        ),
+        SVMModel(
+            support_vectors=np.array([[0.0, 1.0], [1.5, -0.5]]),
+            alphas=np.array([0.7, 0.7]),
+            labels=np.array([1.0, -1.0]),
+            bias=-0.125,
+            gamma=0.5,
+            C=2.0,
+            n_iters=11,
+        ),
+        replace(init_params(2, hidden_dim=3, seed=1), sequence_length=4, threshold=0.4),
+        ConstantModel(constant_class=1),
+    ]
+
+
+# The sha256 of each file below as the codec wrote it before every model
+# type came to share one file layout table; any change to a model file's
+# bytes shows here.
+GOLDEN_SHA256 = {
+    "constant": "4e2d4d1d5b7f4f2a5262b5672e208bdc4a921977f8d61076226319cc663083cb",
+    "knn": "00b38684d6cab504090dfab1b125bfdf93c7e3117194e7a2617e699245f70536",
+    "logreg": "f0e09ff01d23d8340f050d963f6d70212c7a406983db46c1e4a6f594a01f84fc",
+    "lstm": "76e939e99390615de36140724dddb2949e1604f56c676b7e8daa5ef46ab1e124",
+    "rf": "76b98ec75b27e3234fd20b8adcaa0309912fe2d88d6582cf493cd49f20e08843",
+    "svm": "59a676dffac0518444a132f0c6b887dd706cc05b387e477ff3b8f39b28fd43eb",
+}
+
+
+def test_every_model_file_keeps_its_bytes(tmp_path):
+    scaler = Scaler(mean=np.array([0.25, -1.0]), std=np.array([1.5, 0.0]))
+    got = {}
+    for model in _golden_models():
+        path = tmp_path / "model.json"
+        save_model(model, scaler, ["P02", "P01"], path)
+        got[spec_for(model).name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == GOLDEN_SHA256
+
+
+def test_a_model_document_nested_too_deep_to_walk_is_a_data_error():
+    """Nesting that parses but is too deep to walk is a malformed document, not a RecursionError."""
+    doc = model_to_dict(ConstantModel(constant_class=1))
+    for _ in range(20_000):
+        doc["params"]["class"] = [doc["params"]["class"]]
+    with pytest.raises(DataError, match="malformed constant model document"):
+        model_from_dict(doc)
+    doc = model_to_dict(_golden_models()[2])
+    tree = {"counts": [1, 0]}
+    for _ in range(20_000):
+        tree = {"feature": 0, "threshold": 0.5, "left": tree, "right": {"counts": [0, 1]}}
+    doc["params"]["trees"] = [tree, tree]
+    with pytest.raises(DataError, match="malformed rf model document"):
+        model_from_dict(doc)

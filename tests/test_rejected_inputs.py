@@ -436,3 +436,57 @@ def test_a_knn_file_with_a_label_other_than_0_or_1_is_a_data_error(runs, tmp_pat
         doc["params"]["train_y"][0] = label
 
     _assert_edited_model_is_a_data_error(runs, tmp_path, capsys, "knn", change)
+
+
+def _rf_node(doc, leaf: bool) -> dict:
+    """The first leaf (or split) of an rf document's trees, depth first."""
+    stack = doc["params"]["trees"][::-1]
+    while stack:
+        node = stack.pop()
+        if ("counts" in node) == leaf:
+            return node
+        stack += [node["right"], node["left"]]
+    raise AssertionError("the forest has no such node")
+
+
+def _set(section, key, value):
+    """An edit that sets doc[section][key] to value(the old value)."""
+    return lambda doc: doc[section].update({key: value(doc[section][key])})
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        pytest.param("logreg", _set("params", "weights", lambda v: 0.5), id="logreg-weights-a-scalar"),
+        pytest.param("logreg", _set("params", "weights", lambda v: list(map(str, v))), id="logreg-weights-strings"),
+        pytest.param("logreg", _set("params", "weights", lambda v: [[w] for w in v]), id="logreg-weights-rank-2"),
+        pytest.param("logreg", _set("params", "weights", lambda v: [True, *v[1:]]), id="logreg-weights-a-bool"),
+        pytest.param("svm", _set("params", "support_vectors", lambda v: [[r] for r in v]), id="svm-sv-rank-3"),
+        pytest.param("logreg", _set("params", "n_iters", lambda v: 2.7), id="logreg-n_iters-2.7"),
+        pytest.param("svm", _set("params", "n_iters", lambda v: 2.7), id="svm-n_iters-2.7"),
+        pytest.param("logreg", _set("params", "converged", lambda v: "no"), id="logreg-converged-no"),
+        pytest.param("svm", _set("params", "converged", lambda v: "no"), id="svm-converged-no"),
+        pytest.param("svm", _set("params", "bias", lambda v: "0.5"), id="svm-bias-a-string"),
+        pytest.param("knn", _set("params", "train_X", lambda v: [v[0][:-1], *v[1:]]), id="knn-train_X-ragged"),
+        pytest.param("lstm", _set("weights", "b_out", lambda v: [v]), id="lstm-b_out-a-list"),
+        pytest.param("lstm", _set("weights", "W_i", lambda v: v[:-1]), id="lstm-W_i-fewer-rows"),
+        pytest.param("lstm", _set("dims", "input_dim", lambda v: v + 1), id="lstm-input_dim-disagrees"),
+        pytest.param("lstm", _set("dims", "hidden_dim", lambda v: float(v)), id="lstm-hidden_dim-a-float"),
+        pytest.param("svm", _set("config", "gamma", lambda v: None), id="svm-gamma-null"),
+        pytest.param("svm", lambda doc: doc["params"].update(colour=1), id="svm-unknown-params-key"),
+        pytest.param("lstm", lambda doc: doc["dims"].pop("input_dim"), id="lstm-no-input_dim"),
+        pytest.param("rf", lambda doc: _rf_node(doc, leaf=True).update(counts=[-3, 1]), id="rf-count-negative"),
+        pytest.param("rf", lambda doc: _rf_node(doc, leaf=True).update(counts=[1.5, 0]), id="rf-count-a-float"),
+        pytest.param("rf", lambda doc: _rf_node(doc, leaf=True).update(counts=[True, 0]), id="rf-count-a-bool"),
+        pytest.param("rf", lambda doc: _rf_node(doc, leaf=True).update(counts=[1, 2, 3]), id="rf-three-counts"),
+        pytest.param("rf", lambda doc: _rf_node(doc, leaf=False).update(feature=True), id="rf-feature-true"),
+        pytest.param("rf", lambda doc: _rf_node(doc, leaf=False).update(feature=1.0), id="rf-feature-1.0"),
+        pytest.param("rf", lambda doc: _rf_node(doc, leaf=False).update(threshold="0.5"), id="rf-threshold-string"),
+    ],
+)
+def test_a_model_file_outside_its_layout_is_a_data_error(runs, tmp_path, capsys, name, edit):
+    """Every model type's file is read by one rule: arrays hold JSON numbers
+    of their kind, of their rank, with one length per named axis; scalars
+    lie in their domains; rf trees hold counts, features and thresholds."""
+    _assert_edited_model_is_a_data_error(runs, tmp_path, capsys, name, edit)
+
