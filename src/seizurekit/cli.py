@@ -228,7 +228,7 @@ def _out_dir(args) -> Path:
 def _write_report(path: Path, report: dict) -> None:
     """Write report to path, but its ROC points, if any, to roc.csv beside it."""
     if "roc_points" in report:
-        write_csv(path.parent / "roc.csv", "fpr,tpr", list(zip(*report.pop("roc_points"))))
+        write_csv(path.parent / "roc.csv", "fpr,tpr", [np.array(report.pop("roc_points"))])
     write_json(path, report)
 
 
@@ -408,7 +408,6 @@ def cmd_cv(args, opts: dict, given: set) -> tuple[dict, dict]:
 
     out = _out_dir(args)
     for report in result["folds"]:
-        report.pop("roc_points", None)
         write_json(out / f"fold_{report['fold']}.json", report)
     write_json(out / "summary.json", {
         "k": result["k"], "seed": result["seed"], "metrics": result["summary"], "formatted": result["formatted"],

@@ -7,6 +7,7 @@ LeakageError -> 3.
 
 import json
 import re
+from collections.abc import Iterator
 from pathlib import Path
 
 
@@ -57,31 +58,45 @@ def _json_chunks(value, level=0):
     """The text of json.dumps(value, indent=2, sort_keys=True), the layout
     of every JSON file the toolkit writes, in pieces. A list of only ints
     and floats is one piece of their reprs, which is json's text for them
-    unless a float is not finite; scalars go to json."""
+    unless a float is not finite; scalars go to json. A numpy array or
+    scalar is written as its tolist(), an array of rows one row at a time,
+    and an iterator as the list of its items, one item at a time."""
+    if getattr(value, "ndim", 0) > 1:
+        value = iter(value)
+    elif hasattr(value, "tolist"):
+        value = value.tolist()
+    if isinstance(value, Iterator):
+        yield from _json_items(value, level)
+        return
     if not isinstance(value, (list, tuple, dict)) or not value:
         yield json.dumps(value)
         return
     inner = "\n" + "  " * (level + 1)
-    close = "\n" + "  " * level + ("}" if isinstance(value, dict) else "]")
     if isinstance(value, dict):
         sep = "{" + inner
         for key, item in sorted(value.items()):
             yield sep + json.dumps(_json_key(key)) + ": "
             yield from _json_chunks(item, level + 1)
             sep = "," + inner
-        yield close
+        yield "\n" + "  " * level + "}"
         return
     if set(map(type, value)) <= {int, float}:
         text = ("," + inner).join(map(repr, value))
         if "n" not in text:  # repr gives "nan" and "inf" where json writes NaN and Infinity
-            yield "[" + inner + text + close
+            yield "[" + inner + text + "\n" + "  " * level + "]"
             return
+    yield from _json_items(value, level)
+
+
+def _json_items(items, level):
+    """_json_chunks of a list of items, from any iterable of them."""
+    inner = "\n" + "  " * (level + 1)
     sep = "[" + inner
-    for item in value:
+    for item in items:
         yield sep
         yield from _json_chunks(item, level + 1)
         sep = "," + inner
-    yield close
+    yield "[]" if sep[0] == "[" else "\n" + "  " * level + "]"  # "[]" when there were no items
 
 
 def json_text(doc) -> str:
@@ -91,7 +106,8 @@ def json_text(doc) -> str:
 
 def write_json(path, doc) -> None:
     """Write json_text(doc) to path as UTF-8 with LF line ends, a piece at a
-    time, so a large model file is never held whole in memory."""
+    time, so a large model file is never held whole in memory, nor, when
+    doc holds them as numpy arrays or iterators, its arrays or lists."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(_json_chunks(doc))
         fh.write("\n")
@@ -106,6 +122,12 @@ def _cell(value) -> str:
     if value is None:
         return ""
     return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _floats(column, rows=256):
+    """The floats of a 1-D float64 array, from tolist() of a block of rows at a time."""
+    for start in range(0, len(column), rows):
+        yield from column[start : start + rows].tolist()
 
 
 def write_csv(path, header, columns) -> None:
@@ -124,6 +146,9 @@ def write_csv(path, header, columns) -> None:
             if column.shape[1]:  # a block of no columns adds no cell
                 # tolist gives ints and floats, whose repr is _cell's text.
                 cells.append(",".join(map(repr, row.tolist())) for row in column)
+            continue
+        if getattr(column, "dtype", None) == "float64":  # repr of each float is _cell's text
+            cells.append(map(repr, _floats(column)))
             continue
         for text in dict.fromkeys(column):
             if isinstance(text, str) and _FIELD_BREAK.search(text):

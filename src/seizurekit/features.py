@@ -111,24 +111,79 @@ def extract_features(epochs: Epochs, pool_channels: bool = False) -> FeatureMatr
 
 def fit_scaler(train: FeatureMatrix) -> Scaler:
     """Per-column mean and population std of the training rows only."""
-    if train.n_rows == 0:
+    return Scaler(*column_stats(train.values))
+
+
+def column_stats(values: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """values[rows].mean(axis=0) and values[rows].std(axis=0), bit for bit,
+    of an index array of rows (every row if None), without copying the rows.
+
+    numpy sums a C-contiguous float64 array of two or more columns row
+    after row, column by column; so the rows go through in blocks, each
+    block's sum carried into the next as its first row, and the sums are
+    numpy's own. A single column numpy sums pairwise, so that case, and any
+    other dtype or layout, takes numpy's call on the rows themselves.
+    """
+    n = len(values) if rows is None else len(rows)
+    if n == 0:
         raise DataError("cannot fit a scaler on an empty training matrix")
-    return Scaler(
-        mean=train.values.mean(axis=0), std=train.values.std(axis=0)
-    )
+    d = values.shape[1]
+    if d < 2 or values.dtype != np.float64 or rows is None and not values.flags.c_contiguous:
+        part = values if rows is None else values[rows]
+        return part.mean(axis=0), part.std(axis=0)
+    step = max(1, _BLOCK_BYTES // (8 * d))
+    block = np.empty((1 + step, d))
+
+    def column_sums(mean=None):
+        for start in range(0, n, step):
+            part = block[1 : 1 + min(step, n - start)]
+            if rows is None:
+                part[...] = values[start : start + step]
+            else:
+                _take_rows(values, rows[start : start + step], part)
+            if mean is not None:
+                part -= mean
+                part *= part
+            if start:
+                block[0] = total
+            total = np.add.reduce(block[0 if start else 1 : 1 + len(part)], axis=0)
+        return total
+
+    mean = column_sums() / n
+    return mean, np.sqrt(column_sums(mean) / n)
+
+
+def _take_rows(values: np.ndarray, rows, out: np.ndarray) -> None:
+    """values[rows] written into out, row indices read as Python reads them
+    from -n to n - 1. np.take's mode="wrap": its default, "raise", would
+    fill a whole second copy of out first, to leave out unchanged on error."""
+    np.take(values, rows, axis=0, out=out, mode="wrap")
 
 
 def apply_scaler(s: Scaler, m: FeatureMatrix) -> FeatureMatrix:
     """z = (x - mean) / std per column; zero-std columns map to 0."""
+    return FeatureMatrix(values=scaled_rows(s, m), patients=m.patients, files=m.files, starts=m.starts)
+
+
+def scaled_rows(s: Scaler, m: FeatureMatrix, rows=None, spare: int = 0) -> np.ndarray:
+    """apply_scaler's values for m's rows of the index array rows (every
+    row if None), scaled in place in one new array that has spare more
+    rows, left unset, after them."""
     if len(s.mean) != m.n_dims:
         raise DataError(
             f"scaler has {len(s.mean)} columns, matrix has {m.n_dims}"
         )
-    safe = np.where(s.std == 0, 1.0, s.std)
-    z = m.values - s.mean
-    z /= safe  # in place: one n x d array, not two
+    n = m.n_rows if rows is None else len(rows)
+    out = np.empty((n + spare, m.n_dims))
+    z = out[:n]
+    if rows is None:
+        z[...] = m.values
+    else:
+        _take_rows(m.values, rows, z)
+    z -= s.mean
+    z /= np.where(s.std == 0, 1.0, s.std)
     z[:, s.std == 0] = 0.0
-    return FeatureMatrix(values=z, patients=m.patients, files=m.files, starts=m.starts)
+    return out
 
 
 def csv_header(n_dims: int) -> str:

@@ -307,7 +307,7 @@ SPEC = ModelSpec(
     score=_score,
     layout={
         "params": {
-            "trees": Converted(lambda trees: [_tree_to_dict(t) for t in trees], _trees_from_doc),
+            "trees": Converted(lambda trees: map(_tree_to_dict, trees), _trees_from_doc),
             "n_features": Scalar(Domain(int, 0)),
         },
         "config": RFConfig,

@@ -24,7 +24,7 @@ from ..epochs import SEQUENCE_LENGTH
 from ..errors import DataError, read_json, write_json
 from ..features import Scaler
 from ..version import SPEC_VERSION
-from .registry import MODELS, THRESHOLD, Array, decode, encode, spec_for
+from .registry import MODELS, THRESHOLD, Array, decode, encode, plain, spec_for
 
 # Attributes a model class may carry in `config` beside its layout's, and their domains.
 _CARRIED = {"threshold": THRESHOLD, "sequence_length": SEQUENCE_LENGTH}
@@ -35,8 +35,13 @@ _MALFORMED = (AttributeError, KeyError, OverflowError, RecursionError, TypeError
 
 def model_to_dict(model) -> dict:
     """Serialize any registered model to its JSON document."""
+    return plain(_document(model))
+
+
+def _document(model) -> dict:
+    """model_to_dict's document, with the arrays and iterators registry.encode leaves."""
     spec = spec_for(model)
-    doc = {"model_type": spec.name, **spec.to_doc(model), "spec_version": SPEC_VERSION}
+    doc = {"model_type": spec.name, **encode(spec.layout, model), "spec_version": SPEC_VERSION}
     for f in fields(spec.cls):
         if f.name in _CARRIED and getattr(model, f.name) != f.default:
             doc["config"][f.name] = getattr(model, f.name)
@@ -79,9 +84,11 @@ def model_from_dict(doc: dict):
 
 
 def save_model(model, scaler: Scaler, fit_patients, path) -> None:
-    """Write model, the scaler its inputs need and the patients it was fitted on."""
+    """Write model, the scaler its inputs need and the patients it was
+    fitted on. Its arrays are written a row at a time, and an rf's trees a
+    tree at a time."""
     doc = {
-        **model_to_dict(model),
+        **_document(model),
         **encode(_SCALER, scaler),
         "fit_patients": sorted(map(str, fit_patients)),
     }

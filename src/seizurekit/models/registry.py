@@ -33,7 +33,7 @@ from __future__ import annotations
 import importlib
 import sys
 from collections import namedtuple
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Callable
 
@@ -62,7 +62,8 @@ THRESHOLD = Domain(float)
 # - Derived: a model property, written from the model; on read it lies in
 #   domain and equals the model's.
 # - Converted: a value with its own converters: write(attribute) -> JSON
-#   value and read(JSON value, the attributes read before it) -> attribute.
+#   value, or an iterator of a JSON list's items, and read(JSON value, the
+#   attributes read before it) -> attribute.
 Array = namedtuple("Array", "kind axes entries", defaults=[None])
 Scalar = namedtuple("Scalar", "domain at_most attr", defaults=[None, None])
 Converted = namedtuple("Converted", "write read")
@@ -94,7 +95,10 @@ def _array(key: str, value, kind: Array, axes: dict) -> np.ndarray:
 
 
 def encode(layout: dict, obj) -> dict:
-    """The sections of obj's document that layout describes."""
+    """The sections of obj's document that layout describes. An Array is
+    left a numpy array, and a Converted value as its writer gives it, an
+    iterator of a list's items perhaps: errors.write_json writes either a
+    row or an item at a time, and plain makes them JSON lists."""
     doc = {}
     for section, keys in layout.items():
         if is_dataclass(keys):
@@ -103,8 +107,19 @@ def encode(layout: dict, obj) -> dict:
         doc[section] = {}
         for key, kind in keys.items():
             v = getattr(obj, getattr(kind, "attr", None) or key)
-            doc[section][key] = kind.write(v) if isinstance(kind, Converted) else np.asarray(v).tolist()
+            if isinstance(kind, Converted):
+                doc[section][key] = kind.write(v)
+            else:
+                doc[section][key] = np.asarray(v) if isinstance(kind, Array) else np.asarray(v).tolist()
     return doc
+
+
+def plain(doc: dict) -> dict:
+    """doc with each array and iterator that encode left in its sections made a JSON list."""
+    def listed(v):
+        return v.tolist() if isinstance(v, np.ndarray) else list(v) if isinstance(v, Iterator) else v
+
+    return {s: {k: listed(v) for k, v in keys.items()} if isinstance(keys, dict) else keys for s, keys in doc.items()}
 
 
 def decode(layout: dict, doc: dict, cls: type, domains: dict | None = None):
@@ -158,7 +173,7 @@ class ModelSpec:
 
     def to_doc(self, model) -> dict:
         """The model's document, besides model_type, spec_version and the carried config keys."""
-        return encode(self.layout, model)
+        return plain(encode(self.layout, model))
 
 
 def resolve_class_weights(spec, y) -> dict | None:

@@ -34,7 +34,7 @@ from .evaluation import (
     split_patients,
     summarize_folds,
 )
-from .features import FeatureMatrix, Scaler, apply_scaler, fit_scaler
+from .features import FeatureMatrix, Scaler, column_stats, scaled_rows
 # DEFAULT_SVM_TRAIN_CAP and resolve_class_weights are re-exported here.
 from .models.registry import (
     DEFAULT_MODEL,
@@ -44,7 +44,7 @@ from .models.registry import (
     resolve_class_weights,
     spec_for,
 )
-from .smote import SmoteConfig, smote
+from .smote import SmoteConfig, n_synthetic, oversampler
 
 
 @dataclass(frozen=True)
@@ -140,23 +140,22 @@ def stratified_cap(y, cap: int, seed: int) -> np.ndarray:
 
 
 def model_inputs(
-    spec: ModelSpec, scaler: Scaler, fm: FeatureMatrix, labels, sequence_length: int
+    spec: ModelSpec, scaler: Scaler, fm: FeatureMatrix, labels, sequence_length: int, rows=None
 ) -> SequenceDataset:
-    """A model's inputs from raw feature rows, which scaler scales, each
-    with the identity (patient, file, start) of the row it is scored as.
+    """A model's inputs from fm's raw feature rows of the index array rows
+    (every row if None), which scaler scales into one new array, each with
+    the identity (patient, file, start) of the row it is scored as.
 
     A sequence model reads length-T windows (row indices into the scaled
     rows) labelled by their last epoch; every other model reads the rows.
     """
-    fm = apply_scaler(scaler, fm)
+    at = slice(None) if rows is None else rows
+    scaled = FeatureMatrix(scaled_rows(scaler, fm, rows), fm.patients[at], fm.files[at], fm.starts[at])
+    y = np.asarray(labels)[at]
     if spec.sequential:
-        return build_sequences(fm, labels, sequence_length)
+        return build_sequences(scaled, y, sequence_length)
     return SequenceDataset(
-        inputs=fm.values,
-        y=np.asarray(labels),
-        patients=fm.patients,
-        files=fm.files,
-        starts=fm.starts,
+        inputs=scaled.values, y=y, patients=scaled.patients, files=scaled.files, starts=scaled.starts
     )
 
 
@@ -167,10 +166,16 @@ def score_features(model, scaler, fm: FeatureMatrix, labels):
     report of the labels: confusion-matrix metrics, plus AUC and ROC points
     when both classes occur; or None without labels.
     """
+    return _score_rows(model, scaler, fm, labels, None)
+
+
+def _score_rows(model, scaler, fm: FeatureMatrix, labels, rows):
+    """score_features of fm's rows of the index array rows (every row if
+    None), labels being those of all of fm's rows."""
     spec = spec_for(model)
     y = np.zeros(fm.n_rows, dtype=np.int64) if labels is None else labels
     T = window_length(spec, getattr(model, "sequence_length", None))
-    data = model_inputs(spec, scaler, fm, y, T)
+    data = model_inputs(spec, scaler, fm, y, T, rows)
     classes, scores = spec.score(model, data.inputs)
     if labels is None:
         return data, classes, scores, None
@@ -227,22 +232,29 @@ def evaluate_split(
             assert_patient_disjoint(fm.patients[val_idx], fm.patients[test_idx])
 
     spec = cfg.spec
-    train_fm = fm.take(train_idx)
-    scaler = fit_scaler(train_fm)
     T = cfg.sequence_length
-    train = model_inputs(spec, scaler, train_fm, labels[train_idx], T)
-    X_tr, y_tr = train.inputs, train.y
-    del train_fm, train  # the unscaled rows, and the scaled ones a cap leaves behind
-
+    scaler = Scaler(*column_stats(fm.values, train_idx))
+    rows = train_idx
+    # A sequence model has no cap: PipelineConfig refuses max_train_rows for
+    # one, and none sets a train_cap.
     cap = cfg.max_train_rows if cfg.max_train_rows is not None else spec.train_cap
-    if cap is not None and len(X_tr) > cap:
-        keep = stratified_cap(y_tr, cap, cfg.seed)
-        X_tr, y_tr = X_tr[keep], y_tr[keep]
+    if cap is not None and len(rows) > cap:
+        rows = rows[stratified_cap(labels[rows], cap, cfg.seed)]
+    # The training rows, scaled in place, are the one copy the model reads;
+    # SMOTE writes its rows into the room left after them.
+    if spec.sequential:
+        train = model_inputs(spec, scaler, fm, labels, T, rows)
+        X_tr, y_tr = train.inputs, train.y
+        del train
+    else:
+        spare = n_synthetic(labels[rows], cfg.smote_ratio) if cfg.use_smote else 0
+        X_tr, y_tr = scaled_rows(scaler, fm, rows, spare), labels[rows]
 
     val = None
     if val_idx is not None and len(val_idx):
-        held_out = model_inputs(spec, scaler, fm.take(val_idx), labels[val_idx], T)
+        held_out = model_inputs(spec, scaler, fm, labels, T, val_idx)
         val = (held_out.inputs, held_out.y) if len(held_out) else None
+        del held_out
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -251,8 +263,8 @@ def evaluate_split(
             smote_cfg = SmoteConfig(
                 k_neighbors=cfg.smote_k, target_ratio=cfg.smote_ratio, seed=cfg.seed
             )
-            X_tr, y_tr, synth_mask = smote(X_tr, y_tr, smote_cfg)
-            n_synth = int(synth_mask.sum())
+            y_tr, _ = oversampler(X_tr[: len(rows)], y_tr, smote_cfg)(X_tr)
+            n_synth = len(y_tr) - len(rows)
 
         if spec.sequential:
             if len(X_tr) == 0:
@@ -262,7 +274,8 @@ def evaluate_split(
         else:
             counts = {"n_train_rows_used": int(len(X_tr)), "n_synthetic_train_rows": n_synth}
         model, fit_report = spec.fit(X_tr, y_tr, cfg.params, cfg.seed, val)
-    test, _, _, report = score_features(model, scaler, fm.take(test_idx), labels[test_idx])
+    del X_tr, y_tr, val  # the model keeps what it needs of them
+    test, _, _, report = _score_rows(model, scaler, fm, labels, test_idx)
     if spec.sequential:
         counts["n_test_sequences"] = int(len(test))
 
@@ -360,7 +373,7 @@ def run_eval(
     rows, split = holdout_split(fm, cfg, explicit)
     test_idx = rows["test"]
     assert_patient_disjoint(fm.patients[rows["train"]], fm.patients[test_idx])
-    data, _, _, report = score_features(model, scaler, fm.take(test_idx), labels[test_idx])
+    data, _, _, report = _score_rows(model, scaler, fm, labels, test_idx)
     fitted_on = sorted(set(fit_patients) & set(map(str, fm.patients[test_idx])))
     if fitted_on:
         where = f" in {model_file}" if model_file else ""
@@ -379,7 +392,8 @@ def run_cv(
 ) -> dict:
     """Patient-wise k-fold CV: per-fold reports, the mean/std summary of
     each of FOLD_METRICS, and that summary as text (`formatted`): a
-    percentage, or the AUC to four places."""
+    percentage, or the AUC to four places. A fold report keeps its AUC but
+    not its ROC points, so that no fold holds memory past its own."""
     if cfg.allow_leaky_split:
         raise ConfigError("cross-validation does not support the leaky split")
     folds = kfold_patients(sorted(set(fm.patients)), k=k, seed=cfg.seed)
@@ -389,6 +403,8 @@ def run_cv(
         test_idx = np.flatnonzero(np.isin(fm.patients, test_p))
         result = evaluate_split(fm, labels, train_idx, test_idx, cfg)
         report = dict(result.report)
+        del result
+        report.pop("roc_points", None)
         report["fold"] = i
         report["test_patients"] = list(test_p)
         fold_reports.append(report)

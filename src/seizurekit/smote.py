@@ -49,46 +49,11 @@ def smote(
     y = np.asarray(y)
     if len(y) != len(values):
         raise DataError(f"{len(y)} labels for {len(values)} rows")
-    classes, counts = np.unique(y, return_counts=True)
-    if len(classes) != 2:
-        raise DataError(f"need exactly 2 classes, got {list(classes)}")
-    minority_class = classes[np.argmin(counts)]
-    minority_idx = np.flatnonzero(y == minority_class)
-    n_min, n_maj = counts.min(), counts.max()
-    if n_min < 2:
-        raise DataError(
-            f"minority class has {n_min} sample(s); need >= 2 to interpolate"
-        )
-
-    k = cfg.k_neighbors
-    if k >= n_min:
-        warnings.warn(
-            f"k_neighbors={k} >= minority count {n_min}; clamping to {n_min - 1}",
-            stacklevel=2,
-        )
-        k = n_min - 1
-
-    n_target = math.floor(cfg.target_ratio * n_maj)
-    n_synth = max(0, n_target - n_min)
-
-    from .models.knn import nearest  # here, so that a run without SMOTE loads no kNN code
-
-    rng = np.random.default_rng(cfg.seed)
-    minority = values[minority_idx]
-    neighbors = nearest(minority, minority, k, exclude_self=True)
-
+    fill = oversampler(values, y, cfg, fixed_lambda)
     n = len(values)
-    out_values = np.empty((n + n_synth, values.shape[1]), dtype=np.float64)
+    out_values = np.empty((n + n_synthetic(y, cfg.target_ratio), values.shape[1]), dtype=np.float64)
     out_values[:n] = values
-    source_rows = np.empty(n_synth, dtype=np.int64)
-    for s in range(n_synth):
-        i = int(rng.integers(n_min))
-        j = neighbors[i, int(rng.integers(k))]
-        lam = rng.random() if fixed_lambda is None else fixed_lambda
-        out_values[n + s] = minority[i] + lam * (minority[j] - minority[i])
-        source_rows[s] = minority_idx[i]
-
-    out_y = np.concatenate([y, np.full(n_synth, minority_class, dtype=y.dtype)])
+    out_y, source_rows = fill(out_values)
     mask = np.zeros(len(out_y), dtype=bool)
     mask[n:] = True
 
@@ -101,3 +66,58 @@ def smote(
         )
         return out, out_y, mask
     return out_values, out_y, mask
+
+
+def n_synthetic(y, target_ratio: float) -> int:
+    """The number of rows smote adds to rows labelled y: 0 unless y holds two classes."""
+    classes, counts = np.unique(y, return_counts=True)
+    if len(classes) != 2:
+        return 0
+    return max(0, math.floor(target_ratio * counts.max()) - int(counts.min()))
+
+
+def oversampler(values: np.ndarray, y: np.ndarray, cfg: SmoteConfig, fixed_lambda: float | None = None):
+    """smote's checks and neighbour search on the rows values, labelled y.
+
+    Returns fill(out): out's first len(y) rows are those rows, and fill
+    writes the n_synthetic synthetic rows into the rows after them. It
+    returns the labels of all of out's rows and each synthetic row's
+    source row.
+    """
+    classes, counts = np.unique(y, return_counts=True)
+    if len(classes) != 2:
+        raise DataError(f"need exactly 2 classes, got {list(classes)}")
+    minority_class = classes[np.argmin(counts)]
+    minority_idx = np.flatnonzero(y == minority_class)
+    n_min = counts.min()
+    if n_min < 2:
+        raise DataError(
+            f"minority class has {n_min} sample(s); need >= 2 to interpolate"
+        )
+
+    k = cfg.k_neighbors
+    if k >= n_min:
+        warnings.warn(
+            f"k_neighbors={k} >= minority count {n_min}; clamping to {n_min - 1}",
+            stacklevel=3,
+        )
+        k = n_min - 1
+
+    from .models.knn import nearest  # here, so that a run without SMOTE loads no kNN code
+
+    minority = values[minority_idx]
+    neighbors = nearest(minority, minority, k, exclude_self=True)
+
+    def fill(out: np.ndarray):
+        rng = np.random.default_rng(cfg.seed)
+        n, n_synth = len(y), len(out) - len(y)
+        source_rows = np.empty(n_synth, dtype=np.int64)
+        for s in range(n_synth):
+            i = int(rng.integers(n_min))
+            j = neighbors[i, int(rng.integers(k))]
+            lam = rng.random() if fixed_lambda is None else fixed_lambda
+            out[n + s] = minority[i] + lam * (minority[j] - minority[i])
+            source_rows[s] = minority_idx[i]
+        return np.concatenate([y, np.full(n_synth, minority_class, dtype=y.dtype)]), source_rows
+
+    return fill

@@ -177,6 +177,47 @@ def test_scaler_single_row_has_zero_std():
     assert s.std.tolist() == [0.0, 0.0]
 
 
+@st.composite
+def scaler_rows(draw):
+    """Rows of d in {1, 2, 3, 92} columns, some of zero variance, of any
+    finite magnitude, and an index array of rows (repeats allowed)."""
+    n, d = draw(st.integers(1, 40)), draw(st.sampled_from([1, 2, 3, 92]))
+    magnitude = draw(st.sampled_from([1e-300, 1e-5, 1.0, 1e5, 1e150, 1e300]))
+    scale = st.floats(-2.0, 2.0, allow_subnormal=False).map(lambda x: x * magnitude)
+    values = np.array(draw(st.lists(scale, min_size=n * d, max_size=n * d))).reshape(n, d)
+    constant = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    values[:, constant] = values[:1, constant]
+    rows = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    return values, rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(scaler_rows(), st.integers(1, 7))
+def test_fit_scaler_is_numpy_mean_and_std_bit_for_bit(drawn, block_rows):
+    """fit_scaler sums its rows in blocks of block_rows here, so n up to 40
+    crosses many block edges; the pipeline's fit over an index array of
+    rows must equal numpy's on those rows as well."""
+    values, rows = drawn
+    block_bytes = 8 * values.shape[1] * block_rows
+    # Squares of magnitudes near the largest float overflow, in numpy's call too.
+    with np.errstate(over="ignore"), mock.patch.object(features, "_BLOCK_BYTES", block_bytes):
+        s = fit_scaler(fm(values))
+        picked = features.column_stats(values, rows)
+        assert s.mean.tobytes() == values.mean(axis=0).tobytes()
+        assert s.std.tobytes() == values.std(axis=0).tobytes()
+        assert picked[0].tobytes() == values[rows].mean(axis=0).tobytes()
+        assert picked[1].tobytes() == values[rows].std(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("n", [1423, 1424, 1425, 2849, 4415])
+def test_fit_scaler_is_numpy_mean_and_std_across_default_blocks(n):
+    """92 columns: 1,424 rows to a block."""
+    values = np.random.default_rng(n).normal(3.0, 2.0, size=(n, 92)) ** 3
+    s = fit_scaler(fm(values))
+    assert s.mean.tobytes() == values.mean(axis=0).tobytes()
+    assert s.std.tobytes() == values.std(axis=0).tobytes()
+
+
 def test_apply_scaler_standardizes_training_rows():
     rng = np.random.default_rng(17)
     train = fm(rng.normal(loc=4.0, scale=3.0, size=(50, 6)))
@@ -370,6 +411,18 @@ def test_write_csv_cell_rule(tmp_path):
     ]
     write_csv(path, "p,n,x,a,b", columns)
     assert path.read_bytes() == b"p,n,x,a,b\nP1,1,0.1,1.0,2.5\nP2,2,,1e-300,-0.0\n"
+
+
+def test_write_csv_float_array_column_is_the_cell_rule_across_blocks(tmp_path):
+    # A float64 array column is read a block of rows at a time; its text is
+    # each float's repr, as a sequence of the same floats gives.
+    rng = np.random.default_rng(4)
+    floats = np.concatenate([[-0.0, 0.0, 1e-310, 1e308, 0.1], rng.normal(size=9000) * 10.0 ** rng.integers(-20, 20, 9000)])
+    path, want = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_csv(path, "x,n", [floats, np.arange(len(floats))])
+    write_csv(want, "x,n", [list(floats), list(range(len(floats)))])
+    assert path.read_bytes() == want.read_bytes()
+    assert path.read_text().splitlines()[1:4] == ["-0.0,0", "0.0,1", "1e-310,2"]
 
 
 def test_write_csv_refuses_a_text_cell_with_a_break_before_opening(tmp_path):

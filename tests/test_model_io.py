@@ -259,6 +259,20 @@ def test_written_json_is_json_dumps_text(tmp_path_factory, doc):
     assert path.read_bytes() == want.encode("utf-8")
 
 
+@pytest.mark.parametrize("array", [
+    np.zeros((0, 3)), np.zeros((3, 0)), np.arange(6.0).reshape(2, 3) / 7, np.arange(24).reshape(2, 3, 4),
+    np.array([-0.0, 1e-310, 2.5]), np.float64(0.1), np.array([[1.5, np.nan], [np.inf, 3.0]]),
+])
+def test_numpy_arrays_and_iterators_are_written_as_their_lists(tmp_path, array):
+    """write_json writes an array of rows a row at a time and an iterator
+    an item at a time: the text is json.dumps' for the array's tolist()."""
+    doc = {"a": array, "it": map(np.asarray, array.tolist()) if array.ndim else iter(()), "e": iter([])}
+    plain = {"a": array.tolist(), "it": array.tolist() if array.ndim else [], "e": []}
+    path = tmp_path / "doc.json"
+    write_json(path, doc)
+    assert path.read_text(encoding="utf-8") == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
+
 # ---------------------------------------------------------------- the bytes of every model file
 
 

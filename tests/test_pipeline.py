@@ -1,5 +1,6 @@
 """Pipeline ordering, leakage gate, row caps, and CV orchestration."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,9 @@ from seizurekit import (
     run_eval,
     run_holdout,
 )
+from seizurekit import pipeline
+from seizurekit.features import Scaler
+from seizurekit.models import knn, save_model  # knn: loaded before tracing, so its code is not counted
 from seizurekit.pipeline import (
     DEFAULT_SVM_TRAIN_CAP,
     resolve_class_weights,
@@ -285,3 +289,83 @@ def test_smote_clamp_warning_reaches_the_report(small_data):
         r = run_holdout(fm, y, config(use_smote=True, smote_k=10_000)).report
     clamps = [w for w in r["warnings"] if "clamping" in w]
     assert len(clamps) == 1 and clamps[0].startswith("k_neighbors=10000 >= minority count")
+
+
+# ---------------------------------------------------------------- memory
+
+WIDE = SynthConfig(n_patients=8, epochs_per_patient=800, n_channels=23, seed=0)
+
+
+@pytest.fixture(scope="module")
+def wide_data():
+    return generate_synthetic(WIDE)
+
+
+def traced_peak_mb(call, *args, **kwargs):
+    """call's result and the peak of the heap that tracemalloc saw during it, in MB."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+# evaluate_split's heap may peak this many MB above the training rows with
+# SMOTE's rows, plus the test rows: SMOTE's neighbour search and the fit's
+# scratch. Measured: 0.3 MB over 7.5 MB of rows, where the scaler's copy of
+# the training rows and SMOTE's input beside its output measured 2.6 MB.
+EVALUATE_SPLIT_HEAP_SLACK_MB = 1.0
+
+
+def test_evaluate_split_holds_one_copy_of_the_training_rows(wide_data):
+    fm, y = wide_data
+    patients = sorted(set(fm.patients))
+    train_idx = np.flatnonzero(np.isin(fm.patients, patients[:6]))
+    test_idx = np.flatnonzero(np.isin(fm.patients, patients[6:]))
+    cfg = config(use_smote=True, model_params={"max_iters": 50})
+    result, peak = traced_peak_mb(evaluate_split, fm, y, train_idx, test_idx, cfg)
+    report = result.report
+    rows_mb = (report["n_train_rows_used"] + len(test_idx)) * fm.n_dims * 8 / 2**20
+    assert report["n_synthetic_train_rows"] > 1000
+    assert peak <= rows_mb + EVALUATE_SPLIT_HEAP_SLACK_MB, f"peaked {peak:.2f} MB over {rows_mb:.2f} MB of rows"
+
+
+# A cv fold's heap may peak this many MB above the first fold's. Measured:
+# 0.04 MB by fold 5, where fold reports that kept their ROC points climbed
+# 0.1 MB a fold.
+CV_FOLD_HEAP_SLACK_MB = 0.15
+
+
+def test_cv_folds_peak_alike(monkeypatch):
+    fm, y = generate_synthetic(SynthConfig(n_patients=10, epochs_per_patient=300, n_channels=23, seed=0))
+    evaluate, peaks = pipeline.evaluate_split, []
+
+    def traced(*args, **kwargs):
+        tracemalloc.reset_peak()
+        result = evaluate(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        return result
+
+    monkeypatch.setattr(pipeline, "evaluate_split", traced)
+    traced_peak_mb(run_cv, fm, y, config(use_smote=True, model_params={"max_iters": 50}), k=5)
+    assert len(peaks) == 5
+    assert max(peaks) <= peaks[0] + CV_FOLD_HEAP_SLACK_MB, f"fold peaks {[round(p, 2) for p in peaks]} MB"
+
+
+# save_model's heap may peak this many MB above a few rows of the model's
+# arrays: the open file's buffer and the text of the 1-D arrays. Measured:
+# 0.16 MB for a 2,000 x 92 knn model, where listing train_X whole measured
+# 5.9 MB.
+SAVE_MODEL_HEAP_SLACK_MB = 0.25
+
+
+def test_save_model_writes_a_model_array_a_row_at_a_time(tmp_path):
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(2000, 92))
+    y = (rng.random(2000) < 0.3).astype(np.int64)
+    model = knn.KnnModel(train_X=X, train_y=y, k=5)
+    scaler = Scaler(mean=np.zeros(92), std=np.ones(92))
+    _, peak = traced_peak_mb(save_model, model, scaler, ["P01"], tmp_path / "model.json")
+    rows_mb = 4 * X[0].nbytes / 2**20
+    assert peak <= rows_mb + SAVE_MODEL_HEAP_SLACK_MB, f"peaked {peak:.2f} MB for a {X.nbytes / 2**20:.1f} MB model"
